@@ -280,16 +280,8 @@ def cmd_solve(args) -> int:
         coarse_spec = solver.LinearSpsdCoarse(
             spsd_certify(value * h.Ac.matrix, h.policy))
     elif mode == "eps":
-        rng = np.random.default_rng([seed, 2])
-
-        def approx(rc, rng=rng, eps=value):
-            ec = h.Ac.pinv @ rc
-            d = h.Ac.matrix @ rng.standard_normal(h.nc)
-            dn = solver.a_seminorm(h.Ac.matrix, d)
-            if dn == 0.0:
-                return ec
-            return ec + (eps * solver.a_seminorm(h.Ac.matrix, ec) / dn) * d
-
+        approx = solver.eps_perturbed_coarse(h, value,
+                                             np.random.default_rng([seed, 2]))
         coarse_spec = solver.GeneralCoarse(approx, declared_eps=value, verify=True)
     if variant == "auto":
         variant = "itg"

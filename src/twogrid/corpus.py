@@ -213,15 +213,7 @@ def _epsilon_bound_check() -> list[CheckResult]:
         worst = 0.0
         for trial in range(10):
             rng = np.random.default_rng(7000 + trial)
-
-            def approx(rc, rng=rng, eps=eps):
-                ec = h.Ac.pinv @ rc
-                d = h.Ac.matrix @ rng.standard_normal(h.nc)
-                dn = solver.a_seminorm(h.Ac.matrix, d)
-                if dn == 0.0:
-                    return ec
-                return ec + (eps * solver.a_seminorm(h.Ac.matrix, ec) / dn) * d
-
+            approx = solver.eps_perturbed_coarse(h, eps, rng)
             u0 = rng.standard_normal(8)
             u1 = solver.itg_sweep(h, u0, f, solver.GeneralCoarse(approx, eps))
             e0 = solver.a_seminorm(h.A.matrix, u_ref - u0)

@@ -38,7 +38,10 @@ class InconsistentSystemError(TwoGridError, ValueError):
 
 
 class DivergenceError(TwoGridError, RuntimeError):
-    """Iteration error grew past the blow-up threshold."""
+    """Iteration error grew past the blow-up threshold.
+
+    trace holds the IterationTrace up to and including the diverging sweep.
+    """
 
     def __init__(self, message, trace=None):
         super().__init__(message)

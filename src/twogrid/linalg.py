@@ -230,7 +230,11 @@ def symmetric_rank(s, tol: TolerancePolicy) -> int:
     """
     s = as_matrix(s, "S")
     _require_square_symmetric(s, "S")
-    w = np.linalg.eigvalsh(sym_part(s))
+    return spectrum_rank(np.linalg.eigvalsh(sym_part(s)), tol)
+
+
+def spectrum_rank(w: np.ndarray, tol: TolerancePolicy) -> int:
+    """symmetric_rank read off an already computed spectrum w."""
     lam_max = float(np.max(np.abs(w)))
     if lam_max == 0.0:
         return 0

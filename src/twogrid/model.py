@@ -123,8 +123,8 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     A and Ac are certified SPSD operators sharing one tolerance policy; r and
-    s are their numerical ranks (s <= r). pi is the orthogonal projector
-    A^{1/2} P Ac^+ P^T A^{1/2} and pi_a its oblique counterpart P Ac^+ P^T A.
+    s are their numerical ranks (s <= r). Pi is the orthogonal projector
+    A^{1/2} P Ac^+ P^T A^{1/2}.
     """
 
     A: SpsdOperator
@@ -135,7 +135,6 @@ class TwoGridHierarchy:
     s: int
     Mbar: np.ndarray
     Mtilde: np.ndarray
-    PiA: np.ndarray
     Pi: np.ndarray
 
     @property
@@ -202,11 +201,9 @@ def build_hierarchy(a, p, spec: SmootherSpec,
             f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}")
 
     coarse_solve = p @ ac.pinv @ p.T
-    pi_a = coarse_solve @ a.matrix
     pi = sym_part(a.sqrt @ coarse_solve @ a.sqrt)
     return TwoGridHierarchy(A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
-                            Mbar=mbar_matrix, Mtilde=mtilde_matrix,
-                            PiA=pi_a, Pi=pi)
+                            Mbar=mbar_matrix, Mtilde=mtilde_matrix, Pi=pi)
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,25 @@ def check_consistent(h: TwoGridHierarchy, f: np.ndarray) -> None:
             f"(tolerance {bound:.3e}); the system is inconsistent")
 
 
+def eps_perturbed_coarse(h: TwoGridHierarchy, eps: float,
+                         rng: np.random.Generator) -> Callable[[np.ndarray], np.ndarray]:
+    """Coarse solve whose error has relative coarse energy seminorm exactly eps.
+
+    Each call returns the exact correction plus eps times its coarse energy
+    seminorm along the direction Ac g, where g is a fresh standard-normal
+    draw from `rng` (the caller owns the stream and its position).
+    """
+    def solve(rc: np.ndarray) -> np.ndarray:
+        ec = h.Ac.pinv @ rc
+        d = h.Ac.matrix @ rng.standard_normal(h.nc)
+        dn = a_seminorm(h.Ac.matrix, d)
+        if dn == 0.0:
+            return ec
+        return ec + (eps * a_seminorm(h.Ac.matrix, ec) / dn) * d
+
+    return solve
+
+
 def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
                        coarse: CoarseSolverSpec) -> np.ndarray:
     if isinstance(coarse, ExactCoarse):
@@ -186,7 +205,8 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     variant is "tg", "stg", or "itg" (the latter needs a coarse solver
     spec). Raises DivergenceError when the tracked error grows tenfold
     across five sweeps while above the stagnation floor; near-1 contraction
-    factors are legitimate and only blow-up aborts.
+    factors are legitimate and only blow-up aborts. The error carries the
+    trace up to and including the sweep that diverged.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -227,6 +247,28 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
 
     errors = [error_of(u0)] if u_ref is not None else None
     residuals = [residual_of(u0)]
+    tracked = errors if errors is not None else residuals
+    floor = 1e3 * EPS * tracked[0]
+
+    def trace_after(done: int) -> IterationTrace:
+        ratios, observed = (None, None)
+        if errors is not None:
+            ratios, observed = _observed_factor(errors, floor, done)
+        achieved = list(coarse.achieved_eps) if isinstance(coarse, GeneralCoarse) else []
+        return IterationTrace(
+            variant=variant,
+            sweeps=done,
+            errors_A=errors,
+            residuals=residuals,
+            ratios=ratios,
+            observed_factor=observed,
+            stagnated=observed is not None and observed >= 1.0 - h.policy.match_tol,
+            violations=[e for e in achieved if e >= 1.0],
+            achieved_eps=achieved,
+            floor=floor if errors is not None else None,
+            final_residual_rel=(residuals[-1] / f_norm if f_norm > 0.0
+                                else residuals[-1]),
+        )
 
     u = u0
     for k in range(sweeps):
@@ -237,47 +279,21 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
         residuals.append(residual_of(u))
         if errors is not None:
             errors.append(error_of(u))
-        tracked = errors if errors is not None else residuals
-        floor_now = 1e3 * EPS * tracked[0]
         if len(tracked) > 5:
             prev, new = tracked[-6], tracked[-1]
-            if new > 10.0 * prev and new > floor_now and prev > floor_now:
+            if new > 10.0 * prev and new > floor and prev > floor:
                 raise DivergenceError(
                     f"error grew from {prev:.3e} to {new:.3e} over five sweeps "
                     f"(sweep {k + 1}); the iteration is diverging",
-                    trace=None)
+                    trace=trace_after(k + 1))
 
-    tracked = errors if errors is not None else residuals
-    floor = 1e3 * EPS * tracked[0]
-    ratios, observed = (None, None)
-    if errors is not None:
-        ratios, observed = _observed_factor(errors, floor, sweeps)
-    stagnated = observed is not None and observed >= 1.0 - h.policy.match_tol
-
-    final_residual_rel = residuals[-1] / f_norm if f_norm > 0.0 else residuals[-1]
+    trace = trace_after(sweeps)
     if errors is not None and errors[-1] <= floor:
-        if final_residual_rel > h.policy.match_tol:
+        if trace.final_residual_rel > h.policy.match_tol:
             raise TwoGridError(
                 "iterate reached the error floor but does not satisfy the "
-                f"system: relative residual {final_residual_rel:.3e}")
-
-    violations = []
-    if isinstance(coarse, GeneralCoarse):
-        violations = [e for e in coarse.achieved_eps if e >= 1.0]
-
-    return IterationTrace(
-        variant=variant,
-        sweeps=sweeps,
-        errors_A=errors,
-        residuals=residuals,
-        ratios=ratios,
-        observed_factor=observed,
-        stagnated=stagnated,
-        violations=violations,
-        achieved_eps=list(coarse.achieved_eps) if isinstance(coarse, GeneralCoarse) else [],
-        floor=floor if errors is not None else None,
-        final_residual_rel=final_residual_rel,
-    )
+                f"system: relative residual {trace.final_residual_rel:.3e}")
+    return trace
 
 
 def write_trace_csv(trace: IterationTrace, path) -> None:

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from twogrid import corpus
 from twogrid.errors import CoarseScalingError, RangeMismatchError
 from twogrid.analysis import (
     beta_constants,
@@ -30,9 +31,11 @@ from twogrid.linalg import (
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
+    NeumannLaplacian2D,
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
+    generate_problem,
     neumann_laplacian_1d,
 )
 
@@ -389,3 +392,81 @@ class TestReportAssembly:
         assert len(lines) == 2
         assert lines[0].startswith("problem,smoother,")
         assert lines[1].split(",")[0] == "neumann1d:8"
+
+
+def _bits(value):
+    """Exact comparison key: floats by their hex form, everything else as is."""
+    return float(value).hex() if isinstance(value, float) else value
+
+
+def neumann2d_report_inputs():
+    a, p, _, _ = generate_problem(NeumannLaplacian2D(8, 8), group=2, seed=0)
+    h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+    return h, spsd_certify(2.0 * h.Ac.matrix, h.policy)
+
+
+class TestSharedSpectra:
+    """One report shares its forms and spectra without changing a bit."""
+
+    @pytest.mark.parametrize("case", corpus.builtin_corpus(), ids=lambda c: c.name)
+    def test_report_equals_standalone_calls_bit_for_bit(self, case):
+        h, _, _ = corpus.build_case(case)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        report = convergence_report(h, coarse=bc, epsilon=0.3)
+        cond = check_conditions(h)
+        exact = exact_factor(h)
+        inexact = inexact_linear_analysis(h, bc)
+        expected = {
+            "sigma_tg": exact.sigma_tg,
+            "factor_identity": exact.factor_identity,
+            "factor_ftg": exact.factor_ftg,
+            "factor_oracle": exact.factor_oracle,
+            "lower": exact.lower_bound,
+            "upper": exact.upper_bound,
+            "eigengap_at_index": exact.eigengap_at_index,
+            "alpha1": inexact.alpha1,
+            "alpha2": inexact.alpha2,
+            "beta1": inexact.beta1,
+            "beta2": inexact.beta2,
+            "delta_tg": inexact.delta_tg,
+            "lower_itg": inexact.lower_L,
+            "upper_itg": inexact.upper_U,
+            "factor_itg": inexact.factor_exact_itg,
+            "factor_itg_oracle": inexact.factor_oracle,
+            "epsilon_bound": general_epsilon_bound(h, 0.3),
+            "intersection_dim": cond.intersection_dim,
+            "nullity_a": cond.nullity_A,
+        }
+        for key, value in expected.items():
+            assert _bits(report[key]) == _bits(value), key
+        assert report["flags"] == {
+            "smoother_ok": cond.smoother_ok,
+            "equiv_cond_ok": cond.equiv_cond_ok,
+            "suff_cond_ok": cond.suff_cond_ok,
+            "degenerate_full_rank_coarse": h.s == h.r,
+            "delta_guard_ok": inexact.delta_guard_ok,
+        }
+        margins = {
+            "smoother_min_eig": cond.smoother_min_eig,
+            "intersection_sv": cond.intersection_margin,
+            "mbar_min_eig": cond.mbar_min_eig,
+        }
+        for key, value in margins.items():
+            assert _bits(report["margins"][key]) == _bits(value), key
+
+    def test_report_eigensolve_budget(self, monkeypatch):
+        h, bc = neumann2d_report_inputs()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+                calls.append(_solver.__name__)
+                return _solver(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        convergence_report(h, coarse=bc, epsilon=0.3)
+        assert 0 < len(calls) <= 12, calls
+
+    def test_report_leaves_no_cache_on_hierarchy(self):
+        h, bc = neumann2d_report_inputs()
+        before = set(vars(h))
+        convergence_report(h, coarse=bc, epsilon=0.3)
+        assert set(vars(h)) == before

@@ -50,7 +50,6 @@ def test_inconsistent_ranks_rejected_by_analysis():
     forged = TwoGridHierarchy(
         A=a, M=m, P=p, Ac=ac, r=1, s=5,
         Mbar=mbar(m, a), Mtilde=mtilde(m, a),
-        PiA=p @ ac.pinv @ p.T @ a.matrix,
         Pi=a.sqrt @ p @ ac.pinv @ p.T @ a.sqrt)
     with pytest.raises(ShapeError, match="inconsistent"):
         sigma_tg(forged)

@@ -231,8 +231,10 @@ class TestIterate:
         assert trace.observed_factor >= 1.0 - h.policy.match_tol
         assert trace.stagnated
 
-    def test_divergence_detected(self):
-        # expansive smoother assembled directly; the builder would reject it
+    @staticmethod
+    def expansive_setup():
+        # Jacobi weight 1.8, well above the stability limit, assembled
+        # directly; the builder would reject it
         a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=2)
         m = 1.8 * np.diag(1.0 / np.diag(a.matrix))
         ac = spsd_certify(p.T @ a.matrix @ p, a.policy)
@@ -240,11 +242,27 @@ class TestIterate:
         h = TwoGridHierarchy(
             A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
             Mbar=mbar(m, a), Mtilde=mtilde(m, a),
-            PiA=coarse_solve @ a.matrix,
             Pi=a.sqrt @ coarse_solve @ a.sqrt)
         u0 = np.random.default_rng(11).standard_normal(8)
+        return h, f, u0, u_ref
+
+    def test_divergence_detected(self):
+        h, f, u0, u_ref = self.expansive_setup()
         with pytest.raises(DivergenceError, match="diverging"):
             iterate(h, f, u0, 40, "tg", u_ref=u_ref)
+
+    def test_divergence_carries_partial_trace(self):
+        h, f, u0, u_ref = self.expansive_setup()
+        with pytest.raises(DivergenceError) as info:
+            iterate(h, f, u0, 40, "tg", u_ref=u_ref)
+        trace = info.value.trace
+        assert isinstance(trace, IterationTrace)
+        assert trace.variant == "tg"
+        assert 5 <= trace.sweeps < 40
+        assert f"(sweep {trace.sweeps})" in str(info.value)
+        assert len(trace.residuals) == trace.sweeps + 1
+        assert len(trace.errors_A) == trace.sweeps + 1
+        assert trace.errors_A[-1] > 10.0 * trace.errors_A[-6]
 
     def test_without_reference_residuals_only(self, setup8):
         h, f, _ = setup8
