@@ -35,9 +35,6 @@ from .linalg import (
     SpsdOperator,
     SymEigen,
     TolerancePolicy,
-    null_intersection_dim,
-    numerical_rank,
-    range_null_bases,
     spsd_certify,
     sym_eig,
 )
@@ -80,8 +77,7 @@ __all__ = [
     "CoarseScalingError", "DivergenceError", "InconsistentSystemError",
     "MatrixMarketError", "NotSpsdError", "RangeMismatchError", "ShapeError",
     "SmootherAssumptionError", "SmootherError", "TwoGridError",
-    "SpsdOperator", "SymEigen", "TolerancePolicy", "null_intersection_dim",
-    "numerical_rank", "range_null_bases", "spsd_certify", "sym_eig",
+    "SpsdOperator", "SymEigen", "TolerancePolicy", "spsd_certify", "sym_eig",
     "CustomSmoother", "FromFile", "GaussSeidel", "GraphLaplacian",
     "NeumannLaplacian1D", "NeumannLaplacian2D", "RandomSpsd",
     "TwoGridHierarchy", "WeightedJacobi", "aggregation_prolongation",

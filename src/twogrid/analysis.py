@@ -34,7 +34,7 @@ import numpy as np
 from .errors import CoarseScalingError, RangeMismatchError, ShapeError
 from .linalg import (
     SpsdOperator,
-    TolerancePolicy,
+    spectrum_psd,
     spectrum_rank,
     spsd_certify,
     stacked_nullity,
@@ -90,13 +90,14 @@ class _Spectra:
 
     @cached_property
     def mtilde_spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.mtilde_form)
+        """Spectrum of the Mtilde form.
 
-    @cached_property
-    def mbar_spectrum(self) -> np.ndarray:
+        When Mbar equals Mtilde the two forms are the same bytes, so this is
+        the hierarchy's smoother spectrum and costs no eigen-solve.
+        """
         if self.mbar_form is self.mtilde_form:
-            return self.mtilde_spectrum
-        return np.linalg.eigvalsh(self.mbar_form)
+            return self.h.smoother_spectrum
+        return np.linalg.eigvalsh(self.mtilde_form)
 
     @cached_property
     def projected_spectrum(self) -> np.ndarray:
@@ -190,9 +191,9 @@ class _Spectra:
         tol = h.policy
         n = h.n
 
-        w_smooth = self.mbar_spectrum
+        w_smooth = h.smoother_spectrum
         smoother_min = float(w_smooth[0])
-        smoother_ok = smoother_min >= -tol.psd_slack * max(1.0, float(w_smooth[-1]))
+        smoother_ok = spectrum_psd(w_smooth, tol)
 
         pre_oblique = h.P.T @ (np.eye(n) - h.A.matrix @ h.M) @ h.A.sqrt
         inter_dim, margin = stacked_nullity([self.mbar_form, pre_oblique], tol)
@@ -201,8 +202,7 @@ class _Spectra:
 
         w_mbar = np.linalg.eigvalsh(h.Mbar)
         mbar_min = float(w_mbar[0])
-        mbar_scale = float(np.max(np.abs(w_mbar)))
-        mbar_psd = mbar_min >= -tol.psd_slack * max(1.0, mbar_scale)
+        mbar_psd = spectrum_psd(w_mbar, tol)
         if h.A.null_basis.shape[1] > 0:
             mbar_null_range, _ = stacked_nullity([h.Mbar, h.A.null_basis.T], tol)
         else:
@@ -253,7 +253,7 @@ class _Spectra:
         if bc.n != h.nc:
             raise ShapeError(f"coarse matrix is {bc.n} x {bc.n}, expected "
                              f"{h.nc} x {h.nc}")
-        alpha1, alpha2 = coarse_equivalence_bounds(h.Ac, bc)
+        alpha1, alpha2 = spectral_equivalence_constants(bc, h.Ac)
         if alpha2 >= 2.0:
             raise CoarseScalingError(
                 f"largest generalized eigenvalue of Bc^+ Ac is {alpha2:.6g} >= 2; "
@@ -514,17 +514,6 @@ def require_matching_ranges(ac: SpsdOperator, bc: SpsdOperator) -> None:
             f"null space (joint nullity rank {joint_rank}, expected {nullity})")
 
 
-def coarse_equivalence_bounds(ac: SpsdOperator, bc: SpsdOperator) -> tuple[float, float]:
-    """Extreme generalized eigenvalues (alpha1, alpha2) of Bc^+ Ac.
-
-    Evaluated on the symmetric form Bc^{+/2} Ac Bc^{+/2} restricted by the
-    shared nullity: alpha1 is the smallest nonzero eigenvalue, alpha2 the
-    largest. These are the equivalence constants of Ac against the reference
-    Bc. Requires matching ranges.
-    """
-    return spectral_equivalence_constants(bc, ac)
-
-
 def spectral_equivalence_constants(reference: SpsdOperator,
                                    other: SpsdOperator) -> tuple[float, float]:
     """Best constants (c1, c2) with c1 v'Rv <= v'Ov <= c2 v'Rv on the range.
@@ -532,7 +521,8 @@ def spectral_equivalence_constants(reference: SpsdOperator,
     Computed on the symmetric form R^{+/2} O R^{+/2}; requires matching
     ranges so the constants are finite and positive. A range mismatch is
     reported with `other` in the Galerkin role and `reference` as the
-    approximation, as coarse_equivalence_bounds needs.
+    approximation: inexact_linear_analysis calls it with (Bc, Ac), so alpha1
+    and alpha2 are the extreme nonzero eigenvalues of Bc^+ Ac.
     """
     require_matching_ranges(other, reference)
     w = np.linalg.eigvalsh(sym_part(reference.pinv_sqrt @ other.matrix

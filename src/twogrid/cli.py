@@ -39,7 +39,6 @@ from .model import (
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
-    generate_problem,
     problem_matrix,
 )
 
@@ -203,30 +202,32 @@ def _finalize_args(args) -> None:
         raise UsageError("--problem is required (or put it in the config file)")
 
 
-def _build_setup(args):
-    problem = parse_problem(args.problem)
-    smoother = parse_smoother(args.smoother)
-    seed = args.seed if args.seed is not None else 0
-
-    matrix = problem_matrix(problem)
+def _build_problem(args):
+    """(A, P, f, u_ref) with A certified under the environment's policy."""
+    matrix = problem_matrix(parse_problem(args.problem))
     n = matrix.shape[0]
-    tol = policy_from_env(n)
-    a = spsd_certify(matrix, tol)
+    a = spsd_certify(matrix, policy_from_env(n))
     p = build_prolongation(args.prolongation, n)
-    rng = np.random.default_rng(seed)
-    u_ref = rng.standard_normal(n)
-    f = a.matrix @ u_ref
-    h = build_hierarchy(a, p, smoother)
-    return h, f, u_ref, seed
+    u_ref = np.random.default_rng(args.seed).standard_normal(n)
+    return a, p, a.matrix @ u_ref, u_ref
 
 
-def _meta(args, seed) -> dict:
+def _coarse_matrix(mode, value, h):
+    """Certified Bc for the bc:PATH and scale:C coarse specs, else None."""
+    if mode == "bc":
+        return spsd_certify(mmio.read_matrix(value), h.policy)
+    if mode == "scale":
+        return spsd_certify(value * h.Ac.matrix, h.policy)
+    return None
+
+
+def _meta(args) -> dict:
     return {
         "problem": args.problem,
         "smoother": args.smoother,
         "prolongation": args.prolongation,
         "coarse": getattr(args, "coarse", "exact"),
-        "seed": seed,
+        "seed": args.seed,
     }
 
 
@@ -244,19 +245,15 @@ def _write_text(path, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     _finalize_args(args)
-    h, f, u_ref, seed = _build_setup(args)
+    a, p, _, _ = _build_problem(args)
+    h = build_hierarchy(a, p, parse_smoother(args.smoother))
     mode, value = parse_coarse(args.coarse)
-    coarse_op = None
     epsilon = args.epsilon
-    if mode == "bc":
-        coarse_op = spsd_certify(mmio.read_matrix(value), h.policy)
-    elif mode == "scale":
-        coarse_op = spsd_certify(value * h.Ac.matrix, h.policy)
-    elif mode == "eps":
-        epsilon = value if epsilon is None else epsilon
+    if mode == "eps" and epsilon is None:
+        epsilon = value
 
-    report = analysis.convergence_report(h, coarse=coarse_op, epsilon=epsilon,
-                                         meta=_meta(args, seed))
+    report = analysis.convergence_report(h, coarse=_coarse_matrix(mode, value, h),
+                                         epsilon=epsilon, meta=_meta(args))
     if args.format == "csv":
         _write_text(args.output, analysis.report_csv([report]))
     else:
@@ -266,34 +263,31 @@ def cmd_analyze(args) -> int:
 
 def cmd_solve(args) -> int:
     _finalize_args(args)
-    h, f, u_ref, seed = _build_setup(args)
+    a, p, f, u_ref = _build_problem(args)
+    h = build_hierarchy(a, p, parse_smoother(args.smoother))
     mode, value = parse_coarse(args.coarse)
-    variant = args.variant
+    bc = _coarse_matrix(mode, value, h)
     coarse_spec = None
-    if mode == "exact":
-        if variant == "auto":
-            variant = "tg"
-    elif mode == "bc":
-        coarse_spec = solver.LinearSpsdCoarse(
-            spsd_certify(mmio.read_matrix(value), h.policy))
-    elif mode == "scale":
-        coarse_spec = solver.LinearSpsdCoarse(
-            spsd_certify(value * h.Ac.matrix, h.policy))
+    if bc is not None:
+        coarse_spec = solver.LinearSpsdCoarse(bc)
     elif mode == "eps":
         approx = solver.eps_perturbed_coarse(h, value,
-                                             np.random.default_rng([seed, 2]))
+                                             np.random.default_rng([args.seed, 2]))
         coarse_spec = solver.GeneralCoarse(approx, declared_eps=value, verify=True)
+    variant = args.variant
     if variant == "auto":
-        variant = "itg"
+        variant = "tg" if mode == "exact" else "itg"
     if variant != "itg" and coarse_spec is not None:
         raise UsageError(
             f"variant '{variant}' always uses the exact coarse solve; "
             "drop --coarse or use --variant itg")
+    if coarse_spec is None:
+        coarse_spec = solver.ExactCoarse()
 
-    u0 = np.random.default_rng([seed, 1]).standard_normal(h.n)
+    u0 = np.random.default_rng([args.seed, 1]).standard_normal(h.n)
     trace = solver.iterate(h, f, u0, args.sweeps, variant, coarse=coarse_spec,
                            u_ref=u_ref)
-    meta = _meta(args, seed)
+    meta = _meta(args)
     meta["variant"] = variant
     if args.output:
         base = Path(args.output)
@@ -317,16 +311,7 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     _finalize_args(args)
-    problem = parse_problem(args.problem)
-    seed = args.seed if args.seed is not None else 0
-    matrix = problem_matrix(problem)
-    n = matrix.shape[0]
-    tol = policy_from_env(n)
-    a = spsd_certify(matrix, tol)
-    p = build_prolongation(args.prolongation, n)
-    rng = np.random.default_rng(seed)
-    u_ref = rng.standard_normal(n)
-    f = a.matrix @ u_ref
+    a, p, f, u_ref = _build_problem(args)
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -337,7 +322,7 @@ def cmd_generate(args) -> int:
     config = (f"problem = file:{out / 'A.mtx'}\n"
               f"prolongation = {out / 'P.mtx'}\n"
               f"smoother = {args.smoother}\n"
-              f"seed = {seed}\n")
+              f"seed = {args.seed}\n")
     (out / "problem.cfg").write_text(config, encoding="ascii")
     sys.stdout.write(f"wrote A.mtx P.mtx f.mtx u_ref.mtx problem.cfg to {out}\n")
     return 0
@@ -399,10 +384,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except TwoGridError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (TwoGridError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
 

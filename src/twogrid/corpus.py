@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, solver
-from .linalg import TolerancePolicy, spsd_certify, symmetric_rank, sym_part
+from .linalg import spsd_certify, symmetric_rank, sym_part
 from .model import (
     CustomSmoother,
     GaussSeidel,
@@ -85,10 +85,10 @@ def builtin_corpus() -> tuple[CorpusCase, ...]:
     return tuple(cases)
 
 
-def build_case(case: CorpusCase, tol: TolerancePolicy | None = None):
+def build_case(case: CorpusCase):
     """Materialize (hierarchy, f, u_ref) for one corpus case."""
     a, p, f, u_ref = generate_problem(case.problem, group=case.group,
-                                      seed=case.seed, tol=tol)
+                                      seed=case.seed)
     h = build_hierarchy(a, p, case.smoother)
     return h, f, u_ref
 
@@ -136,9 +136,8 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     record("exact_sandwich",
            max(exact.lower_bound - factor, factor - exact.upper_bound), 1e-10)
 
-    oracle_tg = analysis.seminorm_oracle(h, "tg")
     oracle_stg = analysis.seminorm_oracle(h, "stg")
-    record("squaring_law", abs(oracle_stg - oracle_tg ** 2), 1e-9)
+    record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
 
     w = np.linalg.eigvalsh(sym_part(h.A.sqrt @ h.Mtilde @ h.A.sqrt))
     record("spectrum_box", max(-float(w[0]), float(w[-1]) - 1.0),
@@ -192,21 +191,23 @@ def _expected_failure_check(perturb: float) -> list[CheckResult]:
     The intersection condition must report False and the factor must reach
     one; that outcome counts as a pass of the harness.
     """
-    a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=0)
-    h = build_hierarchy(a, p, CustomSmoother(np.zeros((8, 8))))
+    case = CorpusCase("neumann1d:8/zero-smoother", NeumannLaplacian1D(8),
+                      CustomSmoother(np.zeros((8, 8))), 2)
+    h, _, _ = build_case(case)
     conditions = analysis.check_conditions(h)
     exact = analysis.exact_factor(h)
     ok = (not conditions.equiv_cond_ok) and exact.factor_identity >= 1.0 - 1e-10
     return [CheckResult(
-        check="expected_equiv_failure", case="neumann1d:8/zero-smoother",
+        check="expected_equiv_failure", case=case.name,
         passed=ok, measured=exact.factor_identity, limit=1.0,
         detail="intersection condition reports False, factor reaches 1")]
 
 
 def _epsilon_bound_check() -> list[CheckResult]:
     """Enforced-accuracy coarse solves never beat the eps bound."""
-    a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=0)
-    h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+    case = CorpusCase("neumann1d:8/jacobi:2/3/agg2", NeumannLaplacian1D(8),
+                      WeightedJacobi(2.0 / 3.0), 2)
+    h, f, u_ref = build_case(case)
     results = []
     for eps in (0.1, 0.5, 0.9):
         bound = analysis.general_epsilon_bound(h, eps)
@@ -220,7 +221,7 @@ def _epsilon_bound_check() -> list[CheckResult]:
             e1 = solver.a_seminorm(h.A.matrix, u_ref - u1)
             worst = max(worst, e1 / e0)
         results.append(CheckResult(
-            check=f"epsilon_bound:{eps}", case="neumann1d:8/jacobi:2/3/agg2",
+            check=f"epsilon_bound:{eps}", case=case.name,
             passed=worst <= bound + 1e-8, measured=worst, limit=bound + 1e-8))
     return results
 

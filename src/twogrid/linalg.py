@@ -1,10 +1,11 @@
 """Dense symmetric spectral kernels.
 
 Eigendecomposition, matrix square roots and Moore-Penrose inverses under a
-shared tolerance policy, numerical rank, orthonormal range/null bases, and
-null-space intersection dimensions. Every higher-level module (hierarchy
-assembly, convergence analysis, solvers) stands on these primitives, so the
-rank threshold is decided exactly once per matrix and reused everywhere.
+shared tolerance policy, plus the two decisions every module shares: the
+numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
+within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
+convergence analysis, solvers) stands on these primitives, so each rule is
+written once and the rank threshold is decided once per matrix.
 """
 from __future__ import annotations
 
@@ -197,7 +198,7 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             f"-psd_slack * lambda_max = {-tol.psd_slack * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
-    rank = int(np.count_nonzero(clamped > tol.rank_rel_tol * lam_max))
+    rank = spectrum_rank(clamped, tol)
     v = eig.vectors
     sqrt = sym_part((v * np.sqrt(clamped)) @ v.T)
     inv_w = np.zeros_like(clamped)
@@ -206,20 +207,6 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     pinv = sym_part((v * inv_w) @ v.T)
     return SpsdOperator(matrix=sym_part(s), eig=SymEigen(values=clamped, vectors=v),
                         rank=rank, sqrt=sqrt, pinv=pinv, policy=tol)
-
-
-def numerical_rank(s: SpsdOperator) -> int:
-    """Number of eigenvalues above the rank threshold (n minus the nullity)."""
-    return s.rank
-
-
-def range_null_bases(s: SpsdOperator) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the range and null space of a certified operator.
-
-    Together the two blocks form an orthonormal basis of R^n, realizing the
-    orthogonal splitting of R^n into range and null space.
-    """
-    return s.range_basis, s.null_basis
 
 
 def symmetric_rank(s, tol: TolerancePolicy) -> int:
@@ -234,11 +221,24 @@ def symmetric_rank(s, tol: TolerancePolicy) -> int:
 
 
 def spectrum_rank(w: np.ndarray, tol: TolerancePolicy) -> int:
-    """symmetric_rank read off an already computed spectrum w."""
+    """symmetric_rank read off an already computed spectrum w.
+
+    The one rank rule: eigenvalues above rank_rel_tol * max|w| count.
+    """
     lam_max = float(np.max(np.abs(w)))
     if lam_max == 0.0:
         return 0
     return int(np.count_nonzero(w > tol.rank_rel_tol * lam_max))
+
+
+def spectrum_psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
+    """Whether an ascending spectrum w is PSD up to rounding.
+
+    The one PSD-within-slack rule: the smallest eigenvalue may dip to
+    -psd_slack * max(1, max|w|).
+    """
+    scale = max(1.0, float(np.max(np.abs(w))))
+    return bool(float(w[0]) >= -tol.psd_slack * scale)
 
 
 def stacked_nullity(blocks, tol: TolerancePolicy) -> tuple[int, float]:
@@ -258,20 +258,7 @@ def stacked_nullity(blocks, tol: TolerancePolicy) -> tuple[int, float]:
     stack = np.vstack(mats)
     gram = sym_part(stack.T @ stack)
     w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    lam_max = float(w[-1])
-    if lam_max == 0.0:
-        return cols, 0.0
-    keep = w > tol.rank_rel_tol * lam_max
-    rank = int(np.count_nonzero(keep))
+    rank = spectrum_rank(w, tol)
     margin = float(np.sqrt(w[cols - rank])) if rank > 0 else 0.0
     return cols - rank, margin
 
-
-def null_intersection_dim(k1, k2, tol: TolerancePolicy) -> int:
-    """Dimension of the intersection of the null spaces of two matrices.
-
-    Computed as the nullity of the stacked matrix [K1; K2]: a vector is
-    annihilated by the stack exactly when both blocks annihilate it.
-    """
-    nullity, _ = stacked_nullity([k1, k2], tol)
-    return nullity

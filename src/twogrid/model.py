@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -21,6 +22,7 @@ from .linalg import (
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
+    spectrum_psd,
     spsd_certify,
     sym_part,
 )
@@ -149,14 +151,16 @@ class TwoGridHierarchy:
     def policy(self) -> TolerancePolicy:
         return self.A.policy
 
+    @cached_property
+    def smoother_spectrum(self) -> np.ndarray:
+        """Eigenvalues of A^{1/2} Mbar A^{1/2}, ascending, solved once.
 
-def smoother_spectrum(a: SpsdOperator, mbar_matrix: np.ndarray) -> np.ndarray:
-    """Eigenvalues of A^{1/2} Mbar A^{1/2}, ascending.
-
-    Nonnegativity of this spectrum is equivalent to the smoothing iteration
-    being a (not necessarily strict) contraction in the energy seminorm.
-    """
-    return np.linalg.eigvalsh(sym_part(a.sqrt @ mbar_matrix @ a.sqrt))
+        Nonnegativity of this spectrum is equivalent to the smoothing
+        iteration being a (not necessarily strict) contraction in the energy
+        seminorm; build_hierarchy certifies the smoother on it.
+        """
+        ah = self.A.sqrt
+        return np.linalg.eigvalsh(sym_part(ah @ self.Mbar @ ah))
 
 
 def build_hierarchy(a, p, spec: SmootherSpec,
@@ -192,18 +196,17 @@ def build_hierarchy(a, p, spec: SmootherSpec,
 
     mbar_matrix = mbar(m, a)
     mtilde_matrix = mtilde(m, a)
-
-    spectrum = smoother_spectrum(a, mbar_matrix)
-    slack = policy.psd_slack * max(1.0, float(spectrum[-1]))
-    if float(spectrum[0]) < -slack:
+    # P Ac^+ P^T is a temporary so that it is freed before the smoother
+    # spectrum is solved; held there, it adds one n x n array to the peak.
+    pi = sym_part(a.sqrt @ (p @ ac.pinv @ p.T) @ a.sqrt)
+    h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
+                         Mbar=mbar_matrix, Mtilde=mtilde_matrix, Pi=pi)
+    spectrum = h.smoother_spectrum
+    if not spectrum_psd(spectrum, policy):
         raise SmootherAssumptionError(
             "smoothing iteration is expansive in the energy seminorm: "
             f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}")
-
-    coarse_solve = p @ ac.pinv @ p.T
-    pi = sym_part(a.sqrt @ coarse_solve @ a.sqrt)
-    return TwoGridHierarchy(A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
-                            Mbar=mbar_matrix, Mtilde=mtilde_matrix, Pi=pi)
+    return h
 
 
 # ---------------------------------------------------------------------------

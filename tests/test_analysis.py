@@ -399,10 +399,22 @@ def _bits(value):
     return float(value).hex() if isinstance(value, float) else value
 
 
-def neumann2d_report_inputs():
+def neumann2d_report_inputs(smoother=WeightedJacobi(2.0 / 3.0)):
     a, p, _, _ = generate_problem(NeumannLaplacian2D(8, 8), group=2, seed=0)
-    h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+    h = build_hierarchy(a, p, smoother)
     return h, spsd_certify(2.0 * h.Ac.matrix, h.policy)
+
+
+def report_eigensolves(monkeypatch, h, bc):
+    """Names of the numpy eigen-solvers one full report calls, in order."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
+            calls.append(_solver.__name__)
+            return _solver(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    convergence_report(h, coarse=bc, epsilon=0.3)
+    return calls
 
 
 class TestSharedSpectra:
@@ -455,14 +467,14 @@ class TestSharedSpectra:
             assert _bits(report["margins"][key]) == _bits(value), key
 
     def test_report_eigensolve_budget(self, monkeypatch):
-        h, bc = neumann2d_report_inputs()
-        calls = []
-        for name in ("eigh", "eigvalsh"):
-            def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
-                calls.append(_solver.__name__)
-                return _solver(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, counted)
-        convergence_report(h, coarse=bc, epsilon=0.3)
+        calls = report_eigensolves(monkeypatch, *neumann2d_report_inputs())
+        assert 0 < len(calls) <= 11, calls
+
+    def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
+        # Mbar != Mtilde here, so the Mtilde spectrum is one solve of its own
+        h, bc = neumann2d_report_inputs(GaussSeidel())
+        assert not np.array_equal(h.Mbar, h.Mtilde)
+        calls = report_eigensolves(monkeypatch, h, bc)
         assert 0 < len(calls) <= 12, calls
 
     def test_report_leaves_no_cache_on_hierarchy(self):

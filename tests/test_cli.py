@@ -179,6 +179,14 @@ class TestSolve:
         assert summary["achieved_eps_max"] == pytest.approx(0.5, abs=1e-9)
         assert summary["violations"] == []
 
+    def test_itg_with_exact_coarse(self, capsys):
+        code = run(["solve", "--problem", "neumann1d:8", "--variant", "itg",
+                    "--sweeps", "4"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["variant"] == "itg"
+        assert summary["sweeps"] == 4
+
 
 class TestVerify:
     def test_all_pass(self, tmp_path):
@@ -243,6 +251,20 @@ class TestGenerateRoundTrip:
     def test_missing_problem_errors(self, capsys):
         assert run(["analyze"]) == 1
         assert "problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--problem", "neumann1d:8", "--sweeps", "0"],
+    ["analyze", "--problem", "neumann1d:8", "--epsilon", "1.5"],
+    ["solve", "--problem", "neumann1d:8", "--coarse", "eps:1.5"],
+    ["analyze", "--problem", "random:8:9"],
+    ["analyze", "--problem", "neumann1d:1"],
+], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1"])
+def test_invalid_value_is_an_error_line(argv, capsys):
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
 
 
 class TestEnvOverrides:

@@ -5,9 +5,7 @@ import pytest
 from twogrid.errors import NotSpsdError, ShapeError
 from twogrid.linalg import (
     TolerancePolicy,
-    null_intersection_dim,
-    numerical_rank,
-    range_null_bases,
+    spectrum_psd,
     spsd_certify,
     stacked_nullity,
     sym_eig,
@@ -167,7 +165,7 @@ class TestSpsdCertify:
 
 class TestNumericalRank:
     def test_diag(self):
-        assert numerical_rank(spsd_certify(np.diag([1.0, 1.0, 0.0]), policy(3))) == 2
+        assert spsd_certify(np.diag([1.0, 1.0, 0.0]), policy(3)).rank == 2
 
     def test_graph_laplacian_components(self):
         # two components: a path on 6 nodes and a path on 4 nodes
@@ -198,26 +196,26 @@ class TestNumericalRank:
                 frontier.extend(adj[node])
         assert comps == 2
         op = spsd_certify(a, policy(n))
-        assert numerical_rank(op) == n - comps
+        assert op.rank == n - comps
 
 
 class TestRangeNullBases:
     def test_diag(self):
         op = spsd_certify(np.diag([2.0, 0.0]), policy(2))
-        rng_b, null_b = range_null_bases(op)
+        rng_b, null_b = op.range_basis, op.null_basis
         assert np.allclose(np.abs(rng_b), [[1.0], [0.0]])
         assert np.allclose(np.abs(null_b), [[0.0], [1.0]])
 
     def test_neumann_constant_null(self):
         op = spsd_certify(neumann_1d(4), policy(4))
-        _, null_b = range_null_bases(op)
+        null_b = op.null_basis
         assert np.allclose(np.abs(null_b[:, 0]), 0.5)
 
     def test_random_rank3_residual_and_orthonormal(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((3, 8))
         op = spsd_certify(g.T @ g, policy(8))
-        rng_b, null_b = range_null_bases(op)
+        rng_b, null_b = op.range_basis, op.null_basis
         assert rng_b.shape == (8, 3)
         assert null_b.shape == (8, 5)
         assert np.max(np.abs(op.matrix @ null_b)) <= 1e-10 * op.max_eigenvalue
@@ -228,17 +226,17 @@ class TestRangeNullBases:
 class TestNullIntersection:
     def test_disjoint_rows(self):
         tol = policy(2)
-        assert null_intersection_dim([[1.0, 0.0]], [[0.0, 1.0]], tol) == 0
+        assert stacked_nullity([[[1.0, 0.0]], [[0.0, 1.0]]], tol)[0] == 0
 
     def test_both_zero(self):
         tol = policy(2)
-        assert null_intersection_dim(np.zeros((2, 2)), np.zeros((2, 2)), tol) == 2
+        assert stacked_nullity([np.zeros((2, 2)), np.zeros((2, 2))], tol)[0] == 2
 
     def test_matches_brute_force_svd(self):
         rng = np.random.default_rng(21)
         k1 = rng.standard_normal((3, 6))
         k2 = rng.standard_normal((2, 6))
-        got = null_intersection_dim(k1, k2, policy(6))
+        got = stacked_nullity([k1, k2], policy(6))[0]
         assert got == brute_nullity(np.vstack([k1, k2]))
         assert got == 1
 
@@ -248,17 +246,32 @@ class TestNullIntersection:
         basis = np.linalg.qr(rng.standard_normal((7, 5)))[0]
         k1 = rng.standard_normal((4, 5)) @ basis.T
         k2 = rng.standard_normal((3, 5)) @ basis.T
-        got = null_intersection_dim(k1, k2, policy(7))
+        got = stacked_nullity([k1, k2], policy(7))[0]
         assert got == brute_nullity(np.vstack([k1, k2])) == 2
 
     def test_column_mismatch(self):
         with pytest.raises(ShapeError):
-            null_intersection_dim(np.ones((2, 3)), np.ones((2, 4)), policy(3))
+            stacked_nullity([np.ones((2, 3)), np.ones((2, 4))], policy(3))
 
     def test_margin_reported(self):
         nullity, margin = stacked_nullity([np.eye(3)], policy(3))
         assert nullity == 0
         assert margin == pytest.approx(1.0)
+
+
+class TestSpectrumPsd:
+    def test_slack_is_absolute_below_unit_scale(self):
+        tol = policy(4)
+        assert spectrum_psd(np.array([-0.5e-10, 0.0, 0.5]), tol)
+        assert not spectrum_psd(np.array([-2e-10, 0.0, 0.5]), tol)
+
+    def test_slack_scales_with_largest_magnitude(self):
+        tol = policy(4)
+        assert spectrum_psd(np.array([-0.5e-6, 1.0, 1e4]), tol)
+        assert not spectrum_psd(np.array([-2e-6, 1.0, 1e4]), tol)
+
+    def test_large_negative_eigenvalue_rejected(self):
+        assert not spectrum_psd(np.array([-3.0, 1.0]), policy(2))
 
 
 class TestSymmetricRank:
