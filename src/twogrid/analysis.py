@@ -44,13 +44,9 @@ from .linalg import (
 from .model import TwoGridHierarchy
 
 
-def _clip01(x: float) -> float:
-    return min(max(float(x), 0.0), 1.0)
-
-
 def _factor_from(value: float) -> float:
     """sqrt(1 - value) clamped against rounding outside [0, 1]."""
-    return float(np.sqrt(_clip01(1.0 - value)))
+    return float(np.sqrt(min(max(float(1.0 - value), 0.0), 1.0)))
 
 
 class _Spectra:
@@ -250,9 +246,6 @@ class _Spectra:
         h = self.h
         if not isinstance(bc, SpsdOperator):
             bc = spsd_certify(bc, h.policy)
-        if bc.n != h.nc:
-            raise ShapeError(f"coarse matrix is {bc.n} x {bc.n}, expected "
-                             f"{h.nc} x {h.nc}")
         alpha1, alpha2 = spectral_equivalence_constants(bc, h.Ac)
         if alpha2 >= 2.0:
             raise CoarseScalingError(

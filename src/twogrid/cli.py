@@ -4,7 +4,8 @@ Subcommands:
 
 * analyze: build a hierarchy, run the convergence analysis, and write the
   report as JSON (or a CSV row). Exit code 2 flags a failed convergence
-  condition (the report is still written); other errors exit 1.
+  condition (the report is still written); other errors, usage errors
+  included, exit 1.
 * solve: run sweeps and write the iteration trace (CSV) plus a JSON summary.
 * verify: run the invariant suite on the built-in corpus, one line per
   check; exit 0 only if everything passes.
@@ -45,6 +46,13 @@ from .model import (
 
 class UsageError(TwoGridError, ValueError):
     """Malformed command-line specification."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argparse errors raise UsageError (exit 1): exit 2 means a failed condition."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +281,7 @@ def cmd_solve(args) -> int:
     elif mode == "eps":
         approx = solver.eps_perturbed_coarse(h, value,
                                              np.random.default_rng([args.seed, 2]))
-        coarse_spec = solver.GeneralCoarse(approx, declared_eps=value, verify=True)
+        coarse_spec = solver.GeneralCoarse(approx, declared_eps=value)
     variant = args.variant
     if variant == "auto":
         variant = "tg" if mode == "exact" else "itg"
@@ -344,7 +352,7 @@ def _add_setup_arguments(sub, with_coarse=True):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="twogrid",
         description="Two-grid solvers and convergence analysis for symmetric "
                     "positive semidefinite systems.")
@@ -380,9 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (TwoGridError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

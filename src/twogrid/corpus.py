@@ -185,7 +185,7 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     return results
 
 
-def _expected_failure_check(perturb: float) -> list[CheckResult]:
+def _expected_failure_check() -> list[CheckResult]:
     """Zero smoother on a rank-deficient coarse space: divergence is expected.
 
     The intersection condition must report False and the factor must reach
@@ -237,6 +237,6 @@ def run_verification(perturb_identity: float = 0.0,
     results: list[CheckResult] = []
     for case in (cases if cases is not None else builtin_corpus()):
         results.extend(_case_checks(case, perturb_identity))
-    results.extend(_expected_failure_check(perturb_identity))
+    results.extend(_expected_failure_check())
     results.extend(_epsilon_bound_check())
     return results

@@ -79,13 +79,11 @@ class TolerancePolicy:
                 raise ValueError(f"{fname} must lie in (0, 1), got {value}")
 
     @classmethod
-    def for_dimension(cls, n: int, psd_slack: float = 1e-10,
-                      match_tol: float = 1e-10) -> "TolerancePolicy":
+    def for_dimension(cls, n: int) -> "TolerancePolicy":
         """Default policy for n-dimensional problems: rank cut at 32*n*eps."""
         if n < 1:
             raise ValueError(f"dimension must be positive, got {n}")
-        return cls(rank_rel_tol=32.0 * n * EPS, psd_slack=psd_slack,
-                   match_tol=match_tol)
+        return cls(rank_rel_tol=32.0 * n * EPS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,18 +117,16 @@ def sym_eig(s) -> SymEigen:
 
 @dataclass(frozen=True, eq=False)
 class SpsdOperator:
-    """An SPSD matrix bundled with its spectral derived operators.
+    """An SPSD matrix with the spectrum and rank its certification decided.
 
-    Carries the eigendecomposition, the numerical rank under the policy
-    threshold, the principal square root, and the Moore-Penrose inverse, so
-    every consumer sees one consistent set of rank decisions.
+    Every operator derived from the fields (square root, Moore-Penrose
+    inverse and its square root, range and null bases) is a cached property,
+    built on first read under the one rank decision.
     """
 
     matrix: np.ndarray
     eig: SymEigen
     rank: int
-    sqrt: np.ndarray
-    pinv: np.ndarray
     policy: TolerancePolicy
 
     @property
@@ -138,26 +134,30 @@ class SpsdOperator:
         return self.matrix.shape[0]
 
     @property
-    def eigenvalues(self) -> np.ndarray:
-        return self.eig.values
-
-    @property
     def max_eigenvalue(self) -> float:
         return float(self.eig.values[-1])
 
+    def _function(self, f, first: int = 0) -> np.ndarray:
+        """V diag(g) V^T, symmetrized, with g = f(w) from position `first` on, 0 below."""
+        w, v = self.eig.values, self.eig.vectors
+        g = np.zeros_like(w)
+        g[first:] = f(w[first:])
+        return sym_part((v * g) @ v.T)
+
+    @cached_property
+    def sqrt(self) -> np.ndarray:
+        """Principal square root; keeps every (clamped) nonnegative eigenvalue."""
+        return self._function(np.sqrt)
+
+    @cached_property
+    def pinv(self) -> np.ndarray:
+        """Moore-Penrose inverse; inverts exactly the eigenvalues the rank keeps."""
+        return self._function(lambda kept: 1.0 / kept, self.n - self.rank)
+
     @cached_property
     def pinv_sqrt(self) -> np.ndarray:
-        """Square root of the pseudoinverse (= pseudoinverse of the square root).
-
-        Inverts exactly the eigenvalues retained by the rank decision.
-        """
-        w = self.eig.values
-        v = self.eig.vectors
-        inv_sqrt_w = np.zeros_like(w)
-        if self.rank > 0:
-            kept = w[self.n - self.rank:]
-            inv_sqrt_w[self.n - self.rank:] = 1.0 / np.sqrt(kept)
-        return sym_part((v * inv_sqrt_w) @ v.T)
+        """Square root of the pseudoinverse (= pseudoinverse of the square root)."""
+        return self._function(lambda kept: 1.0 / np.sqrt(kept), self.n - self.rank)
 
     @cached_property
     def range_basis(self) -> np.ndarray:
@@ -171,21 +171,18 @@ class SpsdOperator:
 
 
 def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
-    """Certify a matrix as SPSD and bundle its derived spectral operators.
+    """Certify a matrix as SPSD: decide its spectrum and rank once.
 
     Eigenvalues in [-psd_slack * lambda_max, 0) are clamped to zero as
     rounding noise (assembled products like P^T A P accumulate it); anything
     below that rejects the input. The zero matrix is rejected outright since
     relative rank decisions need a positive scale.
 
-    The square root keeps every nonnegative eigenvalue, while the
-    pseudoinverse inverts only eigenvalues above the rank threshold.
+    The derived operators are built lazily on the returned SpsdOperator.
     """
     s = as_matrix(s, "S")
-    _require_square_symmetric(s, "S")
     eig = sym_eig(s)
     w = eig.values
-    n = w.size
     lam_max = float(w[-1])
     if lam_max <= 0.0:
         if float(np.max(np.abs(w))) == 0.0:
@@ -198,15 +195,9 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             f"-psd_slack * lambda_max = {-tol.psd_slack * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
-    rank = spectrum_rank(clamped, tol)
-    v = eig.vectors
-    sqrt = sym_part((v * np.sqrt(clamped)) @ v.T)
-    inv_w = np.zeros_like(clamped)
-    if rank > 0:
-        inv_w[n - rank:] = 1.0 / clamped[n - rank:]
-    pinv = sym_part((v * inv_w) @ v.T)
-    return SpsdOperator(matrix=sym_part(s), eig=SymEigen(values=clamped, vectors=v),
-                        rank=rank, sqrt=sqrt, pinv=pinv, policy=tol)
+    return SpsdOperator(matrix=sym_part(s),
+                        eig=SymEigen(values=clamped, vectors=eig.vectors),
+                        rank=spectrum_rank(clamped, tol), policy=tol)
 
 
 def symmetric_rank(s, tol: TolerancePolicy) -> int:

@@ -120,8 +120,7 @@ def read_matrix(path) -> np.ndarray:
     return out
 
 
-def write_matrix(path, m, layout: str = "array", symmetry: str = "general",
-                 comment: str | None = None) -> None:
+def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> None:
     """Write a dense matrix in MatrixMarket form (array or coordinate layout)."""
     m = as_matrix(m, "matrix")
     if layout not in ("array", "coordinate"):
@@ -136,9 +135,6 @@ def write_matrix(path, m, layout: str = "array", symmetry: str = "general",
             raise ValueError("symmetric storage requires exactly symmetric entries")
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
-    if comment:
-        for ln in comment.splitlines():
-            out.append(f"% {ln}")
     if layout == "array":
         out.append(f"{rows} {cols}")
         if symmetry == "general":
@@ -170,7 +166,7 @@ def read_vector(path) -> np.ndarray:
     return m.reshape(-1)
 
 
-def write_vector(path, v, comment: str | None = None) -> None:
+def write_vector(path, v) -> None:
     """Write a vector as an n x 1 MatrixMarket array."""
     arr = np.asarray(v, dtype=np.float64).reshape(-1, 1)
-    write_matrix(path, arr, layout="array", symmetry="general", comment=comment)
+    write_matrix(path, arr, layout="array", symmetry="general")

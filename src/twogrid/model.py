@@ -9,7 +9,7 @@ graph Laplacians, seeded random rank-deficient matrices, and file input.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
@@ -124,20 +124,36 @@ def mtilde(m, a: SpsdOperator) -> np.ndarray:
 class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
-    A and Ac are certified SPSD operators sharing one tolerance policy; r and
-    s are their numerical ranks (s <= r). Pi is the orthogonal projector
-    A^{1/2} P Ac^+ P^T A^{1/2}.
+    The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
+    r and s are the ranks of A and Ac (s <= r); Mbar, Mtilde and the
+    orthogonal projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} are assembled once
+    on construction. build_hierarchy validates; the constructor does not.
     """
 
     A: SpsdOperator
     M: np.ndarray
     P: np.ndarray
     Ac: SpsdOperator
-    r: int
-    s: int
-    Mbar: np.ndarray
-    Mtilde: np.ndarray
-    Pi: np.ndarray
+    Mbar: np.ndarray = field(init=False)
+    Mtilde: np.ndarray = field(init=False)
+    Pi: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        a = self.A
+        object.__setattr__(self, "Mbar", mbar(self.M, a))
+        object.__setattr__(self, "Mtilde", mtilde(self.M, a))
+        # P Ac^+ P^T is a temporary so that it is freed before the smoother
+        # spectrum is solved; held there, it adds one n x n array to the peak.
+        object.__setattr__(self, "Pi", sym_part(
+            a.sqrt @ (self.P @ self.Ac.pinv @ self.P.T) @ a.sqrt))
+
+    @property
+    def r(self) -> int:
+        return self.A.rank
+
+    @property
+    def s(self) -> int:
+        return self.Ac.rank
 
     @property
     def n(self) -> int:
@@ -163,19 +179,16 @@ class TwoGridHierarchy:
         return np.linalg.eigvalsh(sym_part(ah @ self.Mbar @ ah))
 
 
-def build_hierarchy(a, p, spec: SmootherSpec,
-                    tol: TolerancePolicy | None = None) -> TwoGridHierarchy:
-    """Assemble a two-grid hierarchy from a system matrix and prolongation.
+def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
+    """Validate, certify and assemble a two-grid hierarchy.
 
-    `a` may be a certified operator (its policy is reused) or a raw SPSD
-    matrix, in which case `tol` (default: policy for its dimension) is used
-    to certify it. Raises if the Galerkin coarse matrix is zero or if the
-    smoothing iteration is expansive in the energy seminorm.
+    `a` is a certified operator, or a raw SPSD matrix certified under the
+    default policy for its dimension (for another policy, certify first).
+    Raises if P^T A P is invalid or outranks A, or if the smoothing
+    iteration is expansive in the energy seminorm.
     """
     if not isinstance(a, SpsdOperator):
-        a = spsd_certify(a, tol if tol is not None else
-                         TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
-    policy = a.policy
+        a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
     p = as_matrix(p, "P")
     n, nc = p.shape
     if n != a.n:
@@ -184,9 +197,8 @@ def build_hierarchy(a, p, spec: SmootherSpec,
         raise ShapeError(f"P must have between 1 and {n - 1} columns, got {nc}")
 
     m = build_smoother(spec, a)
-    ac_matrix = sym_part(p.T @ a.matrix @ p)
     try:
-        ac = spsd_certify(ac_matrix, policy)
+        ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
     except NotSpsdError as exc:
         raise NotSpsdError(f"coarse-grid matrix P^T A P is invalid: {exc}") from exc
     if ac.rank > a.rank:
@@ -194,15 +206,9 @@ def build_hierarchy(a, p, spec: SmootherSpec,
             f"coarse rank {ac.rank} exceeds fine rank {a.rank}; "
             "rank thresholds are inconsistent")
 
-    mbar_matrix = mbar(m, a)
-    mtilde_matrix = mtilde(m, a)
-    # P Ac^+ P^T is a temporary so that it is freed before the smoother
-    # spectrum is solved; held there, it adds one n x n array to the peak.
-    pi = sym_part(a.sqrt @ (p @ ac.pinv @ p.T) @ a.sqrt)
-    h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
-                         Mbar=mbar_matrix, Mtilde=mtilde_matrix, Pi=pi)
+    h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
     spectrum = h.smoother_spectrum
-    if not spectrum_psd(spectrum, policy):
+    if not spectrum_psd(spectrum, a.policy):
         raise SmootherAssumptionError(
             "smoothing iteration is expansive in the energy seminorm: "
             f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}")
@@ -343,18 +349,17 @@ def problem_matrix(spec: ProblemSpec) -> np.ndarray:
     raise TypeError(f"unknown problem spec {spec!r}")
 
 
-def generate_problem(spec: ProblemSpec, group: int = 2, seed: int = 0,
-                     tol: TolerancePolicy | None = None,
+def generate_problem(spec: ProblemSpec, group: int = 2, seed: int = 0
                      ) -> tuple[SpsdOperator, np.ndarray, np.ndarray, np.ndarray]:
     """Build (A, P, f, u_ref) with a consistent right-hand side.
 
     u_ref is drawn from a seeded generator and f = A u_ref, which guarantees
-    that f lies in the range of A. P defaults to pairwise aggregation.
+    that f lies in the range of A. P defaults to pairwise aggregation. A is
+    certified under the default policy for its dimension.
     """
     matrix = problem_matrix(spec)
     n = matrix.shape[0]
-    a = spsd_certify(matrix, tol if tol is not None else
-                     TolerancePolicy.for_dimension(n))
+    a = spsd_certify(matrix, TolerancePolicy.for_dimension(n))
     p = aggregation_prolongation(n, group)
     rng = np.random.default_rng(seed)
     u_ref = rng.standard_normal(n)

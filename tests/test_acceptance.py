@@ -30,7 +30,8 @@ from twogrid.model import (
     generate_problem,
     neumann_laplacian_1d,
 )
-from twogrid.solver import GeneralCoarse, a_seminorm, itg_sweep, iterate, tg_sweep
+from twogrid.solver import (GeneralCoarse, a_seminorm, eps_perturbed_coarse,
+                            itg_sweep, iterate, tg_sweep)
 
 
 def _print_result(criterion, detail):
@@ -117,15 +118,7 @@ def test_criterion_5_epsilon_bound():
         bound = analysis.general_epsilon_bound(h, eps)
         for trial in range(trials_per_eps):
             rng = np.random.default_rng([trial, int(eps * 10)])
-
-            def approx(rc, rng=rng, eps=eps):
-                ec = h.Ac.pinv @ rc
-                d = h.Ac.matrix @ rng.standard_normal(h.nc)
-                dn = a_seminorm(h.Ac.matrix, d)
-                if dn == 0.0:
-                    return ec
-                return ec + (eps * a_seminorm(h.Ac.matrix, ec) / dn) * d
-
+            approx = eps_perturbed_coarse(h, eps, rng)
             u0 = rng.standard_normal(8)
             u1 = itg_sweep(h, u0, f, GeneralCoarse(approx, declared_eps=eps))
             e0 = a_seminorm(h.A.matrix, u_ref - u0)
@@ -157,7 +150,7 @@ def test_criterion_6a_observed_tail_matches_factor(neumann32):
     ah = h.A.sqrt
     eye = np.eye(h.n)
     k = ah @ h.M @ ah
-    q = ah @ h.P @ h.Ac.pinv @ h.P.T @ ah
+    q = h.Pi
     v = h.A.range_basis
     compressed = v.T @ (eye - q) @ (eye - k) @ (eye - q) @ v
     rho = float(np.max(np.abs(np.linalg.eigvalsh(sym_part(compressed)))))

@@ -259,12 +259,28 @@ class TestGenerateRoundTrip:
     ["solve", "--problem", "neumann1d:8", "--coarse", "eps:1.5"],
     ["analyze", "--problem", "random:8:9"],
     ["analyze", "--problem", "neumann1d:1"],
-], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1"])
+    ["analyze", "--problem", "neumann1d:8", "--format", "xml"],
+    ["solve", "--problem", "neumann1d:8", "--sweeps", "abc"],
+], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
+        "format-xml", "sweeps-abc"])
 def test_invalid_value_is_an_error_line(argv, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+
+
+def test_help_exits_zero():
+    with pytest.raises(SystemExit, match="^0$"):
+        run(["analyze", "--help"])
+
+
+def test_coarse_eps_error_names_eps(capsys):
+    assert run(["solve", "--problem", "neumann1d:8", "--coarse", "eps:1.5"]) == 1
+    err = capsys.readouterr().err
+    assert "eps must lie in [0, 1), got 1.5" in err
+    assert "declared_eps" not in err
 
 
 class TestEnvOverrides:

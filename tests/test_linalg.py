@@ -119,7 +119,7 @@ class TestSpsdCertify:
     def test_clamps_roundoff_negatives(self):
         op = spsd_certify(np.diag([1.0, -1e-14]), policy(2))
         assert op.rank == 1
-        assert op.eigenvalues[0] == 0.0
+        assert op.eig.values[0] == 0.0
 
     @pytest.mark.parametrize("seed,n,r", [(0, 8, 3), (1, 10, 6), (2, 7, 7)])
     def test_penrose_identities(self, seed, n, r):

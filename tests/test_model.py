@@ -1,4 +1,6 @@
 """Tests for smoother construction, hierarchy assembly, and generators."""
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,14 @@ from twogrid.errors import (
     SmootherAssumptionError,
     SmootherError,
 )
-from twogrid.linalg import TolerancePolicy, spsd_certify, sym_part
+from twogrid.linalg import SpsdOperator, TolerancePolicy, spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
     NeumannLaplacian1D,
     GraphLaplacian,
     RandomSpsd,
+    TwoGridHierarchy,
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
@@ -136,9 +139,7 @@ class TestBuildHierarchy:
         p = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
         h = build_hierarchy(a, p, CustomSmoother(0.25 * np.eye(3)))
         assert np.allclose(h.Ac.matrix, np.diag([2.0, 1.0]))
-        assert h.s == 2
-        assert h.r == 2
-        assert h.s == h.r
+        assert (h.r, h.s) == (2, 2)
 
     def test_zero_column_accepted(self):
         a = certify(neumann_laplacian_1d(6))
@@ -152,6 +153,25 @@ class TestBuildHierarchy:
         p = aggregation_prolongation(8, 2)
         h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
         assert (h.r, h.s) == (7, 3)
+
+    def test_unread_operators_are_not_built(self):
+        # the hierarchy reads A^{1/2} and Ac^+ only; A^+ and Ac^{1/2} stay unbuilt
+        h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
+                            WeightedJacobi(2.0 / 3.0))
+        assert "pinv" not in vars(h.A) and "sqrt" not in vars(h.Ac)
+        assert "sqrt" in vars(h.A) and "pinv" in vars(h.Ac)
+
+    def test_four_inputs_derive_the_rest(self):
+        assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
+        assert [f.name for f in fields(TwoGridHierarchy) if f.init] == ["A", "M", "P", "Ac"]
+        a = certify(neumann_laplacian_1d(10))
+        p = aggregation_prolongation(10, 2)
+        ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
+        h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p, Ac=ac)
+        built = build_hierarchy(a, p, GaussSeidel())
+        for name in ("Mbar", "Mtilde", "Pi"):
+            assert np.array_equal(getattr(h, name), getattr(built, name)), name
+        assert (h.r, h.s) == (a.rank, ac.rank) == (9, 4)
 
     def test_zero_coarse_matrix_rejected(self):
         a = certify(np.diag([0.0, 0.0, 1.0]))

@@ -1,4 +1,5 @@
 """Guard-rail tests for tolerance policies and rank-consistency errors."""
+import numpy as np
 import pytest
 
 from twogrid.errors import ShapeError
@@ -10,9 +11,8 @@ from twogrid.model import (
     aggregation_prolongation,
     build_hierarchy,
     build_smoother,
-    mbar,
-    mtilde,
     neumann_laplacian_1d,
+    random_spsd,
 )
 
 
@@ -41,15 +41,11 @@ class TestTolerancePolicy:
 def test_inconsistent_ranks_rejected_by_analysis():
     # a hierarchy forged with a coarse rank above the fine rank must be
     # caught by the spectral-position guard instead of mis-indexing
-    a_raw = neumann_laplacian_1d(6)
-    tol = TolerancePolicy.for_dimension(6)
-    a = spsd_certify(a_raw, tol)
+    a = spsd_certify(random_spsd(6, 1, 0), TolerancePolicy.for_dimension(6))
     p = aggregation_prolongation(6, 2)
-    m = build_smoother(WeightedJacobi(0.5), a)
-    ac = spsd_certify(p.T @ a.matrix @ p, tol)
-    forged = TwoGridHierarchy(
-        A=a, M=m, P=p, Ac=ac, r=1, s=5,
-        Mbar=mbar(m, a), Mtilde=mtilde(m, a),
-        Pi=a.sqrt @ p @ ac.pinv @ p.T @ a.sqrt)
+    m = build_smoother(WeightedJacobi(0.25), a)
+    forged = TwoGridHierarchy(A=a, M=m, P=p,
+                              Ac=spsd_certify(np.eye(3), a.policy))
+    assert (forged.r, forged.s) == (1, 3)
     with pytest.raises(ShapeError, match="inconsistent"):
         sigma_tg(forged)

@@ -13,8 +13,6 @@ from twogrid.model import (
     WeightedJacobi,
     build_hierarchy,
     generate_problem,
-    mbar,
-    mtilde,
 )
 from twogrid.solver import (
     ExactCoarse,
@@ -23,6 +21,7 @@ from twogrid.solver import (
     LinearSpsdCoarse,
     a_seminorm,
     check_consistent,
+    eps_perturbed_coarse,
     itg_sweep,
     iterate,
     stg_sweep,
@@ -38,18 +37,6 @@ def setup8():
     a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=0)
     h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
     return h, f, u_ref
-
-
-def enforced_eps_solver(h, eps, rng):
-    """Exact coarse solve plus an in-range bump of exact relative size eps."""
-    def solve(rc):
-        ec = h.Ac.pinv @ rc
-        direction = h.Ac.matrix @ rng.standard_normal(h.nc)
-        dnorm = a_seminorm(h.Ac.matrix, direction)
-        if dnorm == 0.0:
-            return ec
-        return ec + (eps * a_seminorm(h.Ac.matrix, ec) / dnorm) * direction
-    return GeneralCoarse(solve, declared_eps=eps, verify=True)
 
 
 class TestSweeps:
@@ -165,7 +152,7 @@ class TestSweeps:
             bound = general_epsilon_bound(h, eps)
             for seed in range(30):
                 rng = np.random.default_rng(seed + 500)
-                coarse = enforced_eps_solver(h, eps, rng)
+                coarse = GeneralCoarse(eps_perturbed_coarse(h, eps, rng), eps)
                 u0 = rng.standard_normal(8)
                 u1 = itg_sweep(h, u0, f, coarse)
                 ratio = (a_seminorm(h.A.matrix, u_ref - u1)
@@ -237,12 +224,7 @@ class TestIterate:
         # directly; the builder would reject it
         a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=2)
         m = 1.8 * np.diag(1.0 / np.diag(a.matrix))
-        ac = spsd_certify(p.T @ a.matrix @ p, a.policy)
-        coarse_solve = p @ ac.pinv @ p.T
-        h = TwoGridHierarchy(
-            A=a, M=m, P=p, Ac=ac, r=a.rank, s=ac.rank,
-            Mbar=mbar(m, a), Mtilde=mtilde(m, a),
-            Pi=a.sqrt @ coarse_solve @ a.sqrt)
+        h = TwoGridHierarchy(A=a, M=m, P=p, Ac=spsd_certify(p.T @ a.matrix @ p, a.policy))
         u0 = np.random.default_rng(11).standard_normal(8)
         return h, f, u0, u_ref
 
@@ -281,7 +263,7 @@ class TestIterate:
     def test_general_coarse_violation_recorded(self, setup8):
         h, f, u_ref = setup8
         rng = np.random.default_rng(14)
-        coarse = enforced_eps_solver(h, 0.5, rng)
+        coarse = GeneralCoarse(eps_perturbed_coarse(h, 0.5, rng), 0.5)
         # sabotage one call far beyond the declared accuracy
         original = coarse.solve
         calls = {"k": 0}
