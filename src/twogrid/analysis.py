@@ -72,17 +72,12 @@ class _Spectra:
 
     @cached_property
     def mtilde_form(self) -> np.ndarray:
-        """A^{1/2} Mtilde A^{1/2}."""
-        ah = self.h.A.sqrt
-        return sym_part(ah @ self.h.Mtilde @ ah)
-
-    @cached_property
-    def mbar_form(self) -> np.ndarray:
-        """A^{1/2} Mbar A^{1/2}; the Mtilde form itself when Mbar equals Mtilde."""
-        if np.array_equal(self.h.Mbar, self.h.Mtilde):
-            return self.mtilde_form
-        ah = self.h.A.sqrt
-        return sym_part(ah @ self.h.Mbar @ ah)
+        """A^{1/2} Mtilde A^{1/2}; for a symmetric M, the same formula as the
+        hierarchy's smoother form A^{1/2} Mbar A^{1/2}, which it then is."""
+        h = self.h
+        if np.array_equal(h.M, h.M.T):
+            return h.smoother_form
+        return sym_part(h.A.sqrt @ h.Mtilde @ h.A.sqrt)
 
     @cached_property
     def mtilde_spectrum(self) -> np.ndarray:
@@ -91,7 +86,7 @@ class _Spectra:
         When Mbar equals Mtilde the two forms are the same bytes, so this is
         the hierarchy's smoother spectrum and costs no eigen-solve.
         """
-        if self.mbar_form is self.mtilde_form:
+        if self.mtilde_form is self.h.smoother_form:
             return self.h.smoother_spectrum
         return np.linalg.eigvalsh(self.mtilde_form)
 
@@ -148,7 +143,7 @@ class _Spectra:
 
     def ftg_matrix(self) -> np.ndarray:
         pre = self.pre_smoother
-        return sym_part(self.mbar_form + pre.T @ self.h.Pi @ pre)
+        return sym_part(self.h.smoother_form + pre.T @ self.h.Pi @ pre)
 
     def fitg_matrix(self, bc: SpsdOperator) -> np.ndarray:
         h = self.h
@@ -156,7 +151,7 @@ class _Spectra:
         ah = h.A.sqrt
         btilde = sym_part(2.0 * bc.pinv - bc.pinv @ h.Ac.matrix @ bc.pinv)
         middle = sym_part(ah @ h.P @ btilde @ h.P.T @ ah)
-        return sym_part(self.mbar_form + pre.T @ middle @ pre)
+        return sym_part(h.smoother_form + pre.T @ middle @ pre)
 
     def seminorm_oracle(self, iteration: str,
                         coarse: SpsdOperator | None) -> float:
@@ -192,7 +187,7 @@ class _Spectra:
         smoother_ok = spectrum_psd(w_smooth, tol)
 
         pre_oblique = h.P.T @ (np.eye(n) - h.A.matrix @ h.M) @ h.A.sqrt
-        inter_dim, margin = stacked_nullity([self.mbar_form, pre_oblique], tol)
+        inter_dim, margin = stacked_nullity([h.smoother_form, pre_oblique], tol)
         nullity_a = n - h.r
         equiv_ok = inter_dim == nullity_a
 
@@ -302,15 +297,6 @@ def sigma_tg(h: TwoGridHierarchy) -> float:
     past the spectrum.
     """
     return _Spectra(h).sigma_tg
-
-
-def sigma_eigengap(h: TwoGridHierarchy) -> float | None:
-    """Gap below the eigenvalue that defines sigma; None when s = r.
-
-    A tiny gap means the spectral position sits inside a near-degenerate
-    cluster and the index-based identity is numerically fragile.
-    """
-    return _Spectra(h).sigma_eigengap()
 
 
 def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, solver
-from .linalg import spsd_certify, symmetric_rank, sym_part
+from .linalg import spsd_certify, symmetric_rank
 from .model import (
     CustomSmoother,
     GaussSeidel,
@@ -139,7 +139,7 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     oracle_stg = analysis.seminorm_oracle(h, "stg")
     record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
 
-    w = np.linalg.eigvalsh(sym_part(h.A.sqrt @ h.Mtilde @ h.A.sqrt))
+    w = analysis._Spectra(h).mtilde_spectrum
     record("spectrum_box", max(-float(w[0]), float(w[-1]) - 1.0),
            h.policy.psd_slack)
 

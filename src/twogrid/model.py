@@ -8,7 +8,6 @@ graph Laplacians, seeded random rank-deficient matrices, and file input.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -75,18 +74,11 @@ def jacobi_weight_limit(a: SpsdOperator) -> float:
 
 
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
-    """Materialize the smoother matrix M for a certified system matrix."""
+    """Materialize M; build_hierarchy decides whether it smooths stably."""
     if isinstance(spec, WeightedJacobi):
         if spec.omega <= 0.0:
             raise SmootherError(f"Jacobi weight must be positive, got {spec.omega}")
-        d = _positive_diagonal(a)
-        limit = jacobi_weight_limit(a)
-        if spec.omega >= limit:
-            warnings.warn(
-                f"Jacobi weight {spec.omega} is at or above the stability limit "
-                f"{limit:.6g}; the smoothing iteration may be expansive",
-                stacklevel=2)
-        return np.diag(spec.omega / d)
+        return np.diag(spec.omega / _positive_diagonal(a))
     if isinstance(spec, GaussSeidel):
         d = _positive_diagonal(a)
         lower = np.tril(a.matrix)
@@ -125,9 +117,9 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
-    r and s are the ranks of A and Ac (s <= r); Mbar, Mtilde and the
-    orthogonal projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} are assembled once
-    on construction. build_hierarchy validates; the constructor does not.
+    r and s are the ranks of A and Ac (s <= r); Mbar and the projector Pi =
+    A^{1/2} P Ac^+ P^T A^{1/2} are assembled on construction, the smoother
+    form and Mtilde on first read. build_hierarchy validates; this does not.
     """
 
     A: SpsdOperator
@@ -135,13 +127,11 @@ class TwoGridHierarchy:
     P: np.ndarray
     Ac: SpsdOperator
     Mbar: np.ndarray = field(init=False)
-    Mtilde: np.ndarray = field(init=False)
     Pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         a = self.A
         object.__setattr__(self, "Mbar", mbar(self.M, a))
-        object.__setattr__(self, "Mtilde", mtilde(self.M, a))
         # P Ac^+ P^T is a temporary so that it is freed before the smoother
         # spectrum is solved; held there, it adds one n x n array to the peak.
         object.__setattr__(self, "Pi", sym_part(
@@ -168,15 +158,24 @@ class TwoGridHierarchy:
         return self.A.policy
 
     @cached_property
+    def Mtilde(self) -> np.ndarray:
+        """M + M^T - M A M^T, the same formula as Mbar for a symmetric M."""
+        return mtilde(self.M, self.A)
+
+    @cached_property
+    def smoother_form(self) -> np.ndarray:
+        """A^{1/2} Mbar A^{1/2}; the smoother assumption is that it is PSD."""
+        return sym_part(self.A.sqrt @ self.Mbar @ self.A.sqrt)
+
+    @cached_property
     def smoother_spectrum(self) -> np.ndarray:
-        """Eigenvalues of A^{1/2} Mbar A^{1/2}, ascending, solved once.
+        """Eigenvalues of the smoother form, ascending, solved once.
 
         Nonnegativity of this spectrum is equivalent to the smoothing
         iteration being a (not necessarily strict) contraction in the energy
         seminorm; build_hierarchy certifies the smoother on it.
         """
-        ah = self.A.sqrt
-        return np.linalg.eigvalsh(sym_part(ah @ self.Mbar @ ah))
+        return np.linalg.eigvalsh(self.smoother_form)
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
@@ -185,7 +184,8 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     `a` is a certified operator, or a raw SPSD matrix certified under the
     default policy for its dimension (for another policy, certify first).
     Raises if P^T A P is invalid or outranks A, or if the smoothing
-    iteration is expansive in the energy seminorm.
+    iteration is expansive in the energy seminorm, which for weighted Jacobi
+    is a weight above jacobi_weight_limit(a), named in the error.
     """
     if not isinstance(a, SpsdOperator):
         a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
@@ -209,9 +209,13 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
     spectrum = h.smoother_spectrum
     if not spectrum_psd(spectrum, a.policy):
+        limit = (f"; Jacobi weight {spec.omega:.6g} exceeds the stability limit "
+                 f"{jacobi_weight_limit(a):.6g}"
+                 if isinstance(spec, WeightedJacobi) else "")
         raise SmootherAssumptionError(
             "smoothing iteration is expansive in the energy seminorm: "
-            f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}")
+            f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}"
+            + limit)
     return h
 
 

@@ -48,9 +48,11 @@ class GeneralCoarse:
     """Black-box coarse solver with a declared relative accuracy.
 
     declared_eps bounds the coarse energy-seminorm error relative to the
-    exact coarse correction. Every call is checked against the exact
-    correction (one more coarse solve): the measured relative accuracy lands
-    in achieved_eps, and iterate counts values at or above 1 as violations.
+    exact coarse correction; the default 0 declares an exact solve. Every
+    call is checked against the exact correction (one more coarse solve):
+    the measured relative accuracy lands in achieved_eps, and iterate counts
+    values above declared_eps + match_tol, the eps bound's assumption, as
+    violations.
     """
 
     solve: Callable[[np.ndarray], np.ndarray]
@@ -131,17 +133,22 @@ def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
     raise TypeError(f"unknown coarse solver spec {coarse!r}")
 
 
+def _sweep(h: TwoGridHierarchy, u0: np.ndarray, r0: np.ndarray, f: np.ndarray,
+           coarse: CoarseSolverSpec) -> np.ndarray:
+    """itg_sweep on validated inputs, given the residual r0 = f - A u0."""
+    u1 = u0 + h.M @ r0
+    rc = h.P.T @ (f - h.A.matrix @ u1)
+    ec = _coarse_correction(h, rc, coarse)
+    return u1 + h.P @ ec
+
+
 def itg_sweep(h: TwoGridHierarchy, u0, f,
               coarse: CoarseSolverSpec) -> np.ndarray:
     """One sweep with the given coarse solver: smooth, restrict, correct, prolong."""
     u0 = as_vector(u0, h.n, "u0")
     f = as_vector(f, h.n, "f")
     check_consistent(h, f)
-    a = h.A.matrix
-    u1 = u0 + h.M @ (f - a @ u0)
-    rc = h.P.T @ (f - a @ u1)
-    ec = _coarse_correction(h, rc, coarse)
-    return u1 + h.P @ ec
+    return _sweep(h, u0, f - h.A.matrix @ u0, f, coarse)
 
 
 def tg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
@@ -167,9 +174,9 @@ class IterationTrace:
     asymptotic rate (with a linear coarse solve, the spectral radius of the
     error propagator on range(A)), which is at most the sweep's worst-case
     seminorm factor (reached only as the largest single-sweep ratio). For
-    "stg" the propagator is
-    A-self-adjoint, so it estimates the symmetrized sweep's worst-case
-    factor, factor_identity**2 for the exact coarse solve.
+    "stg" the propagator is A-self-adjoint, so it estimates the symmetrized
+    sweep's worst-case factor, factor_identity**2 for the exact coarse
+    solve. violations are the achieved_eps above declared_eps + match_tol.
     """
 
     variant: str
@@ -213,10 +220,11 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     spec). The trace's observed_factor estimates the asymptotic rate for
     "tg" and "itg" (at most the sweep's worst-case factor) and the
     worst-case factor of the symmetrized sweep for "stg"; see
-    IterationTrace. Raises DivergenceError when the tracked error grows
-    tenfold across five sweeps while above the stagnation floor; near-1
-    contraction factors are legitimate and only blow-up aborts. The error
-    carries the trace up to and including the sweep that diverged.
+    IterationTrace. f and u0 are checked once per run. Raises DivergenceError
+    when the tracked error grows tenfold across five sweeps while above the
+    stagnation floor, or when the residual is not finite; near-1 contraction
+    factors are legitimate and only blow-up aborts. The error carries the
+    trace up to and including the sweep that diverged.
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
@@ -230,7 +238,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
             raise ValueError(f"variant '{variant}' uses the exact coarse solve")
         coarse = ExactCoarse()
 
-    u0 = as_vector(u0, h.n, "u0")
+    u = as_vector(u0, h.n, "u0")
     f = as_vector(f, h.n, "f")
     check_consistent(h, f)
     if u_ref is not None:
@@ -247,16 +255,12 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     sqrt_a = h.A.sqrt
 
     def error_of(u):
-        if u_ref is None:
-            return None
         d = u_ref - u
         return float(np.linalg.norm(sqrt_a @ (v_range @ (v_range.T @ d))))
 
-    def residual_of(u):
-        return float(np.linalg.norm(f - a @ u))
-
-    errors = [error_of(u0)] if u_ref is not None else None
-    residuals = [residual_of(u0)]
+    r = f - a @ u
+    errors = [error_of(u)] if u_ref is not None else None
+    residuals = [float(np.linalg.norm(r))]
     tracked = errors if errors is not None else residuals
     floor = 1e3 * EPS * tracked[0]
 
@@ -264,7 +268,9 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
         ratios, observed = (None, None)
         if errors is not None:
             ratios, observed = _observed_factor(errors, floor, done)
-        achieved = list(coarse.achieved_eps) if isinstance(coarse, GeneralCoarse) else []
+        achieved, declared = [], 0.0
+        if isinstance(coarse, GeneralCoarse):
+            achieved, declared = list(coarse.achieved_eps), coarse.declared_eps
         return IterationTrace(
             variant=variant,
             sweeps=done,
@@ -273,22 +279,25 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
             ratios=ratios,
             observed_factor=observed,
             stagnated=observed is not None and observed >= 1.0 - h.policy.match_tol,
-            violations=[e for e in achieved if e >= 1.0],
+            violations=[e for e in achieved if e > declared + h.policy.match_tol],
             achieved_eps=achieved,
             floor=floor if errors is not None else None,
             final_residual_rel=(residuals[-1] / f_norm if f_norm > 0.0
                                 else residuals[-1]),
         )
 
-    u = u0
     for k in range(sweeps):
+        u = _sweep(h, u, r, f, coarse)
         if variant == "stg":
-            u = stg_sweep(h, u, f)
-        else:
-            u = itg_sweep(h, u, f, coarse)
-        residuals.append(residual_of(u))
+            u = u + h.M.T @ (f - a @ u)
+        r = f - a @ u
+        residuals.append(float(np.linalg.norm(r)))
         if errors is not None:
             errors.append(error_of(u))
+        if not math.isfinite(residuals[-1]):
+            raise DivergenceError(
+                f"residual norm is not finite (sweep {k + 1}); "
+                "the iteration is diverging", trace=trace_after(k + 1))
         if len(tracked) > 5:
             prev, new = tracked[-6], tracked[-1]
             if new > 10.0 * prev and new > floor and prev > floor:

@@ -36,6 +36,7 @@ from twogrid.model import (
     aggregation_prolongation,
     build_hierarchy,
     generate_problem,
+    mtilde,
     neumann_laplacian_1d,
 )
 
@@ -405,15 +406,15 @@ def neumann2d_report_inputs(smoother=WeightedJacobi(2.0 / 3.0)):
     return h, spsd_certify(2.0 * h.Ac.matrix, h.policy)
 
 
-def report_eigensolves(monkeypatch, h, bc):
-    """Names of the numpy eigen-solvers one full report calls, in order."""
+def eigensolves(monkeypatch, call):
+    """Names of the numpy eigen-solvers `call()` runs, in order."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
             calls.append(_solver.__name__)
             return _solver(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    convergence_report(h, coarse=bc, epsilon=0.3)
+    call()
     return calls
 
 
@@ -467,14 +468,17 @@ class TestSharedSpectra:
             assert _bits(report["margins"][key]) == _bits(value), key
 
     def test_report_eigensolve_budget(self, monkeypatch):
-        calls = report_eigensolves(monkeypatch, *neumann2d_report_inputs())
+        h, bc = neumann2d_report_inputs()
+        calls = eigensolves(
+            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 11, calls
 
     def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
         # Mbar != Mtilde here, so the Mtilde spectrum is one solve of its own
         h, bc = neumann2d_report_inputs(GaussSeidel())
         assert not np.array_equal(h.Mbar, h.Mtilde)
-        calls = report_eigensolves(monkeypatch, h, bc)
+        calls = eigensolves(
+            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 12, calls
 
     def test_report_leaves_no_cache_on_hierarchy(self):
@@ -482,3 +486,22 @@ class TestSharedSpectra:
         before = set(vars(h))
         convergence_report(h, coarse=bc, epsilon=0.3)
         assert set(vars(h)) == before
+
+    def test_jacobi_hierarchy_eigensolve_budget(self, monkeypatch):
+        # Ac's certification and the smoother spectrum; the smoother check
+        # is the Jacobi stability rule, so the weight limit is not solved
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(8, 8), group=2, seed=0)
+        calls = eigensolves(
+            monkeypatch, lambda: build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)))
+        assert 0 < len(calls) <= 2, calls
+
+    @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
+                             ids=["jacobi", "gs"])
+    def test_mtilde_built_only_for_nonsymmetric_m(self, smoother):
+        h, bc = neumann2d_report_inputs(smoother)
+        assert "Mtilde" not in vars(h) and "smoother_form" in vars(h)
+        convergence_report(h, coarse=bc, epsilon=0.3)
+        if isinstance(smoother, WeightedJacobi):
+            assert "Mtilde" not in vars(h)
+        else:
+            assert np.array_equal(vars(h)["Mtilde"], mtilde(h.M, h.A))

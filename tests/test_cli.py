@@ -261,8 +261,9 @@ class TestGenerateRoundTrip:
     ["analyze", "--problem", "neumann1d:1"],
     ["analyze", "--problem", "neumann1d:8", "--format", "xml"],
     ["solve", "--problem", "neumann1d:8", "--sweeps", "abc"],
+    ["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:1.5"],
 ], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
-        "format-xml", "sweeps-abc"])
+        "format-xml", "sweeps-abc", "jacobi1.5"])
 def test_invalid_value_is_an_error_line(argv, capsys):
     assert run(argv) == 1
     err = capsys.readouterr().err
@@ -274,6 +275,13 @@ def test_invalid_value_is_an_error_line(argv, capsys):
 def test_help_exits_zero():
     with pytest.raises(SystemExit, match="^0$"):
         run(["analyze", "--help"])
+
+
+def test_jacobi_weight_error_names_the_limit(capsys):
+    # neumann1d is a bipartite path graph: lambda_max(D^{-1} A) = 2, limit 1
+    assert run(["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:1.5"]) == 1
+    err = capsys.readouterr().err
+    assert "Jacobi weight 1.5 exceeds the stability limit 1" in err
 
 
 def test_coarse_eps_error_names_eps(capsys):

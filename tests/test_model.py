@@ -75,13 +75,6 @@ class TestBuildSmoother:
         with pytest.raises(SmootherError, match="positive"):
             build_smoother(WeightedJacobi(0.0), a)
 
-    def test_weight_above_limit_warns(self):
-        a = certify(neumann_laplacian_1d(6))
-        limit = jacobi_weight_limit(a)
-        assert limit == pytest.approx(1.0, abs=1e-12)  # bipartite path graph
-        with pytest.warns(UserWarning, match="stability limit"):
-            build_smoother(WeightedJacobi(limit * 1.5), a)
-
     def test_custom_shape_checked(self):
         a = certify(np.eye(3))
         with pytest.raises(SmootherError, match="shape"):
@@ -182,9 +175,18 @@ class TestBuildHierarchy:
     def test_expansive_smoother_rejected(self):
         a = certify(neumann_laplacian_1d(6))
         p = aggregation_prolongation(6, 2)
-        with pytest.warns(UserWarning):
-            with pytest.raises(SmootherAssumptionError, match="negative eigenvalue"):
-                build_hierarchy(a, p, WeightedJacobi(1.9))
+        with pytest.raises(SmootherAssumptionError, match="negative eigenvalue"):
+            build_hierarchy(a, p, WeightedJacobi(1.9))
+
+    def test_jacobi_check_is_the_weight_limit(self):
+        a = certify(neumann_laplacian_1d(6))
+        p = aggregation_prolongation(6, 2)
+        limit = jacobi_weight_limit(a)
+        assert limit == pytest.approx(1.0, abs=1e-12)  # bipartite path graph
+        build_hierarchy(a, p, WeightedJacobi(limit))
+        with pytest.raises(SmootherAssumptionError,
+                           match="Jacobi weight 1.01 exceeds the stability limit 1$"):
+            build_hierarchy(a, p, WeightedJacobi(1.01 * limit))
 
     def test_projector_properties(self):
         a = certify(neumann_laplacian_1d(10))

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from twogrid import solver
 from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
 from twogrid.analysis import exact_factor, general_epsilon_bound, inexact_linear_analysis
 from twogrid.linalg import spsd_certify
@@ -280,6 +281,72 @@ class TestIterate:
         assert len(trace.achieved_eps) == 4
         assert len(trace.violations) == 1
         assert trace.violations[0] >= 1.0
+
+    def test_violation_is_accuracy_above_declared_eps(self, setup8):
+        # accuracy 0.7 is no blow-up, but the eps = 0.5 bound does not cover it
+        h, f, u_ref = setup8
+        rng = np.random.default_rng(14)
+        coarse = GeneralCoarse(eps_perturbed_coarse(h, 0.7, rng), 0.5)
+        trace = iterate(h, f, rng.standard_normal(8), 4, "itg", coarse=coarse,
+                        u_ref=u_ref)
+        assert trace.violations == trace.achieved_eps
+        assert all(e == pytest.approx(0.7, abs=1e-12) for e in trace.violations)
+
+    @pytest.mark.parametrize("variant", ["tg", "stg", "itg"])
+    def test_consistency_checked_once_per_run(self, setup8, monkeypatch, variant):
+        h, f, u_ref = setup8
+        calls = []
+        monkeypatch.setattr(solver, "check_consistent",
+                            lambda *args: calls.append(args))
+        coarse = LinearSpsdCoarse(h.Ac) if variant == "itg" else None
+        iterate(h, f, np.zeros(8), 7, variant, coarse=coarse, u_ref=u_ref)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("variant", ["tg", "stg", "itg-linear", "itg-eps"])
+    def test_trace_equals_public_sweeps_bit_for_bit(self, variant):
+        a, p, f, u_ref = generate_problem(NeumannLaplacian1D(16), group=2, seed=4)
+        h = build_hierarchy(a, p, GaussSeidel())
+        # one coarse solver for iterate, an identical one for the loop
+        if variant == "itg-eps":
+            coarse = [GeneralCoarse(eps_perturbed_coarse(
+                h, 0.3, np.random.default_rng(5)), 0.3) for _ in range(2)]
+        elif variant == "itg-linear":
+            coarse = [LinearSpsdCoarse(spsd_certify(2.0 * h.Ac.matrix, h.policy))] * 2
+        else:
+            coarse = [None, None]
+
+        def sweep(u):
+            if variant == "tg":
+                return tg_sweep(h, u, f)
+            if variant == "stg":
+                return stg_sweep(h, u, f)
+            return itg_sweep(h, u, f, coarse[1])
+
+        def error(u):
+            v = h.A.range_basis
+            return float(np.linalg.norm(h.A.sqrt @ (v @ (v.T @ (u_ref - u)))))
+
+        u = np.random.default_rng(6).standard_normal(16)
+        trace = iterate(h, f, u, 12, variant[:3], coarse=coarse[0], u_ref=u_ref)
+        errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
+        for _ in range(12):
+            u = sweep(u)
+            errors.append(error(u))
+            residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
+        assert trace.errors_A == errors
+        assert trace.residuals == residuals
+
+    def test_overflow_is_divergence(self):
+        # a smoother of scale 1e150, assembled directly: u reaches 1e300 in
+        # sweep 2, whose residual norm overflows
+        a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=2)
+        h = TwoGridHierarchy(A=a, M=1e150 * np.eye(8), P=p,
+                             Ac=spsd_certify(p.T @ a.matrix @ p, a.policy))
+        u0 = np.random.default_rng(11).standard_normal(8)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="not finite") as info:
+                iterate(h, f, u0, 10, "tg", u_ref=u_ref)
+        assert info.value.trace.sweeps == 2
 
     def test_zero_rhs_drives_iterate_into_null_space(self, setup8):
         h, _, _ = setup8
