@@ -5,8 +5,11 @@ nonsymmetric products whose spectra are needed are replaced by a similar
 symmetric form first (documented per operation), so no nonsymmetric
 eigensolver is ever run. Ascending eigenvalue indexing is used throughout,
 with 1-based spectral positions translated to 0-based array indices at the
-point of use. One report builds each conjugated form and each spectrum once
-and shares it between every quantity that reads it.
+point of use. Each conjugated form and spectrum that depends only on the
+hierarchy is solved once per hierarchy and cached on it (see
+TwoGridHierarchy), so a report and any later call on the same hierarchy
+share it; each function here is the one formula for its quantity over those
+spectra.
 
 Main entry points:
 
@@ -27,7 +30,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +39,6 @@ from .linalg import (
     spectrum_psd,
     spectrum_rank,
     spsd_certify,
-    stacked_nullity,
     sym_part,
     symmetric_rank,
 )
@@ -49,234 +50,6 @@ def _factor_from(value: float) -> float:
     return float(np.sqrt(min(max(float(1.0 - value), 0.0), 1.0)))
 
 
-class _Spectra:
-    """The conjugated forms and spectra of one hierarchy, each built once.
-
-    One instance serves one public call, or one whole convergence_report, and
-    is dropped with it: it is never stored on the hierarchy, so a rebuilt
-    hierarchy never keeps the previous one's arrays alive. Each cached value
-    is the expression a standalone call evaluates, so sharing it between the
-    quantities of a report changes no digit.
-    """
-
-    def __init__(self, h: TwoGridHierarchy):
-        self.h = h
-
-    # -- forms and spectra ------------------------------------------------
-
-    @cached_property
-    def pre_smoother(self) -> np.ndarray:
-        """I - A^{1/2} M A^{1/2}; its transpose is the post-smoothing twin."""
-        ah = self.h.A.sqrt
-        return np.eye(self.h.n) - ah @ self.h.M @ ah
-
-    @cached_property
-    def mtilde_form(self) -> np.ndarray:
-        """A^{1/2} Mtilde A^{1/2}; for a symmetric M, the same formula as the
-        hierarchy's smoother form A^{1/2} Mbar A^{1/2}, which it then is."""
-        h = self.h
-        if np.array_equal(h.M, h.M.T):
-            return h.smoother_form
-        return sym_part(h.A.sqrt @ h.Mtilde @ h.A.sqrt)
-
-    @cached_property
-    def mtilde_spectrum(self) -> np.ndarray:
-        """Spectrum of the Mtilde form.
-
-        When Mbar equals Mtilde the two forms are the same bytes, so this is
-        the hierarchy's smoother spectrum and costs no eigen-solve.
-        """
-        if self.mtilde_form is self.h.smoother_form:
-            return self.h.smoother_spectrum
-        return np.linalg.eigvalsh(self.mtilde_form)
-
-    @cached_property
-    def projected_spectrum(self) -> np.ndarray:
-        """Spectrum of (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi)."""
-        i_pi = np.eye(self.h.n) - self.h.Pi
-        return np.linalg.eigvalsh(sym_part(i_pi @ self.mtilde_form @ i_pi))
-
-    # -- spectral quantities ----------------------------------------------
-
-    def smoothing_floor(self) -> float:
-        return float(self.mtilde_spectrum[self.h.n - self.h.r])
-
-    @cached_property
-    def sigma_tg(self) -> float:
-        h = self.h
-        if h.s == h.r:
-            return 1.0
-        idx = h.n - h.r + h.s
-        if not (0 <= idx < h.n):
-            raise ShapeError(
-                f"eigenvalue position {idx + 1} outside spectrum of size {h.n}; "
-                "rank thresholds for A and the coarse matrix are inconsistent")
-        return float(self.projected_spectrum[idx])
-
-    def sigma_eigengap(self) -> float | None:
-        h = self.h
-        if h.s == h.r:
-            return None
-        idx = h.n - h.r + h.s
-        w = self.projected_spectrum
-        if idx == 0:
-            return float(w[0])
-        return float(w[idx] - w[idx - 1])
-
-    @cached_property
-    def delta_tg(self) -> tuple[float, bool]:
-        """One eigen-solve serves both the full-coarse-rank guard and the value."""
-        h = self.h
-        w = np.linalg.eigvalsh(sym_part(h.Pi @ self.mtilde_form @ h.Pi))
-        if spectrum_rank(w, h.policy) != h.s:
-            return 0.0, False
-        return float(w[h.n - h.s]), True
-
-    def exact_two_sided(self) -> tuple[float, float]:
-        h = self.h
-        w = self.mtilde_spectrum
-        upper = _factor_from(float(w[h.n - h.r]))
-        if h.s == h.r:
-            return 0.0, upper
-        lower = _factor_from(float(w[h.n - h.r + h.s]))
-        return lower, upper
-
-    def ftg_matrix(self) -> np.ndarray:
-        pre = self.pre_smoother
-        return sym_part(self.h.smoother_form + pre.T @ self.h.Pi @ pre)
-
-    def fitg_matrix(self, bc: SpsdOperator) -> np.ndarray:
-        h = self.h
-        pre = self.pre_smoother
-        ah = h.A.sqrt
-        btilde = sym_part(2.0 * bc.pinv - bc.pinv @ h.Ac.matrix @ bc.pinv)
-        middle = sym_part(ah @ h.P @ btilde @ h.P.T @ ah)
-        return sym_part(h.smoother_form + pre.T @ middle @ pre)
-
-    def seminorm_oracle(self, iteration: str,
-                        coarse: SpsdOperator | None) -> float:
-        h = self.h
-        pre = self.pre_smoother
-        i_n = np.eye(h.n)
-        if iteration == "tg":
-            g = (i_n - h.Pi) @ pre
-        elif iteration == "stg":
-            g = pre.T @ (i_n - h.Pi) @ pre
-        elif iteration == "itg":
-            if coarse is None:
-                raise ValueError("iteration 'itg' needs the coarse matrix")
-            ah = h.A.sqrt
-            pi_b = ah @ h.P @ coarse.pinv @ h.P.T @ ah
-            g = (i_n - pi_b) @ pre
-        else:
-            raise ValueError(f"unknown iteration '{iteration}'")
-        gv = g @ h.A.range_basis
-        w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
-        return float(np.sqrt(max(float(w[-1]), 0.0)))
-
-    # -- reports ----------------------------------------------------------
-
-    @cached_property
-    def conditions(self) -> ConditionReport:
-        h = self.h
-        tol = h.policy
-        n = h.n
-
-        w_smooth = h.smoother_spectrum
-        smoother_min = float(w_smooth[0])
-        smoother_ok = spectrum_psd(w_smooth, tol)
-
-        pre_oblique = h.P.T @ (np.eye(n) - h.A.matrix @ h.M) @ h.A.sqrt
-        inter_dim, margin = stacked_nullity([h.smoother_form, pre_oblique], tol)
-        nullity_a = n - h.r
-        equiv_ok = inter_dim == nullity_a
-
-        w_mbar = np.linalg.eigvalsh(h.Mbar)
-        mbar_min = float(w_mbar[0])
-        mbar_psd = spectrum_psd(w_mbar, tol)
-        if h.A.null_basis.shape[1] > 0:
-            mbar_null_range, _ = stacked_nullity([h.Mbar, h.A.null_basis.T], tol)
-        else:
-            mbar_null_range, _ = stacked_nullity([h.Mbar], tol)
-        suff_ok = mbar_psd and mbar_null_range == 0
-
-        return ConditionReport(
-            smoother_ok=bool(smoother_ok),
-            equiv_cond_ok=bool(equiv_ok),
-            suff_cond_ok=bool(suff_ok),
-            intersection_dim=int(inter_dim),
-            nullity_A=int(nullity_a),
-            smoother_min_eig=smoother_min,
-            intersection_margin=float(margin),
-            mbar_min_eig=mbar_min,
-            mbar_null_in_range_dim=int(mbar_null_range),
-        )
-
-    def exact_factor(self) -> ExactFactorReport:
-        h = self.h
-        conditions = self.conditions
-        sigma = self.sigma_tg
-        factor_identity = _factor_from(sigma)
-
-        w_ftg = np.linalg.eigvalsh(self.ftg_matrix())
-        factor_ftg = _factor_from(float(w_ftg[h.n - h.r]))
-
-        if h.s == h.r:
-            factor_identity = 0.0
-            factor_ftg = 0.0
-
-        lower, upper = self.exact_two_sided()
-        return ExactFactorReport(
-            sigma_tg=sigma,
-            factor_identity=factor_identity,
-            factor_ftg=factor_ftg,
-            factor_oracle=self.seminorm_oracle("tg", None),
-            lower_bound=lower,
-            upper_bound=upper,
-            eigengap_at_index=self.sigma_eigengap(),
-            warn_equiv_cond=not conditions.equiv_cond_ok,
-        )
-
-    def inexact_linear_analysis(self, bc) -> InexactFactorReport:
-        h = self.h
-        if not isinstance(bc, SpsdOperator):
-            bc = spsd_certify(bc, h.policy)
-        alpha1, alpha2 = spectral_equivalence_constants(bc, h.Ac)
-        if alpha2 >= 2.0:
-            raise CoarseScalingError(
-                f"largest generalized eigenvalue of Bc^+ Ac is {alpha2:.6g} >= 2; "
-                f"scale Bc by at least {alpha2 / 2.0:.6g} to restore the bound")
-        beta1, beta2 = beta_constants(alpha1, alpha2)
-        delta, guard_ok = self.delta_tg
-        sigma = self.sigma_tg
-        floor = self.smoothing_floor()
-
-        w_fitg = np.linalg.eigvalsh(self.fitg_matrix(bc))
-        factor_itg = _factor_from(float(w_fitg[h.n - h.r]))
-        if h.s == h.r:
-            factor_itg = 0.0
-
-        return InexactFactorReport(
-            alpha1=alpha1,
-            alpha2=alpha2,
-            beta1=beta1,
-            beta2=beta2,
-            delta_tg=delta,
-            delta_guard_ok=guard_ok,
-            lower_L=lower_bound_inexact(beta2, sigma, delta, floor),
-            upper_U=upper_bound_inexact(beta1, sigma, delta, floor),
-            factor_exact_itg=factor_itg,
-            factor_oracle=self.seminorm_oracle("itg", bc),
-        )
-
-    def general_epsilon_bound(self, eps: float) -> float:
-        if not (0.0 <= eps < 1.0):
-            raise ValueError(f"eps must lie in [0, 1), got {eps}")
-        delta, _ = self.delta_tg
-        return upper_bound_inexact(1.0 - eps * eps, self.sigma_tg, delta,
-                                   self.smoothing_floor())
-
-
 def smoothing_floor(h: TwoGridHierarchy) -> float:
     """(n - r + 1)-th smallest eigenvalue of Mtilde A.
 
@@ -284,7 +57,7 @@ def smoothing_floor(h: TwoGridHierarchy) -> float:
     the eigenvalue that caps how much the smoother alone can leave behind on
     the range of A.
     """
-    return _Spectra(h).smoothing_floor()
+    return float(h.mtilde_spectrum[h.n - h.r])
 
 
 def sigma_tg(h: TwoGridHierarchy) -> float:
@@ -296,7 +69,14 @@ def sigma_tg(h: TwoGridHierarchy) -> float:
     factor is exactly zero, so 1.0 is returned directly instead of indexing
     past the spectrum.
     """
-    return _Spectra(h).sigma_tg
+    if h.s == h.r:
+        return 1.0
+    idx = h.n - h.r + h.s
+    if not (0 <= idx < h.n):
+        raise ShapeError(
+            f"eigenvalue position {idx + 1} outside spectrum of size {h.n}; "
+            "rank thresholds for A and the coarse matrix are inconsistent")
+    return float(h.complement_spectrum[idx])
 
 
 def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
@@ -305,9 +85,12 @@ def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
     Evaluated on the symmetric form Pi A^{1/2} Mtilde A^{1/2} Pi. The value
     is only meaningful when that matrix has full coarse rank s (the guard);
     otherwise 0 is returned, which keeps every bound valid. Returns
-    (delta, guard_ok).
+    (delta, guard_ok). One eigen-solve serves the guard and the value.
     """
-    return _Spectra(h).delta_tg
+    w = h.coarse_spectrum
+    if spectrum_rank(w, h.policy) != h.s:
+        return 0.0, False
+    return float(w[h.n - h.s]), True
 
 
 def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
@@ -317,7 +100,8 @@ def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
     SPSD, and its null space equals the null space of A exactly when the
     intersection condition holds.
     """
-    return _Spectra(h).ftg_matrix()
+    pre = h.pre_smoother
+    return sym_part(h.smoother_form + pre.T @ h.Pi @ pre)
 
 
 def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
@@ -326,7 +110,11 @@ def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
     Uses the symmetrized coarse solve 2 Bc^+ - Bc^+ Ac Bc^+ in place of the
     projector block of the exact form.
     """
-    return _Spectra(h).fitg_matrix(bc)
+    pre = h.pre_smoother
+    ah = h.A.sqrt
+    btilde = sym_part(2.0 * bc.pinv - bc.pinv @ h.Ac.matrix @ bc.pinv)
+    middle = sym_part(ah @ h.P @ btilde @ h.P.T @ ah)
+    return sym_part(h.smoother_form + pre.T @ middle @ pre)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +149,21 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
 
     Reports and never raises: diagnosing failing setups is a primary use.
     """
-    return _Spectra(h).conditions
+    w_smooth = h.smoother_spectrum
+    inter_dim, margin = h.intersection
+    nullity_a = h.n - h.r
+    return ConditionReport(
+        smoother_ok=bool(spectrum_psd(w_smooth, h.policy)),
+        equiv_cond_ok=bool(inter_dim == nullity_a),
+        suff_cond_ok=bool(spectrum_psd(h.mbar_spectrum, h.policy)
+                          and h.mbar_null_in_range == 0),
+        intersection_dim=int(inter_dim),
+        nullity_A=int(nullity_a),
+        smoother_min_eig=float(w_smooth[0]),
+        intersection_margin=float(margin),
+        mbar_min_eig=float(h.mbar_spectrum[0]),
+        mbar_null_in_range_dim=int(h.mbar_null_in_range),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +201,23 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     singular value as sqrt(lambda_max(V^T G^T G V)). Independent of every
     index-based identity above; this is the anti-drift reference value.
     """
-    return _Spectra(h).seminorm_oracle(iteration, coarse)
+    pre = h.pre_smoother
+    i_n = np.eye(h.n)
+    if iteration == "tg":
+        g = (i_n - h.Pi) @ pre
+    elif iteration == "stg":
+        g = pre.T @ (i_n - h.Pi) @ pre
+    elif iteration == "itg":
+        if coarse is None:
+            raise ValueError("iteration 'itg' needs the coarse matrix")
+        ah = h.A.sqrt
+        pi_b = ah @ h.P @ coarse.pinv @ h.P.T @ ah
+        g = (i_n - pi_b) @ pre
+    else:
+        raise ValueError(f"unknown iteration '{iteration}'")
+    gv = g @ h.A.range_basis
+    w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
+    return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
 def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
@@ -410,7 +228,11 @@ def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
     position would fall past the spectrum; the factor is exactly zero there,
     so the lower bound degenerates to 0.
     """
-    return _Spectra(h).exact_two_sided()
+    w = h.mtilde_spectrum
+    upper = _factor_from(float(w[h.n - h.r]))
+    if h.s == h.r:
+        return 0.0, upper
+    return _factor_from(float(w[h.n - h.r + h.s])), upper
 
 
 def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
@@ -421,7 +243,33 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     holds; all three are reported so drift is visible. The degenerate case
     s = r yields factor zero without indexing past the spectrum.
     """
-    return _Spectra(h).exact_factor()
+    conditions = check_conditions(h)
+    sigma = sigma_tg(h)
+    factor_identity = _factor_from(sigma)
+
+    w_ftg = np.linalg.eigvalsh(ftg_matrix(h))
+    factor_ftg = _factor_from(float(w_ftg[h.n - h.r]))
+
+    eigengap = None
+    if h.s == h.r:
+        factor_identity = 0.0
+        factor_ftg = 0.0
+    else:
+        idx = h.n - h.r + h.s
+        w = h.complement_spectrum
+        eigengap = float(w[0]) if idx == 0 else float(w[idx] - w[idx - 1])
+
+    lower, upper = exact_two_sided(h)
+    return ExactFactorReport(
+        sigma_tg=sigma,
+        factor_identity=factor_identity,
+        factor_ftg=factor_ftg,
+        factor_oracle=seminorm_oracle(h, "tg", None),
+        lower_bound=lower,
+        upper_bound=upper,
+        eigengap_at_index=eigengap,
+        warn_equiv_cond=not conditions.equiv_cond_ok,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +367,35 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
     the two-sided bounds, the exact inexact-iteration factor through the
     quadratic form, and the independent oracle value.
     """
-    return _Spectra(h).inexact_linear_analysis(bc)
+    if not isinstance(bc, SpsdOperator):
+        bc = spsd_certify(bc, h.policy)
+    alpha1, alpha2 = spectral_equivalence_constants(bc, h.Ac)
+    if alpha2 >= 2.0:
+        raise CoarseScalingError(
+            f"largest generalized eigenvalue of Bc^+ Ac is {alpha2:.6g} >= 2; "
+            f"scale Bc by at least {alpha2 / 2.0:.6g} to restore the bound")
+    beta1, beta2 = beta_constants(alpha1, alpha2)
+    delta, guard_ok = delta_tg(h)
+    sigma = sigma_tg(h)
+    floor = smoothing_floor(h)
+
+    w_fitg = np.linalg.eigvalsh(fitg_matrix(h, bc))
+    factor_itg = _factor_from(float(w_fitg[h.n - h.r]))
+    if h.s == h.r:
+        factor_itg = 0.0
+
+    return InexactFactorReport(
+        alpha1=alpha1,
+        alpha2=alpha2,
+        beta1=beta1,
+        beta2=beta2,
+        delta_tg=delta,
+        delta_guard_ok=guard_ok,
+        lower_L=lower_bound_inexact(beta2, sigma, delta, floor),
+        upper_U=upper_bound_inexact(beta1, sigma, delta, floor),
+        factor_exact_itg=factor_itg,
+        factor_oracle=seminorm_oracle(h, "itg", bc),
+    )
 
 
 def general_epsilon_bound(h: TwoGridHierarchy, eps: float) -> float:
@@ -529,7 +405,11 @@ def general_epsilon_bound(h: TwoGridHierarchy, eps: float) -> float:
     at most eps times its coarse energy seminorm yields a per-sweep factor
     of at most U(1 - eps^2). eps = 0 recovers the exact identity.
     """
-    return _Spectra(h).general_epsilon_bound(eps)
+    if not (0.0 <= eps < 1.0):
+        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    delta, _ = delta_tg(h)
+    return upper_bound_inexact(1.0 - eps * eps, sigma_tg(h), delta,
+                               smoothing_floor(h))
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +438,8 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
     are null unless an accuracy level is given. `meta` supplies the
     provenance strings (problem, smoother, prolongation, coarse, seed).
     """
-    spectra = _Spectra(h)
-    conditions = spectra.conditions
-    exact = spectra.exact_factor()
+    conditions = check_conditions(h)
+    exact = exact_factor(h)
     report = {
         "problem": None,
         "smoother": None,
@@ -610,7 +489,7 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         },
     }
     if coarse is not None:
-        inexact = spectra.inexact_linear_analysis(coarse)
+        inexact = inexact_linear_analysis(h, coarse)
         report.update({
             "alpha1": inexact.alpha1,
             "alpha2": inexact.alpha2,
@@ -625,7 +504,7 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         report["flags"]["delta_guard_ok"] = inexact.delta_guard_ok
     if epsilon is not None:
         report["epsilon"] = float(epsilon)
-        report["epsilon_bound"] = spectra.general_epsilon_bound(epsilon)
+        report["epsilon_bound"] = general_epsilon_bound(h, epsilon)
     if meta:
         for key, value in meta.items():
             report[key] = value

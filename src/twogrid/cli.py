@@ -190,17 +190,33 @@ _DEFAULTS = {
     "coarse": "exact",
     "sweeps": 20,
     "seed": 0,
+    "format": "json",
+    "variant": "auto",
+}
+
+# The allowed values of each choice option, for its flag and its config key.
+_CHOICES = {
+    "format": ("json", "csv"),
+    "variant": ("auto", "tg", "stg", "itg"),
 }
 
 
 def _finalize_args(args) -> None:
-    """Fill unset options from the config file, then from the defaults."""
+    """Fill unset options from the config file, then from the defaults.
+
+    Config keys are the subcommand's own option names, and each value is
+    checked like the matching flag's.
+    """
     if getattr(args, "config", None):
-        file_values = load_config(args.config)
+        options = vars(args).keys() - {"command", "func", "config"}
         converters = {"sweeps": int, "seed": int, "epsilon": float}
-        for key, value in file_values.items():
-            if not hasattr(args, key):
+        for key, value in load_config(args.config).items():
+            if key not in options:
                 raise UsageError(f"unknown config key '{key}'")
+            if key in _CHOICES and value not in _CHOICES[key]:
+                raise UsageError(
+                    f"config key '{key}': invalid choice '{value}' "
+                    f"(choose from {', '.join(_CHOICES[key])})")
             if getattr(args, key) is None:
                 setattr(args, key, converters.get(key, str)(value))
     for key, default in _DEFAULTS.items():
@@ -363,14 +379,13 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--epsilon", type=float,
                          help="general coarse-solver accuracy for the bound")
     analyze.add_argument("--output", help="report path (default: stdout)")
-    analyze.add_argument("--format", choices=("json", "csv"), default="json")
+    analyze.add_argument("--format", choices=_CHOICES["format"])
     analyze.set_defaults(func=cmd_analyze)
 
     solve = subs.add_parser("solve", help="run sweeps and write the trace")
     _add_setup_arguments(solve)
     solve.add_argument("--sweeps", type=int, help="number of sweeps")
-    solve.add_argument("--variant", choices=("auto", "tg", "stg", "itg"),
-                       default="auto")
+    solve.add_argument("--variant", choices=_CHOICES["variant"])
     solve.add_argument("--output", help="basename for .csv trace and .json summary")
     solve.set_defaults(func=cmd_solve)
 

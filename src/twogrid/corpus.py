@@ -139,7 +139,7 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     oracle_stg = analysis.seminorm_oracle(h, "stg")
     record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
 
-    w = analysis._Spectra(h).mtilde_spectrum
+    w = h.mtilde_spectrum
     record("spectrum_box", max(-float(w[0]), float(w[-1]) - 1.0),
            h.policy.psd_slack)
 
@@ -215,7 +215,7 @@ def _epsilon_bound_check() -> list[CheckResult]:
         for trial in range(10):
             rng = np.random.default_rng(7000 + trial)
             approx = solver.eps_perturbed_coarse(h, eps, rng)
-            u0 = rng.standard_normal(8)
+            u0 = rng.standard_normal(h.n)
             u1 = solver.itg_sweep(h, u0, f, solver.GeneralCoarse(approx, eps))
             e0 = solver.a_seminorm(h.A.matrix, u_ref - u0)
             e1 = solver.a_seminorm(h.A.matrix, u_ref - u1)

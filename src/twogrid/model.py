@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     spectrum_psd,
     spsd_certify,
+    stacked_nullity,
     sym_part,
 )
 
@@ -80,7 +81,7 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
             raise SmootherError(f"Jacobi weight must be positive, got {spec.omega}")
         return np.diag(spec.omega / _positive_diagonal(a))
     if isinstance(spec, GaussSeidel):
-        d = _positive_diagonal(a)
+        _positive_diagonal(a)
         lower = np.tril(a.matrix)
         return solve_triangular(lower, np.eye(a.n), lower=True)
     if isinstance(spec, CustomSmoother):
@@ -118,8 +119,13 @@ class TwoGridHierarchy:
 
     The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
     r and s are the ranks of A and Ac (s <= r); Mbar and the projector Pi =
-    A^{1/2} P Ac^+ P^T A^{1/2} are assembled on construction, the smoother
-    form and Mtilde on first read. build_hierarchy validates; this does not.
+    A^{1/2} P Ac^+ P^T A^{1/2} are assembled on construction. The rest is
+    built on first read and kept while the hierarchy lives: the smoother
+    form, Mtilde, the pre-smoother, the spectra the analysis reads and its
+    null-space decisions. So each is solved once per hierarchy, however many
+    analysis calls read it; only the pre-smoother (and, for a nonsymmetric
+    M, Mtilde and its form) adds an n x n array. build_hierarchy validates;
+    this does not.
     """
 
     A: SpsdOperator
@@ -176,6 +182,63 @@ class TwoGridHierarchy:
         seminorm; build_hierarchy certifies the smoother on it.
         """
         return np.linalg.eigvalsh(self.smoother_form)
+
+    @cached_property
+    def pre_smoother(self) -> np.ndarray:
+        """I - A^{1/2} M A^{1/2}; its transpose is the post-smoothing twin."""
+        return np.eye(self.n) - self.A.sqrt @ self.M @ self.A.sqrt
+
+    @cached_property
+    def mtilde_form(self) -> np.ndarray:
+        """A^{1/2} Mtilde A^{1/2}; for a symmetric M, the same formula as the
+        smoother form A^{1/2} Mbar A^{1/2}, which it then is."""
+        if np.array_equal(self.M, self.M.T):
+            return self.smoother_form
+        return sym_part(self.A.sqrt @ self.Mtilde @ self.A.sqrt)
+
+    @cached_property
+    def mtilde_spectrum(self) -> np.ndarray:
+        """Spectrum of the Mtilde form.
+
+        When Mbar equals Mtilde the two forms are the same bytes, so this is
+        the smoother spectrum and costs no eigen-solve.
+        """
+        if self.mtilde_form is self.smoother_form:
+            return self.smoother_spectrum
+        return np.linalg.eigvalsh(self.mtilde_form)
+
+    @cached_property
+    def complement_spectrum(self) -> np.ndarray:
+        """Spectrum of (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi)."""
+        i_pi = np.eye(self.n) - self.Pi
+        return np.linalg.eigvalsh(sym_part(i_pi @ self.mtilde_form @ i_pi))
+
+    @cached_property
+    def coarse_spectrum(self) -> np.ndarray:
+        """Spectrum of Pi A^{1/2} Mtilde A^{1/2} Pi."""
+        return np.linalg.eigvalsh(sym_part(self.Pi @ self.mtilde_form @ self.Pi))
+
+    @cached_property
+    def intersection(self) -> tuple[int, float]:
+        """Null-space intersection of the smoother form and P^T (I - A M) A^{1/2}.
+
+        (dimension, margin) as stacked_nullity decides them.
+        """
+        pre_oblique = self.P.T @ (np.eye(self.n) - self.A.matrix @ self.M) @ self.A.sqrt
+        return stacked_nullity([self.smoother_form, pre_oblique], self.policy)
+
+    @cached_property
+    def mbar_spectrum(self) -> np.ndarray:
+        """Eigenvalues of Mbar itself, ascending."""
+        return np.linalg.eigvalsh(self.Mbar)
+
+    @cached_property
+    def mbar_null_in_range(self) -> int:
+        """Dimension of the intersection of Mbar's null space with the range of A."""
+        blocks = [self.Mbar]
+        if self.A.null_basis.shape[1] > 0:
+            blocks.append(self.A.null_basis.T)
+        return stacked_nullity(blocks, self.policy)[0]
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:

@@ -426,6 +426,10 @@ class TestSharedSpectra:
         h, _, _ = corpus.build_case(case)
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
         report = convergence_report(h, coarse=bc, epsilon=0.3)
+        # a second hierarchy of the same case, so that the standalone calls
+        # solve their own spectra instead of re-reading the report's
+        h, _, _ = corpus.build_case(case)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
         cond = check_conditions(h)
         exact = exact_factor(h)
         inexact = inexact_linear_analysis(h, bc)
@@ -481,11 +485,41 @@ class TestSharedSpectra:
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 12, calls
 
-    def test_report_leaves_no_cache_on_hierarchy(self):
+    def test_report_caches_one_square_array_on_hierarchy(self):
+        # with a symmetric M the Mtilde form is the smoother form, so the
+        # pre-smoother is the only n x n array a Jacobi report adds
         h, bc = neumann2d_report_inputs()
-        before = set(vars(h))
+        before = dict(vars(h))
+        held = {id(value) for value in before.values()}
         convergence_report(h, coarse=bc, epsilon=0.3)
-        assert set(vars(h)) == before
+        added = {key: value for key, value in vars(h).items() if key not in before}
+        square = {id(value) for value in added.values()
+                  if np.ndim(value) == 2 and id(value) not in held}
+        assert square == {id(h.pre_smoother)}
+        assert h.pre_smoother.shape == (h.n, h.n)
+        for key, value in added.items():
+            if key != "pre_smoother" and id(value) not in held:
+                assert np.ndim(value) <= 1, key
+
+    @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
+                             ids=["jacobi", "gs"])
+    def test_spectra_are_solved_once_per_hierarchy(self, monkeypatch, smoother):
+        h, bc = neumann2d_report_inputs(smoother)
+        convergence_report(h, coarse=bc, epsilon=0.3)
+        scalars = eigensolves(monkeypatch, lambda: (
+            sigma_tg(h), delta_tg(h), smoothing_floor(h), exact_two_sided(h),
+            check_conditions(h)))
+        assert scalars == []
+        # left: the ftg, fitg and two oracle solves, the equivalence
+        # constants and the joint null-basis rank, which all depend on Bc
+        # or are read once
+        again = eigensolves(
+            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
+        assert 0 < len(again) <= 6, again
+
+    def test_verification_eigensolve_budget(self, monkeypatch):
+        calls = eigensolves(monkeypatch, corpus.run_verification)
+        assert 0 < len(calls) <= 470, len(calls)
 
     def test_jacobi_hierarchy_eigensolve_budget(self, monkeypatch):
         # Ac's certification and the smoother spectrum; the smoother check

@@ -253,6 +253,49 @@ class TestGenerateRoundTrip:
         assert "problem" in capsys.readouterr().err
 
 
+def write_config(tmp_path, *lines):
+    path = tmp_path / "run.cfg"
+    path.write_text("problem = neumann1d:8\n" + "".join(f"{line}\n" for line in lines),
+                    encoding="ascii")
+    return str(path)
+
+
+class TestConfigValues:
+    def test_format_csv_writes_csv(self, tmp_path):
+        out = tmp_path / "report.csv"
+        assert run(["analyze", "--config", write_config(tmp_path, "format = csv"),
+                    "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert lines[0].startswith("problem,smoother,")
+        assert lines[1].split(",")[0] == "neumann1d:8"
+
+    def test_format_flag_wins_over_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        assert run(["analyze", "--config", write_config(tmp_path, "format = csv"),
+                    "--format", "json", "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["n"] == 8
+
+    def test_variant_stg_runs_stg(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "variant = stg", "sweeps = 3")
+        assert run(["solve", "--config", cfg]) == 0
+        assert json.loads(capsys.readouterr().out)["variant"] == "stg"
+
+    @pytest.mark.parametrize("command, line", [
+        ("analyze", "format = xml"),
+        ("solve", "variant = bogus"),
+        ("analyze", "func = x"),
+        ("analyze", "command = verify"),
+        ("solve", "format = csv"),
+    ], ids=["format-xml", "variant-bogus", "func", "command", "format-in-solve"])
+    def test_invalid_key_or_value_is_an_error_line(self, tmp_path, capsys,
+                                                   command, line):
+        assert run([command, "--config", write_config(tmp_path, line)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--problem", "neumann1d:8", "--sweeps", "0"],
     ["analyze", "--problem", "neumann1d:8", "--epsilon", "1.5"],
