@@ -82,39 +82,56 @@ def sigma_tg(h: TwoGridHierarchy) -> float:
 def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
     """(n - s + 1)-th smallest eigenvalue of Mtilde A Pi_A, with its guard.
 
-    Evaluated on the symmetric form Pi A^{1/2} Mtilde A^{1/2} Pi. The value
-    is only meaningful when that matrix has full coarse rank s (the guard);
-    otherwise 0 is returned, which keeps every bound valid. Returns
-    (delta, guard_ok). One eigen-solve serves the guard and the value.
+    Evaluated as the smallest eigenvalue of the s x s form
+    Q^T A^{1/2} Mtilde A^{1/2} Q, whose spectrum is the nonzero part of that
+    of Pi A^{1/2} Mtilde A^{1/2} Pi. The value is only meaningful when that
+    matrix has full coarse rank s (the guard); otherwise 0 is returned,
+    which keeps every bound valid. Returns (delta, guard_ok). One
+    eigen-solve serves the guard and the value.
     """
     w = h.coarse_spectrum
     if spectrum_rank(w, h.policy) != h.s:
         return 0.0, False
-    return float(w[h.n - h.s]), True
+    return float(w[0]), True
+
+
+def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
+    """The s x s core C of the coarse correction Q C Q^T on the A^{1/2} side.
+
+    C = I for the exact solve, whose correction is the projector Pi, and
+    C = R Bc^+ R^T for the coarse solve Bc^+.
+    """
+    if bc is None:
+        return np.eye(h.s)
+    return h.R @ bc.pinv @ h.R.T
+
+
+def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
+    """A^{1/2} Mbar A^{1/2} + K^T Q C Q^T K with K = I - A^{1/2} M A^{1/2}."""
+    c = h.Q.T @ h.pre_smoother
+    return sym_part(h.smoother_form + c.T @ core @ c)
 
 
 def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
     """Quadratic-form matrix of the exact iteration on the A^{1/2} side.
 
-    A^{1/2} Mbar A^{1/2} + (I - A^{1/2} M^T A^{1/2}) Pi (I - A^{1/2} M A^{1/2});
+    A^{1/2} Mbar A^{1/2} + (I - A^{1/2} M^T A^{1/2}) Pi (I - A^{1/2} M A^{1/2})
+    with Pi = Q Q^T, so the coarse block is Q C Q^T with core C = I;
     SPSD, and its null space equals the null space of A exactly when the
     intersection condition holds.
     """
-    pre = h.pre_smoother
-    return sym_part(h.smoother_form + pre.T @ h.Pi @ pre)
+    return _quadratic_form(h, _coarse_core(h, None))
 
 
 def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
     """Quadratic-form matrix of the inexact iteration with coarse matrix Bc.
 
-    Uses the symmetrized coarse solve 2 Bc^+ - Bc^+ Ac Bc^+ in place of the
-    projector block of the exact form.
+    The symmetrized coarse solve 2 Bc^+ - Bc^+ Ac Bc^+ takes the place of
+    Ac^+: on the A^{1/2} side its block is Q (2 C - C^2) Q^T with
+    C = R Bc^+ R^T, since R^T R = Ac.
     """
-    pre = h.pre_smoother
-    ah = h.A.sqrt
-    btilde = sym_part(2.0 * bc.pinv - bc.pinv @ h.Ac.matrix @ bc.pinv)
-    middle = sym_part(ah @ h.P @ btilde @ h.P.T @ ah)
-    return sym_part(h.smoother_form + pre.T @ middle @ pre)
+    core = _coarse_core(h, bc)
+    return _quadratic_form(h, 2.0 * core - core @ core)
 
 
 # ---------------------------------------------------------------------------
@@ -196,25 +213,21 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     """Worst-case energy-seminorm contraction by direct maximization.
 
     Builds the A^{1/2}-conjugated error propagator G of the requested
-    iteration ("tg", "stg", or "itg" with a coarse matrix), restricts it to
+    iteration ("tg", "stg", or "itg" with a coarse matrix), whose coarse
+    correction is Q C Q^T with the core C of that solve, restricts it to
     an orthonormal basis V of the range of A, and returns the largest
     singular value as sqrt(lambda_max(V^T G^T G V)). Independent of every
     index-based identity above; this is the anti-drift reference value.
     """
-    pre = h.pre_smoother
-    i_n = np.eye(h.n)
-    if iteration == "tg":
-        g = (i_n - h.Pi) @ pre
-    elif iteration == "stg":
-        g = pre.T @ (i_n - h.Pi) @ pre
-    elif iteration == "itg":
-        if coarse is None:
-            raise ValueError("iteration 'itg' needs the coarse matrix")
-        ah = h.A.sqrt
-        pi_b = ah @ h.P @ coarse.pinv @ h.P.T @ ah
-        g = (i_n - pi_b) @ pre
-    else:
+    if iteration not in ("tg", "stg", "itg"):
         raise ValueError(f"unknown iteration '{iteration}'")
+    if iteration == "itg" and coarse is None:
+        raise ValueError("iteration 'itg' needs the coarse matrix")
+    pre = h.pre_smoother
+    core = _coarse_core(h, coarse if iteration == "itg" else None)
+    g = pre - h.Q @ (core @ (h.Q.T @ pre))
+    if iteration == "stg":
+        g = pre.T @ g
     gv = g @ h.A.range_basis
     w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
     return float(np.sqrt(max(float(w[-1]), 0.0)))

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corpus, mmio, solver
-from .errors import TwoGridError
+from .errors import NotSpsdError, TwoGridError
 from .linalg import TolerancePolicy, spsd_certify
 from .model import (
     CustomSmoother,
@@ -200,6 +200,9 @@ _CHOICES = {
     "variant": ("auto", "tg", "stg", "itg"),
 }
 
+# The type of each non-string option, for its flag and its config key.
+_TYPES = {"sweeps": int, "seed": int, "epsilon": float}
+
 
 def _finalize_args(args) -> None:
     """Fill unset options from the config file, then from the defaults.
@@ -209,7 +212,6 @@ def _finalize_args(args) -> None:
     """
     if getattr(args, "config", None):
         options = vars(args).keys() - {"command", "func", "config"}
-        converters = {"sweeps": int, "seed": int, "epsilon": float}
         for key, value in load_config(args.config).items():
             if key not in options:
                 raise UsageError(f"unknown config key '{key}'")
@@ -217,8 +219,14 @@ def _finalize_args(args) -> None:
                 raise UsageError(
                     f"config key '{key}': invalid choice '{value}' "
                     f"(choose from {', '.join(_CHOICES[key])})")
+            convert = _TYPES.get(key, str)
+            try:
+                value = convert(value)
+            except ValueError:
+                raise UsageError(f"config key '{key}': invalid {convert.__name__} "
+                                 f"value '{value}'") from None
             if getattr(args, key) is None:
-                setattr(args, key, converters.get(key, str)(value))
+                setattr(args, key, value)
     for key, default in _DEFAULTS.items():
         if hasattr(args, key) and getattr(args, key) is None:
             setattr(args, key, default)
@@ -236,12 +244,19 @@ def _build_problem(args):
     return a, p, a.matrix @ u_ref, u_ref
 
 
-def _coarse_matrix(mode, value, h):
-    """Certified Bc for the bc:PATH and scale:C coarse specs, else None."""
-    if mode == "bc":
-        return spsd_certify(mmio.read_matrix(value), h.policy)
-    if mode == "scale":
-        return spsd_certify(value * h.Ac.matrix, h.policy)
+def _coarse_matrix(spec, mode, value, h):
+    """Certified Bc for the bc:PATH and scale:C coarse specs, else None.
+
+    `spec` is the coarse spec text that (mode, value) was parsed from; an
+    invalid Bc is reported under it.
+    """
+    try:
+        if mode == "bc":
+            return spsd_certify(mmio.read_matrix(value), h.policy)
+        if mode == "scale":
+            return spsd_certify(value * h.Ac.matrix, h.policy)
+    except NotSpsdError as exc:
+        raise NotSpsdError(f"coarse matrix '{spec}' is invalid: {exc}") from exc
     return None
 
 
@@ -276,8 +291,9 @@ def cmd_analyze(args) -> int:
     if mode == "eps" and epsilon is None:
         epsilon = value
 
-    report = analysis.convergence_report(h, coarse=_coarse_matrix(mode, value, h),
-                                         epsilon=epsilon, meta=_meta(args))
+    bc = _coarse_matrix(args.coarse, mode, value, h)
+    report = analysis.convergence_report(h, coarse=bc, epsilon=epsilon,
+                                         meta=_meta(args))
     if args.format == "csv":
         _write_text(args.output, analysis.report_csv([report]))
     else:
@@ -290,7 +306,7 @@ def cmd_solve(args) -> int:
     a, p, f, u_ref = _build_problem(args)
     h = build_hierarchy(a, p, parse_smoother(args.smoother))
     mode, value = parse_coarse(args.coarse)
-    bc = _coarse_matrix(mode, value, h)
+    bc = _coarse_matrix(args.coarse, mode, value, h)
     coarse_spec = None
     if bc is not None:
         coarse_spec = solver.LinearSpsdCoarse(bc)
@@ -363,7 +379,8 @@ def _add_setup_arguments(sub, with_coarse=True):
     sub.add_argument("--prolongation", help="aggregate:K | PATH.mtx")
     if with_coarse:
         sub.add_argument("--coarse", help="exact | bc:PATH.mtx | scale:C | eps:E")
-    sub.add_argument("--seed", type=int, help="seed for u_ref and run randomness")
+    sub.add_argument("--seed", type=_TYPES["seed"],
+                     help="seed for u_ref and run randomness")
     sub.add_argument("--config", help="flat key=value config file; flags win")
 
 
@@ -376,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze = subs.add_parser("analyze", help="convergence analysis report")
     _add_setup_arguments(analyze)
-    analyze.add_argument("--epsilon", type=float,
+    analyze.add_argument("--epsilon", type=_TYPES["epsilon"],
                          help="general coarse-solver accuracy for the bound")
     analyze.add_argument("--output", help="report path (default: stdout)")
     analyze.add_argument("--format", choices=_CHOICES["format"])
@@ -384,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     solve = subs.add_parser("solve", help="run sweeps and write the trace")
     _add_setup_arguments(solve)
-    solve.add_argument("--sweeps", type=int, help="number of sweeps")
+    solve.add_argument("--sweeps", type=_TYPES["sweeps"], help="number of sweeps")
     solve.add_argument("--variant", choices=_CHOICES["variant"])
     solve.add_argument("--output", help="basename for .csv trace and .json summary")
     solve.set_defaults(func=cmd_solve)

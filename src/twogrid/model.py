@@ -2,9 +2,10 @@
 
 Builds smoothers (weighted Jacobi, Gauss-Seidel, custom M), the symmetrized
 smoother operators M + M^T - M^T A M and M + M^T - M A M^T, the Galerkin
-coarse matrix P^T A P with its pseudoinverse, and the projectors derived from
-them. Also provides SPSD test problems: Neumann Laplacians in 1d/2d, weighted
-graph Laplacians, seeded random rank-deficient matrices, and file input.
+coarse matrix P^T A P, and an orthonormal basis of the coarse space on the
+A^{1/2} side. Also provides SPSD test problems: Neumann Laplacians in 1d/2d,
+weighted graph Laplacians, seeded random rank-deficient matrices, and file
+input.
 """
 from __future__ import annotations
 
@@ -118,14 +119,17 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
-    r and s are the ranks of A and Ac (s <= r); Mbar and the projector Pi =
-    A^{1/2} P Ac^+ P^T A^{1/2} are assembled on construction. The rest is
-    built on first read and kept while the hierarchy lives: the smoother
-    form, Mtilde, the pre-smoother, the spectra the analysis reads and its
-    null-space decisions. So each is solved once per hierarchy, however many
-    analysis calls read it; only the pre-smoother (and, for a nonsymmetric
-    M, Mtilde and its form) adds an n x n array. build_hierarchy validates;
-    this does not.
+    r and s are the ranks of A and Ac (s <= r); Mbar is assembled on
+    construction. The coarse space on the A^{1/2} side is the truncated SVD
+    A^{1/2} P = Q R: Q (n x s) has orthonormal columns and R (s x nc) is
+    Sigma_s V_s^T. The projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} is Q Q^T and
+    is never stored; every coarse correction is Q C Q^T with an s x s core C.
+    Q, R and the rest are built on first read and kept while the hierarchy
+    lives: the smoother form, Mtilde, the pre-smoother, the spectra the
+    analysis reads and its null-space decisions. So each is solved once per
+    hierarchy, however many analysis calls read it; only the pre-smoother
+    (and, for a nonsymmetric M, Mtilde and its form) adds an n x n array.
+    build_hierarchy validates; this does not.
     """
 
     A: SpsdOperator
@@ -133,15 +137,9 @@ class TwoGridHierarchy:
     P: np.ndarray
     Ac: SpsdOperator
     Mbar: np.ndarray = field(init=False)
-    Pi: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        a = self.A
-        object.__setattr__(self, "Mbar", mbar(self.M, a))
-        # P Ac^+ P^T is a temporary so that it is freed before the smoother
-        # spectrum is solved; held there, it adds one n x n array to the peak.
-        object.__setattr__(self, "Pi", sym_part(
-            a.sqrt @ (self.P @ self.Ac.pinv @ self.P.T) @ a.sqrt))
+        object.__setattr__(self, "Mbar", mbar(self.M, self.A))
 
     @property
     def r(self) -> int:
@@ -162,6 +160,28 @@ class TwoGridHierarchy:
     @property
     def policy(self) -> TolerancePolicy:
         return self.A.policy
+
+    @cached_property
+    def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, R) from the SVD of A^{1/2} P, truncated to s = rank(Ac).
+
+        The squared singular values are Ac's eigenvalues, so s is Ac's one
+        rank decision; none is made on these singular values, whose trailing
+        ones carry A^{1/2}'s rounding in the null space of A.
+        """
+        u, sv, vt = np.linalg.svd(self.A.sqrt @ self.P, full_matrices=False)
+        s = self.s
+        return u[:, :s].copy(), sv[:s, None] * vt[:s]
+
+    @property
+    def Q(self) -> np.ndarray:
+        """Orthonormal basis (n x s) of the range of A^{1/2} P."""
+        return self.coarse_factors[0]
+
+    @property
+    def R(self) -> np.ndarray:
+        """The s x nc factor with Q R = A^{1/2} P."""
+        return self.coarse_factors[1]
 
     @cached_property
     def Mtilde(self) -> np.ndarray:
@@ -209,14 +229,20 @@ class TwoGridHierarchy:
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:
-        """Spectrum of (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi)."""
-        i_pi = np.eye(self.n) - self.Pi
-        return np.linalg.eigvalsh(sym_part(i_pi @ self.mtilde_form @ i_pi))
+        """Spectrum of (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi), Pi = Q Q^T."""
+        q = self.Q
+        y = self.mtilde_form - q @ (q.T @ self.mtilde_form)
+        return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
 
     @cached_property
     def coarse_spectrum(self) -> np.ndarray:
-        """Spectrum of Pi A^{1/2} Mtilde A^{1/2} Pi."""
-        return np.linalg.eigvalsh(sym_part(self.Pi @ self.mtilde_form @ self.Pi))
+        """Spectrum of Q^T A^{1/2} Mtilde A^{1/2} Q (s x s).
+
+        With n - s zeros added it is the spectrum of Pi A^{1/2} Mtilde
+        A^{1/2} Pi.
+        """
+        q = self.Q
+        return np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
 
     @cached_property
     def intersection(self) -> tuple[int, float]:

@@ -150,7 +150,7 @@ def test_criterion_6a_observed_tail_matches_factor(neumann32):
     ah = h.A.sqrt
     eye = np.eye(h.n)
     k = ah @ h.M @ ah
-    q = h.Pi
+    q = h.Q @ h.Q.T
     v = h.A.range_basis
     compressed = v.T @ (eye - q) @ (eye - k) @ (eye - q) @ v
     rho = float(np.max(np.abs(np.linalg.eigvalsh(sym_part(compressed)))))

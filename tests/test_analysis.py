@@ -150,6 +150,13 @@ class TestExactFactor:
         assert abs(rep.factor_identity - rep.factor_oracle) <= 1e-10
         assert abs(rep.factor_identity - rep.factor_ftg) <= 1e-10
 
+    @pytest.mark.parametrize("n", [400, 800])
+    def test_identity_and_quadratic_form_agree_at_large_n(self, n):
+        # the coarse correction is Q Q^T with orthonormal Q, so no product
+        # whose idempotency is lost to cond(Ac) drifts the ftg route
+        rep = exact_factor(neumann_hierarchy(n=n))
+        assert abs(rep.factor_identity - rep.factor_ftg) <= 1e-13
+
     def test_routes_agree_with_zero_prolongation_column(self):
         # a dead coarse variable leaves the Galerkin matrix rank-deficient
         # but nonzero; the analysis must handle s < nc transparently
@@ -178,7 +185,7 @@ class TestSeminormOracle:
         h = neumann_hierarchy(n=8)
         baseline = seminorm_oracle(h, "tg")
         pre = np.eye(8) - h.A.sqrt @ h.M @ h.A.sqrt
-        g = (np.eye(8) - h.Pi) @ pre
+        g = (np.eye(8) - h.Q @ h.Q.T) @ pre
         perm = np.random.default_rng(0).permutation(h.r)
         gv = g @ h.A.range_basis[:, perm]
         w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
@@ -407,11 +414,11 @@ def neumann2d_report_inputs(smoother=WeightedJacobi(2.0 / 3.0)):
 
 
 def eigensolves(monkeypatch, call):
-    """Names of the numpy eigen-solvers `call()` runs, in order."""
+    """(name, order) of each numpy eigen-solve `call()` runs, in order."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append(_solver.__name__)
+            calls.append((_solver.__name__, np.shape(args[0])[0]))
             return _solver(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
     call()
@@ -476,6 +483,7 @@ class TestSharedSpectra:
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 11, calls
+        assert sum(order == h.n for _, order in calls) <= 6, calls
 
     def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
         # Mbar != Mtilde here, so the Mtilde spectrum is one solve of its own
@@ -484,15 +492,19 @@ class TestSharedSpectra:
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 12, calls
+        assert sum(order == h.n for _, order in calls) <= 7, calls
 
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
-        # pre-smoother is the only n x n array a Jacobi report adds
+        # pre-smoother is the only n x n array a Jacobi report adds; the
+        # coarse basis adds Q (n x s) and R (s x nc)
         h, bc = neumann2d_report_inputs()
         before = dict(vars(h))
         held = {id(value) for value in before.values()}
         convergence_report(h, coarse=bc, epsilon=0.3)
         added = {key: value for key, value in vars(h).items() if key not in before}
+        q, r = added.pop("coarse_factors")
+        assert q.shape == (h.n, h.s) and r.shape == (h.s, h.nc)
         square = {id(value) for value in added.values()
                   if np.ndim(value) == 2 and id(value) not in held}
         assert square == {id(h.pre_smoother)}

@@ -286,7 +286,11 @@ class TestConfigValues:
         ("analyze", "func = x"),
         ("analyze", "command = verify"),
         ("solve", "format = csv"),
-    ], ids=["format-xml", "variant-bogus", "func", "command", "format-in-solve"])
+        ("analyze", "seed = 1.5"),
+        ("solve", "sweeps = x"),
+        ("analyze", "epsilon = abc"),
+    ], ids=["format-xml", "variant-bogus", "func", "command", "format-in-solve",
+            "seed-float", "sweeps-x", "epsilon-abc"])
     def test_invalid_key_or_value_is_an_error_line(self, tmp_path, capsys,
                                                    command, line):
         assert run([command, "--config", write_config(tmp_path, line)]) == 1
@@ -294,6 +298,7 @@ class TestConfigValues:
         assert captured.out == ""
         assert captured.err.startswith("error:")
         assert len(captured.err.splitlines()) == 1
+        assert f"'{line.partition('=')[0].strip()}'" in captured.err
 
 
 @pytest.mark.parametrize("argv", [
@@ -332,6 +337,16 @@ def test_coarse_eps_error_names_eps(capsys):
     err = capsys.readouterr().err
     assert "eps must lie in [0, 1), got 1.5" in err
     assert "declared_eps" not in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+@pytest.mark.parametrize("coarse", ["scale:0", "scale:-2"])
+def test_invalid_coarse_matrix_is_named(command, coarse, capsys):
+    assert run([command, "--problem", "neumann1d:8", "--coarse", coarse]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+    assert f"coarse matrix '{coarse}' is invalid" in err
 
 
 class TestEnvOverrides:

@@ -4,6 +4,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from twogrid import corpus
 from twogrid.errors import (
     NotSpsdError,
     ShapeError,
@@ -148,11 +149,14 @@ class TestBuildHierarchy:
         assert (h.r, h.s) == (7, 3)
 
     def test_unread_operators_are_not_built(self):
-        # the hierarchy reads A^{1/2} and Ac^+ only; A^+ and Ac^{1/2} stay unbuilt
+        # set-up reads A^{1/2} only: nothing coarse is built, and neither are
+        # A^+, Ac^+ or Ac^{1/2}
         h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
                             WeightedJacobi(2.0 / 3.0))
+        assert not hasattr(h, "Pi")
+        assert "coarse_factors" not in vars(h)
         assert "pinv" not in vars(h.A) and "sqrt" not in vars(h.Ac)
-        assert "sqrt" in vars(h.A) and "pinv" in vars(h.Ac)
+        assert "sqrt" in vars(h.A) and "pinv" not in vars(h.Ac)
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
@@ -162,8 +166,10 @@ class TestBuildHierarchy:
         ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p, Ac=ac)
         built = build_hierarchy(a, p, GaussSeidel())
-        for name in ("Mbar", "Mtilde", "Pi"):
+        for name in ("Mbar", "Mtilde"):
             assert np.array_equal(getattr(h, name), getattr(built, name)), name
+        for mine, theirs in zip(h.coarse_factors, built.coarse_factors):
+            assert np.array_equal(mine, theirs)
         assert (h.r, h.s) == (a.rank, ac.rank) == (9, 4)
 
     def test_zero_coarse_matrix_rejected(self):
@@ -193,11 +199,17 @@ class TestBuildHierarchy:
         p = aggregation_prolongation(10, 2)
         h = build_hierarchy(a, p, GaussSeidel())
         tol = h.policy.match_tol
-        assert np.max(np.abs(h.Pi @ h.Pi - h.Pi)) <= tol
-        assert np.max(np.abs(h.Pi - h.Pi.T)) <= tol
-        assert abs(np.trace(h.Pi) - h.s) <= 10.0 * tol
         pi_a = h.P @ h.Ac.pinv @ h.P.T @ h.A.matrix
         assert np.max(np.abs(pi_a @ pi_a - pi_a)) <= tol
+        # Pi = Q Q^T: Q has s orthonormal columns and Q R = A^{1/2} P
+        for case in corpus.builtin_corpus():
+            h, _, _ = corpus.build_case(case)
+            q, r = h.coarse_factors
+            ah_p = h.A.sqrt @ h.P
+            assert q.shape == (h.n, h.s), case.name
+            assert np.max(np.abs(q.T @ q - np.eye(h.s))) <= 1e-14, case.name
+            assert (np.max(np.abs(q @ r - ah_p))
+                    <= 1e-8 * np.max(np.abs(ah_p))), case.name
 
     def test_mbar_mtilde_conjugate_spectra_match(self):
         a = certify(neumann_laplacian_1d(9))

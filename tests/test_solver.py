@@ -70,7 +70,7 @@ class TestSweeps:
     def test_worst_direction_attains_factor(self, setup8):
         h, f, u_ref = setup8
         factor = exact_factor(h).factor_identity
-        g = (np.eye(8) - h.Pi) @ (np.eye(8) - h.A.sqrt @ h.M @ h.A.sqrt)
+        g = (np.eye(8) - h.Q @ h.Q.T) @ (np.eye(8) - h.A.sqrt @ h.M @ h.A.sqrt)
         _, _, vt = np.linalg.svd(g @ h.A.range_basis)
         e0 = h.A.pinv_sqrt @ (h.A.range_basis @ vt[0])
         u0 = u_ref - e0
