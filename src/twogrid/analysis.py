@@ -9,7 +9,9 @@ point of use. Each conjugated form and spectrum that depends only on the
 hierarchy is solved once per hierarchy and cached on it (see
 TwoGridHierarchy), so a report and any later call on the same hierarchy
 share it; each function here is the one formula for its quantity over those
-spectra.
+spectra. The spectrum of Mtilde A is read off the smoother spectrum: on the
+A^{1/2} side the two forms are I - K K^T and I - K^T K with
+K = I - A^{1/2} M A^{1/2}, so their eigenvalues agree.
 
 Main entry points:
 
@@ -53,11 +55,13 @@ def _factor_from(value: float) -> float:
 def smoothing_floor(h: TwoGridHierarchy) -> float:
     """(n - r + 1)-th smallest eigenvalue of Mtilde A.
 
-    Evaluated on the similar symmetric form A^{1/2} Mtilde A^{1/2}; this is
-    the eigenvalue that caps how much the smoother alone can leave behind on
-    the range of A.
+    Mtilde A is similar to the symmetric form A^{1/2} Mtilde A^{1/2}
+    = I - K K^T, which has the eigenvalues of the smoother form
+    A^{1/2} Mbar A^{1/2} = I - K^T K (K = I - A^{1/2} M A^{1/2}); so this
+    reads the hierarchy's smoother spectrum. It is the eigenvalue that caps
+    how much the smoother alone can leave behind on the range of A.
     """
-    return float(h.mtilde_spectrum[h.n - h.r])
+    return float(h.smoother_spectrum[h.n - h.r])
 
 
 def sigma_tg(h: TwoGridHierarchy) -> float:
@@ -237,11 +241,12 @@ def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
     """Interlacing bounds on the exact factor from the spectrum of Mtilde A.
 
     sqrt(1 - lambda_{n-r+s+1}) <= factor <= sqrt(1 - lambda_{n-r+1}), both
-    evaluated on A^{1/2} Mtilde A^{1/2}. With s = r the lower spectral
-    position would fall past the spectrum; the factor is exactly zero there,
-    so the lower bound degenerates to 0.
+    read off the smoother spectrum, which is that of A^{1/2} Mtilde A^{1/2}
+    (see smoothing_floor). With s = r the lower spectral position would fall
+    past the spectrum; the factor is exactly zero there, so the lower bound
+    degenerates to 0.
     """
-    w = h.mtilde_spectrum
+    w = h.smoother_spectrum
     upper = _factor_from(float(w[h.n - h.r]))
     if h.s == h.r:
         return 0.0, upper
@@ -265,7 +270,6 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
 
     eigengap = None
     if h.s == h.r:
-        factor_identity = 0.0
         factor_ftg = 0.0
     else:
         idx = h.n - h.r + h.s
@@ -394,8 +398,6 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
 
     w_fitg = np.linalg.eigvalsh(fitg_matrix(h, bc))
     factor_itg = _factor_from(float(w_fitg[h.n - h.r]))
-    if h.s == h.r:
-        factor_itg = 0.0
 
     return InexactFactorReport(
         alpha1=alpha1,

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corpus, mmio, solver
-from .errors import NotSpsdError, TwoGridError
+from .errors import NotSpsdError, ShapeError, TwoGridError
 from .linalg import TolerancePolicy, spsd_certify
 from .model import (
     CustomSmoother,
@@ -255,8 +255,8 @@ def _coarse_matrix(spec, mode, value, h):
             return spsd_certify(mmio.read_matrix(value), h.policy)
         if mode == "scale":
             return spsd_certify(value * h.Ac.matrix, h.policy)
-    except NotSpsdError as exc:
-        raise NotSpsdError(f"coarse matrix '{spec}' is invalid: {exc}") from exc
+    except (NotSpsdError, ShapeError) as exc:
+        raise type(exc)(f"coarse matrix '{spec}' is invalid: {exc}") from exc
     return None
 
 

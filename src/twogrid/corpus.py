@@ -139,7 +139,10 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     oracle_stg = analysis.seminorm_oracle(h, "stg")
     record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
 
-    w = h.mtilde_spectrum
+    # the Mtilde form's own spectrum, independent of the smoother spectrum
+    # the analysis reads in its place
+    w = (h.smoother_spectrum if h.mtilde_form is h.smoother_form
+         else np.linalg.eigvalsh(h.mtilde_form))
     record("spectrum_box", max(-float(w[0]), float(w[-1]) - 1.0),
            h.policy.psd_slack)
 

@@ -125,10 +125,11 @@ class TwoGridHierarchy:
     Sigma_s V_s^T. The projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} is Q Q^T and
     is never stored; every coarse correction is Q C Q^T with an s x s core C.
     Q, R and the rest are built on first read and kept while the hierarchy
-    lives: the smoother form, Mtilde, the pre-smoother, the spectra the
-    analysis reads and its null-space decisions. So each is solved once per
-    hierarchy, however many analysis calls read it; only the pre-smoother
-    (and, for a nonsymmetric M, Mtilde and its form) adds an n x n array.
+    lives: the smoother form, the Mtilde form, the pre-smoother, the spectra
+    the analysis reads and its null-space decisions. So each is solved once
+    per hierarchy, however many analysis calls read it; only the pre-smoother
+    (and, for a nonsymmetric M, the Mtilde form) adds an n x n array. Mtilde
+    itself is not kept, and the Mtilde form's spectrum is smoother_spectrum.
     build_hierarchy validates; this does not.
     """
 
@@ -184,11 +185,6 @@ class TwoGridHierarchy:
         return self.coarse_factors[1]
 
     @cached_property
-    def Mtilde(self) -> np.ndarray:
-        """M + M^T - M A M^T, the same formula as Mbar for a symmetric M."""
-        return mtilde(self.M, self.A)
-
-    @cached_property
     def smoother_form(self) -> np.ndarray:
         """A^{1/2} Mbar A^{1/2}; the smoother assumption is that it is PSD."""
         return sym_part(self.A.sqrt @ self.Mbar @ self.A.sqrt)
@@ -199,7 +195,10 @@ class TwoGridHierarchy:
 
         Nonnegativity of this spectrum is equivalent to the smoothing
         iteration being a (not necessarily strict) contraction in the energy
-        seminorm; build_hierarchy certifies the smoother on it.
+        seminorm; build_hierarchy certifies the smoother on it. It is also
+        the spectrum of the Mtilde form: with K = I - A^{1/2} M A^{1/2} the
+        smoother form is I - K^T K and the Mtilde form is I - K K^T, and
+        K^T K and K K^T have the same eigenvalues.
         """
         return np.linalg.eigvalsh(self.smoother_form)
 
@@ -211,21 +210,11 @@ class TwoGridHierarchy:
     @cached_property
     def mtilde_form(self) -> np.ndarray:
         """A^{1/2} Mtilde A^{1/2}; for a symmetric M, the same formula as the
-        smoother form A^{1/2} Mbar A^{1/2}, which it then is."""
+        smoother form A^{1/2} Mbar A^{1/2}, which it then is. Its spectrum is
+        smoother_spectrum."""
         if np.array_equal(self.M, self.M.T):
             return self.smoother_form
-        return sym_part(self.A.sqrt @ self.Mtilde @ self.A.sqrt)
-
-    @cached_property
-    def mtilde_spectrum(self) -> np.ndarray:
-        """Spectrum of the Mtilde form.
-
-        When Mbar equals Mtilde the two forms are the same bytes, so this is
-        the smoother spectrum and costs no eigen-solve.
-        """
-        if self.mtilde_form is self.smoother_form:
-            return self.smoother_spectrum
-        return np.linalg.eigvalsh(self.mtilde_form)
+        return sym_part(self.A.sqrt @ mtilde(self.M, self.A) @ self.A.sqrt)
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:

@@ -247,16 +247,13 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     a = h.A.matrix
     f_norm = float(np.linalg.norm(f))
 
-    # The energy seminorm ignores the null-space component of the error, so
-    # it is evaluated on the range projection; this keeps the measurement
-    # noise well below the stagnation floor even when u_ref - u carries an
-    # O(1) null component.
+    # ||d||_A = ||sqrt(lambda_r) * (V_r^T d)|| over A's certified range
+    # eigenpairs (lambda_r, V_r), so the null-space part of d never enters.
     v_range = h.A.range_basis
-    sqrt_a = h.A.sqrt
+    sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])
 
     def error_of(u):
-        d = u_ref - u
-        return float(np.linalg.norm(sqrt_a @ (v_range @ (v_range.T @ d))))
+        return float(np.linalg.norm(sqrt_lam * (v_range.T @ (u_ref - u))))
 
     r = f - a @ u
     errors = [error_of(u)] if u_ref is not None else None

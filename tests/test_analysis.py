@@ -32,6 +32,7 @@ from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
     NeumannLaplacian2D,
+    RandomSpsd,
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
@@ -226,7 +227,7 @@ class TestSpectrumBox:
     @pytest.mark.parametrize("smoother", [WeightedJacobi(0.5), GaussSeidel()])
     def test_conjugated_mtilde_in_unit_interval(self, smoother):
         h = neumann_hierarchy(n=12, smoother=smoother)
-        w = np.linalg.eigvalsh(sym_part(h.A.sqrt @ h.Mtilde @ h.A.sqrt))
+        w = np.linalg.eigvalsh(h.mtilde_form)
         slack = h.policy.psd_slack
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
@@ -244,6 +245,19 @@ class TestInexactAnalysis:
         assert abs(rep.lower_L - exact.factor_identity) <= 1e-12
         assert abs(rep.upper_U - exact.factor_identity) <= 1e-12
         assert abs(rep.factor_exact_itg - exact.factor_identity) <= 1e-10
+
+    def test_full_coarse_rank_inexact_factor_is_not_zero(self):
+        # s = r zeroes the exact factor, not the one with Bc = 2 Ac
+        a, p, _, _ = generate_problem(RandomSpsd(6, 2, 0), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert h.s == h.r
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        report = convergence_report(h, coarse=bc)
+        tol = h.policy.match_tol
+        assert report["factor_itg_oracle"] > 0.1
+        assert abs(report["factor_itg"] - report["factor_itg_oracle"]) <= tol
+        assert (report["lower_itg"] - tol <= report["factor_itg"]
+                <= report["upper_itg"] + tol)
 
     def test_doubled_coarse_matrix(self):
         h = neumann_hierarchy(n=8)
@@ -486,13 +500,14 @@ class TestSharedSpectra:
         assert sum(order == h.n for _, order in calls) <= 6, calls
 
     def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
-        # Mbar != Mtilde here, so the Mtilde spectrum is one solve of its own
+        # Mbar != Mtilde here, yet the Mtilde form has the smoother spectrum,
+        # so it costs no solve of its own: the same budget as Jacobi
         h, bc = neumann2d_report_inputs(GaussSeidel())
-        assert not np.array_equal(h.Mbar, h.Mtilde)
+        assert not np.array_equal(h.Mbar, mtilde(h.M, h.A))
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
-        assert 0 < len(calls) <= 12, calls
-        assert sum(order == h.n for _, order in calls) <= 7, calls
+        assert 0 < len(calls) <= 11, calls
+        assert sum(order == h.n for _, order in calls) <= 6, calls
 
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
@@ -544,10 +559,14 @@ class TestSharedSpectra:
     @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
                              ids=["jacobi", "gs"])
     def test_mtilde_built_only_for_nonsymmetric_m(self, smoother):
+        # Mtilde itself is never kept, and its form has no spectrum of its
+        # own; the form is a separate array only for a nonsymmetric M
         h, bc = neumann2d_report_inputs(smoother)
-        assert "Mtilde" not in vars(h) and "smoother_form" in vars(h)
+        assert "mtilde_form" not in vars(h) and "smoother_form" in vars(h)
         convergence_report(h, coarse=bc, epsilon=0.3)
+        assert not hasattr(h, "Mtilde") and not hasattr(h, "mtilde_spectrum")
         if isinstance(smoother, WeightedJacobi):
-            assert "Mtilde" not in vars(h)
+            assert h.mtilde_form is h.smoother_form
         else:
-            assert np.array_equal(vars(h)["Mtilde"], mtilde(h.M, h.A))
+            assert np.array_equal(
+                h.mtilde_form, sym_part(h.A.sqrt @ mtilde(h.M, h.A) @ h.A.sqrt))

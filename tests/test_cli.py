@@ -340,8 +340,13 @@ def test_coarse_eps_error_names_eps(capsys):
 
 
 @pytest.mark.parametrize("command", ["analyze", "solve"])
-@pytest.mark.parametrize("coarse", ["scale:0", "scale:-2"])
-def test_invalid_coarse_matrix_is_named(command, coarse, capsys):
+@pytest.mark.parametrize("coarse", ["scale:0", "scale:-2", "bc:ns.mtx"])
+def test_invalid_coarse_matrix_is_named(command, coarse, capsys, tmp_path,
+                                        monkeypatch):
+    # bc:ns.mtx is a nonsymmetric 4 x 4 file, which certification rejects
+    monkeypatch.chdir(tmp_path)
+    from twogrid.mmio import write_matrix
+    write_matrix("ns.mtx", np.eye(4) + np.triu(np.ones((4, 4)), 1))
     assert run([command, "--problem", "neumann1d:8", "--coarse", coarse]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")

@@ -166,7 +166,7 @@ class TestBuildHierarchy:
         ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p, Ac=ac)
         built = build_hierarchy(a, p, GaussSeidel())
-        for name in ("Mbar", "Mtilde"):
+        for name in ("Mbar", "mtilde_form"):
             assert np.array_equal(getattr(h, name), getattr(built, name)), name
         for mine, theirs in zip(h.coarse_factors, built.coarse_factors):
             assert np.array_equal(mine, theirs)
@@ -212,12 +212,17 @@ class TestBuildHierarchy:
                     <= 1e-8 * np.max(np.abs(ah_p))), case.name
 
     def test_mbar_mtilde_conjugate_spectra_match(self):
-        a = certify(neumann_laplacian_1d(9))
-        p = aggregation_prolongation(9, 3)
-        h = build_hierarchy(a, p, GaussSeidel())
-        wb = np.linalg.eigvalsh(sym_part(a.sqrt @ h.Mbar @ a.sqrt))
-        wt = np.linalg.eigvalsh(sym_part(a.sqrt @ h.Mtilde @ a.sqrt))
-        assert np.max(np.abs(wb - wt)) <= h.policy.match_tol
+        # the analysis reads the smoother spectrum as the Mtilde form's:
+        # I - K^T K and I - K K^T share their eigenvalues
+        cases = [case for case in corpus.builtin_corpus()
+                 if isinstance(case.smoother, GaussSeidel)]
+        assert len(cases) == 14
+        for case in cases:
+            h, _, _ = corpus.build_case(case)
+            assert h.mtilde_form is not h.smoother_form, case.name
+            gap = np.max(np.abs(np.linalg.eigvalsh(h.mtilde_form)
+                                - h.smoother_spectrum))
+            assert gap <= 1e-13, case.name
 
     def test_raw_matrix_accepted(self):
         h = build_hierarchy(neumann_laplacian_1d(6), aggregation_prolongation(6, 2),

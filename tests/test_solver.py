@@ -5,14 +5,16 @@ import pytest
 from twogrid import solver
 from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
 from twogrid.analysis import exact_factor, general_epsilon_bound, inexact_linear_analysis
-from twogrid.linalg import spsd_certify
+from twogrid.linalg import spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
     NeumannLaplacian1D,
+    RandomSpsd,
     TwoGridHierarchy,
     WeightedJacobi,
     build_hierarchy,
+    build_smoother,
     generate_problem,
 )
 from twogrid.solver import (
@@ -323,8 +325,8 @@ class TestIterate:
             return itg_sweep(h, u, f, coarse[1])
 
         def error(u):
-            v = h.A.range_basis
-            return float(np.linalg.norm(h.A.sqrt @ (v @ (v.T @ (u_ref - u)))))
+            sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])
+            return float(np.linalg.norm(sqrt_lam * (h.A.range_basis.T @ (u_ref - u))))
 
         u = np.random.default_rng(6).standard_normal(16)
         trace = iterate(h, f, u, 12, variant[:3], coarse=coarse[0], u_ref=u_ref)
@@ -335,6 +337,22 @@ class TestIterate:
             residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
         assert trace.errors_A == errors
         assert trace.residuals == residuals
+
+    @pytest.mark.parametrize("problem", [NeumannLaplacian1D(16), RandomSpsd(12, 8, 1)],
+                             ids=["neumann1d:16", "random:12:8:1"])
+    def test_error_reads_eigenpairs_not_the_square_root(self, problem):
+        # ||d||_A from A's certified range eigenpairs, against the former
+        # ||A^{1/2} V V^T d||, with an O(1) null-space part in d
+        a, p, f, u_ref = generate_problem(problem, group=2, seed=3)
+        h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p,
+                             Ac=spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy))
+        rng = np.random.default_rng(8)
+        d = rng.standard_normal(h.n) + h.A.null_basis @ np.ones(h.n - h.r)
+        trace = iterate(h, f, u_ref - d, 3, u_ref=u_ref)
+        assert "sqrt" not in vars(h.A)
+        v = h.A.range_basis
+        old = float(np.linalg.norm(h.A.sqrt @ (v @ (v.T @ d))))
+        assert abs(trace.errors_A[0] - old) <= 1e-13 * old
 
     def test_overflow_is_divergence(self):
         # a smoother of scale 1e150, assembled directly: u reaches 1e300 in

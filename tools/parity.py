@@ -7,12 +7,12 @@ Run against the tree under test, from any directory:
 A change meant to keep every number prints the same object as its parent, so
 the two outputs are compared with `diff`. Covered: the `twogrid verify`
 lines; `analyze` JSON and CSV and `solve` trace CSV and summary JSON for
-three problems, each with the exact, `scale:2` and `eps:0.3` coarse solves,
-plus an `stg` solve; the `generate` files; the report JSON of each of the 21
-corpus cases (Bc = 2 Ac, eps 0.3); and the report of the analyze-2d
-benchmark workload at seed 0. Each digest also covers the exit code and the
-stdout and stderr text of its command. BLAS runs on one thread, so the bytes
-do not depend on the thread count of the host.
+four problems (one with full coarse rank), each with the exact, `scale:2`
+and `eps:0.3` coarse solves, plus an `stg` solve; the `generate` files; the
+report JSON of each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); and the
+report of the analyze-2d benchmark workload at seed 0. Each digest also
+covers the exit code and the stdout and stderr text of its command. BLAS runs
+on one thread, so the bytes do not depend on the thread count of the host.
 """
 from __future__ import annotations
 
@@ -37,6 +37,7 @@ PROBLEMS = (
     ("neumann2d:8x8", "jacobi"),
     ("neumann1d:32", "gs"),
     ("random:20:13:4", "gs"),
+    ("random:6:2:0", "gs"),  # full coarse rank: s == r
 )
 COARSE = ("exact", "scale:2", "eps:0.3")
 ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
