@@ -144,7 +144,16 @@ def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Flags for the convergence conditions plus their decision margins."""
+    """Flags for the convergence conditions plus their decision margins.
+
+    Every field is read off a spectrum the hierarchy caches:
+    smoother_ok, smoother_min_eig and mbar_null_in_range_dim off the
+    smoother spectrum, intersection_dim and intersection_margin off the
+    complement spectrum, and mbar_min_eig off the spectrum of Mbar.
+    intersection_margin is sqrt of the smallest eigenvalue the complement
+    rank keeps (0.0 when none is kept); when the intersection condition
+    holds and s < r it is sqrt(sigma_tg).
+    """
 
     smoother_ok: bool
     equiv_cond_ok: bool
@@ -161,29 +170,46 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
     """Evaluate the contraction and convergence conditions of a hierarchy.
 
     smoother_ok: the smoothing iteration is nonexpansive in the energy
-        seminorm, equivalent to A^{1/2} Mbar A^{1/2} being PSD.
+        seminorm, equivalent to A^{1/2} Mbar A^{1/2} being PSD; read off the
+        smoother spectrum.
     equiv_cond_ok: the null spaces of A^{1/2} Mbar A^{1/2} and of
         P^T (I - A M) A^{1/2} intersect exactly in the null space of A;
-        necessary and sufficient for a convergence factor below one.
+        necessary and sufficient for a convergence factor below one. With
+        K = I - A^{1/2} M A^{1/2}, Pi = Q Q^T and G = (I - Pi) K, the
+        quadratic form ftg is I - G^T G and the complement form is
+        (I - Pi) - G G^T, so the complement's nullity is s plus the nullity
+        of ftg, which is the intersection dimension. The complement is a
+        compression of the Mtilde form (and at s = r pure rounding), so its
+        rank is cut relative to the largest magnitude of the smoother
+        spectrum, which the Mtilde form shares.
     suff_cond_ok: Mbar is PSD and its null space meets the range of A only
         at zero; a practical sufficient condition implying equiv_cond_ok.
+        A^{1/2} maps range(A) onto itself, so for a PSD Mbar that
+        intersection has dimension r minus the rank of the smoother form:
+        the flag reads the Mbar spectrum and the smoother spectrum.
+        mbar_null_in_range_dim is that difference; it is the dimension of
+        null(Mbar) within range(A) whenever Mbar is PSD, the only case in
+        which the flag reads it.
 
     Reports and never raises: diagnosing failing setups is a primary use.
     """
     w_smooth = h.smoother_spectrum
-    inter_dim, margin = h.intersection
+    w_comp = h.complement_spectrum
+    kept = spectrum_rank(w_comp, h.policy, scale=float(np.max(np.abs(w_smooth))))
+    inter_dim = h.n - h.s - kept
     nullity_a = h.n - h.r
+    null_in_range = h.r - spectrum_rank(w_smooth, h.policy)
     return ConditionReport(
         smoother_ok=bool(spectrum_psd(w_smooth, h.policy)),
         equiv_cond_ok=bool(inter_dim == nullity_a),
         suff_cond_ok=bool(spectrum_psd(h.mbar_spectrum, h.policy)
-                          and h.mbar_null_in_range == 0),
+                          and null_in_range == 0),
         intersection_dim=int(inter_dim),
         nullity_A=int(nullity_a),
         smoother_min_eig=float(w_smooth[0]),
-        intersection_margin=float(margin),
+        intersection_margin=float(np.sqrt(w_comp[h.n - kept])) if kept else 0.0,
         mbar_min_eig=float(h.mbar_spectrum[0]),
-        mbar_null_in_range_dim=int(h.mbar_null_in_range),
+        mbar_null_in_range_dim=int(null_in_range),
     )
 
 

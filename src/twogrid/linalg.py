@@ -211,15 +211,19 @@ def symmetric_rank(s, tol: TolerancePolicy) -> int:
     return spectrum_rank(np.linalg.eigvalsh(sym_part(s)), tol)
 
 
-def spectrum_rank(w: np.ndarray, tol: TolerancePolicy) -> int:
+def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,
+                  scale: float | None = None) -> int:
     """symmetric_rank read off an already computed spectrum w.
 
-    The one rank rule: eigenvalues above rank_rel_tol * max|w| count.
+    The one rank rule: eigenvalues above rank_rel_tol * scale count, where
+    scale defaults to max|w|. Pass the scale of the matrix that w was
+    compressed from when w itself may be pure rounding.
     """
-    lam_max = float(np.max(np.abs(w)))
-    if lam_max == 0.0:
+    if scale is None:
+        scale = float(np.max(np.abs(w)))
+    if scale == 0.0:
         return 0
-    return int(np.count_nonzero(w > tol.rank_rel_tol * lam_max))
+    return int(np.count_nonzero(w > tol.rank_rel_tol * scale))
 
 
 def spectrum_psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
@@ -230,26 +234,3 @@ def spectrum_psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
     """
     scale = max(1.0, float(np.max(np.abs(w))))
     return bool(float(w[0]) >= -tol.psd_slack * scale)
-
-
-def stacked_nullity(blocks, tol: TolerancePolicy) -> tuple[int, float]:
-    """Nullity of the vertically stacked blocks plus the decision margin.
-
-    The rank of the stack is measured on its Gram matrix with the policy's
-    relative threshold. Returns (nullity, smallest retained singular value);
-    the margin is 0.0 when nothing is retained. A small margin flags a
-    fragile rank decision near the threshold.
-    """
-    mats = [as_matrix(b, f"block{i}") for i, b in enumerate(blocks)]
-    cols = mats[0].shape[1]
-    for i, m in enumerate(mats[1:], start=1):
-        if m.shape[1] != cols:
-            raise ShapeError(
-                f"block{i} has {m.shape[1]} columns, expected {cols}")
-    stack = np.vstack(mats)
-    gram = sym_part(stack.T @ stack)
-    w = np.maximum(np.linalg.eigvalsh(gram), 0.0)
-    rank = spectrum_rank(w, tol)
-    margin = float(np.sqrt(w[cols - rank])) if rank > 0 else 0.0
-    return cols - rank, margin
-

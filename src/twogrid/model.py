@@ -24,7 +24,6 @@ from .linalg import (
     as_matrix,
     spectrum_psd,
     spsd_certify,
-    stacked_nullity,
     sym_part,
 )
 
@@ -64,15 +63,6 @@ def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
             f"diagonal entry {bad[0]} of A is zero; the matching row and column "
             "are zero as well, so solve the reduced system with that index removed")
     return d
-
-
-def jacobi_weight_limit(a: SpsdOperator) -> float:
-    """Stability limit 2 / lambda_max(D^{-1} A) for the weighted Jacobi smoother."""
-    d = _positive_diagonal(a)
-    scale = 1.0 / np.sqrt(d)
-    sym = sym_part(scale[:, None] * a.matrix * scale[None, :])
-    lam_max = float(np.linalg.eigvalsh(sym)[-1])
-    return np.inf if lam_max <= 0.0 else 2.0 / lam_max
 
 
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
@@ -125,11 +115,12 @@ class TwoGridHierarchy:
     Sigma_s V_s^T. The projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} is Q Q^T and
     is never stored; every coarse correction is Q C Q^T with an s x s core C.
     Q, R and the rest are built on first read and kept while the hierarchy
-    lives: the smoother form, the Mtilde form, the pre-smoother, the spectra
-    the analysis reads and its null-space decisions. So each is solved once
-    per hierarchy, however many analysis calls read it; only the pre-smoother
-    (and, for a nonsymmetric M, the Mtilde form) adds an n x n array. Mtilde
-    itself is not kept, and the Mtilde form's spectrum is smoother_spectrum.
+    lives: the smoother form, the Mtilde form, the pre-smoother and the
+    spectra the analysis reads, which also decide every convergence
+    condition. So each is solved once per hierarchy, however many analysis
+    calls read it; only the pre-smoother (and, for a nonsymmetric M, the
+    Mtilde form) adds an n x n array. Mtilde itself is not kept, and the
+    Mtilde form's spectrum is smoother_spectrum.
     build_hierarchy validates; this does not.
     """
 
@@ -234,26 +225,9 @@ class TwoGridHierarchy:
         return np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
 
     @cached_property
-    def intersection(self) -> tuple[int, float]:
-        """Null-space intersection of the smoother form and P^T (I - A M) A^{1/2}.
-
-        (dimension, margin) as stacked_nullity decides them.
-        """
-        pre_oblique = self.P.T @ (np.eye(self.n) - self.A.matrix @ self.M) @ self.A.sqrt
-        return stacked_nullity([self.smoother_form, pre_oblique], self.policy)
-
-    @cached_property
     def mbar_spectrum(self) -> np.ndarray:
         """Eigenvalues of Mbar itself, ascending."""
         return np.linalg.eigvalsh(self.Mbar)
-
-    @cached_property
-    def mbar_null_in_range(self) -> int:
-        """Dimension of the intersection of Mbar's null space with the range of A."""
-        blocks = [self.Mbar]
-        if self.A.null_basis.shape[1] > 0:
-            blocks.append(self.A.null_basis.T)
-        return stacked_nullity(blocks, self.policy)[0]
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
@@ -263,7 +237,8 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     default policy for its dimension (for another policy, certify first).
     Raises if P^T A P is invalid or outranks A, or if the smoothing
     iteration is expansive in the energy seminorm, which for weighted Jacobi
-    is a weight above jacobi_weight_limit(a), named in the error.
+    is a weight above the stability limit 2 / lambda_max(D^{-1} A), named in
+    the error.
     """
     if not isinstance(a, SpsdOperator):
         a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
@@ -287,9 +262,14 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
     spectrum = h.smoother_spectrum
     if not spectrum_psd(spectrum, a.policy):
-        limit = (f"; Jacobi weight {spec.omega:.6g} exceeds the stability limit "
-                 f"{jacobi_weight_limit(a):.6g}"
-                 if isinstance(spec, WeightedJacobi) else "")
+        limit = ""
+        if isinstance(spec, WeightedJacobi):
+            # The smoother form of omega D^{-1} has the eigenvalues
+            # omega mu (2 - omega mu), mu in sigma(D^{-1} A); the most
+            # negative one comes from mu_max, so 2 / mu_max solves back.
+            bound = 2.0 * spec.omega / (1.0 + np.sqrt(1.0 - float(spectrum[0])))
+            limit = (f"; Jacobi weight {spec.omega:.6g} exceeds the stability "
+                     f"limit {bound:.6g}")
         raise SmootherAssumptionError(
             "smoothing iteration is expansive in the energy seminorm: "
             f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}"

@@ -255,6 +255,10 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     def error_of(u):
         return float(np.linalg.norm(sqrt_lam * (v_range.T @ (u_ref - u))))
 
+    # A reused GeneralCoarse keeps its earlier runs' accuracies; this run's
+    # trace reads only what it appends.
+    eps_start = len(coarse.achieved_eps) if isinstance(coarse, GeneralCoarse) else 0
+
     r = f - a @ u
     errors = [error_of(u)] if u_ref is not None else None
     residuals = [float(np.linalg.norm(r))]
@@ -267,7 +271,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
             ratios, observed = _observed_factor(errors, floor, done)
         achieved, declared = [], 0.0
         if isinstance(coarse, GeneralCoarse):
-            achieved, declared = list(coarse.achieved_eps), coarse.declared_eps
+            achieved, declared = coarse.achieved_eps[eps_start:], coarse.declared_eps
         return IterationTrace(
             variant=variant,
             sweeps=done,

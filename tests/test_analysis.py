@@ -48,6 +48,38 @@ def neumann_hierarchy(n=8, group=2, smoother=None):
                            smoother)
 
 
+def scaled_jacobi_hierarchy(t, n=16):
+    """t * Jacobi 2/3 on 1D Neumann: M is positive definite for every t > 0."""
+    a = neumann_laplacian_1d(n)
+    return build_hierarchy(a, aggregation_prolongation(n, 2),
+                           CustomSmoother(t * np.diag((2.0 / 3.0) / np.diag(a))))
+
+
+def engineered_hierarchy():
+    """Symmetric PSD M with a null direction v inside the range of A."""
+    h0 = neumann_hierarchy(n=8)
+    a = h0.A
+    rng = np.random.default_rng(42)
+    v = a.range_basis @ rng.standard_normal(a.rank)
+    v /= np.linalg.norm(v)
+    z = rng.standard_normal((8, 7))
+    z -= np.outer(v, v @ z)  # columns orthogonal to v
+    m = 0.05 * sym_part(z @ z.T)
+    assert np.max(np.abs(m @ v)) < 1e-12
+    return build_hierarchy(a, h0.P, CustomSmoother(m))
+
+
+def range_restricted_intersection(h):
+    """Independent intersection dimension: (n - r) plus the nullity on range(A)
+    of the stacked smoother form and P^T (I - A M) A^{1/2}, decided on singular
+    values cut at rank_rel_tol * sigma_max."""
+    pre = h.P.T @ (np.eye(h.n) - h.A.matrix @ h.M) @ h.A.sqrt
+    stack = np.vstack([sym_part(h.A.sqrt @ h.Mbar @ h.A.sqrt), pre]) @ h.A.range_basis
+    sv = np.linalg.svd(stack, compute_uv=False)
+    kept = int(np.count_nonzero(sv > h.policy.rank_rel_tol * sv[0])) if sv[0] > 0 else 0
+    return h.n - kept
+
+
 def full_coarse_rank_hierarchy():
     a = np.diag([2.0, 1.0, 0.0])
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
@@ -75,32 +107,58 @@ class TestCheckConditions:
         assert rep.intersection_dim > rep.nullity_A
 
     def test_engineered_mbar_null_inside_range(self):
-        # symmetric PSD M with a null direction inside the range of A gives
-        # an Mbar with the same null direction: sufficient condition fails
-        # while the intersection condition can still hold.
-        h0 = neumann_hierarchy(n=8)
-        a = h0.A
-        rng = np.random.default_rng(42)
-        v = a.range_basis @ rng.standard_normal(a.rank)
-        v /= np.linalg.norm(v)
-        z = rng.standard_normal((8, 7))
-        z -= np.outer(v, v @ z)  # columns orthogonal to v
-        m = 0.05 * sym_part(z @ z.T)
-        assert np.max(np.abs(m @ v)) < 1e-12
-        h = build_hierarchy(a, h0.P, CustomSmoother(m))
+        # an Mbar null direction inside the range of A: the sufficient
+        # condition fails while the intersection condition still holds
+        h = engineered_hierarchy()
         rep = check_conditions(h)
         assert rep.smoother_ok
         assert not rep.suff_cond_ok
         assert rep.mbar_null_in_range_dim >= 1
         assert rep.equiv_cond_ok
-        # cross-check the intersection dimension against a raw SVD nullity;
-        # the singular-value cut is the square root of the Gram-side cut
-        pre = h.P.T @ (np.eye(8) - a.matrix @ h.M) @ a.sqrt
-        stack = np.vstack([sym_part(a.sqrt @ h.Mbar @ a.sqrt), pre])
-        sv = np.linalg.svd(stack, compute_uv=False)
-        cut = np.sqrt(h.policy.rank_rel_tol) * sv[0]
-        brute = 8 - int(np.count_nonzero(sv > cut))
-        assert rep.intersection_dim == brute
+        assert rep.intersection_dim == range_restricted_intersection(h)
+
+    @pytest.mark.parametrize("t", [1e-7, 1e-10])
+    def test_scaled_positive_definite_smoother_satisfies_both(self, t):
+        # M is positive definite, so both conditions hold however small t is
+        rep = check_conditions(scaled_jacobi_hierarchy(t))
+        assert rep.equiv_cond_ok
+        assert rep.suff_cond_ok
+        assert rep.intersection_dim == 1
+
+    @pytest.mark.parametrize("build", [
+        *[pytest.param(lambda case=case: corpus.build_case(case)[0], id=case.name)
+          for case in corpus.builtin_corpus()],
+        pytest.param(
+            lambda: neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8)))),
+            id="zero-smoother"),
+        pytest.param(engineered_hierarchy, id="engineered"),
+        *[pytest.param(lambda t=t, n=n: scaled_jacobi_hierarchy(t, n),
+                       id=f"scaled-jacobi:{t:g}/n{n}")
+          for n in (16, 64) for t in (1e-6, 1e-7, 1e-10)],
+    ])
+    def test_intersection_matches_range_restricted_svd(self, build):
+        h = build()
+        assert check_conditions(h).intersection_dim == range_restricted_intersection(h)
+
+    @pytest.mark.parametrize("case", corpus.builtin_corpus(), ids=lambda c: c.name)
+    def test_intersection_margin_is_sqrt_sigma_tg(self, case):
+        h, _, _ = corpus.build_case(case)
+        rep = check_conditions(h)
+        assert rep.equiv_cond_ok and h.s < h.r
+        assert abs(rep.intersection_margin - np.sqrt(sigma_tg(h))) <= 1e-12
+
+    def test_intersection_margin_is_zero_at_full_coarse_rank(self):
+        h = full_coarse_rank_hierarchy()
+        assert h.s == h.r
+        rep = check_conditions(h)
+        assert rep.equiv_cond_ok
+        assert rep.intersection_margin == 0.0
+
+    def test_hierarchy_keeps_no_null_space_decision(self):
+        h = neumann_hierarchy()
+        check_conditions(h)
+        assert not hasattr(h, "intersection")
+        assert not hasattr(h, "mbar_null_in_range")
 
 
 class TestExactFactor:
@@ -143,10 +201,11 @@ class TestExactFactor:
     def test_routes_agree_near_stability_limit(self):
         # Jacobi weight at 95 percent of 2 / lambda_max(D^{-1} A) pushes the
         # conjugated smoother spectrum close to its admissible edge
-        from twogrid.model import jacobi_weight_limit
         a = spsd_certify(neumann_laplacian_1d(12), TolerancePolicy.for_dimension(12))
+        scale = 1.0 / np.sqrt(np.diag(a.matrix))
+        limit = 2.0 / np.linalg.eigvalsh(scale[:, None] * a.matrix * scale)[-1]
         h = build_hierarchy(a, aggregation_prolongation(12, 2),
-                            WeightedJacobi(0.95 * jacobi_weight_limit(a)))
+                            WeightedJacobi(0.95 * limit))
         rep = exact_factor(h)
         assert abs(rep.factor_identity - rep.factor_oracle) <= 1e-10
         assert abs(rep.factor_identity - rep.factor_ftg) <= 1e-10
@@ -496,8 +555,8 @@ class TestSharedSpectra:
         h, bc = neumann2d_report_inputs()
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
-        assert 0 < len(calls) <= 11, calls
-        assert sum(order == h.n for _, order in calls) <= 6, calls
+        assert 0 < len(calls) <= 9, calls
+        assert sum(order == h.n for _, order in calls) <= 4, calls
 
     def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
         # Mbar != Mtilde here, yet the Mtilde form has the smoother spectrum,
@@ -506,8 +565,8 @@ class TestSharedSpectra:
         assert not np.array_equal(h.Mbar, mtilde(h.M, h.A))
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
-        assert 0 < len(calls) <= 11, calls
-        assert sum(order == h.n for _, order in calls) <= 6, calls
+        assert 0 < len(calls) <= 9, calls
+        assert sum(order == h.n for _, order in calls) <= 4, calls
 
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
@@ -546,7 +605,7 @@ class TestSharedSpectra:
 
     def test_verification_eigensolve_budget(self, monkeypatch):
         calls = eigensolves(monkeypatch, corpus.run_verification)
-        assert 0 < len(calls) <= 470, len(calls)
+        assert 0 < len(calls) <= 426, len(calls)
 
     def test_jacobi_hierarchy_eigensolve_budget(self, monkeypatch):
         # Ac's certification and the smoother spectrum; the smoother check

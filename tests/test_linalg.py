@@ -6,8 +6,8 @@ from twogrid.errors import NotSpsdError, ShapeError
 from twogrid.linalg import (
     TolerancePolicy,
     spectrum_psd,
+    spectrum_rank,
     spsd_certify,
-    stacked_nullity,
     sym_eig,
     symmetric_rank,
 )
@@ -15,14 +15,6 @@ from twogrid.linalg import (
 
 def policy(n):
     return TolerancePolicy.for_dimension(n)
-
-
-def brute_nullity(stack, rel_tol=1e-11):
-    """Independent nullity via singular values of the raw stacked matrix."""
-    sv = np.linalg.svd(stack, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return stack.shape[1]
-    return stack.shape[1] - int(np.count_nonzero(sv > rel_tol * sv[0]))
 
 
 def neumann_1d(n):
@@ -223,42 +215,6 @@ class TestRangeNullBases:
         assert np.max(np.abs(full.T @ full - np.eye(8))) <= op.policy.match_tol
 
 
-class TestNullIntersection:
-    def test_disjoint_rows(self):
-        tol = policy(2)
-        assert stacked_nullity([[[1.0, 0.0]], [[0.0, 1.0]]], tol)[0] == 0
-
-    def test_both_zero(self):
-        tol = policy(2)
-        assert stacked_nullity([np.zeros((2, 2)), np.zeros((2, 2))], tol)[0] == 2
-
-    def test_matches_brute_force_svd(self):
-        rng = np.random.default_rng(21)
-        k1 = rng.standard_normal((3, 6))
-        k2 = rng.standard_normal((2, 6))
-        got = stacked_nullity([k1, k2], policy(6))[0]
-        assert got == brute_nullity(np.vstack([k1, k2]))
-        assert got == 1
-
-    def test_engineered_shared_null(self):
-        rng = np.random.default_rng(22)
-        # both factors annihilate the same 2-dimensional subspace
-        basis = np.linalg.qr(rng.standard_normal((7, 5)))[0]
-        k1 = rng.standard_normal((4, 5)) @ basis.T
-        k2 = rng.standard_normal((3, 5)) @ basis.T
-        got = stacked_nullity([k1, k2], policy(7))[0]
-        assert got == brute_nullity(np.vstack([k1, k2])) == 2
-
-    def test_column_mismatch(self):
-        with pytest.raises(ShapeError):
-            stacked_nullity([np.ones((2, 3)), np.ones((2, 4))], policy(3))
-
-    def test_margin_reported(self):
-        nullity, margin = stacked_nullity([np.eye(3)], policy(3))
-        assert nullity == 0
-        assert margin == pytest.approx(1.0)
-
-
 class TestSpectrumPsd:
     def test_slack_is_absolute_below_unit_scale(self):
         tol = policy(4)
@@ -280,3 +236,10 @@ class TestSymmetricRank:
 
     def test_projector(self):
         assert symmetric_rank(np.diag([1.0, 1.0, 0.0]), policy(3)) == 2
+
+    def test_spectrum_rank_cut_is_relative_to_given_scale(self):
+        # a compressed spectrum of pure rounding has no scale of its own
+        w = np.array([0.0, 1e-15])
+        assert spectrum_rank(w, policy(4)) == 1
+        assert spectrum_rank(w, policy(4), scale=1.0) == 0
+        assert spectrum_rank(w, policy(4), scale=0.0) == 0

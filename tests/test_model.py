@@ -25,11 +25,11 @@ from twogrid.model import (
     build_smoother,
     generate_problem,
     graph_laplacian,
-    jacobi_weight_limit,
     mbar,
     mtilde,
     neumann_laplacian_1d,
     neumann_laplacian_2d,
+    random_spsd,
 )
 
 
@@ -184,15 +184,33 @@ class TestBuildHierarchy:
         with pytest.raises(SmootherAssumptionError, match="negative eigenvalue"):
             build_hierarchy(a, p, WeightedJacobi(1.9))
 
+    @staticmethod
+    def jacobi_limit(a):
+        """Reference stability limit 2 / lambda_max(D^{-1/2} A D^{-1/2})."""
+        scale = 1.0 / np.sqrt(np.diag(a.matrix))
+        return 2.0 / np.linalg.eigvalsh(scale[:, None] * a.matrix * scale)[-1]
+
     def test_jacobi_check_is_the_weight_limit(self):
         a = certify(neumann_laplacian_1d(6))
         p = aggregation_prolongation(6, 2)
-        limit = jacobi_weight_limit(a)
+        limit = self.jacobi_limit(a)
         assert limit == pytest.approx(1.0, abs=1e-12)  # bipartite path graph
         build_hierarchy(a, p, WeightedJacobi(limit))
         with pytest.raises(SmootherAssumptionError,
                            match="Jacobi weight 1.01 exceeds the stability limit 1$"):
             build_hierarchy(a, p, WeightedJacobi(1.01 * limit))
+
+    @pytest.mark.parametrize("factor", [1.01, 1.5, 10.0])
+    def test_jacobi_limit_read_off_the_smoother_spectrum(self, factor):
+        # the error solves the limit back from the most negative eigenvalue
+        # of the smoother form; on a random matrix the limit is not 1
+        a = certify(random_spsd(10, 6, 0))
+        limit = self.jacobi_limit(a)
+        assert abs(limit - 1.0) > 1e-3
+        with pytest.raises(SmootherAssumptionError) as err:
+            build_hierarchy(a, aggregation_prolongation(a.n, 2),
+                            WeightedJacobi(factor * limit))
+        assert str(err.value).endswith(f"stability limit {limit:.6g}")
 
     def test_projector_properties(self):
         a = certify(neumann_laplacian_1d(10))

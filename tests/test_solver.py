@@ -294,6 +294,22 @@ class TestIterate:
         assert trace.violations == trace.achieved_eps
         assert all(e == pytest.approx(0.7, abs=1e-12) for e in trace.violations)
 
+    def test_reused_coarse_reports_only_its_own_run(self, setup8):
+        # the solver's list keeps every run's accuracies; a trace reads its own
+        h, f, u_ref = setup8
+        rng = np.random.default_rng(15)
+        coarse = GeneralCoarse(eps_perturbed_coarse(h, 0.7, rng), 0.5)
+        first = iterate(h, f, rng.standard_normal(8), 3, "itg", coarse=coarse,
+                        u_ref=u_ref)
+        coarse.solve = eps_perturbed_coarse(h, 0.2, rng)
+        second = iterate(h, f, rng.standard_normal(8), 4, "itg", coarse=coarse,
+                         u_ref=u_ref)
+        assert len(first.violations) == 3
+        assert len(second.achieved_eps) == 4
+        assert all(e == pytest.approx(0.2, abs=1e-12) for e in second.achieved_eps)
+        assert second.violations == []
+        assert coarse.achieved_eps == first.achieved_eps + second.achieved_eps
+
     @pytest.mark.parametrize("variant", ["tg", "stg", "itg"])
     def test_consistency_checked_once_per_run(self, setup8, monkeypatch, variant):
         h, f, u_ref = setup8

@@ -9,10 +9,13 @@ the two outputs are compared with `diff`. Covered: the `twogrid verify`
 lines; `analyze` JSON and CSV and `solve` trace CSV and summary JSON for
 four problems (one with full coarse rank), each with the exact, `scale:2`
 and `eps:0.3` coarse solves, plus an `stg` solve; the `generate` files; the
-report JSON of each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); and the
-report of the analyze-2d benchmark workload at seed 0. Each digest also
-covers the exit code and the stdout and stderr text of its command. BLAS runs
-on one thread, so the bytes do not depend on the thread count of the host.
+`analyze` JSON of two custom smoothers read from files the tool writes (the
+zero smoother, whose condition fails with exit 2, and a positive definite
+1e-7 * Jacobi 2/3); the report JSON of each of the 21 corpus cases
+(Bc = 2 Ac, eps 0.3); and the report of the analyze-2d benchmark workload at
+seed 0. Each digest also covers the exit code and the stdout and stderr text
+of its command. BLAS runs on one thread, so the bytes do not depend on the
+thread count of the host.
 """
 from __future__ import annotations
 
@@ -31,7 +34,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 for _var in ("RANK_REL_TOL", "MATCH_TOL"):
     os.environ.pop(_var, None)
 
-from twogrid import analysis, cli, corpus, linalg  # noqa: E402
+import numpy as np  # noqa: E402
+
+from twogrid import analysis, cli, corpus, linalg, mmio, model  # noqa: E402
 
 PROBLEMS = (
     ("neumann2d:8x8", "jacobi"),
@@ -40,6 +45,11 @@ PROBLEMS = (
     ("random:6:2:0", "gs"),  # full coarse rank: s == r
 )
 COARSE = ("exact", "scale:2", "eps:0.3")
+SCALED_JACOBI = 1e-7 * np.diag((2.0 / 3.0) / np.diag(model.neumann_laplacian_1d(16)))
+CUSTOM = (
+    ("neumann1d:8", "zero", np.zeros((8, 8))),
+    ("neumann1d:16", "1e-7*jacobi:2/3", SCALED_JACOBI),
+)
 ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--smoother", "jacobi:0.6666666666666666",
               "--prolongation", "aggregate:2", "--coarse", "scale:2",
@@ -85,6 +95,12 @@ def digests() -> dict[str, str]:
                  ("A.mtx", "P.mtx", "f.mtx", "u_ref.mtx", "problem.cfg")]
         result[f"generate {problem} {smoother}"] = run(
             ["generate", *setup, "--output-dir", "gen"], files)
+    for i, (problem, label, matrix) in enumerate(CUSTOM):
+        path = f"m{i}.mtx"
+        mmio.write_matrix(path, matrix)
+        result[f"analyze json {problem} custom {label}"] = run(
+            ["analyze", "--problem", problem, "--smoother", f"custom:{path}",
+             "--output", "r.json"], ["r.json"])
     for case in corpus.builtin_corpus():
         h, _, _ = corpus.build_case(case)
         bc = linalg.spsd_certify(2.0 * h.Ac.matrix, h.policy)
