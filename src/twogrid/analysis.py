@@ -3,15 +3,16 @@
 Everything here reduces to eigenvalues of explicitly symmetric matrices:
 nonsymmetric products whose spectra are needed are replaced by a similar
 symmetric form first (documented per operation), so no nonsymmetric
-eigensolver is ever run. Ascending eigenvalue indexing is used throughout,
-with 1-based spectral positions translated to 0-based array indices at the
-point of use. Each conjugated form and spectrum that depends only on the
-hierarchy is solved once per hierarchy and cached on it (see
-TwoGridHierarchy), so a report and any later call on the same hierarchy
-share it; each function here is the one formula for its quantity over those
-spectra. The spectrum of Mtilde A is read off the smoother spectrum: on the
-A^{1/2} side the two forms are I - K K^T and I - K^T K with
-K = I - A^{1/2} M A^{1/2}, so their eigenvalues agree.
+eigensolver is ever run. Every form is r x r on range(A), conjugated by A's
+thin factor F = Lambda_r^{1/2} V_r^T (F^T F = A). The paper's n x n spectra
+start with the n - r zeros of null(A), so the paper's ascending position
+n - r + k is array index k - 1 here (n - r + 1 is index 0, n - r + s + 1 is
+index s); reports keep the paper's positions and dimensions. Each form and
+spectrum that depends only on the hierarchy is solved once and cached on it
+(see TwoGridHierarchy); each function here is the one formula for its
+quantity over those spectra. The spectrum of Mtilde A is read off the
+smoother spectrum: the two forms are I - K K^T and I - K^T K with
+K = I - F M F^T, so their eigenvalues agree.
 
 Main entry points:
 
@@ -55,41 +56,38 @@ def _factor_from(value: float) -> float:
 def smoothing_floor(h: TwoGridHierarchy) -> float:
     """(n - r + 1)-th smallest eigenvalue of Mtilde A.
 
-    Mtilde A is similar to the symmetric form A^{1/2} Mtilde A^{1/2}
-    = I - K K^T, which has the eigenvalues of the smoother form
-    A^{1/2} Mbar A^{1/2} = I - K^T K (K = I - A^{1/2} M A^{1/2}); so this
-    reads the hierarchy's smoother spectrum. It is the eigenvalue that caps
-    how much the smoother alone can leave behind on the range of A.
+    On range(A), Mtilde A is similar to F Mtilde F^T = I - K K^T, which has
+    the eigenvalues of the smoother form F Mbar F^T = I - K^T K; so this is
+    index 0 of the smoother spectrum. It caps how much the smoother alone
+    can leave behind on the range of A.
     """
-    return float(h.smoother_spectrum[h.n - h.r])
+    return float(h.smoother_spectrum[0])
 
 
 def sigma_tg(h: TwoGridHierarchy) -> float:
     """Spectral gap whose complement under the square root is the exact factor.
 
-    Computed as the (n - r + s + 1)-th smallest eigenvalue of the symmetric
-    form (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi), which shares the spectrum
-    of Mtilde A (I - Pi_A). In the degenerate full-coarse-rank case s = r the
-    factor is exactly zero, so 1.0 is returned directly instead of indexing
-    past the spectrum.
+    The paper's (n - r + s + 1)-th smallest eigenvalue of Mtilde A (I - Pi_A)
+    is index s of the r x r complement spectrum of (I - Pi) F Mtilde F^T
+    (I - Pi), which holds the same eigenvalues without null(A)'s n - r zeros.
+    In the degenerate full-coarse-rank case s = r the factor is exactly
+    zero, so 1.0 is returned directly instead of indexing past the spectrum.
     """
     if h.s == h.r:
         return 1.0
-    idx = h.n - h.r + h.s
-    if not (0 <= idx < h.n):
+    if h.s > h.r:
         raise ShapeError(
-            f"eigenvalue position {idx + 1} outside spectrum of size {h.n}; "
-            "rank thresholds for A and the coarse matrix are inconsistent")
-    return float(h.complement_spectrum[idx])
+            f"eigenvalue index {h.s} outside the spectrum of size {h.r} on "
+            "range(A); rank thresholds for A and the coarse matrix are inconsistent")
+    return float(h.complement_spectrum[h.s])
 
 
 def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
     """(n - s + 1)-th smallest eigenvalue of Mtilde A Pi_A, with its guard.
 
-    Evaluated as the smallest eigenvalue of the s x s form
-    Q^T A^{1/2} Mtilde A^{1/2} Q, whose spectrum is the nonzero part of that
-    of Pi A^{1/2} Mtilde A^{1/2} Pi. The value is only meaningful when that
-    matrix has full coarse rank s (the guard); otherwise 0 is returned,
+    Evaluated as the smallest eigenvalue of the s x s form Q^T F Mtilde F^T Q,
+    the nonzero part of Pi F Mtilde F^T Pi. The value is only meaningful when
+    that matrix has full coarse rank s (the guard); otherwise 0 is returned,
     which keeps every bound valid. Returns (delta, guard_ok). One
     eigen-solve serves the guard and the value.
     """
@@ -100,7 +98,7 @@ def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
 
 
 def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
-    """The s x s core C of the coarse correction Q C Q^T on the A^{1/2} side.
+    """The s x s core C of the coarse correction Q C Q^T on range(A).
 
     C = I for the exact solve, whose correction is the projector Pi, and
     C = R Bc^+ R^T for the coarse solve Bc^+.
@@ -111,18 +109,17 @@ def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
 
 
 def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
-    """A^{1/2} Mbar A^{1/2} + K^T Q C Q^T K with K = I - A^{1/2} M A^{1/2}."""
+    """F Mbar F^T + K^T Q C Q^T K with K = I - F M F^T (r x r)."""
     c = h.Q.T @ h.pre_smoother
     return sym_part(h.smoother_form + c.T @ core @ c)
 
 
 def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
-    """Quadratic-form matrix of the exact iteration on the A^{1/2} side.
+    """Quadratic-form matrix of the exact iteration on range(A).
 
-    A^{1/2} Mbar A^{1/2} + (I - A^{1/2} M^T A^{1/2}) Pi (I - A^{1/2} M A^{1/2})
-    with Pi = Q Q^T, so the coarse block is Q C Q^T with core C = I;
-    SPSD, and its null space equals the null space of A exactly when the
-    intersection condition holds.
+    F Mbar F^T + (I - F M^T F^T) Pi (I - F M F^T) with Pi = Q Q^T, so the
+    coarse block is Q C Q^T with core C = I; SPSD, and nonsingular exactly
+    when the intersection condition holds.
     """
     return _quadratic_form(h, _coarse_core(h, None))
 
@@ -131,7 +128,7 @@ def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
     """Quadratic-form matrix of the inexact iteration with coarse matrix Bc.
 
     The symmetrized coarse solve 2 Bc^+ - Bc^+ Ac Bc^+ takes the place of
-    Ac^+: on the A^{1/2} side its block is Q (2 C - C^2) Q^T with
+    Ac^+: on range(A) its block is Q (2 C - C^2) Q^T with
     C = R Bc^+ R^T, since R^T R = Ac.
     """
     core = _coarse_core(h, bc)
@@ -170,23 +167,24 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
     """Evaluate the contraction and convergence conditions of a hierarchy.
 
     smoother_ok: the smoothing iteration is nonexpansive in the energy
-        seminorm, equivalent to A^{1/2} Mbar A^{1/2} being PSD; read off the
-        smoother spectrum.
+        seminorm, equivalent to the smoother form F Mbar F^T being PSD; read
+        off the smoother spectrum, whose smallest eigenvalue is
+        smoother_min_eig (on range(A), so null(A) adds no zeros to it).
     equiv_cond_ok: the null spaces of A^{1/2} Mbar A^{1/2} and of
         P^T (I - A M) A^{1/2} intersect exactly in the null space of A;
         necessary and sufficient for a convergence factor below one. With
-        K = I - A^{1/2} M A^{1/2}, Pi = Q Q^T and G = (I - Pi) K, the
-        quadratic form ftg is I - G^T G and the complement form is
-        (I - Pi) - G G^T, so the complement's nullity is s plus the nullity
-        of ftg, which is the intersection dimension. The complement is a
-        compression of the Mtilde form (and at s = r pure rounding), so its
-        rank is cut relative to the largest magnitude of the smoother
-        spectrum, which the Mtilde form shares.
+        K = I - F M F^T, Pi = Q Q^T and G = (I - Pi) K, the quadratic form
+        ftg is I - G^T G and the complement form is (I - Pi) - G G^T, so
+        the complement's nullity is s plus the nullity of ftg, which is the
+        intersection dimension less n - r. The complement is a compression
+        of the Mtilde form (and at s = r pure rounding), so its rank is cut
+        relative to the largest magnitude of the smoother spectrum, which
+        the Mtilde form shares.
     suff_cond_ok: Mbar is PSD and its null space meets the range of A only
         at zero; a practical sufficient condition implying equiv_cond_ok.
-        A^{1/2} maps range(A) onto itself, so for a PSD Mbar that
-        intersection has dimension r minus the rank of the smoother form:
-        the flag reads the Mbar spectrum and the smoother spectrum.
+        F^T maps R^r onto range(A), so for a PSD Mbar that intersection has
+        dimension r minus the rank of the smoother form: the flag reads the
+        Mbar spectrum and the smoother spectrum.
         mbar_null_in_range_dim is that difference; it is the dimension of
         null(Mbar) within range(A) whenever Mbar is PSD, the only case in
         which the flag reads it.
@@ -207,7 +205,7 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
         intersection_dim=int(inter_dim),
         nullity_A=int(nullity_a),
         smoother_min_eig=float(w_smooth[0]),
-        intersection_margin=float(np.sqrt(w_comp[h.n - kept])) if kept else 0.0,
+        intersection_margin=float(np.sqrt(w_comp[h.r - kept])) if kept else 0.0,
         mbar_min_eig=float(h.mbar_spectrum[0]),
         mbar_null_in_range_dim=int(null_in_range),
     )
@@ -221,11 +219,13 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
 class ExactFactorReport:
     """The exact convergence factor through three routes plus its bounds.
 
-    factor_identity comes from the spectral position n - r + s + 1,
+    factor_identity comes from the paper's spectral position n - r + s + 1,
     factor_ftg from the quadratic-form matrix at position n - r + 1, and
-    factor_oracle from the brute-force seminorm maximization restricted to
-    the range of A. warn_equiv_cond is set when the intersection condition
-    failed, in which case the factor may legitimately reach one.
+    factor_oracle from the brute-force seminorm maximization on the range
+    of A. The spectra are r x r forms on range(A), so position n - r + k is
+    array index k - 1: index s for the identity, index 0 for the quadratic
+    form. warn_equiv_cond is set when the intersection condition failed, in
+    which case the factor may legitimately reach one.
     """
 
     sigma_tg: float
@@ -242,12 +242,12 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
                     coarse: SpsdOperator | None = None) -> float:
     """Worst-case energy-seminorm contraction by direct maximization.
 
-    Builds the A^{1/2}-conjugated error propagator G of the requested
-    iteration ("tg", "stg", or "itg" with a coarse matrix), whose coarse
-    correction is Q C Q^T with the core C of that solve, restricts it to
-    an orthonormal basis V of the range of A, and returns the largest
-    singular value as sqrt(lambda_max(V^T G^T G V)). Independent of every
-    index-based identity above; this is the anti-drift reference value.
+    Builds the r x r error propagator G = F E F^{+} of the requested
+    iteration ("tg", "stg", or "itg" with a coarse matrix) on range(A),
+    whose coarse correction is Q C Q^T with the core C of that solve, and
+    returns its largest singular value as sqrt(lambda_max(G^T G)).
+    Independent of every index-based identity above; this is the
+    anti-drift reference value.
     """
     if iteration not in ("tg", "stg", "itg"):
         raise ValueError(f"unknown iteration '{iteration}'")
@@ -258,8 +258,7 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     g = pre - h.Q @ (core @ (h.Q.T @ pre))
     if iteration == "stg":
         g = pre.T @ g
-    gv = g @ h.A.range_basis
-    w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
+    w = np.linalg.eigvalsh(sym_part(g.T @ g))
     return float(np.sqrt(max(float(w[-1]), 0.0)))
 
 
@@ -267,16 +266,16 @@ def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
     """Interlacing bounds on the exact factor from the spectrum of Mtilde A.
 
     sqrt(1 - lambda_{n-r+s+1}) <= factor <= sqrt(1 - lambda_{n-r+1}), both
-    read off the smoother spectrum, which is that of A^{1/2} Mtilde A^{1/2}
-    (see smoothing_floor). With s = r the lower spectral position would fall
-    past the spectrum; the factor is exactly zero there, so the lower bound
-    degenerates to 0.
+    read off the smoother spectrum, which is that of F Mtilde F^T (see
+    smoothing_floor), at indices s and 0. With s = r the lower spectral
+    position would fall past the spectrum; the factor is exactly zero there,
+    so the lower bound degenerates to 0.
     """
     w = h.smoother_spectrum
-    upper = _factor_from(float(w[h.n - h.r]))
+    upper = _factor_from(float(w[0]))
     if h.s == h.r:
         return 0.0, upper
-    return _factor_from(float(w[h.n - h.r + h.s])), upper
+    return _factor_from(float(w[h.s])), upper
 
 
 def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
@@ -292,15 +291,14 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     factor_identity = _factor_from(sigma)
 
     w_ftg = np.linalg.eigvalsh(ftg_matrix(h))
-    factor_ftg = _factor_from(float(w_ftg[h.n - h.r]))
+    factor_ftg = _factor_from(float(w_ftg[0]))
 
     eigengap = None
     if h.s == h.r:
         factor_ftg = 0.0
     else:
-        idx = h.n - h.r + h.s
         w = h.complement_spectrum
-        eigengap = float(w[0]) if idx == 0 else float(w[idx] - w[idx - 1])
+        eigengap = float(w[h.s] - w[h.s - 1])
 
     lower, upper = exact_two_sided(h)
     return ExactFactorReport(
@@ -423,7 +421,7 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
     floor = smoothing_floor(h)
 
     w_fitg = np.linalg.eigvalsh(fitg_matrix(h, bc))
-    factor_itg = _factor_from(float(w_fitg[h.n - h.r]))
+    factor_itg = _factor_from(float(w_fitg[0]))
 
     return InexactFactorReport(
         alpha1=alpha1,

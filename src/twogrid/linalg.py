@@ -1,7 +1,7 @@
 """Dense symmetric spectral kernels.
 
-Eigendecomposition, matrix square roots and Moore-Penrose inverses under a
-shared tolerance policy, plus the two decisions every module shares: the
+Eigendecomposition, thin factors and Moore-Penrose inverses under a shared
+tolerance policy, plus the two decisions every module shares: the
 numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
 within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
 convergence analysis, solvers) stands on these primitives, so each rule is
@@ -119,7 +119,7 @@ def sym_eig(s) -> SymEigen:
 class SpsdOperator:
     """An SPSD matrix with the spectrum and rank its certification decided.
 
-    Every operator derived from the fields (square root, Moore-Penrose
+    Every operator derived from the fields (thin factor, Moore-Penrose
     inverse and its square root, range and null bases) is a cached property,
     built on first read under the one rank decision.
     """
@@ -137,27 +137,33 @@ class SpsdOperator:
     def max_eigenvalue(self) -> float:
         return float(self.eig.values[-1])
 
-    def _function(self, f, first: int = 0) -> np.ndarray:
-        """V diag(g) V^T, symmetrized, with g = f(w) from position `first` on, 0 below."""
+    def _function(self, f) -> np.ndarray:
+        """V_r diag(f(w_r)) V_r^T, symmetrized, over the kept eigenpairs only."""
+        first = self.n - self.rank
         w, v = self.eig.values, self.eig.vectors
         g = np.zeros_like(w)
         g[first:] = f(w[first:])
         return sym_part((v * g) @ v.T)
 
     @cached_property
-    def sqrt(self) -> np.ndarray:
-        """Principal square root; keeps every (clamped) nonnegative eigenvalue."""
-        return self._function(np.sqrt)
+    def factor(self) -> np.ndarray:
+        """Thin factor F = Lambda_r^{1/2} V_r^T (rank x n) over the kept eigenpairs.
+
+        F^T F is the matrix less the eigenvalues the rank discards, and F
+        is zero on the null basis up to the rounding of its orthogonality.
+        """
+        first = self.n - self.rank
+        return np.sqrt(self.eig.values[first:])[:, None] * self.eig.vectors[:, first:].T
 
     @cached_property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse; inverts exactly the eigenvalues the rank keeps."""
-        return self._function(lambda kept: 1.0 / kept, self.n - self.rank)
+        return self._function(lambda kept: 1.0 / kept)
 
     @cached_property
     def pinv_sqrt(self) -> np.ndarray:
         """Square root of the pseudoinverse (= pseudoinverse of the square root)."""
-        return self._function(lambda kept: 1.0 / np.sqrt(kept), self.n - self.rank)
+        return self._function(lambda kept: 1.0 / np.sqrt(kept))
 
     @cached_property
     def range_basis(self) -> np.ndarray:

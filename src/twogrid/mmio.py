@@ -1,4 +1,4 @@
-"""MatrixMarket readers and writers for dense real matrices and vectors.
+"""MatrixMarket reader and writer for dense real matrices, plus a vector writer.
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to a
@@ -155,15 +155,6 @@ def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> N
             out.append(f"{i + 1} {j + 1} {_fmt(m[i, j])}")
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
-
-
-def read_vector(path) -> np.ndarray:
-    """Read a vector stored as an n x 1 (or 1 x n) MatrixMarket matrix."""
-    m = read_matrix(path)
-    if m.shape[0] != 1 and m.shape[1] != 1:
-        raise MatrixMarketError(
-            f"{path}: expected a vector, got shape {m.shape[0]} x {m.shape[1]}")
-    return m.reshape(-1)
 
 
 def write_vector(path, v) -> None:

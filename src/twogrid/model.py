@@ -2,10 +2,10 @@
 
 Builds smoothers (weighted Jacobi, Gauss-Seidel, custom M), the symmetrized
 smoother operators M + M^T - M^T A M and M + M^T - M A M^T, the Galerkin
-coarse matrix P^T A P, and an orthonormal basis of the coarse space on the
-A^{1/2} side. Also provides SPSD test problems: Neumann Laplacians in 1d/2d,
-weighted graph Laplacians, seeded random rank-deficient matrices, and file
-input.
+coarse matrix P^T A P, and an orthonormal basis of the coarse space on
+range(A), through A's thin factor F (A = F^T F). Also provides SPSD test
+problems: Neumann Laplacians in 1d/2d, weighted graph Laplacians, seeded
+random rank-deficient matrices, and file input.
 """
 from __future__ import annotations
 
@@ -110,17 +110,18 @@ class TwoGridHierarchy:
 
     The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
     r and s are the ranks of A and Ac (s <= r); Mbar is assembled on
-    construction. The coarse space on the A^{1/2} side is the truncated SVD
-    A^{1/2} P = Q R: Q (n x s) has orthonormal columns and R (s x nc) is
-    Sigma_s V_s^T. The projector Pi = A^{1/2} P Ac^+ P^T A^{1/2} is Q Q^T and
-    is never stored; every coarse correction is Q C Q^T with an s x s core C.
-    Q, R and the rest are built on first read and kept while the hierarchy
-    lives: the smoother form, the Mtilde form, the pre-smoother and the
-    spectra the analysis reads, which also decide every convergence
-    condition. So each is solved once per hierarchy, however many analysis
-    calls read it; only the pre-smoother (and, for a nonsymmetric M, the
-    Mtilde form) adds an n x n array. Mtilde itself is not kept, and the
-    Mtilde form's spectrum is smoother_spectrum.
+    construction. Every form is r x r on range(A), through A's thin factor
+    F = Lambda_r^{1/2} V_r^T (F^T F = A). The coarse space is the truncated
+    SVD F P = Q R: Q (r x s) has orthonormal columns and R (s x nc) is
+    Sigma_s V_s^T. The projector Pi = F P Ac^+ P^T F^T is Q Q^T and is never
+    stored; every coarse correction is Q C Q^T with an s x s core C. Q, R
+    and the rest are built on first read and kept while the hierarchy lives:
+    the smoother form, the Mtilde form, the pre-smoother and the spectra the
+    analysis reads, which also decide every convergence condition. So each
+    is solved once per hierarchy, however many analysis calls read it. Only
+    the pre-smoother (and, for a nonsymmetric M, the Mtilde form) adds an
+    r x r array; Mtilde itself is not kept, and the Mtilde form's spectrum
+    is smoother_spectrum.
     build_hierarchy validates; this does not.
     """
 
@@ -155,30 +156,29 @@ class TwoGridHierarchy:
 
     @cached_property
     def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, R) from the SVD of A^{1/2} P, truncated to s = rank(Ac).
+        """(Q, R) from the SVD of F P, truncated to s = rank(Ac).
 
         The squared singular values are Ac's eigenvalues, so s is Ac's one
-        rank decision; none is made on these singular values, whose trailing
-        ones carry A^{1/2}'s rounding in the null space of A.
+        rank decision; none is made again on these singular values.
         """
-        u, sv, vt = np.linalg.svd(self.A.sqrt @ self.P, full_matrices=False)
+        u, sv, vt = np.linalg.svd(self.A.factor @ self.P, full_matrices=False)
         s = self.s
         return u[:, :s].copy(), sv[:s, None] * vt[:s]
 
     @property
     def Q(self) -> np.ndarray:
-        """Orthonormal basis (n x s) of the range of A^{1/2} P."""
+        """Orthonormal basis (r x s) of the range of F P."""
         return self.coarse_factors[0]
 
     @property
     def R(self) -> np.ndarray:
-        """The s x nc factor with Q R = A^{1/2} P."""
+        """The s x nc factor with Q R = F P."""
         return self.coarse_factors[1]
 
     @cached_property
     def smoother_form(self) -> np.ndarray:
-        """A^{1/2} Mbar A^{1/2}; the smoother assumption is that it is PSD."""
-        return sym_part(self.A.sqrt @ self.Mbar @ self.A.sqrt)
+        """F Mbar F^T (r x r); the smoother assumption is that it is PSD."""
+        return sym_part(self.A.factor @ self.Mbar @ self.A.factor.T)
 
     @cached_property
     def smoother_spectrum(self) -> np.ndarray:
@@ -187,39 +187,37 @@ class TwoGridHierarchy:
         Nonnegativity of this spectrum is equivalent to the smoothing
         iteration being a (not necessarily strict) contraction in the energy
         seminorm; build_hierarchy certifies the smoother on it. It is also
-        the spectrum of the Mtilde form: with K = I - A^{1/2} M A^{1/2} the
-        smoother form is I - K^T K and the Mtilde form is I - K K^T, and
-        K^T K and K K^T have the same eigenvalues.
+        the spectrum of the Mtilde form: with K = I - F M F^T the smoother
+        form is I - K^T K and the Mtilde form is I - K K^T, and K^T K and
+        K K^T have the same eigenvalues.
         """
         return np.linalg.eigvalsh(self.smoother_form)
 
     @cached_property
     def pre_smoother(self) -> np.ndarray:
-        """I - A^{1/2} M A^{1/2}; its transpose is the post-smoothing twin."""
-        return np.eye(self.n) - self.A.sqrt @ self.M @ self.A.sqrt
+        """K = I - F M F^T (r x r); its transpose is the post-smoothing twin."""
+        return np.eye(self.r) - self.A.factor @ self.M @ self.A.factor.T
 
     @cached_property
     def mtilde_form(self) -> np.ndarray:
-        """A^{1/2} Mtilde A^{1/2}; for a symmetric M, the same formula as the
-        smoother form A^{1/2} Mbar A^{1/2}, which it then is. Its spectrum is
-        smoother_spectrum."""
+        """F Mtilde F^T; for a symmetric M, the same formula as the smoother
+        form F Mbar F^T, which it then is. Its spectrum is smoother_spectrum."""
         if np.array_equal(self.M, self.M.T):
             return self.smoother_form
-        return sym_part(self.A.sqrt @ mtilde(self.M, self.A) @ self.A.sqrt)
+        return sym_part(self.A.factor @ mtilde(self.M, self.A) @ self.A.factor.T)
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:
-        """Spectrum of (I - Pi) A^{1/2} Mtilde A^{1/2} (I - Pi), Pi = Q Q^T."""
+        """Spectrum of (I - Pi) F Mtilde F^T (I - Pi), Pi = Q Q^T (r x r)."""
         q = self.Q
         y = self.mtilde_form - q @ (q.T @ self.mtilde_form)
         return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
 
     @cached_property
     def coarse_spectrum(self) -> np.ndarray:
-        """Spectrum of Q^T A^{1/2} Mtilde A^{1/2} Q (s x s).
+        """Spectrum of Q^T F Mtilde F^T Q (s x s).
 
-        With n - s zeros added it is the spectrum of Pi A^{1/2} Mtilde
-        A^{1/2} Pi.
+        With r - s zeros added it is the spectrum of Pi F Mtilde F^T Pi.
         """
         q = self.Q
         return np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))

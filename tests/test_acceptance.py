@@ -38,6 +38,22 @@ def _print_result(criterion, detail):
     print(f"PASS criterion {criterion}: {detail}")
 
 
+def _propagator_on_range(h, iteration="tg"):
+    """The solver's error propagator E in A's eigenbasis, energy-scaled.
+
+    E = (I - P Ac^+ P^T A)(I - M A), followed for "stg" by the M^T
+    post-smoothing step I - M^T A. E fixes null(A), so on range(A) it acts
+    as the r x r matrix Lambda_r^{1/2} V_r^T E V_r Lambda_r^{-1/2}, read
+    directly from A's eigenpairs; its spectral 2-norm is ||E||_A.
+    """
+    lam, v = h.A.eig.values[h.n - h.r:], h.A.eig.vectors[:, h.n - h.r:]
+    eye = np.eye(h.n)
+    e = (eye - h.P @ h.Ac.pinv @ h.P.T @ h.A.matrix) @ (eye - h.M @ h.A.matrix)
+    if iteration == "stg":
+        e = (eye - h.M.T @ h.A.matrix) @ e
+    return np.sqrt(lam)[:, None] * (v.T @ e @ v) / np.sqrt(lam)
+
+
 @pytest.fixture(scope="module")
 def corpus_hierarchies():
     return [(case, *build_case(case)) for case in builtin_corpus()]
@@ -61,6 +77,23 @@ def test_criterion_1_identity_agreement(corpus_hierarchies):
     assert worst_ftg <= 1e-10, f"identity vs quadratic form drift {worst_ftg:.3e}"
     _print_result(1, f"{len(corpus_hierarchies)} hierarchies, max drift "
                   f"oracle={worst_oracle:.2e} form={worst_ftg:.2e}")
+
+
+def test_criterion_1_propagator_referee(corpus_hierarchies):
+    # the identity, quadratic-form and oracle routes all read A's thin
+    # factor; this referee reads only the solver's propagator and A's
+    # eigenpairs
+    worst_tg = worst_stg = 0.0
+    for case, h, f, u_ref in corpus_hierarchies:
+        factor = analysis.exact_factor(h).factor_identity
+        tg = np.linalg.norm(_propagator_on_range(h, "tg"), 2)
+        stg = np.linalg.norm(_propagator_on_range(h, "stg"), 2)
+        worst_tg = max(worst_tg, abs(tg - factor))
+        worst_stg = max(worst_stg, abs(stg - factor ** 2))
+    assert worst_tg <= 1e-13, f"tg propagator vs identity {worst_tg:.3e}"
+    assert worst_stg <= 1e-13, f"stg propagator vs identity^2 {worst_stg:.3e}"
+    _print_result(1, f"propagator referee on {len(corpus_hierarchies)} "
+                  f"hierarchies: tg {worst_tg:.2e}, stg {worst_stg:.2e}")
 
 
 def test_criterion_2_exact_sandwich(corpus_hierarchies):
@@ -144,16 +177,8 @@ def test_criterion_6a_observed_tail_matches_factor(neumann32):
         f"worst-case factor {factor ** 2:.6f}: the symmetrized propagator is "
         "A-self-adjoint, so its tail rate is its seminorm ||E_TG||_A^2")
 
-    # A^{1/2} E_TG A^{+1/2} = (I - Q)(I - K) on range(A); as I - Q is a
-    # projector this has the nonzero spectrum of (I - Q)(I - K)(I - Q),
-    # which is symmetric because weighted Jacobi gives M = M^T.
-    ah = h.A.sqrt
-    eye = np.eye(h.n)
-    k = ah @ h.M @ ah
-    q = h.Q @ h.Q.T
-    v = h.A.range_basis
-    compressed = v.T @ (eye - q) @ (eye - k) @ (eye - q) @ v
-    rho = float(np.max(np.abs(np.linalg.eigvalsh(sym_part(compressed)))))
+    # the spectral radius of E_TG on range(A), from the propagator itself
+    rho = float(np.max(np.abs(np.linalg.eigvals(_propagator_on_range(h)))))
 
     tg = iterate(h, f, u0, 50, "tg", u_ref=u_ref)
     assert tg.observed_factor is not None

@@ -69,12 +69,19 @@ def engineered_hierarchy():
     return build_hierarchy(a, h0.P, CustomSmoother(m))
 
 
+def thin_factor(a):
+    """F = Lambda_r^{1/2} V_r^T (r x n) formed from a's certified eigenpairs."""
+    first = a.n - a.rank
+    return np.sqrt(a.eig.values[first:])[:, None] * a.eig.vectors[:, first:].T
+
+
 def range_restricted_intersection(h):
     """Independent intersection dimension: (n - r) plus the nullity on range(A)
-    of the stacked smoother form and P^T (I - A M) A^{1/2}, decided on singular
-    values cut at rank_rel_tol * sigma_max."""
-    pre = h.P.T @ (np.eye(h.n) - h.A.matrix @ h.M) @ h.A.sqrt
-    stack = np.vstack([sym_part(h.A.sqrt @ h.Mbar @ h.A.sqrt), pre]) @ h.A.range_basis
+    of the stacked smoother form F Mbar F^T and P^T (I - A M) F^T, decided on
+    singular values cut at rank_rel_tol * sigma_max."""
+    f = thin_factor(h.A)
+    pre = h.P.T @ (np.eye(h.n) - h.A.matrix @ h.M) @ f.T
+    stack = np.vstack([sym_part(f @ h.Mbar @ f.T), pre])
     sv = np.linalg.svd(stack, compute_uv=False)
     kept = int(np.count_nonzero(sv > h.policy.rank_rel_tol * sv[0])) if sv[0] > 0 else 0
     return h.n - kept
@@ -242,14 +249,24 @@ class TestSeminormOracle:
             assert abs(stg - tg ** 2) <= 1e-9
 
     def test_range_basis_permutation_invariance(self):
+        # ordering A's range eigenpairs differently conjugates the propagator
+        # by a permutation, which keeps its largest singular value
         h = neumann_hierarchy(n=8)
         baseline = seminorm_oracle(h, "tg")
-        pre = np.eye(8) - h.A.sqrt @ h.M @ h.A.sqrt
-        g = (np.eye(8) - h.Q @ h.Q.T) @ pre
         perm = np.random.default_rng(0).permutation(h.r)
-        gv = g @ h.A.range_basis[:, perm]
-        w = np.linalg.eigvalsh(sym_part(gv.T @ gv))
+        f = thin_factor(h.A)[perm]
+        q = np.linalg.svd(f @ h.P, full_matrices=False)[0][:, :h.s]
+        g = (np.eye(h.r) - q @ q.T) @ (np.eye(h.r) - f @ h.M @ f.T)
+        w = np.linalg.eigvalsh(sym_part(g.T @ g))
         assert abs(np.sqrt(max(w[-1], 0.0)) - baseline) <= 1e-12
+
+    def test_full_coarse_rank_reads_rounding(self):
+        # s = r: the exact factor is 0, and on range(A) the propagator is
+        # rounding, so the oracle keeps full digits there
+        a, p, _, _ = generate_problem(RandomSpsd(6, 2, 0), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert h.s == h.r == 2
+        assert exact_factor(h).factor_oracle <= 1e-14
 
     def test_itg_requires_coarse(self):
         with pytest.raises(ValueError, match="coarse"):
@@ -498,6 +515,11 @@ def eigensolves(monkeypatch, call):
     return calls
 
 
+def assert_range_sized(h, calls):
+    """At most one solve of order n, the spectrum of Mbar; all others <= r."""
+    assert [order for _, order in calls if order > h.r] in ([], [h.n]), calls
+
+
 class TestSharedSpectra:
     """One report shares its forms and spectra without changing a bit."""
 
@@ -556,7 +578,7 @@ class TestSharedSpectra:
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 9, calls
-        assert sum(order == h.n for _, order in calls) <= 4, calls
+        assert_range_sized(h, calls)
 
     def test_report_eigensolve_budget_gauss_seidel(self, monkeypatch):
         # Mbar != Mtilde here, yet the Mtilde form has the smoother spectrum,
@@ -566,23 +588,34 @@ class TestSharedSpectra:
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 9, calls
-        assert sum(order == h.n for _, order in calls) <= 4, calls
+        assert_range_sized(h, calls)
+
+    def test_report_eigensolve_budget_rank_deficient(self, monkeypatch):
+        # r = 13 < n = 20: every form the report solves is r x r or smaller
+        a, p, _, _ = generate_problem(RandomSpsd(20, 13, 4), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert (h.n, h.r, h.nc) == (20, 13, 10)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        calls = eigensolves(
+            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
+        assert 0 < len(calls) <= 9, calls
+        assert_range_sized(h, calls)
 
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
-        # pre-smoother is the only n x n array a Jacobi report adds; the
-        # coarse basis adds Q (n x s) and R (s x nc)
+        # pre-smoother (r x r) is the only square array a Jacobi report
+        # adds; the coarse basis adds Q (r x s) and R (s x nc)
         h, bc = neumann2d_report_inputs()
         before = dict(vars(h))
         held = {id(value) for value in before.values()}
         convergence_report(h, coarse=bc, epsilon=0.3)
         added = {key: value for key, value in vars(h).items() if key not in before}
         q, r = added.pop("coarse_factors")
-        assert q.shape == (h.n, h.s) and r.shape == (h.s, h.nc)
+        assert q.shape == (h.r, h.s) and r.shape == (h.s, h.nc)
         square = {id(value) for value in added.values()
                   if np.ndim(value) == 2 and id(value) not in held}
         assert square == {id(h.pre_smoother)}
-        assert h.pre_smoother.shape == (h.n, h.n)
+        assert h.pre_smoother.shape == (h.r, h.r)
         for key, value in added.items():
             if key != "pre_smoother" and id(value) not in held:
                 assert np.ndim(value) <= 1, key
@@ -628,4 +661,4 @@ class TestSharedSpectra:
             assert h.mtilde_form is h.smoother_form
         else:
             assert np.array_equal(
-                h.mtilde_form, sym_part(h.A.sqrt @ mtilde(h.M, h.A) @ h.A.sqrt))
+                h.mtilde_form, sym_part(h.A.factor @ mtilde(h.M, h.A) @ h.A.factor.T))

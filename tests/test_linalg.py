@@ -80,13 +80,14 @@ class TestSpsdCertify:
     def test_diagonal_pseudoinverse(self):
         op = spsd_certify(np.diag([2.0, 0.0]), policy(2))
         assert op.rank == 1
-        assert np.allclose(op.sqrt, np.diag([np.sqrt(2.0), 0.0]))
+        assert op.factor.shape == (1, 2)
+        assert np.allclose(np.abs(op.factor), [[np.sqrt(2.0), 0.0]])
         assert np.allclose(op.pinv, np.diag([0.5, 0.0]))
 
     def test_identity(self):
         op = spsd_certify(np.eye(4), policy(4))
         assert op.rank == 4
-        assert np.allclose(op.sqrt, np.eye(4))
+        assert np.allclose(op.factor.T @ op.factor, np.eye(4))
         assert np.allclose(op.pinv, np.eye(4))
 
     def test_neumann_laplacian_nullity(self):
@@ -129,22 +130,23 @@ class TestSpsdCertify:
         assert np.max(np.abs((sp @ s) - (sp @ s).T)) <= tol
 
     @pytest.mark.parametrize("seed,n,r", [(3, 9, 4), (4, 12, 12)])
-    def test_sqrt_properties(self, seed, n, r):
+    def test_factor_properties(self, seed, n, r):
         rng = np.random.default_rng(seed)
         g = rng.standard_normal((r, n))
         a = g.T @ g
         op = spsd_certify(a, policy(n))
         lam = op.max_eigenvalue
         tol = op.policy.match_tol
-        assert np.max(np.abs(op.sqrt @ op.sqrt - op.matrix)) <= tol * lam
-        # sqrt is itself SPSD and commutes with the matrix
-        assert np.min(np.linalg.eigvalsh(op.sqrt)) >= -op.policy.psd_slack * np.sqrt(lam)
-        comm = op.sqrt @ op.matrix - op.matrix @ op.sqrt
-        assert np.max(np.abs(comm)) <= tol * max(1.0, lam) ** 1.5
-        # null space of the matrix is annihilated by the square root
+        f = op.factor
+        # one row per kept eigenvalue, and F^T F = A
+        assert f.shape == (op.rank, n) and op.rank == r
+        assert np.max(np.abs(f.T @ f - op.matrix)) <= tol * lam
+        # the rows are orthogonal: F F^T is the kept spectrum
+        assert np.max(np.abs(f @ f.T - np.diag(op.eig.values[n - r:]))) <= tol * lam
+        # the null space of the matrix is annihilated by the factor
         if op.rank < n:
-            resid = np.max(np.abs(op.sqrt @ op.null_basis))
-            assert resid <= np.sqrt(op.policy.rank_rel_tol * lam) * 2.0
+            resid = np.max(np.abs(f @ op.null_basis))
+            assert resid <= 1e-14 * np.sqrt(lam)
 
     def test_pinv_sqrt_consistency(self):
         rng = np.random.default_rng(7)

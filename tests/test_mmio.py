@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from twogrid.errors import MatrixMarketError
-from twogrid.mmio import read_matrix, read_vector, write_matrix, write_vector
+from twogrid.mmio import read_matrix, write_matrix, write_vector
 
 
 @pytest.mark.parametrize("layout", ["array", "coordinate"])
@@ -44,7 +44,9 @@ def test_vector_round_trip(tmp_path):
     v = np.array([1.5, -2.25, 0.0, 3.0])
     path = tmp_path / "v.mtx"
     write_vector(path, v)
-    assert np.array_equal(read_vector(path), v)
+    back = read_matrix(path)
+    assert back.shape == (4, 1)
+    assert np.array_equal(back.reshape(-1), v)
 
 
 def test_read_integer_field(tmp_path):
@@ -70,10 +72,3 @@ def test_parse_errors_have_context(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(MatrixMarketError, match=fragment):
         read_matrix(path)
-
-
-def test_vector_rejects_matrix(tmp_path):
-    path = tmp_path / "m.mtx"
-    write_matrix(path, np.ones((2, 2)))
-    with pytest.raises(MatrixMarketError, match="vector"):
-        read_vector(path)

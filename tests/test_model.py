@@ -116,7 +116,7 @@ class TestMbarMtilde:
     def test_gauss_seidel_mtilde_spectrum_in_unit_box(self):
         a = certify(neumann_laplacian_1d(8))
         m = build_smoother(GaussSeidel(), a)
-        w = np.linalg.eigvalsh(sym_part(a.sqrt @ mtilde(m, a) @ a.sqrt))
+        w = np.linalg.eigvalsh(sym_part(a.factor @ mtilde(m, a) @ a.factor.T))
         slack = a.policy.psd_slack
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
@@ -149,14 +149,14 @@ class TestBuildHierarchy:
         assert (h.r, h.s) == (7, 3)
 
     def test_unread_operators_are_not_built(self):
-        # set-up reads A^{1/2} only: nothing coarse is built, and neither are
-        # A^+, Ac^+ or Ac^{1/2}
+        # set-up reads A's thin factor only: nothing coarse is built, and
+        # neither are A^+, Ac^+ or Ac's factor
         h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
                             WeightedJacobi(2.0 / 3.0))
-        assert not hasattr(h, "Pi")
+        assert not hasattr(h, "Pi") and not hasattr(h.A, "sqrt")
         assert "coarse_factors" not in vars(h)
-        assert "pinv" not in vars(h.A) and "sqrt" not in vars(h.Ac)
-        assert "sqrt" in vars(h.A) and "pinv" not in vars(h.Ac)
+        assert "pinv" not in vars(h.A) and "factor" not in vars(h.Ac)
+        assert "factor" in vars(h.A) and "pinv" not in vars(h.Ac)
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
@@ -219,15 +219,17 @@ class TestBuildHierarchy:
         tol = h.policy.match_tol
         pi_a = h.P @ h.Ac.pinv @ h.P.T @ h.A.matrix
         assert np.max(np.abs(pi_a @ pi_a - pi_a)) <= tol
-        # Pi = Q Q^T: Q has s orthonormal columns and Q R = A^{1/2} P
+        # Pi = Q Q^T: Q has s orthonormal columns and Q R = F P, with the
+        # thin factor F = Lambda_r^{1/2} V_r^T formed here from A's eigenpairs
         for case in corpus.builtin_corpus():
             h, _, _ = corpus.build_case(case)
             q, r = h.coarse_factors
-            ah_p = h.A.sqrt @ h.P
-            assert q.shape == (h.n, h.s), case.name
+            lam, v = h.A.eig.values[h.n - h.r:], h.A.eig.vectors[:, h.n - h.r:]
+            fp = np.sqrt(lam)[:, None] * (v.T @ h.P)
+            assert q.shape == (h.r, h.s), case.name
             assert np.max(np.abs(q.T @ q - np.eye(h.s))) <= 1e-14, case.name
-            assert (np.max(np.abs(q @ r - ah_p))
-                    <= 1e-8 * np.max(np.abs(ah_p))), case.name
+            assert (np.max(np.abs(q @ r - fp))
+                    <= 1e-13 * np.max(np.abs(fp))), case.name
 
     def test_mbar_mtilde_conjugate_spectra_match(self):
         # the analysis reads the smoother spectrum as the Mtilde form's:

@@ -72,9 +72,14 @@ class TestSweeps:
     def test_worst_direction_attains_factor(self, setup8):
         h, f, u_ref = setup8
         factor = exact_factor(h).factor_identity
-        g = (np.eye(8) - h.Q @ h.Q.T) @ (np.eye(8) - h.A.sqrt @ h.M @ h.A.sqrt)
-        _, _, vt = np.linalg.svd(g @ h.A.range_basis)
-        e0 = h.A.pinv_sqrt @ (h.A.range_basis @ vt[0])
+        # the propagator E = (I - P Ac^+ P^T A)(I - M A) on range(A), in A's
+        # energy-scaled eigenbasis; its top right singular vector, mapped
+        # back through Lambda_r^{-1/2}, is the error that E shrinks least
+        lam, v = h.A.eig.values[h.n - h.r:], h.A.eig.vectors[:, h.n - h.r:]
+        eye = np.eye(h.n)
+        e = (eye - h.P @ h.Ac.pinv @ h.P.T @ h.A.matrix) @ (eye - h.M @ h.A.matrix)
+        _, _, vt = np.linalg.svd(np.sqrt(lam)[:, None] * (v.T @ e @ v) / np.sqrt(lam))
+        e0 = v @ (vt[0] / np.sqrt(lam))
         u0 = u_ref - e0
         u1 = tg_sweep(h, u0, f)
         ratio = (a_seminorm(h.A.matrix, u_ref - u1)
@@ -358,16 +363,19 @@ class TestIterate:
                              ids=["neumann1d:16", "random:12:8:1"])
     def test_error_reads_eigenpairs_not_the_square_root(self, problem):
         # ||d||_A from A's certified range eigenpairs, against the former
-        # ||A^{1/2} V V^T d||, with an O(1) null-space part in d
+        # ||A^{1/2} V V^T d|| (the principal square root is formed here);
+        # d has an O(1) null-space part
         a, p, f, u_ref = generate_problem(problem, group=2, seed=3)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p,
                              Ac=spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy))
         rng = np.random.default_rng(8)
         d = rng.standard_normal(h.n) + h.A.null_basis @ np.ones(h.n - h.r)
         trace = iterate(h, f, u_ref - d, 3, u_ref=u_ref)
-        assert "sqrt" not in vars(h.A)
+        assert "factor" not in vars(h.A)
+        w, vectors = h.A.eig.values, h.A.eig.vectors
+        sqrt_a = sym_part((vectors * np.sqrt(w)) @ vectors.T)
         v = h.A.range_basis
-        old = float(np.linalg.norm(h.A.sqrt @ (v @ (v.T @ d))))
+        old = float(np.linalg.norm(sqrt_a @ (v @ (v.T @ d))))
         assert abs(trace.errors_A[0] - old) <= 1e-13 * old
 
     def test_overflow_is_divergence(self):
