@@ -43,7 +43,6 @@ from .linalg import (
     spectrum_rank,
     spsd_certify,
     sym_part,
-    symmetric_rank,
 )
 from .model import TwoGridHierarchy
 
@@ -363,7 +362,9 @@ def require_matching_ranges(ac: SpsdOperator, bc: SpsdOperator) -> None:
     """Reject a coarse approximation whose range differs from the Galerkin one.
 
     Equal ranges are necessary for any two-sided spectral equivalence.
-    Checked through the ranks and the joint rank of the stacked null bases.
+    Checked through the ranks and the rank of the stacked null bases, read
+    off their singular values (a Gram matrix would square them, and a null
+    space turned by t would pass for t below the square root of the cut).
     """
     if bc.n != ac.n:
         raise ShapeError(f"coarse matrix is {bc.n} x {bc.n}, expected {ac.n} x {ac.n}")
@@ -375,7 +376,7 @@ def require_matching_ranges(ac: SpsdOperator, bc: SpsdOperator) -> None:
     if nullity == 0:
         return
     joint = np.hstack([ac.null_basis, bc.null_basis])
-    joint_rank = symmetric_rank(joint.T @ joint, ac.policy)
+    joint_rank = spectrum_rank(np.linalg.svd(joint, compute_uv=False), ac.policy)
     if joint_rank != nullity:
         raise RangeMismatchError(
             "approximate coarse matrix has the right rank but a different "

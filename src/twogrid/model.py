@@ -84,6 +84,23 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
     raise TypeError(f"unknown smoother spec {spec!r}")
 
 
+# The sweep applies an operator in CSR only when it has at least
+# SPARSE_MIN_ENTRIES entries and at most SPARSE_MAX_DENSITY of them are
+# nonzero. Below that size scipy's cost per call exceeds the dense product.
+SPARSE_MIN_ENTRIES = 2 ** 14
+SPARSE_MAX_DENSITY = 1.0 / 32.0
+
+
+def sweep_form(matrix: np.ndarray):
+    """`matrix` as a scipy.sparse.csr_array when large and sparse, else itself."""
+    if (matrix.size >= SPARSE_MIN_ENTRIES
+            and np.count_nonzero(matrix) <= SPARSE_MAX_DENSITY * matrix.size):
+        # Imported here: hierarchies below the threshold never load scipy.sparse.
+        from scipy.sparse import csr_array
+        return csr_array(matrix)
+    return matrix
+
+
 def mbar(m, a: SpsdOperator) -> np.ndarray:
     """Symmetrized pre-smoothing operator M + M^T - M^T A M."""
     m = as_matrix(m, "M")
@@ -121,7 +138,8 @@ class TwoGridHierarchy:
     is solved once per hierarchy, however many analysis calls read it. Only
     the pre-smoother (and, for a nonsymmetric M, the Mtilde form) adds an
     r x r array; Mtilde itself is not kept, and the Mtilde form's spectrum
-    is smoother_spectrum.
+    is smoother_spectrum. The solver reads A, M and P through
+    sweep_operators, built on its first sweep.
     build_hierarchy validates; this does not.
     """
 
@@ -153,6 +171,18 @@ class TwoGridHierarchy:
     @property
     def policy(self) -> TolerancePolicy:
         return self.A.policy
+
+    @cached_property
+    def sweep_operators(self) -> tuple:
+        """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
+
+        Each is sweep_form of the dense operator: a CSR array when large and
+        sparse, otherwise the hierarchy's own ndarray (M^T and P^T as views).
+        Built on the first sweep, so a hierarchy that is only analysed never
+        builds it.
+        """
+        return tuple(sweep_form(x) for x in
+                     (self.A.matrix, self.M, self.M.T, self.P, self.P.T))
 
     @cached_property
     def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ a coarse correction, and prolongation back to the fine grid. The coarse
 correction is either the exact pseudoinverse of the Galerkin matrix, the
 pseudoinverse of a supplied SPSD approximation, or an arbitrary callable of
 declared relative accuracy. A symmetrized sweep appends one M^T smoothing
-step after the prolongation.
+step after the prolongation. Sweeps apply A, M, M^T, P and P^T as the
+hierarchy's sweep_operators holds them: in CSR when large and sparse,
+otherwise dense.
 
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail
@@ -136,10 +138,11 @@ def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
 def _sweep(h: TwoGridHierarchy, u0: np.ndarray, r0: np.ndarray, f: np.ndarray,
            coarse: CoarseSolverSpec) -> np.ndarray:
     """itg_sweep on validated inputs, given the residual r0 = f - A u0."""
-    u1 = u0 + h.M @ r0
-    rc = h.P.T @ (f - h.A.matrix @ u1)
+    a, m, _, p, pt = h.sweep_operators
+    u1 = u0 + m @ r0
+    rc = pt @ (f - a @ u1)
     ec = _coarse_correction(h, rc, coarse)
-    return u1 + h.P @ ec
+    return u1 + p @ ec
 
 
 def itg_sweep(h: TwoGridHierarchy, u0, f,
@@ -148,7 +151,7 @@ def itg_sweep(h: TwoGridHierarchy, u0, f,
     u0 = as_vector(u0, h.n, "u0")
     f = as_vector(f, h.n, "f")
     check_consistent(h, f)
-    return _sweep(h, u0, f - h.A.matrix @ u0, f, coarse)
+    return _sweep(h, u0, f - h.sweep_operators[0] @ u0, f, coarse)
 
 
 def tg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
@@ -159,7 +162,8 @@ def tg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
 def stg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
     """Exact sweep followed by one M^T post-smoothing step."""
     u = tg_sweep(h, u0, f)
-    return u + h.M.T @ (f - h.A.matrix @ u)
+    a, _, mt, _, _ = h.sweep_operators
+    return u + mt @ (f - a @ u)
 
 
 @dataclass(eq=False)
@@ -244,7 +248,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     if u_ref is not None:
         u_ref = as_vector(u_ref, h.n, "u_ref")
 
-    a = h.A.matrix
+    a, _, mt, _, _ = h.sweep_operators
     f_norm = float(np.linalg.norm(f))
 
     # ||d||_A = ||sqrt(lambda_r) * (V_r^T d)|| over A's certified range
@@ -290,7 +294,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     for k in range(sweeps):
         u = _sweep(h, u, r, f, coarse)
         if variant == "stg":
-            u = u + h.M.T @ (f - a @ u)
+            u = u + mt @ (f - a @ u)
         r = f - a @ u
         residuals.append(float(np.linalg.norm(r)))
         if errors is not None:

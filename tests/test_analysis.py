@@ -378,6 +378,19 @@ class TestInexactAnalysis:
         with pytest.raises(RangeMismatchError, match="rank"):
             inexact_linear_analysis(h, np.eye(h.nc))
 
+    @pytest.mark.parametrize("angle", [1e-7, 1e-6])
+    def test_turned_null_space_rejected(self, angle):
+        # Bc = R Ac R^T with R turning Ac's null vector by `angle` towards its
+        # range: the stacked null bases have sigma_min = angle / sqrt(2), far
+        # above the rank cut, though their Gram matrix's angle**2 / 2 is not
+        h = neumann_hierarchy(n=16)
+        z, v = h.Ac.null_basis[:, 0], h.Ac.range_basis[:, 0]
+        turn = (np.sin(angle) * (np.outer(v, z) - np.outer(z, v))
+                + (np.cos(angle) - 1.0) * (np.outer(z, z) + np.outer(v, v)))
+        rot = np.eye(h.nc) + turn
+        with pytest.raises(RangeMismatchError, match="null space"):
+            inexact_linear_analysis(h, sym_part(rot @ h.Ac.matrix @ rot.T))
+
     def test_scaling_required(self):
         h = neumann_hierarchy(n=8)
         with pytest.raises(CoarseScalingError, match="scale"):

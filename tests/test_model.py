@@ -1,10 +1,14 @@
 """Tests for smoother construction, hierarchy assembly, and generators."""
+import importlib.util
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_array
 
 from twogrid import corpus
+from twogrid.cli import parse_problem, parse_smoother
 from twogrid.errors import (
     NotSpsdError,
     ShapeError,
@@ -13,9 +17,12 @@ from twogrid.errors import (
 )
 from twogrid.linalg import SpsdOperator, TolerancePolicy, spsd_certify, sym_part
 from twogrid.model import (
+    SPARSE_MAX_DENSITY,
+    SPARSE_MIN_ENTRIES,
     CustomSmoother,
     GaussSeidel,
     NeumannLaplacian1D,
+    NeumannLaplacian2D,
     GraphLaplacian,
     RandomSpsd,
     TwoGridHierarchy,
@@ -30,7 +37,10 @@ from twogrid.model import (
     neumann_laplacian_1d,
     neumann_laplacian_2d,
     random_spsd,
+    sweep_form,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def certify(a):
@@ -157,6 +167,7 @@ class TestBuildHierarchy:
         assert "coarse_factors" not in vars(h)
         assert "pinv" not in vars(h.A) and "factor" not in vars(h.Ac)
         assert "factor" in vars(h.A) and "pinv" not in vars(h.Ac)
+        assert "sweep_operators" not in vars(h)
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
@@ -248,6 +259,84 @@ class TestBuildHierarchy:
         h = build_hierarchy(neumann_laplacian_1d(6), aggregation_prolongation(6, 2),
                             WeightedJacobi(0.5))
         assert h.n == 6 and h.nc == 3
+
+
+def parity_problems(monkeypatch):
+    """(label, A, P, smoother spec) of every problem tools/parity.py solves."""
+    # the tool sets and clears these on import; monkeypatch restores them
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    for var in ("RANK_REL_TOL", "MATCH_TOL"):
+        monkeypatch.delenv(var, raising=False)
+    spec = importlib.util.spec_from_file_location("parity", ROOT / "tools" / "parity.py")
+    parity = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(parity)
+    problems = [(f"{problem} {smoother}", problem, parse_smoother(smoother))
+                for problem, smoother in parity.PROBLEMS]
+    problems += [(f"{problem} custom {label}", problem, CustomSmoother(matrix))
+                 for problem, label, matrix in parity.CUSTOM]
+    return [(label, *generate_problem(parse_problem(problem), group=2, seed=0)[:2],
+             smoother) for label, problem, smoother in problems]
+
+
+class TestSweepOperators:
+    @staticmethod
+    def assert_own_arrays(h, label):
+        a, m, mt, p, pt = h.sweep_operators
+        assert a is h.A.matrix and m is h.M and p is h.P, label
+        assert mt.base is h.M and pt.base is h.P, label
+        assert mt.shape == h.M.T.shape and pt.shape == h.P.T.shape, label
+
+    def test_solve_2d_hierarchy(self):
+        # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; the GS M is
+        # not (about a quarter of its entries are nonzero)
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        ops = h.sweep_operators
+        assert ops is h.sweep_operators
+        dense = (h.A.matrix, h.M, h.M.T, h.P, h.P.T)
+        assert [type(op) for op in ops] == [csr_array, np.ndarray, np.ndarray,
+                                            csr_array, csr_array]
+        assert ops[1] is h.M and ops[2].base is h.M
+        for op, matrix in zip(ops, dense):
+            assert np.array_equal(op if isinstance(op, np.ndarray) else op.toarray(),
+                                  matrix)
+        # a Jacobi M of the same size is diagonal, so M and M^T are sparse
+        jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
+                                  P=h.P, Ac=h.Ac)
+        m, mt = jacobi.sweep_operators[1:3]
+        assert type(m) is csr_array and type(mt) is csr_array
+        assert np.array_equal(m.toarray(), jacobi.M)
+        assert np.array_equal(mt.toarray(), jacobi.M.T)
+
+    def test_corpus_keeps_its_arrays(self):
+        for case in corpus.builtin_corpus():
+            h, _, _ = corpus.build_case(case)
+            self.assert_own_arrays(h, case.name)
+
+    def test_parity_problems_keep_their_arrays(self, monkeypatch):
+        problems = parity_problems(monkeypatch)
+        assert len(problems) == 6
+        for label, a, p, smoother in problems:
+            self.assert_own_arrays(build_hierarchy(a, p, smoother), label)
+
+    @pytest.mark.parametrize("shape,nonzeros,sparse", [
+        ((128, 128), 128, True),    # 2^14 entries
+        ((127, 129), 127, False),   # 2^14 - 1 entries
+        ((128, 128), 512, True),    # density 1/32
+        ((128, 128), 513, False),   # density just above 1/32
+    ])
+    def test_thresholds(self, shape, nonzeros, sparse):
+        assert SPARSE_MIN_ENTRIES == 2 ** 14 and SPARSE_MAX_DENSITY == 1.0 / 32.0
+        matrix = np.zeros(shape)
+        matrix.flat[np.linspace(0, matrix.size - 1, nonzeros).astype(int)] = 1.5
+        assert np.count_nonzero(matrix) == nonzeros
+        form = sweep_form(matrix)
+        if sparse:
+            assert type(form) is csr_array
+            assert np.array_equal(form.toarray(), matrix)
+        else:
+            assert form is matrix
 
 
 class TestGenerators:

@@ -10,6 +10,7 @@ from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
     NeumannLaplacian1D,
+    NeumannLaplacian2D,
     RandomSpsd,
     TwoGridHierarchy,
     WeightedJacobi,
@@ -325,10 +326,13 @@ class TestIterate:
         iterate(h, f, np.zeros(8), 7, variant, coarse=coarse, u_ref=u_ref)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("problem", [NeumannLaplacian1D(16), NeumannLaplacian2D(16, 16)],
+                             ids=["neumann1d:16", "neumann2d:16x16-csr"])
     @pytest.mark.parametrize("variant", ["tg", "stg", "itg-linear", "itg-eps"])
-    def test_trace_equals_public_sweeps_bit_for_bit(self, variant):
-        a, p, f, u_ref = generate_problem(NeumannLaplacian1D(16), group=2, seed=4)
+    def test_trace_equals_public_sweeps_bit_for_bit(self, variant, problem):
+        a, p, f, u_ref = generate_problem(problem, group=2, seed=4)
         h = build_hierarchy(a, p, GaussSeidel())
+        a_sweep = h.sweep_operators[0]
         # one coarse solver for iterate, an identical one for the loop
         if variant == "itg-eps":
             coarse = [GeneralCoarse(eps_perturbed_coarse(
@@ -349,15 +353,57 @@ class TestIterate:
             sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])
             return float(np.linalg.norm(sqrt_lam * (h.A.range_basis.T @ (u_ref - u))))
 
-        u = np.random.default_rng(6).standard_normal(16)
+        u = np.random.default_rng(6).standard_normal(h.n)
         trace = iterate(h, f, u, 12, variant[:3], coarse=coarse[0], u_ref=u_ref)
-        errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
+        errors, residuals = [error(u)], [float(np.linalg.norm(f - a_sweep @ u))]
         for _ in range(12):
             u = sweep(u)
             errors.append(error(u))
-            residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
+            residuals.append(float(np.linalg.norm(f - a_sweep @ u)))
         assert trace.errors_A == errors
         assert trace.residuals == residuals
+
+    @pytest.mark.parametrize("variant", ["tg", "stg", "itg-linear", "itg-eps"])
+    def test_sparse_operators_match_dense_sweeps(self, variant):
+        # neumann2d:16x16 with Jacobi: A, M, M^T, P and P^T are all applied
+        # in CSR; the trace must match dense sweeps up to rounding
+        a, p, f, u_ref = generate_problem(NeumannLaplacian2D(16, 16), group=2, seed=4)
+        h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+        assert not any(isinstance(op, np.ndarray) for op in h.sweep_operators)
+        if variant == "itg-eps":
+            coarse = [GeneralCoarse(eps_perturbed_coarse(
+                h, 0.3, np.random.default_rng(5)), 0.3) for _ in range(2)]
+        elif variant == "itg-linear":
+            coarse = [LinearSpsdCoarse(spsd_certify(2.0 * h.Ac.matrix, h.policy))] * 2
+        else:
+            coarse = [None, ExactCoarse()]
+
+        def coarse_solve(rc):
+            if isinstance(coarse[1], GeneralCoarse):
+                return coarse[1].solve(rc)
+            if isinstance(coarse[1], LinearSpsdCoarse):
+                return coarse[1].Bc.pinv @ rc
+            return h.Ac.pinv @ rc
+
+        def error(u):
+            sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])
+            return float(np.linalg.norm(sqrt_lam * (h.A.range_basis.T @ (u_ref - u))))
+
+        u = np.random.default_rng(6).standard_normal(h.n)
+        sweeps = 10
+        trace = iterate(h, f, u, sweeps, variant[:3], coarse=coarse[0], u_ref=u_ref)
+        errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
+        for _ in range(sweeps):
+            u = u + h.M @ (f - h.A.matrix @ u)
+            u = u + h.P @ coarse_solve(h.P.T @ (f - h.A.matrix @ u))
+            if variant == "stg":
+                u = u + h.M.T @ (f - h.A.matrix @ u)
+            errors.append(error(u))
+            residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
+        assert errors[-1] < 1e-2 * errors[0]
+        for mine, dense in ((trace.errors_A, errors), (trace.residuals, residuals)):
+            gaps = np.abs(np.subtract(mine, dense)) / np.abs(dense)
+            assert np.max(gaps) <= 1e-12, gaps
 
     @pytest.mark.parametrize("problem", [NeumannLaplacian1D(16), RandomSpsd(12, 8, 1)],
                              ids=["neumann1d:16", "random:12:8:1"])

@@ -12,8 +12,9 @@ and `eps:0.3` coarse solves, plus an `stg` solve; the `generate` files; the
 `analyze` JSON of two custom smoothers read from files the tool writes (the
 zero smoother, whose condition fails with exit 2, and a positive definite
 1e-7 * Jacobi 2/3); the report JSON of each of the 21 corpus cases
-(Bc = 2 Ac, eps 0.3); and the report of the analyze-2d benchmark workload at
-seed 0. Each digest also covers the exit code and the stdout and stderr text
+(Bc = 2 Ac, eps 0.3); the report of the analyze-2d benchmark workload at
+seed 0; and one exact `solve` on neumann2d:16x16, large and sparse enough
+that the sweep applies A, P and P^T in CSR. Each digest also covers the exit code and the stdout and stderr text
 of its command. BLAS runs on one thread, so the bytes do not depend on the
 thread count of the host.
 """
@@ -54,6 +55,8 @@ ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--smoother", "jacobi:0.6666666666666666",
               "--prolongation", "aggregate:2", "--coarse", "scale:2",
               "--epsilon", "0.3", "--seed", "0"]
+SPARSE_SOLVE = ["solve", "--problem", "neumann2d:16x16", "--smoother", "gs",
+                "--prolongation", "aggregate:4", "--coarse", "exact"]
 
 
 def sha256(data: bytes) -> str:
@@ -109,6 +112,8 @@ def digests() -> dict[str, str]:
         result[f"corpus {case.name}"] = sha256(text.encode("ascii"))
     result["analyze-2d seed 0"] = run([*ANALYZE_2D, "--output", "r.json"],
                                       ["r.json"])
+    result["solve neumann2d:16x16 gs aggregate:4 exact"] = run(
+        [*SPARSE_SOLVE, "--output", "t"], ["t.csv", "t.json"])
     return result
 
 
