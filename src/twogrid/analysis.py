@@ -10,9 +10,9 @@ n - r + k is array index k - 1 here (n - r + 1 is index 0, n - r + s + 1 is
 index s); reports keep the paper's positions and dimensions. Each form and
 spectrum that depends only on the hierarchy is solved once and cached on it
 (see TwoGridHierarchy); each function here is the one formula for its
-quantity over those spectra. The spectrum of Mtilde A is read off the
-smoother spectrum: the two forms are I - K K^T and I - K^T K with
-K = I - F M F^T, so their eigenvalues agree.
+quantity over those spectra. The smoother enters through B = F M F^T alone:
+K = I - B, F Mbar F^T = B + B^T - B^T B = I - K^T K and F Mtilde F^T =
+B + B^T - B B^T = I - K K^T, so the spectrum of Mtilde A is the smoother's.
 
 Main entry points:
 
@@ -55,8 +55,8 @@ def _factor_from(value: float) -> float:
 def smoothing_floor(h: TwoGridHierarchy) -> float:
     """(n - r + 1)-th smallest eigenvalue of Mtilde A.
 
-    On range(A), Mtilde A is similar to F Mtilde F^T = I - K K^T, which has
-    the eigenvalues of the smoother form F Mbar F^T = I - K^T K; so this is
+    On range(A), Mtilde A is similar to F Mtilde F^T = I - K K^T (K = I - B),
+    which has the eigenvalues of the smoother form I - K^T K; so this is
     index 0 of the smoother spectrum. It caps how much the smoother alone
     can leave behind on the range of A.
     """
@@ -108,7 +108,7 @@ def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
 
 
 def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
-    """F Mbar F^T + K^T Q C Q^T K with K = I - F M F^T (r x r)."""
+    """F Mbar F^T + K^T Q C Q^T K with K = I - B (r x r)."""
     c = h.Q.T @ h.pre_smoother
     return sym_part(h.smoother_form + c.T @ core @ c)
 
@@ -116,7 +116,7 @@ def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
 def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
     """Quadratic-form matrix of the exact iteration on range(A).
 
-    F Mbar F^T + (I - F M^T F^T) Pi (I - F M F^T) with Pi = Q Q^T, so the
+    F Mbar F^T + (I - B^T) Pi (I - B) with Pi = Q Q^T, so the
     coarse block is Q C Q^T with core C = I; SPSD, and nonsingular exactly
     when the intersection condition holds.
     """
@@ -172,7 +172,7 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
     equiv_cond_ok: the null spaces of A^{1/2} Mbar A^{1/2} and of
         P^T (I - A M) A^{1/2} intersect exactly in the null space of A;
         necessary and sufficient for a convergence factor below one. With
-        K = I - F M F^T, Pi = Q Q^T and G = (I - Pi) K, the quadratic form
+        K = I - B, Pi = Q Q^T and G = (I - Pi) K, the quadratic form
         ftg is I - G^T G and the complement form is (I - Pi) - G G^T, so
         the complement's nullity is s plus the nullity of ftg, which is the
         intersection dimension less n - r. The complement is a compression
@@ -283,19 +283,16 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     The identity route and the quadratic-form route must agree with the
     oracle to within the match tolerance whenever the intersection condition
     holds; all three are reported so drift is visible. The degenerate case
-    s = r yields factor zero without indexing past the spectrum.
+    s = r yields factor zero without solving or indexing past a spectrum.
     """
     conditions = check_conditions(h)
     sigma = sigma_tg(h)
     factor_identity = _factor_from(sigma)
 
-    w_ftg = np.linalg.eigvalsh(ftg_matrix(h))
-    factor_ftg = _factor_from(float(w_ftg[0]))
-
-    eigengap = None
-    if h.s == h.r:
-        factor_ftg = 0.0
-    else:
+    factor_ftg, eigengap = 0.0, None
+    if h.s < h.r:
+        w_ftg = np.linalg.eigvalsh(ftg_matrix(h))
+        factor_ftg = _factor_from(float(w_ftg[0]))
         w = h.complement_spectrum
         eigengap = float(w[h.s] - w[h.s - 1])
 
@@ -387,16 +384,17 @@ def spectral_equivalence_constants(reference: SpsdOperator,
                                    other: SpsdOperator) -> tuple[float, float]:
     """Best constants (c1, c2) with c1 v'Rv <= v'Ov <= c2 v'Rv on the range.
 
-    Computed on the symmetric form R^{+/2} O R^{+/2}; requires matching
-    ranges so the constants are finite and positive. A range mismatch is
-    reported with `other` in the Galerkin role and `reference` as the
-    approximation: inexact_linear_analysis calls it with (Bc, Ac), so alpha1
-    and alpha2 are the extreme nonzero eigenvalues of Bc^+ Ac.
+    The extreme eigenvalues of G R^+ G^T with O's thin factor G (rank x n),
+    the nonzero spectrum of R^+ O; requires matching ranges so the constants
+    are finite and positive. A range mismatch is reported with `other` in
+    the Galerkin role and `reference` as the approximation:
+    inexact_linear_analysis calls it with (Bc, Ac), so alpha1 and alpha2 are
+    the extreme nonzero eigenvalues of Bc^+ Ac, solved at order s.
     """
     require_matching_ranges(other, reference)
-    w = np.linalg.eigvalsh(sym_part(reference.pinv_sqrt @ other.matrix
-                                    @ reference.pinv_sqrt))
-    return float(w[reference.n - reference.rank]), float(w[-1])
+    g = other.factor
+    w = np.linalg.eigvalsh(sym_part(g @ reference.pinv @ g.T))
+    return float(w[0]), float(w[-1])
 
 
 def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:

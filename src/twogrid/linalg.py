@@ -49,13 +49,16 @@ def sym_part(x: np.ndarray) -> np.ndarray:
     return 0.5 * (x + x.T)
 
 
-def _require_square_symmetric(s: np.ndarray, name: str) -> None:
+def _symmetric_input(s) -> np.ndarray:
+    """as_matrix(s) checked square and symmetric up to rounding skew, as sym_part."""
+    s = as_matrix(s, "S")
     if s.shape[0] != s.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {s.shape}")
+        raise ShapeError(f"S must be square, got shape {s.shape}")
     skew = float(np.max(np.abs(s - s.T)))
     scale = float(np.max(np.abs(s)))
     if skew > SYMMETRY_RTOL * max(scale, 1.0):
-        raise ShapeError(f"{name} is not symmetric: max|{name} - {name}^T| = {skew:.3e}")
+        raise ShapeError(f"S is not symmetric: max|S - S^T| = {skew:.3e}")
+    return sym_part(s)
 
 
 @dataclass(frozen=True)
@@ -101,9 +104,11 @@ def sym_eig(s) -> SymEigen:
     rounding skew is tolerated; gross asymmetry is rejected. The output is
     deterministic: identical input bytes give identical eigenvalue bytes.
     """
-    s = as_matrix(s, "S")
-    _require_square_symmetric(s, "S")
-    sym = sym_part(s)
+    return _eigh(_symmetric_input(s))
+
+
+def _eigh(sym: np.ndarray) -> SymEigen:
+    """eigh of an already symmetric matrix; a failure names its off-diagonal scale."""
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
@@ -120,8 +125,8 @@ class SpsdOperator:
     """An SPSD matrix with the spectrum and rank its certification decided.
 
     Every operator derived from the fields (thin factor, Moore-Penrose
-    inverse and its square root, range and null bases) is a cached property,
-    built on first read under the one rank decision.
+    inverse, range and null bases) is a cached property, built on first read
+    under the one rank decision.
     """
 
     matrix: np.ndarray
@@ -137,14 +142,6 @@ class SpsdOperator:
     def max_eigenvalue(self) -> float:
         return float(self.eig.values[-1])
 
-    def _function(self, f) -> np.ndarray:
-        """V_r diag(f(w_r)) V_r^T, symmetrized, over the kept eigenpairs only."""
-        first = self.n - self.rank
-        w, v = self.eig.values, self.eig.vectors
-        g = np.zeros_like(w)
-        g[first:] = f(w[first:])
-        return sym_part((v * g) @ v.T)
-
     @cached_property
     def factor(self) -> np.ndarray:
         """Thin factor F = Lambda_r^{1/2} V_r^T (rank x n) over the kept eigenpairs.
@@ -158,12 +155,11 @@ class SpsdOperator:
     @cached_property
     def pinv(self) -> np.ndarray:
         """Moore-Penrose inverse; inverts exactly the eigenvalues the rank keeps."""
-        return self._function(lambda kept: 1.0 / kept)
-
-    @cached_property
-    def pinv_sqrt(self) -> np.ndarray:
-        """Square root of the pseudoinverse (= pseudoinverse of the square root)."""
-        return self._function(lambda kept: 1.0 / np.sqrt(kept))
+        first = self.n - self.rank
+        w, v = self.eig.values, self.eig.vectors
+        g = np.zeros_like(w)
+        g[first:] = 1.0 / w[first:]
+        return sym_part((v * g) @ v.T)
 
     @cached_property
     def range_basis(self) -> np.ndarray:
@@ -186,8 +182,8 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
 
     The derived operators are built lazily on the returned SpsdOperator.
     """
-    s = as_matrix(s, "S")
-    eig = sym_eig(s)
+    sym = _symmetric_input(s)
+    eig = _eigh(sym)
     w = eig.values
     lam_max = float(w[-1])
     if lam_max <= 0.0:
@@ -201,7 +197,7 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             f"-psd_slack * lambda_max = {-tol.psd_slack * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
-    return SpsdOperator(matrix=sym_part(s),
+    return SpsdOperator(matrix=sym,
                         eig=SymEigen(values=clamped, vectors=eig.vectors),
                         rank=spectrum_rank(clamped, tol), policy=tol)
 
@@ -212,9 +208,7 @@ def symmetric_rank(s, tol: TolerancePolicy) -> int:
     Unlike spsd_certify this accepts the zero matrix (rank 0); small negative
     eigenvalues are ignored for the count.
     """
-    s = as_matrix(s, "S")
-    _require_square_symmetric(s, "S")
-    return spectrum_rank(np.linalg.eigvalsh(sym_part(s)), tol)
+    return spectrum_rank(np.linalg.eigvalsh(_symmetric_input(s)), tol)
 
 
 def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,

@@ -1,15 +1,15 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
-Builds smoothers (weighted Jacobi, Gauss-Seidel, custom M), the symmetrized
-smoother operators M + M^T - M^T A M and M + M^T - M A M^T, the Galerkin
-coarse matrix P^T A P, and an orthonormal basis of the coarse space on
-range(A), through A's thin factor F (A = F^T F). Also provides SPSD test
-problems: Neumann Laplacians in 1d/2d, weighted graph Laplacians, seeded
-random rank-deficient matrices, and file input.
+Builds smoothers (weighted Jacobi, Gauss-Seidel, custom M), the Galerkin
+coarse matrix P^T A P, and, on range(A) through A's thin factor F (A = F^T F),
+the coarse basis and the forms of the symmetrized smoothers M + M^T - M^T A M
+(mbar) and M + M^T - M A M^T (mtilde), read off the one product F M F^T. Also
+provides SPSD test problems: Neumann Laplacians in 1d/2d, weighted graph
+Laplacians, seeded random rank-deficient matrices, and file input.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
@@ -125,21 +125,21 @@ def mtilde(m, a: SpsdOperator) -> np.ndarray:
 class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
-    The inputs are A and Ac (certified SPSD, one tolerance policy), M and P.
-    r and s are the ranks of A and Ac (s <= r); Mbar is assembled on
-    construction. Every form is r x r on range(A), through A's thin factor
-    F = Lambda_r^{1/2} V_r^T (F^T F = A). The coarse space is the truncated
-    SVD F P = Q R: Q (r x s) has orthonormal columns and R (s x nc) is
-    Sigma_s V_s^T. The projector Pi = F P Ac^+ P^T F^T is Q Q^T and is never
-    stored; every coarse correction is Q C Q^T with an s x s core C. Q, R
-    and the rest are built on first read and kept while the hierarchy lives:
-    the smoother form, the Mtilde form, the pre-smoother and the spectra the
-    analysis reads, which also decide every convergence condition. So each
-    is solved once per hierarchy, however many analysis calls read it. Only
-    the pre-smoother (and, for a nonsymmetric M, the Mtilde form) adds an
-    r x r array; Mtilde itself is not kept, and the Mtilde form's spectrum
-    is smoother_spectrum. The solver reads A, M and P through
-    sweep_operators, built on its first sweep.
+    The fields are the inputs A and Ac (certified SPSD, one tolerance
+    policy), M and P. r and s are the ranks of A and Ac (s <= r). Every form
+    is r x r on range(A), through A's thin factor F = Lambda_r^{1/2} V_r^T
+    (F^T F = A), and every smoother operator is read off B = F M F^T, so no
+    n x n one is formed. The coarse space is the truncated SVD F P = Q R:
+    Q (r x s) has orthonormal columns and R (s x nc) is Sigma_s V_s^T. The
+    projector Pi = F P Ac^+ P^T F^T is Q Q^T and is never stored; every
+    coarse correction is Q C Q^T with an s x s core C. B, Q, R and the rest
+    are built on first read and kept while the hierarchy lives: the smoother
+    form, the Mtilde form, the pre-smoother and the spectra the analysis
+    reads, which also decide every convergence condition. So each is solved
+    once per hierarchy, however many analysis calls read it. The Mtilde form
+    is a separate array only for a nonsymmetric M; its spectrum is
+    smoother_spectrum. The solver reads A, M and P through sweep_operators,
+    built on its first sweep.
     build_hierarchy validates; this does not.
     """
 
@@ -147,10 +147,6 @@ class TwoGridHierarchy:
     M: np.ndarray
     P: np.ndarray
     Ac: SpsdOperator
-    Mbar: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "Mbar", mbar(self.M, self.A))
 
     @property
     def r(self) -> int:
@@ -206,9 +202,17 @@ class TwoGridHierarchy:
         return self.coarse_factors[1]
 
     @cached_property
+    def smoother_product(self) -> np.ndarray:
+        """B = F M F^T (r x r), the product every smoother operator is read off."""
+        return self.A.factor @ self.M @ self.A.factor.T
+
+    @cached_property
     def smoother_form(self) -> np.ndarray:
-        """F Mbar F^T (r x r); the smoother assumption is that it is PSD."""
-        return sym_part(self.A.factor @ self.Mbar @ self.A.factor.T)
+        """F Mbar F^T = B + B^T - B^T B (r x r), PSD by the smoother assumption.
+
+        Not I - K^T K, whose cancellation would erase a small M's digits."""
+        b = self.smoother_product
+        return sym_part(b + b.T - b.T @ b)
 
     @cached_property
     def smoother_spectrum(self) -> np.ndarray:
@@ -217,24 +221,24 @@ class TwoGridHierarchy:
         Nonnegativity of this spectrum is equivalent to the smoothing
         iteration being a (not necessarily strict) contraction in the energy
         seminorm; build_hierarchy certifies the smoother on it. It is also
-        the spectrum of the Mtilde form: with K = I - F M F^T the smoother
-        form is I - K^T K and the Mtilde form is I - K K^T, and K^T K and
-        K K^T have the same eigenvalues.
+        the spectrum of the Mtilde form: with K = I - B the smoother form is
+        I - K^T K and the Mtilde form is I - K K^T, and K^T K and K K^T have
+        the same eigenvalues.
         """
         return np.linalg.eigvalsh(self.smoother_form)
 
     @cached_property
     def pre_smoother(self) -> np.ndarray:
-        """K = I - F M F^T (r x r); its transpose is the post-smoothing twin."""
-        return np.eye(self.r) - self.A.factor @ self.M @ self.A.factor.T
+        """K = I - B (r x r); its transpose is the post-smoothing twin."""
+        return np.eye(self.r) - self.smoother_product
 
     @cached_property
     def mtilde_form(self) -> np.ndarray:
-        """F Mtilde F^T; for a symmetric M, the same formula as the smoother
-        form F Mbar F^T, which it then is. Its spectrum is smoother_spectrum."""
+        """F Mtilde F^T = B + B^T - B B^T; for a symmetric M, the smoother form."""
         if np.array_equal(self.M, self.M.T):
             return self.smoother_form
-        return sym_part(self.A.factor @ mtilde(self.M, self.A) @ self.A.factor.T)
+        b = self.smoother_product
+        return sym_part(b + b.T - b @ b.T)
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:
@@ -254,8 +258,8 @@ class TwoGridHierarchy:
 
     @cached_property
     def mbar_spectrum(self) -> np.ndarray:
-        """Eigenvalues of Mbar itself, ascending."""
-        return np.linalg.eigvalsh(self.Mbar)
+        """Eigenvalues of Mbar itself, ascending; Mbar is formed and dropped."""
+        return np.linalg.eigvalsh(mbar(self.M, self.A))
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:

@@ -37,6 +37,7 @@ from twogrid.model import (
     aggregation_prolongation,
     build_hierarchy,
     generate_problem,
+    mbar,
     mtilde,
     neumann_laplacian_1d,
 )
@@ -81,7 +82,7 @@ def range_restricted_intersection(h):
     singular values cut at rank_rel_tol * sigma_max."""
     f = thin_factor(h.A)
     pre = h.P.T @ (np.eye(h.n) - h.A.matrix @ h.M) @ f.T
-    stack = np.vstack([sym_part(f @ h.Mbar @ f.T), pre])
+    stack = np.vstack([sym_part(f @ mbar(h.M, h.A) @ f.T), pre])
     sv = np.linalg.svd(stack, compute_uv=False)
     kept = int(np.count_nonzero(sv > h.policy.rank_rel_tol * sv[0])) if sv[0] > 0 else 0
     return h.n - kept
@@ -91,6 +92,13 @@ def full_coarse_rank_hierarchy():
     a = np.diag([2.0, 1.0, 0.0])
     p = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
     return build_hierarchy(a, p, CustomSmoother(0.3 * np.eye(3)))
+
+
+CORPUS_BUILDS = [pytest.param(lambda case=case: corpus.build_case(case)[0], id=case.name)
+                 for case in corpus.builtin_corpus()]
+ZERO_SMOOTHER_BUILD = pytest.param(
+    lambda: neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8)))),
+    id="zero-smoother")
 
 
 class TestCheckConditions:
@@ -133,11 +141,8 @@ class TestCheckConditions:
         assert rep.intersection_dim == 1
 
     @pytest.mark.parametrize("build", [
-        *[pytest.param(lambda case=case: corpus.build_case(case)[0], id=case.name)
-          for case in corpus.builtin_corpus()],
-        pytest.param(
-            lambda: neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8)))),
-            id="zero-smoother"),
+        *CORPUS_BUILDS,
+        ZERO_SMOOTHER_BUILD,
         pytest.param(engineered_hierarchy, id="engineered"),
         *[pytest.param(lambda t=t, n=n: scaled_jacobi_hierarchy(t, n),
                        id=f"scaled-jacobi:{t:g}/n{n}")
@@ -342,6 +347,14 @@ class TestInexactAnalysis:
         assert rep.alpha2 == pytest.approx(0.5, abs=1e-10)
         assert rep.beta1 == pytest.approx(0.75, abs=1e-10)
         assert rep.beta2 == pytest.approx(0.75, abs=1e-10)
+
+    @pytest.mark.parametrize("case", corpus.builtin_corpus(), ids=lambda c: c.name)
+    def test_doubled_coarse_matrix_alpha_on_corpus(self, case):
+        # the s x s form F_c Bc^+ F_c^T is (1/2) I up to rounding
+        h, _, _ = corpus.build_case(case)
+        alpha1, alpha2 = spectral_equivalence_constants(
+            spsd_certify(2.0 * h.Ac.matrix, h.policy), h.Ac)
+        assert max(abs(alpha1 - 0.5), abs(alpha2 - 0.5)) <= 1e-14
 
     def test_shrunk_coarse_matrix(self):
         h = neumann_hierarchy(n=8)
@@ -597,7 +610,7 @@ class TestSharedSpectra:
         # Mbar != Mtilde here, yet the Mtilde form has the smoother spectrum,
         # so it costs no solve of its own: the same budget as Jacobi
         h, bc = neumann2d_report_inputs(GaussSeidel())
-        assert not np.array_equal(h.Mbar, mtilde(h.M, h.A))
+        assert not np.array_equal(mbar(h.M, h.A), mtilde(h.M, h.A))
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 9, calls
@@ -612,6 +625,18 @@ class TestSharedSpectra:
         calls = eigensolves(
             monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
         assert 0 < len(calls) <= 9, calls
+        assert_range_sized(h, calls)
+
+    def test_report_eigensolve_budget_full_coarse_rank(self, monkeypatch):
+        # s = r = 2 < nc = 3: the quadratic form, whose factor is 0 here, is
+        # not solved, and the equivalence constants are solved at order s
+        a, p, _, _ = generate_problem(RandomSpsd(6, 2, 0), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert (h.n, h.r, h.s, h.nc) == (6, 2, 2, 3)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        calls = eigensolves(
+            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
+        assert 0 < len(calls) <= 7, calls
         assert_range_sized(h, calls)
 
     def test_report_caches_one_square_array_on_hierarchy(self):
@@ -670,8 +695,21 @@ class TestSharedSpectra:
         assert "mtilde_form" not in vars(h) and "smoother_form" in vars(h)
         convergence_report(h, coarse=bc, epsilon=0.3)
         assert not hasattr(h, "Mtilde") and not hasattr(h, "mtilde_spectrum")
-        if isinstance(smoother, WeightedJacobi):
-            assert h.mtilde_form is h.smoother_form
-        else:
-            assert np.array_equal(
-                h.mtilde_form, sym_part(h.A.factor @ mtilde(h.M, h.A) @ h.A.factor.T))
+        symmetric = isinstance(smoother, WeightedJacobi)
+        assert (h.mtilde_form is h.smoother_form) == symmetric
+
+
+@pytest.mark.parametrize("build", [
+    *CORPUS_BUILDS,
+    *[pytest.param(lambda t=t: scaled_jacobi_hierarchy(t), id=f"{t:g}*jacobi")
+      for t in (1e-7, 1e-10)],
+    ZERO_SMOOTHER_BUILD,
+])
+def test_smoother_forms_match_the_paper_formulas(build):
+    """The forms read off B = F M F^T agree with the conjugated n x n Mbar
+    and Mtilde to rounding, relative to the largest entry, however small M."""
+    h = build()
+    f = h.A.factor
+    for form, formula in ((h.smoother_form, mbar), (h.mtilde_form, mtilde)):
+        ref = sym_part(f @ formula(h.M, h.A) @ f.T)
+        assert np.max(np.abs(form - ref)) <= 1e-13 * np.max(np.abs(ref))

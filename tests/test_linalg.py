@@ -148,14 +148,6 @@ class TestSpsdCertify:
             resid = np.max(np.abs(f @ op.null_basis))
             assert resid <= 1e-14 * np.sqrt(lam)
 
-    def test_pinv_sqrt_consistency(self):
-        rng = np.random.default_rng(7)
-        g = rng.standard_normal((5, 9))
-        op = spsd_certify(g.T @ g, policy(9))
-        assert np.allclose(op.pinv_sqrt @ op.pinv_sqrt, op.pinv, atol=1e-10)
-        assert np.allclose(op.pinv_sqrt @ op.matrix @ op.pinv_sqrt,
-                           op.range_basis @ op.range_basis.T, atol=1e-8)
-
 
 class TestNumericalRank:
     def test_diag(self):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_array
 
-from twogrid import corpus
+from twogrid import corpus, model
 from twogrid.cli import parse_problem, parse_smoother
 from twogrid.errors import (
     NotSpsdError,
@@ -39,6 +39,7 @@ from twogrid.model import (
     random_spsd,
     sweep_form,
 )
+from twogrid.solver import iterate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -171,17 +172,30 @@ class TestBuildHierarchy:
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
-        assert [f.name for f in fields(TwoGridHierarchy) if f.init] == ["A", "M", "P", "Ac"]
+        assert [f.name for f in fields(TwoGridHierarchy)] == ["A", "M", "P", "Ac"]
         a = certify(neumann_laplacian_1d(10))
         p = aggregation_prolongation(10, 2)
         ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p, Ac=ac)
         built = build_hierarchy(a, p, GaussSeidel())
-        for name in ("Mbar", "mtilde_form"):
+        for name in ("smoother_product", "smoother_form", "mtilde_form",
+                     "pre_smoother"):
             assert np.array_equal(getattr(h, name), getattr(built, name)), name
         for mine, theirs in zip(h.coarse_factors, built.coarse_factors):
             assert np.array_equal(mine, theirs)
         assert (h.r, h.s) == (a.rank, ac.rank) == (9, 4)
+
+    def test_setup_and_sweeps_form_no_n_by_n_smoother(self, monkeypatch):
+        # every smoother operator is read off F M F^T; only the Mbar
+        # spectrum of the analysis forms the paper's n x n Mbar
+        def forbidden(*args):
+            raise AssertionError("n x n smoother operator formed")
+        monkeypatch.setattr(model, "mbar", forbidden)
+        monkeypatch.setattr(model, "mtilde", forbidden)
+        a, p, f, u_ref = generate_problem(NeumannLaplacian1D(12), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        for variant in ("tg", "stg"):
+            iterate(h, f, np.zeros(h.n), 3, variant, u_ref=u_ref)
 
     def test_zero_coarse_matrix_rejected(self):
         a = certify(np.diag([0.0, 0.0, 1.0]))
@@ -316,7 +330,7 @@ class TestSweepOperators:
 
     def test_parity_problems_keep_their_arrays(self, monkeypatch):
         problems = parity_problems(monkeypatch)
-        assert len(problems) == 6
+        assert len(problems) == 7
         for label, a, p, smoother in problems:
             self.assert_own_arrays(build_hierarchy(a, p, smoother), label)
 

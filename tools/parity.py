@@ -9,13 +9,15 @@ the two outputs are compared with `diff`. Covered: the `twogrid verify`
 lines; `analyze` JSON and CSV and `solve` trace CSV and summary JSON for
 four problems (one with full coarse rank), each with the exact, `scale:2`
 and `eps:0.3` coarse solves, plus an `stg` solve; the `generate` files; the
-`analyze` JSON of two custom smoothers read from files the tool writes (the
-zero smoother, whose condition fails with exit 2, and a positive definite
-1e-7 * Jacobi 2/3); the report JSON of each of the 21 corpus cases
-(Bc = 2 Ac, eps 0.3); the report of the analyze-2d benchmark workload at
-seed 0; and one exact `solve` on neumann2d:16x16, large and sparse enough
-that the sweep applies A, P and P^T in CSR. Each digest also covers the exit code and the stdout and stderr text
-of its command. BLAS runs on one thread, so the bytes do not depend on the
+`analyze` JSON of three custom smoothers read from files the tool writes
+(the zero smoother, whose condition fails with exit 2, and the positive
+definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
+1 - sigma^2 of the pre-smoother would lose its digits); the report JSON of
+each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
+analyze-2d benchmark workload at seed 0; and one exact `solve` on
+neumann2d:16x16, large and sparse enough that the sweep applies A, P and
+P^T in CSR. Each digest also covers the exit code and the stdout and stderr
+text of its command. BLAS runs on one thread, so the bytes do not depend on the
 thread count of the host.
 """
 from __future__ import annotations
@@ -46,10 +48,11 @@ PROBLEMS = (
     ("random:6:2:0", "gs"),  # full coarse rank: s == r
 )
 COARSE = ("exact", "scale:2", "eps:0.3")
-SCALED_JACOBI = 1e-7 * np.diag((2.0 / 3.0) / np.diag(model.neumann_laplacian_1d(16)))
+JACOBI_16 = np.diag((2.0 / 3.0) / np.diag(model.neumann_laplacian_1d(16)))
 CUSTOM = (
     ("neumann1d:8", "zero", np.zeros((8, 8))),
-    ("neumann1d:16", "1e-7*jacobi:2/3", SCALED_JACOBI),
+    ("neumann1d:16", "1e-7*jacobi:2/3", 1e-7 * JACOBI_16),
+    ("neumann1d:16", "1e-10*jacobi:2/3", 1e-10 * JACOBI_16),
 )
 ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--smoother", "jacobi:0.6666666666666666",
