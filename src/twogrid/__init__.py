@@ -3,8 +3,10 @@
 The package computes exact convergence factors of two-grid iterations on
 symmetric positive semidefinite (possibly singular) systems, two-sided
 bounds for inexact coarse solvers, and runs the iterations themselves with
-per-sweep instrumentation. Every analytical quantity is cross-checked
-against a brute-force seminorm oracle.
+per-sweep instrumentation. A coarse solve is a certified SPSD matrix Bc,
+applied as Bc^+, with the exact solve Bc = Ac, or a GeneralCoarse black box
+of declared accuracy. Every analytical quantity is cross-checked against a
+brute-force seminorm oracle.
 """
 from .analysis import (
     ConditionReport,
@@ -56,10 +58,8 @@ from .model import (
     mtilde,
 )
 from .solver import (
-    ExactCoarse,
     GeneralCoarse,
     IterationTrace,
-    LinearSpsdCoarse,
     a_seminorm,
     itg_sweep,
     iterate,
@@ -82,7 +82,7 @@ __all__ = [
     "NeumannLaplacian1D", "NeumannLaplacian2D", "RandomSpsd",
     "TwoGridHierarchy", "WeightedJacobi", "aggregation_prolongation",
     "build_hierarchy", "build_smoother", "generate_problem", "mbar", "mtilde",
-    "ExactCoarse", "GeneralCoarse", "IterationTrace", "LinearSpsdCoarse",
-    "a_seminorm", "itg_sweep", "iterate", "stg_sweep", "tg_sweep",
+    "GeneralCoarse", "IterationTrace", "a_seminorm", "itg_sweep", "iterate",
+    "stg_sweep", "tg_sweep",
     "__version__",
 ]

@@ -242,7 +242,8 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     """Worst-case energy-seminorm contraction by direct maximization.
 
     Builds the r x r error propagator G = F E F^{+} of the requested
-    iteration ("tg", "stg", or "itg" with a coarse matrix) on range(A),
+    iteration ("tg", "stg", or "itg" with a coarse matrix; like the solver,
+    "tg" and "stg" take none and use the exact solve) on range(A),
     whose coarse correction is Q C Q^T with the core C of that solve, and
     returns its largest singular value as sqrt(lambda_max(G^T G)).
     Independent of every index-based identity above; this is the
@@ -250,10 +251,13 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     """
     if iteration not in ("tg", "stg", "itg"):
         raise ValueError(f"unknown iteration '{iteration}'")
-    if iteration == "itg" and coarse is None:
-        raise ValueError("iteration 'itg' needs the coarse matrix")
+    if iteration == "itg":
+        if coarse is None:
+            raise ValueError("iteration 'itg' needs the coarse matrix")
+    elif coarse is not None:
+        raise ValueError(f"iteration '{iteration}' uses the exact coarse solve")
     pre = h.pre_smoother
-    core = _coarse_core(h, coarse if iteration == "itg" else None)
+    core = _coarse_core(h, coarse)
     g = pre - h.Q @ (core @ (h.Q.T @ pre))
     if iteration == "stg":
         g = pre.T @ g

@@ -260,6 +260,16 @@ def _coarse_matrix(spec, mode, value, h):
     return None
 
 
+def _setup(args):
+    """(h, f, u_ref, mode, value, bc) of an analyze or solve run: (mode, value)
+    is the parsed --coarse spec, bc its certified coarse matrix or None."""
+    _finalize_args(args)
+    a, p, f, u_ref = _build_problem(args)
+    h = build_hierarchy(a, p, parse_smoother(args.smoother))
+    mode, value = parse_coarse(args.coarse)
+    return h, f, u_ref, mode, value, _coarse_matrix(args.coarse, mode, value, h)
+
+
 def _meta(args) -> dict:
     return {
         "problem": args.problem,
@@ -283,15 +293,11 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    _finalize_args(args)
-    a, p, _, _ = _build_problem(args)
-    h = build_hierarchy(a, p, parse_smoother(args.smoother))
-    mode, value = parse_coarse(args.coarse)
+    h, _, _, mode, value, bc = _setup(args)
     epsilon = args.epsilon
     if mode == "eps" and epsilon is None:
         epsilon = value
 
-    bc = _coarse_matrix(args.coarse, mode, value, h)
     report = analysis.convergence_report(h, coarse=bc, epsilon=epsilon,
                                          meta=_meta(args))
     if args.format == "csv":
@@ -302,30 +308,23 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    _finalize_args(args)
-    a, p, f, u_ref = _build_problem(args)
-    h = build_hierarchy(a, p, parse_smoother(args.smoother))
-    mode, value = parse_coarse(args.coarse)
-    bc = _coarse_matrix(args.coarse, mode, value, h)
-    coarse_spec = None
-    if bc is not None:
-        coarse_spec = solver.LinearSpsdCoarse(bc)
-    elif mode == "eps":
+    h, f, u_ref, mode, value, coarse = _setup(args)
+    if mode == "eps":
         approx = solver.eps_perturbed_coarse(h, value,
                                              np.random.default_rng([args.seed, 2]))
-        coarse_spec = solver.GeneralCoarse(approx, declared_eps=value)
+        coarse = solver.GeneralCoarse(approx, declared_eps=value)
     variant = args.variant
     if variant == "auto":
         variant = "tg" if mode == "exact" else "itg"
-    if variant != "itg" and coarse_spec is not None:
+    if variant != "itg" and coarse is not None:
         raise UsageError(
             f"variant '{variant}' always uses the exact coarse solve; "
             "drop --coarse or use --variant itg")
-    if coarse_spec is None:
-        coarse_spec = solver.ExactCoarse()
+    if variant == "itg" and mode == "exact":
+        coarse = h.Ac
 
     u0 = np.random.default_rng([args.seed, 1]).standard_normal(h.n)
-    trace = solver.iterate(h, f, u0, args.sweeps, variant, coarse=coarse_spec,
+    trace = solver.iterate(h, f, u0, args.sweeps, variant, coarse=coarse,
                            u_ref=u_ref)
     meta = _meta(args)
     meta["variant"] = variant

@@ -2,9 +2,9 @@
 
 One sweep is: smoothing with M, restriction of the residual through P^T,
 a coarse correction, and prolongation back to the fine grid. The coarse
-correction is either the exact pseudoinverse of the Galerkin matrix, the
-pseudoinverse of a supplied SPSD approximation, or an arbitrary callable of
-declared relative accuracy. A symmetrized sweep appends one M^T smoothing
+solve is either a certified SPSD matrix Bc, applied as Bc^+ (the exact solve
+is Bc = Ac, the Galerkin matrix), or a GeneralCoarse: an arbitrary callable
+of declared relative accuracy. A symmetrized sweep appends one M^T smoothing
 step after the prolongation. Sweeps apply A, M, M^T, P and P^T as the
 hierarchy's sweep_operators holds them: in CSR when large and sparse,
 otherwise dense.
@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -31,18 +31,6 @@ from .errors import (
 )
 from .linalg import EPS, SpsdOperator, as_vector
 from .model import TwoGridHierarchy
-
-
-@dataclass(frozen=True)
-class ExactCoarse:
-    """Coarse correction through the pseudoinverse of the Galerkin matrix."""
-
-
-@dataclass(frozen=True, eq=False)
-class LinearSpsdCoarse:
-    """Coarse correction through the pseudoinverse of an SPSD approximation."""
-
-    Bc: SpsdOperator
 
 
 @dataclass(eq=False)
@@ -65,9 +53,6 @@ class GeneralCoarse:
         if not (0.0 <= self.declared_eps < 1.0):
             raise ValueError(
                 f"declared_eps must lie in [0, 1), got {self.declared_eps}")
-
-
-CoarseSolverSpec = Union[ExactCoarse, LinearSpsdCoarse, GeneralCoarse]
 
 
 def a_seminorm(matrix: np.ndarray, v: np.ndarray) -> float:
@@ -111,59 +96,65 @@ def eps_perturbed_coarse(h: TwoGridHierarchy, eps: float,
 
 
 def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
-                       coarse: CoarseSolverSpec) -> np.ndarray:
-    if isinstance(coarse, ExactCoarse):
-        return h.Ac.pinv @ rc
-    if isinstance(coarse, LinearSpsdCoarse):
-        if coarse.Bc.n != h.nc:
-            raise ShapeError(f"coarse matrix is {coarse.Bc.n} x {coarse.Bc.n}, "
-                             f"expected {h.nc} x {h.nc}")
-        return coarse.Bc.pinv @ rc
-    if isinstance(coarse, GeneralCoarse):
-        ec_hat = as_vector(coarse.solve(rc), name="coarse solve output")
-        if ec_hat.size != h.nc:
-            raise ShapeError(
-                f"coarse solver returned length {ec_hat.size}, expected {h.nc}")
-        ec = h.Ac.pinv @ rc
-        denom = a_seminorm(h.Ac.matrix, ec)
-        err = a_seminorm(h.Ac.matrix, ec_hat - ec)
-        if denom > 0.0:
-            coarse.achieved_eps.append(err / denom)
-        else:
-            coarse.achieved_eps.append(0.0 if err <= h.policy.match_tol else math.inf)
-        return ec_hat
-    raise TypeError(f"unknown coarse solver spec {coarse!r}")
+                       coarse: SpsdOperator | GeneralCoarse) -> np.ndarray:
+    if not isinstance(coarse, GeneralCoarse):
+        return coarse.pinv @ rc
+    ec_hat = as_vector(coarse.solve(rc), name="coarse solve output")
+    if ec_hat.size != h.nc:
+        raise ShapeError(
+            f"coarse solver returned length {ec_hat.size}, expected {h.nc}")
+    ec = h.Ac.pinv @ rc
+    denom = a_seminorm(h.Ac.matrix, ec)
+    err = a_seminorm(h.Ac.matrix, ec_hat - ec)
+    if denom > 0.0:
+        coarse.achieved_eps.append(err / denom)
+    else:
+        coarse.achieved_eps.append(0.0 if err <= h.policy.match_tol else math.inf)
+    return ec_hat
 
 
-def _sweep(h: TwoGridHierarchy, u0: np.ndarray, r0: np.ndarray, f: np.ndarray,
-           coarse: CoarseSolverSpec) -> np.ndarray:
-    """itg_sweep on validated inputs, given the residual r0 = f - A u0."""
-    a, m, _, p, pt = h.sweep_operators
-    u1 = u0 + m @ r0
-    rc = pt @ (f - a @ u1)
-    ec = _coarse_correction(h, rc, coarse)
-    return u1 + p @ ec
-
-
-def itg_sweep(h: TwoGridHierarchy, u0, f,
-              coarse: CoarseSolverSpec) -> np.ndarray:
-    """One sweep with the given coarse solver: smooth, restrict, correct, prolong."""
+def _start(h: TwoGridHierarchy, u0, f, coarse):
+    """_sweep's (u0, f, r0 = f - A u0), with them and the coarse solve checked."""
     u0 = as_vector(u0, h.n, "u0")
     f = as_vector(f, h.n, "f")
     check_consistent(h, f)
-    return _sweep(h, u0, f - h.sweep_operators[0] @ u0, f, coarse)
+    if isinstance(coarse, SpsdOperator):
+        if coarse.n != h.nc:
+            raise ShapeError(f"coarse matrix is {coarse.n} x {coarse.n}, "
+                             f"expected {h.nc} x {h.nc}")
+    elif not isinstance(coarse, GeneralCoarse):
+        raise TypeError("the coarse solve must be an SpsdOperator or a "
+                        f"GeneralCoarse, got {type(coarse).__name__}")
+    return u0, f, f - h.sweep_operators[0] @ u0
+
+
+def _sweep(h: TwoGridHierarchy, u0: np.ndarray, f: np.ndarray, r0: np.ndarray,
+           coarse: SpsdOperator | GeneralCoarse,
+           post_smooth: bool = False) -> np.ndarray:
+    """One sweep on _start's checked inputs; post_smooth appends the M^T step."""
+    a, m, mt, p, pt = h.sweep_operators
+    u1 = u0 + m @ r0
+    rc = pt @ (f - a @ u1)
+    u = u1 + p @ _coarse_correction(h, rc, coarse)
+    if post_smooth:
+        u = u + mt @ (f - a @ u)
+    return u
+
+
+def itg_sweep(h: TwoGridHierarchy, u0, f,
+              coarse: SpsdOperator | GeneralCoarse) -> np.ndarray:
+    """One sweep with the coarse solve Bc^+ (Bc = h.Ac is exact) or a GeneralCoarse."""
+    return _sweep(h, *_start(h, u0, f, coarse), coarse)
 
 
 def tg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
     """One exact sweep (coarse correction by the Galerkin pseudoinverse)."""
-    return itg_sweep(h, u0, f, ExactCoarse())
+    return itg_sweep(h, u0, f, h.Ac)
 
 
 def stg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
     """Exact sweep followed by one M^T post-smoothing step."""
-    u = tg_sweep(h, u0, f)
-    a, _, mt, _, _ = h.sweep_operators
-    return u + mt @ (f - a @ u)
+    return _sweep(h, *_start(h, u0, f, h.Ac), h.Ac, post_smooth=True)
 
 
 @dataclass(eq=False)
@@ -216,15 +207,16 @@ def _observed_factor(values: list, floor: float, sweeps: int):
 
 
 def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
-            coarse: CoarseSolverSpec | None = None,
+            coarse: SpsdOperator | GeneralCoarse | None = None,
             u_ref=None) -> IterationTrace:
     """Run repeated sweeps and record the convergence history.
 
-    variant is "tg", "stg", or "itg" (the latter needs a coarse solver
-    spec). The trace's observed_factor estimates the asymptotic rate for
-    "tg" and "itg" (at most the sweep's worst-case factor) and the
-    worst-case factor of the symmetrized sweep for "stg"; see
-    IterationTrace. f and u0 are checked once per run. Raises DivergenceError
+    variant is "tg" or "stg" (no coarse argument: the exact solve h.Ac), or
+    "itg", which needs a certified SPSD Bc (applied as Bc^+) or a
+    GeneralCoarse. observed_factor estimates the asymptotic rate for "tg"
+    and "itg" (at most the sweep's worst-case factor) and the worst-case
+    factor of the symmetrized sweep for "stg"; see IterationTrace. The
+    coarse solve, f and u0 are checked once per run. Raises DivergenceError
     when the tracked error grows tenfold across five sweeps while above the
     stagnation floor, or when the residual is not finite; near-1 contraction
     factors are legitimate and only blow-up aborts. The error carries the
@@ -236,19 +228,17 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
         raise ValueError(f"unknown variant '{variant}'")
     if variant == "itg":
         if coarse is None:
-            raise ValueError("variant 'itg' needs a coarse solver spec")
+            raise ValueError("variant 'itg' needs a coarse solve")
     else:
-        if coarse is not None and not isinstance(coarse, ExactCoarse):
+        if coarse is not None:
             raise ValueError(f"variant '{variant}' uses the exact coarse solve")
-        coarse = ExactCoarse()
+        coarse = h.Ac
 
-    u = as_vector(u0, h.n, "u0")
-    f = as_vector(f, h.n, "f")
-    check_consistent(h, f)
+    u, f, r = _start(h, u0, f, coarse)
     if u_ref is not None:
         u_ref = as_vector(u_ref, h.n, "u_ref")
 
-    a, _, mt, _, _ = h.sweep_operators
+    a = h.sweep_operators[0]
     f_norm = float(np.linalg.norm(f))
 
     # ||d||_A = ||sqrt(lambda_r) * (V_r^T d)|| over A's certified range
@@ -263,7 +253,6 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     # trace reads only what it appends.
     eps_start = len(coarse.achieved_eps) if isinstance(coarse, GeneralCoarse) else 0
 
-    r = f - a @ u
     errors = [error_of(u)] if u_ref is not None else None
     residuals = [float(np.linalg.norm(r))]
     tracked = errors if errors is not None else residuals
@@ -292,9 +281,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
         )
 
     for k in range(sweeps):
-        u = _sweep(h, u, r, f, coarse)
-        if variant == "stg":
-            u = u + mt @ (f - a @ u)
+        u = _sweep(h, u, f, r, coarse, post_smooth=variant == "stg")
         r = f - a @ u
         residuals.append(float(np.linalg.norm(r)))
         if errors is not None:

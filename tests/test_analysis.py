@@ -277,6 +277,15 @@ class TestSeminormOracle:
         with pytest.raises(ValueError, match="coarse"):
             seminorm_oracle(neumann_hierarchy(), "itg")
 
+    @pytest.mark.parametrize("iteration", ["tg", "stg"])
+    def test_exact_iterations_reject_a_coarse_matrix(self, iteration):
+        # the solver's rule: tg and stg use the exact solve, so a coarse
+        # matrix passed with them is an error, not silently dropped
+        h = neumann_hierarchy(n=16, smoother=GaussSeidel())
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        with pytest.raises(ValueError, match="exact coarse solve"):
+            seminorm_oracle(h, iteration, bc)
+
 
 class TestExactTwoSided:
     def test_full_coarse_rank_lower_zero(self):

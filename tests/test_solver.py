@@ -19,10 +19,8 @@ from twogrid.model import (
     generate_problem,
 )
 from twogrid.solver import (
-    ExactCoarse,
     GeneralCoarse,
     IterationTrace,
-    LinearSpsdCoarse,
     a_seminorm,
     check_consistent,
     eps_perturbed_coarse,
@@ -91,13 +89,13 @@ class TestSweeps:
         h, f, _ = setup8
         u0 = np.random.default_rng(5).standard_normal(8)
         assert np.array_equal(tg_sweep(h, u0, f),
-                              itg_sweep(h, u0, f, ExactCoarse()))
+                              itg_sweep(h, u0, f, h.Ac))
 
     def test_linear_coarse_with_galerkin_matrix_matches(self, setup8):
         h, f, _ = setup8
         u0 = np.random.default_rng(6).standard_normal(8)
         bc = spsd_certify(h.Ac.matrix, h.policy)
-        diff = tg_sweep(h, u0, f) - itg_sweep(h, u0, f, LinearSpsdCoarse(bc))
+        diff = tg_sweep(h, u0, f) - itg_sweep(h, u0, f, bc)
         assert np.max(np.abs(diff)) <= h.policy.match_tol
 
     def test_inconsistent_rhs_rejected(self, setup8):
@@ -150,7 +148,7 @@ class TestSweeps:
         ec = h.Ac.pinv @ rc
         ec_hat = bc.pinv @ rc
         u_tg = tg_sweep(h, u0, f)
-        u_itg = itg_sweep(h, u0, f, LinearSpsdCoarse(bc))
+        u_itg = itg_sweep(h, u0, f, bc)
         lhs = a_seminorm(h.A.matrix, u_tg - u_itg)
         rhs = a_seminorm(h.Ac.matrix, ec - ec_hat)
         assert abs(lhs - rhs) <= h.policy.match_tol
@@ -176,7 +174,7 @@ class TestSweeps:
         worst = 0.0
         for seed in range(100):
             u0 = np.random.default_rng(seed + 700).standard_normal(8)
-            u1 = itg_sweep(h, u0, f, LinearSpsdCoarse(bc))
+            u1 = itg_sweep(h, u0, f, bc)
             worst = max(worst, a_seminorm(h.A.matrix, u_ref - u1)
                         / a_seminorm(h.A.matrix, u_ref - u0))
         assert worst <= factor_itg + 1e-8
@@ -264,6 +262,43 @@ class TestIterate:
         assert trace.observed_factor is None
         assert len(trace.residuals) == 6
 
+    @pytest.fixture
+    def sweep_calls(self, monkeypatch):
+        calls = []
+        sweep = solver._sweep
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_sweep", counted)
+        return calls
+
+    @staticmethod
+    def run_itg(call, h, f, coarse):
+        if call == "iterate":
+            return iterate(h, f, np.zeros(8), 3, "itg", coarse=coarse)
+        return itg_sweep(h, np.zeros(8), f, coarse)
+
+    @pytest.mark.parametrize("call", ["iterate", "itg_sweep"])
+    def test_wrong_size_coarse_matrix_rejected_before_any_sweep(
+            self, setup8, sweep_calls, call):
+        h, f, _ = setup8
+        bad = spsd_certify(np.eye(h.nc + 1), h.policy)
+        with pytest.raises(ShapeError) as info:
+            self.run_itg(call, h, f, bad)
+        assert str(info.value) == (f"coarse matrix is {h.nc + 1} x {h.nc + 1}, "
+                                   f"expected {h.nc} x {h.nc}")
+        assert sweep_calls == []
+
+    @pytest.mark.parametrize("call", ["iterate", "itg_sweep"])
+    def test_unknown_coarse_object_rejected_before_any_sweep(
+            self, setup8, sweep_calls, call):
+        h, f, _ = setup8
+        with pytest.raises(TypeError, match="GeneralCoarse, got ndarray"):
+            self.run_itg(call, h, f, 2.0 * h.Ac.matrix)
+        assert sweep_calls == []
+
     def test_itg_variant_needs_coarse(self, setup8):
         h, f, _ = setup8
         with pytest.raises(ValueError, match="coarse"):
@@ -322,7 +357,7 @@ class TestIterate:
         calls = []
         monkeypatch.setattr(solver, "check_consistent",
                             lambda *args: calls.append(args))
-        coarse = LinearSpsdCoarse(h.Ac) if variant == "itg" else None
+        coarse = h.Ac if variant == "itg" else None
         iterate(h, f, np.zeros(8), 7, variant, coarse=coarse, u_ref=u_ref)
         assert len(calls) == 1
 
@@ -338,7 +373,7 @@ class TestIterate:
             coarse = [GeneralCoarse(eps_perturbed_coarse(
                 h, 0.3, np.random.default_rng(5)), 0.3) for _ in range(2)]
         elif variant == "itg-linear":
-            coarse = [LinearSpsdCoarse(spsd_certify(2.0 * h.Ac.matrix, h.policy))] * 2
+            coarse = [spsd_certify(2.0 * h.Ac.matrix, h.policy)] * 2
         else:
             coarse = [None, None]
 
@@ -374,16 +409,14 @@ class TestIterate:
             coarse = [GeneralCoarse(eps_perturbed_coarse(
                 h, 0.3, np.random.default_rng(5)), 0.3) for _ in range(2)]
         elif variant == "itg-linear":
-            coarse = [LinearSpsdCoarse(spsd_certify(2.0 * h.Ac.matrix, h.policy))] * 2
+            coarse = [spsd_certify(2.0 * h.Ac.matrix, h.policy)] * 2
         else:
-            coarse = [None, ExactCoarse()]
+            coarse = [None, h.Ac]
 
         def coarse_solve(rc):
             if isinstance(coarse[1], GeneralCoarse):
                 return coarse[1].solve(rc)
-            if isinstance(coarse[1], LinearSpsdCoarse):
-                return coarse[1].Bc.pinv @ rc
-            return h.Ac.pinv @ rc
+            return coarse[1].pinv @ rc
 
         def error(u):
             sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])

@@ -8,7 +8,8 @@ A change meant to keep every number prints the same object as its parent, so
 the two outputs are compared with `diff`. Covered: the `twogrid verify`
 lines; `analyze` JSON and CSV and `solve` trace CSV and summary JSON for
 four problems (one with full coarse rank), each with the exact, `scale:2`
-and `eps:0.3` coarse solves, plus an `stg` solve; the `generate` files; the
+and `eps:0.3` coarse solves, plus an `stg` solve; an `itg` solve with the
+exact coarse solve (`Bc = Ac`) on neumann1d:32; the `generate` files; the
 `analyze` JSON of three custom smoothers read from files the tool writes
 (the zero smoother, whose condition fails with exit 2, and the positive
 definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
@@ -58,6 +59,8 @@ ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--smoother", "jacobi:0.6666666666666666",
               "--prolongation", "aggregate:2", "--coarse", "scale:2",
               "--epsilon", "0.3", "--seed", "0"]
+ITG_EXACT = ["solve", "--problem", "neumann1d:32", "--smoother", "gs",
+             "--variant", "itg", "--coarse", "exact"]
 SPARSE_SOLVE = ["solve", "--problem", "neumann2d:16x16", "--smoother", "gs",
                 "--prolongation", "aggregate:4", "--coarse", "exact"]
 
@@ -101,6 +104,8 @@ def digests() -> dict[str, str]:
                  ("A.mtx", "P.mtx", "f.mtx", "u_ref.mtx", "problem.cfg")]
         result[f"generate {problem} {smoother}"] = run(
             ["generate", *setup, "--output-dir", "gen"], files)
+    result["solve itg neumann1d:32 gs exact"] = run(
+        [*ITG_EXACT, "--output", "t"], ["t.csv", "t.json"])
     for i, (problem, label, matrix) in enumerate(CUSTOM):
         path = f"m{i}.mtx"
         mmio.write_matrix(path, matrix)
