@@ -96,6 +96,11 @@ def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
     return float(w[0]), True
 
 
+def _certified_coarse(h: TwoGridHierarchy, bc) -> SpsdOperator:
+    """bc itself when certified, else the raw matrix certified under h's policy."""
+    return bc if isinstance(bc, SpsdOperator) else spsd_certify(bc, h.policy)
+
+
 def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
     """The s x s core C of the coarse correction Q C Q^T on range(A).
 
@@ -123,14 +128,14 @@ def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
     return _quadratic_form(h, _coarse_core(h, None))
 
 
-def fitg_matrix(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
+def fitg_matrix(h: TwoGridHierarchy, bc) -> np.ndarray:
     """Quadratic-form matrix of the inexact iteration with coarse matrix Bc.
 
     The symmetrized coarse solve 2 Bc^+ - Bc^+ Ac Bc^+ takes the place of
     Ac^+: on range(A) its block is Q (2 C - C^2) Q^T with
-    C = R Bc^+ R^T, since R^T R = Ac.
+    C = R Bc^+ R^T, since R^T R = Ac. A raw matrix Bc is certified first.
     """
-    core = _coarse_core(h, bc)
+    core = _coarse_core(h, _certified_coarse(h, bc))
     return _quadratic_form(h, 2.0 * core - core @ core)
 
 
@@ -238,14 +243,14 @@ class ExactFactorReport:
 
 
 def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
-                    coarse: SpsdOperator | None = None) -> float:
+                    coarse=None) -> float:
     """Worst-case energy-seminorm contraction by direct maximization.
 
     Builds the r x r error propagator G = F E F^{+} of the requested
-    iteration ("tg", "stg", or "itg" with a coarse matrix; like the solver,
-    "tg" and "stg" take none and use the exact solve) on range(A),
-    whose coarse correction is Q C Q^T with the core C of that solve, and
-    returns its largest singular value as sqrt(lambda_max(G^T G)).
+    iteration ("tg", "stg", or "itg" with a coarse matrix, certified or
+    raw; like the solver, "tg" and "stg" take none and use the exact solve)
+    on range(A), whose coarse correction is Q C Q^T with the core C of that
+    solve, and returns its largest singular value as sqrt(lambda_max(G^T G)).
     Independent of every index-based identity above; this is the
     anti-drift reference value.
     """
@@ -254,6 +259,7 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     if iteration == "itg":
         if coarse is None:
             raise ValueError("iteration 'itg' needs the coarse matrix")
+        coarse = _certified_coarse(h, coarse)
     elif coarse is not None:
         raise ValueError(f"iteration '{iteration}' uses the exact coarse solve")
     pre = h.pre_smoother
@@ -411,8 +417,7 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
     the two-sided bounds, the exact inexact-iteration factor through the
     quadratic form, and the independent oracle value.
     """
-    if not isinstance(bc, SpsdOperator):
-        bc = spsd_certify(bc, h.policy)
+    bc = _certified_coarse(h, bc)
     alpha1, alpha2 = spectral_equivalence_constants(bc, h.Ac)
     if alpha2 >= 2.0:
         raise CoarseScalingError(

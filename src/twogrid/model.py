@@ -15,10 +15,12 @@ from typing import Union
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtbtrs
 
 from . import mmio
 from .errors import NotSpsdError, ShapeError, SmootherAssumptionError, SmootherError
 from .linalg import (
+    EPS,
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
@@ -101,6 +103,51 @@ def sweep_form(matrix: np.ndarray):
     return matrix
 
 
+@dataclass(frozen=True, eq=False)
+class LowerBandSolve:
+    """v -> T^{-1} v (trans "N") or T^{-T} v (trans "T") by LAPACK dtbtrs.
+
+    T is lower triangular with bandwidth kd, held in band storage:
+    band[i - j, j] = T[i, j] for j <= i <= j + kd, so band has kd + 1 rows.
+    """
+
+    band: np.ndarray
+    trans: str = "N"
+
+    @property
+    def T(self) -> "LowerBandSolve":
+        return LowerBandSolve(self.band, "T" if self.trans == "N" else "N")
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        x, info = dtbtrs(self.band, v, uplo="L", trans=self.trans)
+        if info != 0:
+            raise SmootherError(f"banded triangular solve failed: LAPACK info {info}")
+        return x
+
+
+def gauss_seidel_band(a: np.ndarray, m: np.ndarray) -> LowerBandSolve | None:
+    """M as a band solve with T = tril(A) when M is T^{-1} to rounding, else None.
+
+    Only an M with at least SPARSE_MIN_ENTRIES entries is tried, and only a
+    lower-triangular one. The check ||T M - I||_max <= n EPS costs
+    O(nnz(T) n) once; the solve costs O(n kd) per call, never more than the
+    dense product (kd = n - 1 is a dense triangle).
+    """
+    n = m.shape[0]
+    if m.size < SPARSE_MIN_ENTRIES or np.triu(m, 1).any():
+        return None
+    from scipy.sparse import csr_array, tril
+    t = tril(csr_array(a), format="coo")
+    gap = t.tocsr() @ m
+    gap.flat[::n + 1] -= 1.0
+    if not max(gap.max(), -gap.min()) <= n * EPS:
+        return None
+    # Fortran order: dtbtrs would copy a C-ordered band on every call.
+    band = np.zeros((int((t.row - t.col).max()) + 1, n), order="F")
+    band[t.row - t.col, t.col] = t.data
+    return LowerBandSolve(band)
+
+
 def mbar(m, a: SpsdOperator) -> np.ndarray:
     """Symmetrized pre-smoothing operator M + M^T - M^T A M."""
     m = as_matrix(m, "M")
@@ -172,13 +219,18 @@ class TwoGridHierarchy:
     def sweep_operators(self) -> tuple:
         """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
 
-        Each is sweep_form of the dense operator: a CSR array when large and
-        sparse, otherwise the hierarchy's own ndarray (M^T and P^T as views).
-        Built on the first sweep, so a hierarchy that is only analysed never
-        builds it.
+        A Gauss-Seidel M, one that gauss_seidel_band accepts, is applied with
+        M^T as a LowerBandSolve: forward and backward substitution on
+        tril(A). Every other operator is sweep_form of the dense one: a CSR
+        array when large and sparse, otherwise the hierarchy's own ndarray
+        (M^T and P^T as views). Built on the first sweep, so a hierarchy
+        that is only analysed never builds it.
         """
-        return tuple(sweep_form(x) for x in
-                     (self.A.matrix, self.M, self.M.T, self.P, self.P.T))
+        m = gauss_seidel_band(self.A.matrix, self.M)
+        smoothers = (m, m.T) if m is not None else (sweep_form(self.M),
+                                                   sweep_form(self.M.T))
+        return (sweep_form(self.A.matrix), *smoothers, sweep_form(self.P),
+                sweep_form(self.P.T))
 
     @cached_property
     def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:

@@ -336,6 +336,16 @@ class TestInexactAnalysis:
         assert abs(rep.upper_U - exact.factor_identity) <= 1e-12
         assert abs(rep.factor_exact_itg - exact.factor_identity) <= 1e-10
 
+    def test_raw_coarse_matrix_is_certified(self):
+        # every entry point certifies a raw Bc under the hierarchy's policy
+        # and then returns, bit for bit, what it returns for the certified one
+        h = neumann_hierarchy(n=16, smoother=GaussSeidel())
+        raw = 2.0 * h.Ac.matrix
+        bc = spsd_certify(raw, h.policy)
+        assert seminorm_oracle(h, "itg", raw) == seminorm_oracle(h, "itg", bc)
+        assert np.array_equal(fitg_matrix(h, raw), fitg_matrix(h, bc))
+        assert inexact_linear_analysis(h, raw) == inexact_linear_analysis(h, bc)
+
     def test_full_coarse_rank_inexact_factor_is_not_zero(self):
         # s = r zeroes the exact factor, not the one with Bc = 2 Ac
         a, p, _, _ = generate_problem(RandomSpsd(6, 2, 0), group=2, seed=0)

@@ -24,6 +24,7 @@ from twogrid.model import (
     NeumannLaplacian1D,
     NeumannLaplacian2D,
     GraphLaplacian,
+    LowerBandSolve,
     RandomSpsd,
     TwoGridHierarchy,
     WeightedJacobi,
@@ -302,19 +303,27 @@ class TestSweepOperators:
         assert mt.shape == h.M.T.shape and pt.shape == h.P.T.shape, label
 
     def test_solve_2d_hierarchy(self):
-        # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; the GS M is
-        # not (about a quarter of its entries are nonzero)
+        # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; M and M^T are
+        # one band solve on tril(A), whose bandwidth is the grid width
         a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
         ops = h.sweep_operators
         assert ops is h.sweep_operators
-        dense = (h.A.matrix, h.M, h.M.T, h.P, h.P.T)
-        assert [type(op) for op in ops] == [csr_array, np.ndarray, np.ndarray,
+        assert [type(op) for op in ops] == [csr_array, LowerBandSolve, LowerBandSolve,
                                             csr_array, csr_array]
-        assert ops[1] is h.M and ops[2].base is h.M
-        for op, matrix in zip(ops, dense):
-            assert np.array_equal(op if isinstance(op, np.ndarray) else op.toarray(),
-                                  matrix)
+        a_op, m, mt, p_op, pt = ops
+        assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band
+        assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
+        for op, matrix in ((a_op, h.A.matrix), (p_op, h.P), (pt, h.P.T)):
+            assert np.array_equal(op.toarray(), matrix)
+        v = np.random.default_rng(0).standard_normal(h.n)
+        for op, matrix in ((m, h.M), (mt, h.M.T)):
+            exact = matrix @ v
+            assert np.linalg.norm(op @ v - exact) <= 1e-14 * np.linalg.norm(exact)
+        # a lower-triangular M that is not tril(A)^{-1} keeps its dense array
+        scaled = TwoGridHierarchy(A=h.A, M=0.9 * h.M, P=h.P, Ac=h.Ac)
+        m, mt = scaled.sweep_operators[1:3]
+        assert m is scaled.M and mt.base is scaled.M
         # a Jacobi M of the same size is diagonal, so M and M^T are sparse
         jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
                                   P=h.P, Ac=h.Ac)
@@ -322,6 +331,22 @@ class TestSweepOperators:
         assert type(m) is csr_array and type(mt) is csr_array
         assert np.array_equal(m.toarray(), jacobi.M)
         assert np.array_equal(mt.toarray(), jacobi.M.T)
+
+    def test_dense_a_gives_a_full_band(self):
+        # a dense A: tril(A) is a full triangle, kd = n - 1
+        a, p, _, _ = generate_problem(RandomSpsd(128, 96, 0), group=2, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        m, mt = h.sweep_operators[1:3]
+        assert type(m) is LowerBandSolve and m.band.shape == (128, 128)
+        v = np.random.default_rng(1).standard_normal(h.n)
+        for op, matrix in ((m, h.M), (mt, h.M.T)):
+            exact = matrix @ v
+            assert np.linalg.norm(op @ v - exact) <= 1e-12 * np.linalg.norm(exact)
+
+    def test_band_solve_raises_on_a_zero_pivot(self):
+        band = np.array([[1.0, 0.0, 2.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(SmootherError, match="LAPACK info 2"):
+            LowerBandSolve(band) @ np.ones(3)
 
     def test_corpus_keeps_its_arrays(self):
         for case in corpus.builtin_corpus():

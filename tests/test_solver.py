@@ -5,7 +5,7 @@ import pytest
 from twogrid import solver
 from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
 from twogrid.analysis import exact_factor, general_epsilon_bound, inexact_linear_analysis
-from twogrid.linalg import spsd_certify, sym_part
+from twogrid.linalg import EPS, spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
@@ -385,8 +385,9 @@ class TestIterate:
             return itg_sweep(h, u, f, coarse[1])
 
         def error(u):
-            sqrt_lam = np.sqrt(h.A.eig.values[h.n - h.r:])
-            return float(np.linalg.norm(sqrt_lam * (h.A.range_basis.T @ (u_ref - u))))
+            d = u_ref - u
+            d -= h.A.null_basis @ (h.A.null_basis.T @ d)
+            return a_seminorm(a_sweep, d)
 
         u = np.random.default_rng(6).standard_normal(h.n)
         trace = iterate(h, f, u, 12, variant[:3], coarse=coarse[0], u_ref=u_ref)
@@ -398,12 +399,18 @@ class TestIterate:
         assert trace.errors_A == errors
         assert trace.residuals == residuals
 
+    @pytest.mark.parametrize("problem,group,smoother", [
+        (NeumannLaplacian2D(16, 16), 2, WeightedJacobi(2.0 / 3.0)),
+        (NeumannLaplacian2D(32, 32), 4, GaussSeidel()),
+    ], ids=["neumann2d:16x16-jacobi-csr", "neumann2d:32x32-gs-band"])
     @pytest.mark.parametrize("variant", ["tg", "stg", "itg-linear", "itg-eps"])
-    def test_sparse_operators_match_dense_sweeps(self, variant):
-        # neumann2d:16x16 with Jacobi: A, M, M^T, P and P^T are all applied
-        # in CSR; the trace must match dense sweeps up to rounding
-        a, p, f, u_ref = generate_problem(NeumannLaplacian2D(16, 16), group=2, seed=4)
-        h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+    def test_sparse_operators_match_dense_sweeps(self, variant, problem, group,
+                                                 smoother):
+        # A, P and P^T are applied in CSR, M and M^T in CSR (Jacobi) or as
+        # band solves on tril(A) (Gauss-Seidel); the trace must match dense
+        # sweeps up to rounding
+        a, p, f, u_ref = generate_problem(problem, group=group, seed=4)
+        h = build_hierarchy(a, p, smoother)
         assert not any(isinstance(op, np.ndarray) for op in h.sweep_operators)
         if variant == "itg-eps":
             coarse = [GeneralCoarse(eps_perturbed_coarse(
@@ -438,12 +445,44 @@ class TestIterate:
             gaps = np.abs(np.subtract(mine, dense)) / np.abs(dense)
             assert np.max(gaps) <= 1e-12, gaps
 
+    @pytest.mark.parametrize("problem,group,smoother", [
+        (NeumannLaplacian2D(32, 32), 4, GaussSeidel()),
+        (NeumannLaplacian1D(400), 2, WeightedJacobi(2.0 / 3.0)),
+        (NeumannLaplacian2D(24, 24), 2, WeightedJacobi(2.0 / 3.0)),
+    ], ids=["neumann2d:32x32-gs", "neumann1d:400-jacobi", "neumann2d:24x24-jacobi"])
+    def test_energy_error_against_extended_precision_referee(self, problem, group,
+                                                             smoother):
+        # ||d||_A of a graph Laplacian is the edge sum of w_ij (d_i - d_j)^2,
+        # summed here in long double. Until it falls below 1e-12 of its
+        # start, the traced error may miss it by 8 EPS sqrt(lambda_max) ||d||
+        a, p, _, _ = generate_problem(problem, group=group, seed=0)
+        h = build_hierarchy(a, p, smoother)
+        i, j = np.nonzero(np.triu(h.A.matrix, 1))
+        w = -h.A.matrix[i, j].astype(np.longdouble)
+        scale = 8.0 * EPS * np.sqrt(h.A.max_eigenvalue)
+        for start in range(4):
+            rng = np.random.default_rng(start)
+            u_ref, u = rng.standard_normal(h.n), rng.standard_normal(h.n)
+            f = h.A.matrix @ u_ref
+            trace = iterate(h, f, u, 120, u_ref=u_ref)
+            first = None
+            for error in trace.errors_A:
+                d = u_ref - u
+                dl = d.astype(np.longdouble)
+                ref = float(np.sqrt(np.sum(w * (dl[i] - dl[j]) ** 2)))
+                first = first or ref
+                if ref < 1e-12 * first:
+                    break
+                assert abs(error - ref) <= scale * np.linalg.norm(d), (start, error, ref)
+                u = tg_sweep(h, u, f)
+            else:
+                pytest.fail(f"start {start}: the error did not fall below 1e-12")
+
     @pytest.mark.parametrize("problem", [NeumannLaplacian1D(16), RandomSpsd(12, 8, 1)],
                              ids=["neumann1d:16", "random:12:8:1"])
-    def test_error_reads_eigenpairs_not_the_square_root(self, problem):
-        # ||d||_A from A's certified range eigenpairs, against the former
-        # ||A^{1/2} V V^T d|| (the principal square root is formed here);
-        # d has an O(1) null-space part
+    def test_error_matches_the_principal_square_root(self, problem):
+        # ||d||_A against ||A^{1/2} V V^T d|| (the principal square root is
+        # formed here); d has an O(1) null-space part
         a, p, f, u_ref = generate_problem(problem, group=2, seed=3)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p,
                              Ac=spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy))

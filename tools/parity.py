@@ -15,9 +15,10 @@ exact coarse solve (`Bc = Ac`) on neumann1d:32; the `generate` files; the
 definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
 1 - sigma^2 of the pre-smoother would lose its digits); the report JSON of
 each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
-analyze-2d benchmark workload at seed 0; and one exact `solve` on
-neumann2d:16x16, large and sparse enough that the sweep applies A, P and
-P^T in CSR. Each digest also covers the exit code and the stdout and stderr
+analyze-2d benchmark workload at seed 0; and one exact `solve` and one
+`stg` solve on neumann2d:16x16 with Gauss-Seidel, large and sparse enough
+that the sweep applies A, P and P^T in CSR and M and M^T as band solves on
+tril(A). Each digest also covers the exit code and the stdout and stderr
 text of its command. BLAS runs on one thread, so the bytes do not depend on the
 thread count of the host.
 """
@@ -122,6 +123,8 @@ def digests() -> dict[str, str]:
                                       ["r.json"])
     result["solve neumann2d:16x16 gs aggregate:4 exact"] = run(
         [*SPARSE_SOLVE, "--output", "t"], ["t.csv", "t.json"])
+    result["solve stg neumann2d:16x16 gs aggregate:4"] = run(
+        [*SPARSE_SOLVE, "--variant", "stg", "--output", "t"], ["t.csv", "t.json"])
     return result
 
 
