@@ -19,8 +19,10 @@ Main entry points:
 * check_conditions: contraction flags and the null-space intersection test
   that is necessary and sufficient for a convergence factor below one.
 * exact_factor: the convergence factor of the exact two-grid iteration
-  through three independent routes (index identity, quadratic-form
-  reformulation, brute-force seminorm oracle).
+  through three routes (index identity, quadratic-form reformulation,
+  brute-force seminorm oracle). All three read the singular values of the
+  r x r operator G = (I - Q Q^T) K, so they cross-check the assembly and
+  the index bookkeeping; a fault in F, B or Q moves all three together.
 * exact_two_sided: eigenvalue-interlacing bounds that need no projector.
 * inexact_linear_analysis: spectral-equivalence constants, the derived
   two-sided bounds, and the exact factor for a pseudoinverse coarse solver.
@@ -251,8 +253,10 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     raw; like the solver, "tg" and "stg" take none and use the exact solve)
     on range(A), whose coarse correction is Q C Q^T with the core C of that
     solve, and returns its largest singular value as sqrt(lambda_max(G^T G)).
-    Independent of every index-based identity above; this is the
-    anti-drift reference value.
+    It reads no spectral position, so it checks the index bookkeeping of
+    the identity above; it is not independent of the operators: for "tg"
+    the identity and the quadratic form read the singular values of this
+    same G, built from the same F, B and Q.
     """
     if iteration not in ("tg", "stg", "itg"):
         raise ValueError(f"unknown iteration '{iteration}'")

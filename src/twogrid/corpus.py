@@ -4,7 +4,7 @@ The corpus spans the supported problem classes (1d/2d Neumann Laplacians,
 weighted graph Laplacians including a disconnected one, seeded random
 rank-deficient SPSD matrices) crossed with the stock smoothers and both
 aggregation ratios. The verification suite re-derives every identity and
-bound on each case and compares against the independent seminorm oracle,
+bound on each case and compares against the brute-force seminorm oracle,
 reporting one pass/fail record per check with the measured slack.
 """
 from __future__ import annotations

@@ -20,7 +20,6 @@ from scipy.linalg.lapack import dtbtrs
 from . import mmio
 from .errors import NotSpsdError, ShapeError, SmootherAssumptionError, SmootherError
 from .linalg import (
-    EPS,
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
@@ -67,7 +66,52 @@ def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
     return d
 
 
-def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class LowerBandSolve:
+    """v -> T^{-1} v (trans "N") or T^{-T} v (trans "T") by LAPACK dtbtrs.
+
+    T is lower triangular, in band storage band[i - j, j] = T[i, j] (kd + 1
+    rows, kd its bandwidth); numpy reads `dense`, its n x n matrix, built once.
+    """
+
+    band: np.ndarray
+    trans: str = "N"
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.band.shape[1],) * 2
+
+    @property
+    def nbytes(self) -> int:
+        return self.band.nbytes
+
+    @cached_property
+    def T(self) -> "LowerBandSolve":
+        t = LowerBandSolve(self.band, "T" if self.trans == "N" else "N")
+        t.__dict__["T"] = self  # so T^{-T} reads T^{-1}'s dense view
+        return t
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        """T^{-1} by solve_triangular on the unit columns; T^{-T} its view."""
+        if self.trans == "T":
+            return self.T.dense.T
+        k, j = np.nonzero(self.band)
+        lower = np.zeros(self.shape)
+        lower[j + k, j] = self.band[k, j]
+        return solve_triangular(lower, np.eye(self.shape[0]), lower=True)
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        return np.array(self.dense, dtype=dtype, copy=copy)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        x, info = dtbtrs(self.band, v, uplo="L", trans=self.trans)
+        if info != 0:
+            raise SmootherError(f"banded triangular solve failed: LAPACK info {info}")
+        return x
+
+
+def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBandSolve:
     """Materialize M; build_hierarchy decides whether it smooths stably."""
     if isinstance(spec, WeightedJacobi):
         if spec.omega <= 0.0:
@@ -75,8 +119,12 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray:
         return np.diag(spec.omega / _positive_diagonal(a))
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
-        lower = np.tril(a.matrix)
-        return solve_triangular(lower, np.eye(a.n), lower=True)
+        # tril(A) as a Fortran-ordered band (dtbtrs copies a C-ordered one)
+        i, j = np.nonzero(a.matrix)
+        i, j = i[i >= j], j[i >= j]
+        band = np.zeros((int((i - j).max()) + 1, a.n), order="F")
+        band[i - j, j] = a.matrix[i, j]
+        return LowerBandSolve(band)
     if isinstance(spec, CustomSmoother):
         m = as_matrix(spec.matrix, "M")
         if m.shape != (a.n, a.n):
@@ -93,59 +141,16 @@ SPARSE_MIN_ENTRIES = 2 ** 14
 SPARSE_MAX_DENSITY = 1.0 / 32.0
 
 
-def sweep_form(matrix: np.ndarray):
-    """`matrix` as a scipy.sparse.csr_array when large and sparse, else itself."""
+def sweep_form(matrix):
+    """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators."""
+    if isinstance(matrix, LowerBandSolve):
+        return matrix if matrix.shape[0] ** 2 >= SPARSE_MIN_ENTRIES else matrix.dense
     if (matrix.size >= SPARSE_MIN_ENTRIES
             and np.count_nonzero(matrix) <= SPARSE_MAX_DENSITY * matrix.size):
         # Imported here: hierarchies below the threshold never load scipy.sparse.
         from scipy.sparse import csr_array
         return csr_array(matrix)
     return matrix
-
-
-@dataclass(frozen=True, eq=False)
-class LowerBandSolve:
-    """v -> T^{-1} v (trans "N") or T^{-T} v (trans "T") by LAPACK dtbtrs.
-
-    T is lower triangular with bandwidth kd, held in band storage:
-    band[i - j, j] = T[i, j] for j <= i <= j + kd, so band has kd + 1 rows.
-    """
-
-    band: np.ndarray
-    trans: str = "N"
-
-    @property
-    def T(self) -> "LowerBandSolve":
-        return LowerBandSolve(self.band, "T" if self.trans == "N" else "N")
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        x, info = dtbtrs(self.band, v, uplo="L", trans=self.trans)
-        if info != 0:
-            raise SmootherError(f"banded triangular solve failed: LAPACK info {info}")
-        return x
-
-
-def gauss_seidel_band(a: np.ndarray, m: np.ndarray) -> LowerBandSolve | None:
-    """M as a band solve with T = tril(A) when M is T^{-1} to rounding, else None.
-
-    Only an M with at least SPARSE_MIN_ENTRIES entries is tried, and only a
-    lower-triangular one. The check ||T M - I||_max <= n EPS costs
-    O(nnz(T) n) once; the solve costs O(n kd) per call, never more than the
-    dense product (kd = n - 1 is a dense triangle).
-    """
-    n = m.shape[0]
-    if m.size < SPARSE_MIN_ENTRIES or np.triu(m, 1).any():
-        return None
-    from scipy.sparse import csr_array, tril
-    t = tril(csr_array(a), format="coo")
-    gap = t.tocsr() @ m
-    gap.flat[::n + 1] -= 1.0
-    if not max(gap.max(), -gap.min()) <= n * EPS:
-        return None
-    # Fortran order: dtbtrs would copy a C-ordered band on every call.
-    band = np.zeros((int((t.row - t.col).max()) + 1, n), order="F")
-    band[t.row - t.col, t.col] = t.data
-    return LowerBandSolve(band)
 
 
 def mbar(m, a: SpsdOperator) -> np.ndarray:
@@ -173,25 +178,23 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     The fields are the inputs A and Ac (certified SPSD, one tolerance
-    policy), M and P. r and s are the ranks of A and Ac (s <= r). Every form
-    is r x r on range(A), through A's thin factor F = Lambda_r^{1/2} V_r^T
-    (F^T F = A), and every smoother operator is read off B = F M F^T, so no
-    n x n one is formed. The coarse space is the truncated SVD F P = Q R:
-    Q (r x s) has orthonormal columns and R (s x nc) is Sigma_s V_s^T. The
-    projector Pi = F P Ac^+ P^T F^T is Q Q^T and is never stored; every
-    coarse correction is Q C Q^T with an s x s core C. B, Q, R and the rest
-    are built on first read and kept while the hierarchy lives: the smoother
-    form, the Mtilde form, the pre-smoother and the spectra the analysis
-    reads, which also decide every convergence condition. So each is solved
-    once per hierarchy, however many analysis calls read it. The Mtilde form
-    is a separate array only for a nonsymmetric M; its spectrum is
-    smoother_spectrum. The solver reads A, M and P through sweep_operators,
-    built on its first sweep.
+    policy), M (for Gauss-Seidel a LowerBandSolve on tril(A), read by the
+    analysis through its dense view) and P. r and s are the ranks of A and
+    Ac (s <= r). Every form is r x r on range(A), through A's thin factor
+    F = Lambda_r^{1/2} V_r^T (F^T F = A), and is read off B = F M F^T. The
+    coarse space is the truncated SVD F P = Q R: Q (r x s) has orthonormal
+    columns and R (s x nc) is Sigma_s V_s^T. Pi = F P Ac^+ P^T F^T = Q Q^T
+    is never stored; every coarse correction is Q C Q^T, s x s core C. B,
+    Q, R, the smoother, Mtilde and pre-smoother forms and the spectra the
+    analysis reads (they decide every convergence condition) are built on
+    first read and kept, so each is solved once per hierarchy. The Mtilde
+    form is a separate array only for a nonsymmetric M; its spectrum is
+    smoother_spectrum. The solver reads A, M and P via sweep_operators.
     build_hierarchy validates; this does not.
     """
 
     A: SpsdOperator
-    M: np.ndarray
+    M: np.ndarray | LowerBandSolve
     P: np.ndarray
     Ac: SpsdOperator
 
@@ -219,18 +222,13 @@ class TwoGridHierarchy:
     def sweep_operators(self) -> tuple:
         """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
 
-        A Gauss-Seidel M, one that gauss_seidel_band accepts, is applied with
-        M^T as a LowerBandSolve: forward and backward substitution on
-        tril(A). Every other operator is sweep_form of the dense one: a CSR
-        array when large and sparse, otherwise the hierarchy's own ndarray
-        (M^T and P^T as views). Built on the first sweep, so a hierarchy
-        that is only analysed never builds it.
+        Each is its sweep_form: with SPARSE_MIN_ENTRIES entries or more, a
+        Gauss-Seidel M (with M^T) as its LowerBandSolve, any other in CSR if
+        sparse; otherwise the hierarchy's own ndarray or M's dense view (M^T
+        and P^T as views). Built on the first sweep, never by the analysis.
         """
-        m = gauss_seidel_band(self.A.matrix, self.M)
-        smoothers = (m, m.T) if m is not None else (sweep_form(self.M),
-                                                   sweep_form(self.M.T))
-        return (sweep_form(self.A.matrix), *smoothers, sweep_form(self.P),
-                sweep_form(self.P.T))
+        return tuple(sweep_form(op) for op in (self.A.matrix, self.M, self.M.T,
+                                               self.P, self.P.T))
 
     @cached_property
     def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +270,7 @@ class TwoGridHierarchy:
 
         Nonnegativity of this spectrum is equivalent to the smoothing
         iteration being a (not necessarily strict) contraction in the energy
-        seminorm; build_hierarchy certifies the smoother on it. It is also
+        seminorm; build_hierarchy certifies a Jacobi or custom M on it. It is also
         the spectrum of the Mtilde form: with K = I - B the smoother form is
         I - K^T K and the Mtilde form is I - K K^T, and K^T K and K K^T have
         the same eigenvalues.
@@ -322,7 +320,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     Raises if P^T A P is invalid or outranks A, or if the smoothing
     iteration is expansive in the energy seminorm, which for weighted Jacobi
     is a weight above the stability limit 2 / lambda_max(D^{-1} A), named in
-    the error.
+    the error. Gauss-Seidel needs no solve: Mbar = M^T D M, D = diag(A) > 0.
     """
     if not isinstance(a, SpsdOperator):
         a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
@@ -344,6 +342,8 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
             "rank thresholds are inconsistent")
 
     h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
+    if isinstance(spec, GaussSeidel):
+        return h
     spectrum = h.smoother_spectrum
     if not spectrum_psd(spectrum, a.policy):
         limit = ""

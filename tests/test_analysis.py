@@ -40,6 +40,7 @@ from twogrid.model import (
     mbar,
     mtilde,
     neumann_laplacian_1d,
+    neumann_laplacian_2d,
 )
 
 
@@ -648,15 +649,18 @@ class TestSharedSpectra:
 
     def test_report_eigensolve_budget_full_coarse_rank(self, monkeypatch):
         # s = r = 2 < nc = 3: the quadratic form, whose factor is 0 here, is
-        # not solved, and the equivalence constants are solved at order s
+        # not solved, and the equivalence constants are solved at order s.
+        # Set-up and report are counted together: a Gauss-Seidel set-up
+        # leaves the smoother spectrum to the report's first read.
         a, p, _, _ = generate_problem(RandomSpsd(6, 2, 0), group=2, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
         assert (h.n, h.r, h.s, h.nc) == (6, 2, 2, 3)
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
-        calls = eigensolves(
-            monkeypatch, lambda: convergence_report(h, coarse=bc, epsilon=0.3))
-        assert 0 < len(calls) <= 7, calls
-        assert_range_sized(h, calls)
+        calls = eigensolves(monkeypatch, lambda: convergence_report(
+            build_hierarchy(a, p, GaussSeidel()), coarse=bc, epsilon=0.3))
+        assert 0 < len(calls) <= 9, calls
+        assert calls[0] == ("eigh", h.nc), calls  # certifies Ac
+        assert_range_sized(h, calls[1:])
 
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
@@ -705,16 +709,35 @@ class TestSharedSpectra:
             monkeypatch, lambda: build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)))
         assert 0 < len(calls) <= 2, calls
 
+    @pytest.mark.parametrize("smoother", [
+        GaussSeidel(), WeightedJacobi(2.0 / 3.0), CustomSmoother(0.25 * np.eye(64)),
+    ], ids=["gs", "jacobi", "custom"])
+    def test_setup_eigensolves(self, monkeypatch, smoother):
+        # A, Ac and, for Jacobi and custom, the smoother spectrum (order r);
+        # Gauss-Seidel is certified by its structure and forms no n x n M
+        a = neumann_laplacian_2d(8, 8)
+        p = aggregation_prolongation(64, 2)
+        built = []
+        calls = eigensolves(monkeypatch, lambda: built.append(
+            build_hierarchy(a, p, smoother)))
+        gauss_seidel = isinstance(smoother, GaussSeidel)
+        assert calls == [("eigh", 64), ("eigh", 32)] + [("eigvalsh", 63)] * (
+            not gauss_seidel)
+        if gauss_seidel:
+            assert "dense" not in vars(built[0].M)
+
     @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
                              ids=["jacobi", "gs"])
     def test_mtilde_built_only_for_nonsymmetric_m(self, smoother):
         # Mtilde itself is never kept, and its form has no spectrum of its
-        # own; the form is a separate array only for a nonsymmetric M
+        # own; the form is a separate array only for a nonsymmetric M. Set-up
+        # builds the smoother form only to certify Jacobi on its spectrum.
         h, bc = neumann2d_report_inputs(smoother)
-        assert "mtilde_form" not in vars(h) and "smoother_form" in vars(h)
+        symmetric = isinstance(smoother, WeightedJacobi)
+        assert "mtilde_form" not in vars(h)
+        assert ("smoother_form" in vars(h)) == symmetric
         convergence_report(h, coarse=bc, epsilon=0.3)
         assert not hasattr(h, "Mtilde") and not hasattr(h, "mtilde_spectrum")
-        symmetric = isinstance(smoother, WeightedJacobi)
         assert (h.mtilde_form is h.smoother_form) == symmetric
 
 

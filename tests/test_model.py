@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.sparse import csr_array
 
 from twogrid import corpus, model
@@ -92,6 +93,28 @@ class TestBuildSmoother:
         a = certify(np.eye(3))
         with pytest.raises(SmootherError, match="shape"):
             build_smoother(CustomSmoother(np.eye(2)), a)
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
+
+
+class TestLowerBandSolve:
+    @pytest.mark.parametrize("problem", [NeumannLaplacian1D(8), NeumannLaplacian2D(8, 8),
+                                         NeumannLaplacian2D(32, 32),
+                                         RandomSpsd(20, 13, 4)], ids=repr)
+    def test_dense_view_is_the_triangular_inverse(self, problem):
+        # the analysis reads the very bits of the former dense Gauss-Seidel M
+        a = generate_problem(problem)[0]
+        m = build_smoother(GaussSeidel(), a)
+        ref = solve_triangular(np.tril(a.matrix), np.eye(a.n), lower=True)
+        assert type(m) is LowerBandSolve and m.shape == (a.n, a.n)
+        assert m.nbytes == m.band.nbytes <= ref.nbytes
+        assert same_bits(m.dense, ref) and same_bits(m.T.dense, ref.T)
+        assert np.asarray(m) is m.dense and m.T.dense.base is m.dense
+        for op, matrix in ((m, ref), (m.T, ref.T)):
+            v = np.arange(a.n, dtype=float)
+            assert np.allclose(op @ v, matrix @ v, rtol=1e-12, atol=0.0)
 
 
 class TestMbarMtilde:
@@ -270,6 +293,30 @@ class TestBuildHierarchy:
                                 - h.smoother_spectrum))
             assert gap <= 1e-13, case.name
 
+    def test_gauss_seidel_zero_diagonal_rejected(self):
+        # node 3 is isolated: the band solve would divide by zero
+        a = graph_laplacian([(0, 1), (1, 2)], n=4)
+        with pytest.raises(SmootherError) as err:
+            build_hierarchy(a, aggregation_prolongation(4, 2), GaussSeidel())
+        assert str(err.value) == (
+            "diagonal entry 3 of A is zero; the matching row and column are zero "
+            "as well, so solve the reduced system with that index removed")
+
+    def test_gauss_seidel_mbar_is_mt_d_m(self):
+        # set-up certifies Gauss-Seidel by this identity, not by a spectrum:
+        # Mbar = M^T D M with D = diag(A) > 0, so F M^T D M F^T is the
+        # smoother form
+        hierarchies = [corpus.build_case(case)[0] for case in corpus.builtin_corpus()
+                       if isinstance(case.smoother, GaussSeidel)]
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        hierarchies.append(build_hierarchy(a, p, GaussSeidel()))
+        assert len(hierarchies) == 15
+        for h in hierarchies:
+            m, f = np.asarray(h.M), h.A.factor
+            ref = f @ m.T @ (np.diag(h.A.matrix)[:, None] * m) @ f.T
+            gap = np.max(np.abs(ref - h.smoother_form))
+            assert gap <= 1e-13 * np.max(np.abs(ref)), h.n
+
     def test_raw_matrix_accepted(self):
         h = build_hierarchy(neumann_laplacian_1d(6), aggregation_prolongation(6, 2),
                             WeightedJacobi(0.5))
@@ -297,10 +344,13 @@ def parity_problems(monkeypatch):
 class TestSweepOperators:
     @staticmethod
     def assert_own_arrays(h, label):
+        # a small Gauss-Seidel M is applied as its dense view, M^T as the
+        # view's transpose
         a, m, mt, p, pt = h.sweep_operators
-        assert a is h.A.matrix and m is h.M and p is h.P, label
-        assert mt.base is h.M and pt.base is h.P, label
-        assert mt.shape == h.M.T.shape and pt.shape == h.P.T.shape, label
+        dense = np.asarray(h.M)
+        assert a is h.A.matrix and m is dense and p is h.P, label
+        assert mt.base is dense and pt.base is h.P, label
+        assert mt.shape == dense.T.shape and pt.shape == h.P.T.shape, label
 
     def test_solve_2d_hierarchy(self):
         # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; M and M^T are
@@ -312,18 +362,23 @@ class TestSweepOperators:
         assert [type(op) for op in ops] == [csr_array, LowerBandSolve, LowerBandSolve,
                                             csr_array, csr_array]
         a_op, m, mt, p_op, pt = ops
+        assert m is h.M and mt is h.M.T and mt.T is m
         assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band
         assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
+        # neither set-up nor the sweep forms the n x n M
+        assert "dense" not in vars(m) and "dense" not in vars(mt)
         for op, matrix in ((a_op, h.A.matrix), (p_op, h.P), (pt, h.P.T)):
             assert np.array_equal(op.toarray(), matrix)
         v = np.random.default_rng(0).standard_normal(h.n)
-        for op, matrix in ((m, h.M), (mt, h.M.T)):
+        dense = np.asarray(h.M)
+        for op, matrix in ((m, dense), (mt, dense.T)):
             exact = matrix @ v
             assert np.linalg.norm(op @ v - exact) <= 1e-14 * np.linalg.norm(exact)
-        # a lower-triangular M that is not tril(A)^{-1} keeps its dense array
-        scaled = TwoGridHierarchy(A=h.A, M=0.9 * h.M, P=h.P, Ac=h.Ac)
-        m, mt = scaled.sweep_operators[1:3]
-        assert m is scaled.M and mt.base is scaled.M
+        # an ndarray M keeps its dense array, even tril(A)^{-1} itself
+        for matrix in (0.9 * dense, dense):
+            other = TwoGridHierarchy(A=h.A, M=matrix, P=h.P, Ac=h.Ac)
+            m, mt = other.sweep_operators[1:3]
+            assert m is other.M and mt.base is other.M
         # a Jacobi M of the same size is diagonal, so M and M^T are sparse
         jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
                                   P=h.P, Ac=h.Ac)
@@ -332,6 +387,19 @@ class TestSweepOperators:
         assert np.array_equal(m.toarray(), jacobi.M)
         assert np.array_equal(mt.toarray(), jacobi.M.T)
 
+    def test_benchmark_reads_the_band_solve(self):
+        # perfbench's solve-2d workload sizes the hierarchy it sweeps through
+        # these two helpers; both read a Gauss-Seidel M as its band
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert workloads.sweep_arrays(h)["M"] == h.M.band.nbytes == 33 * 1024 * 8
+        assert workloads.hierarchy_arrays(h)["M.band"] == h.M.band.nbytes
+        assert "dense" not in vars(h.M)
+
     def test_dense_a_gives_a_full_band(self):
         # a dense A: tril(A) is a full triangle, kd = n - 1
         a, p, _, _ = generate_problem(RandomSpsd(128, 96, 0), group=2, seed=0)
@@ -339,7 +407,8 @@ class TestSweepOperators:
         m, mt = h.sweep_operators[1:3]
         assert type(m) is LowerBandSolve and m.band.shape == (128, 128)
         v = np.random.default_rng(1).standard_normal(h.n)
-        for op, matrix in ((m, h.M), (mt, h.M.T)):
+        dense = np.asarray(h.M)
+        for op, matrix in ((m, dense), (mt, dense.T)):
             exact = matrix @ v
             assert np.linalg.norm(op @ v - exact) <= 1e-12 * np.linalg.norm(exact)
 
