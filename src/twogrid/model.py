@@ -112,7 +112,7 @@ class LowerBandSolve:
 
 
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBandSolve:
-    """Materialize M; build_hierarchy decides whether it smooths stably."""
+    """M as an ndarray, or for Gauss-Seidel a LowerBandSolve (np.asarray: dense)."""
     if isinstance(spec, WeightedJacobi):
         if spec.omega <= 0.0:
             raise SmootherError(f"Jacobi weight must be positive, got {spec.omega}")

@@ -433,11 +433,12 @@ class TestIterate:
         sweeps = 10
         trace = iterate(h, f, u, sweeps, variant[:3], coarse=coarse[0], u_ref=u_ref)
         errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
+        m = np.asarray(h.M)  # the dense M, not the band solve the sweep applies
         for _ in range(sweeps):
-            u = u + h.M @ (f - h.A.matrix @ u)
+            u = u + m @ (f - h.A.matrix @ u)
             u = u + h.P @ coarse_solve(h.P.T @ (f - h.A.matrix @ u))
             if variant == "stg":
-                u = u + h.M.T @ (f - h.A.matrix @ u)
+                u = u + m.T @ (f - h.A.matrix @ u)
             errors.append(error(u))
             residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
         assert errors[-1] < 1e-2 * errors[0]
