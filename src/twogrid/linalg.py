@@ -5,7 +5,9 @@ tolerance policy, plus the two decisions every module shares: the
 numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
 within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
 convergence analysis, solvers) stands on these primitives, so each rule is
-written once and the rank threshold is decided once per matrix.
+written once and the rank threshold is decided once per matrix. A large
+weighted graph Laplacian is certified by its structure instead, and its
+spectrum is solved only when something reads it.
 """
 from __future__ import annotations
 
@@ -21,10 +23,18 @@ EPS = float(np.finfo(np.float64).eps)
 # Relative asymmetry accepted before an input is rejected as nonsymmetric.
 SYMMETRY_RTOL = 1e-8
 
+# Inputs with at least this many entries are tried for a structural
+# certificate (spsd_certify); model's sweeps apply an operator in CSR only
+# from this size on. Below it a dense eigh costs less than the checks.
+SPARSE_MIN_ENTRIES = 2 ** 14
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and convert input to a finite float64 2-d array (row-major)."""
-    arr = np.array(a, dtype=np.float64, order="C", copy=True)
+
+def as_matrix(a, name: str = "matrix", copy: bool = True) -> np.ndarray:
+    """Validate and convert input to a finite float64 2-d array (row-major).
+
+    copy=False returns a float64 C-ordered ndarray input itself, unwritten.
+    """
+    arr = np.array(a, dtype=np.float64, order="C", copy=True if copy else None)
     if arr.ndim != 2:
         raise ShapeError(f"{name} must be 2-dimensional, got shape {arr.shape}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -50,15 +60,27 @@ def sym_part(x: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_input(s) -> np.ndarray:
-    """as_matrix(s) checked square and symmetric up to rounding skew, as sym_part."""
-    s = as_matrix(s, "S")
-    if s.shape[0] != s.shape[1]:
+    """as_matrix(s) checked square and symmetric up to rounding skew, as sym_part.
+
+    One n x n buffer: it holds S^T (a contiguous copy, so that the skew is
+    read 64 rows at a time), then S^T + S, the bytes of S + S^T.
+    """
+    block = 64
+    s = as_matrix(s, "S", copy=False)
+    n = s.shape[0]
+    if s.shape[1] != n:
         raise ShapeError(f"S must be square, got shape {s.shape}")
-    skew = float(np.max(np.abs(s - s.T)))
-    scale = float(np.max(np.abs(s)))
+    sym = s.T.copy()
+    skew = 0.0
+    for k in range(0, n, block):
+        d = s[k:k + block] - sym[k:k + block]
+        skew = max(skew, float(np.abs(d, out=d).max()))
+    scale = max(float(s.max()), -float(s.min()))
     if skew > SYMMETRY_RTOL * max(scale, 1.0):
         raise ShapeError(f"S is not symmetric: max|S - S^T| = {skew:.3e}")
-    return sym_part(s)
+    sym += s
+    sym *= 0.5
+    return sym
 
 
 @dataclass(frozen=True)
@@ -122,17 +144,21 @@ def _eigh(sym: np.ndarray) -> SymEigen:
 
 @dataclass(frozen=True, eq=False)
 class SpsdOperator:
-    """An SPSD matrix with the spectrum and rank its certification decided.
+    """An SPSD matrix with the rank its certification decided.
 
-    Every operator derived from the fields (thin factor, Moore-Penrose
-    inverse, range and null bases) is a cached property, built on first read
-    under the one rank decision.
+    components is None after the eigh certificate, whose spectrum is eig's
+    cached value. After the structural one it labels each index with its
+    connected component of the graph Laplacian (0, 1, ... in the order of
+    their smallest index); null_basis is then the normalized component
+    indicators, and eig is solved on first read. Every operator derived
+    from the spectrum (thin factor, Moore-Penrose inverse, range basis) is a
+    cached property, built on first read under the one rank decision.
     """
 
     matrix: np.ndarray
-    eig: SymEigen
     rank: int
     policy: TolerancePolicy
+    components: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -141,6 +167,23 @@ class SpsdOperator:
     @property
     def max_eigenvalue(self) -> float:
         return float(self.eig.values[-1])
+
+    @cached_property
+    def eig(self) -> SymEigen:
+        """The spectrum, negative rounding clamped to zero, ascending.
+
+        Solved here only after a structural certificate, by the same eigh on
+        the same bytes as the eigh certificate; raises EigenSolveError if its
+        rank differs from the structural rank.
+        """
+        eig = _eigh(self.matrix)
+        clamped = np.maximum(eig.values, 0.0)
+        rank = spectrum_rank(clamped, self.policy)
+        if rank != self.rank:
+            raise EigenSolveError(
+                f"spectrum has rank {rank}, but the graph Laplacian has "
+                f"{self.n - self.rank} components (rank {self.rank})")
+        return SymEigen(values=clamped, vectors=eig.vectors)
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -168,21 +211,108 @@ class SpsdOperator:
 
     @cached_property
     def null_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the null space (shape n x (n - rank))."""
-        return self.eig.vectors[:, :self.n - self.rank].copy()
+        """Orthonormal columns spanning the null space (shape n x (n - rank)).
+
+        For a structurally certified graph Laplacian, the exact normalized
+        component indicators; no spectrum is read.
+        """
+        if self.components is None:
+            return self.eig.vectors[:, :self.n - self.rank].copy()
+        sizes = np.bincount(self.components)
+        basis = np.zeros((self.n, sizes.size))
+        basis[np.arange(self.n), self.components] = 1.0 / np.sqrt(sizes[self.components])
+        return basis
+
+
+def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """Connected-component labels of the graph on n nodes with edges i[k] - j[k].
+
+    Min-label propagation onto the roots, then pointer jumping, until no
+    label moves; labels are numbered 0, 1, ... by each component's smallest
+    node. The edge list holds both directions.
+    """
+    labels = np.arange(n)
+    while True:
+        hooked = labels.copy()
+        np.minimum.at(hooked, labels[i], labels[j])
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = hooked
+
+
+def _laplacian_components(sym: np.ndarray, tol: TolerancePolicy) -> np.ndarray | None:
+    """Component labels when sym is certified as a weighted graph Laplacian, else None.
+
+    The certificate, with upper = 2 max(diag) (Gershgorin's bound on
+    lambda_max once the rows sum to zero):
+    - every off-diagonal entry is <= 0 and every row sums to within
+      n EPS max(diag) of zero;
+    - every nonzero diagonal entry exceeds 2 psd_slack upper;
+    - each component C of the nonzero pattern, w_min its smallest edge
+      weight, has 4 w_min / (|C| (|C| - 1)) > 2 rank_rel_tol upper: a lower
+      bound on its lambda_2 (Mohar: 4 / (|C| diam) for unit weights, and
+      diam <= |C| - 1) clears the rank cut;
+    - rank_rel_tol and psd_slack are at least 8 n EPS, above the null
+      eigenvalues' row-sum slack.
+    The factors 2 and 8 leave room for eigh's rounding (relative n EPS), so
+    eigh's rank cut would keep every nonzero eigenvalue and drop exactly one
+    per component (rank n - #components), its PSD test would pass, and a
+    diagonal entry is below psd_slack lambda_max exactly when it is zero.
+    """
+    n = sym.shape[0]
+    diag = np.diag(sym)
+    max_diag = float(diag.max())
+    if max_diag <= 0.0 or min(tol.rank_rel_tol, tol.psd_slack) < 8.0 * n * EPS:
+        return None
+    if float(np.max(np.abs(sym.sum(axis=1)))) > n * EPS * max_diag:
+        return None
+    upper = 2.0 * max_diag
+    degrees = diag[diag != 0.0]
+    if float(degrees.min()) <= 2.0 * tol.psd_slack * upper:
+        return None
+    i, j = np.nonzero(sym != 0.0)
+    off = i != j
+    i, j = i[off], j[off]
+    weights = -sym[i, j]
+    if weights.size and float(weights.min()) < 0.0:
+        return None
+    labels = _components(i, j, n)
+    sizes = np.bincount(labels)
+    w_min = np.full(sizes.size, np.inf)
+    np.minimum.at(w_min, labels[i], weights)
+    linked = sizes > 1
+    margin = 4.0 * w_min[linked] / (sizes[linked] * (sizes[linked] - 1.0))
+    if margin.size and float(margin.min()) <= 2.0 * tol.rank_rel_tol * upper:
+        return None
+    return labels
 
 
 def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
-    """Certify a matrix as SPSD: decide its spectrum and rank once.
+    """Certify a matrix as SPSD: decide its rank once.
 
-    Eigenvalues in [-psd_slack * lambda_max, 0) are clamped to zero as
-    rounding noise (assembled products like P^T A P accumulate it); anything
-    below that rejects the input. The zero matrix is rejected outright since
-    relative rank decisions need a positive scale.
+    An input with at least SPARSE_MIN_ENTRIES entries that passes the
+    graph-Laplacian certificate (_laplacian_components) gets rank
+    n - #components, the component indicators as its null basis and no
+    eigen-solve: its spectrum is solved on first read. Every other input is
+    certified on its spectrum, solved here. Eigenvalues in
+    [-psd_slack * lambda_max, 0) are clamped to zero as rounding noise
+    (assembled products like P^T A P accumulate it); anything below that
+    rejects the input. The zero matrix is rejected outright since relative
+    rank decisions need a positive scale.
 
     The derived operators are built lazily on the returned SpsdOperator.
     """
     sym = _symmetric_input(s)
+    if sym.size >= SPARSE_MIN_ENTRIES:
+        labels = _laplacian_components(sym, tol)
+        if labels is not None:
+            return SpsdOperator(matrix=sym, rank=sym.shape[0] - int(labels.max()) - 1,
+                                policy=tol, components=labels)
     eig = _eigh(sym)
     w = eig.values
     lam_max = float(w[-1])
@@ -197,9 +327,9 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             f"-psd_slack * lambda_max = {-tol.psd_slack * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
-    return SpsdOperator(matrix=sym,
-                        eig=SymEigen(values=clamped, vectors=eig.vectors),
-                        rank=spectrum_rank(clamped, tol), policy=tol)
+    op = SpsdOperator(matrix=sym, rank=spectrum_rank(clamped, tol), policy=tol)
+    vars(op)["eig"] = SymEigen(values=clamped, vectors=eig.vectors)  # eig's cached value
+    return op
 
 
 def symmetric_rank(s, tol: TolerancePolicy) -> int:

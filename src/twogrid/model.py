@@ -20,6 +20,7 @@ from scipy.linalg.lapack import dtbtrs
 from . import mmio
 from .errors import NotSpsdError, ShapeError, SmootherAssumptionError, SmootherError
 from .linalg import (
+    SPARSE_MIN_ENTRIES,
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
@@ -56,8 +57,15 @@ SmootherSpec = Union[WeightedJacobi, GaussSeidel, CustomSmoother]
 
 
 def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
+    """diag(A), or SmootherError at its first entry d <= psd_slack * lambda_max.
+
+    On a graph Laplacian certified by structure the certificate puts every
+    nonzero entry above psd_slack * 2 max diag(A) >= psd_slack * lambda_max
+    (Gershgorin), so d <= psd_slack * lambda_max holds exactly when d == 0:
+    the same decision, made without reading A's spectrum.
+    """
     d = np.diag(a.matrix).copy()
-    floor = a.policy.psd_slack * a.max_eigenvalue
+    floor = 0.0 if a.components is not None else a.policy.psd_slack * a.max_eigenvalue
     bad = np.nonzero(d <= floor)[0]
     if bad.size:
         raise SmootherError(
@@ -135,9 +143,8 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBan
 
 
 # The sweep applies an operator in CSR only when it has at least
-# SPARSE_MIN_ENTRIES entries and at most SPARSE_MAX_DENSITY of them are
-# nonzero. Below that size scipy's cost per call exceeds the dense product.
-SPARSE_MIN_ENTRIES = 2 ** 14
+# SPARSE_MIN_ENTRIES (linalg) entries and at most SPARSE_MAX_DENSITY of them
+# are nonzero. Below that size scipy's cost per call exceeds the dense product.
 SPARSE_MAX_DENSITY = 1.0 / 32.0
 
 
@@ -180,16 +187,20 @@ class TwoGridHierarchy:
     The fields are the inputs A and Ac (certified SPSD, one tolerance
     policy), M (for Gauss-Seidel a LowerBandSolve on tril(A), read by the
     analysis through its dense view) and P. r and s are the ranks of A and
-    Ac (s <= r). Every form is r x r on range(A), through A's thin factor
-    F = Lambda_r^{1/2} V_r^T (F^T F = A), and is read off B = F M F^T. The
-    coarse space is the truncated SVD F P = Q R: Q (r x s) has orthonormal
-    columns and R (s x nc) is Sigma_s V_s^T. Pi = F P Ac^+ P^T F^T = Q Q^T
-    is never stored; every coarse correction is Q C Q^T, s x s core C. B,
-    Q, R, the smoother, Mtilde and pre-smoother forms and the spectra the
-    analysis reads (they decide every convergence condition) are built on
-    first read and kept, so each is solved once per hierarchy. The Mtilde
-    form is a separate array only for a nonsymmetric M; its spectrum is
-    smoother_spectrum. The solver reads A, M and P via sweep_operators.
+    Ac (s <= r). When A or Ac is a graph Laplacian certified by structure,
+    its rank and null basis need no spectrum: A's is solved on the first
+    read of F, Ac's on the first read of Ac^+ (the first sweep's coarse
+    solve, or the analysis). Every form is r x r on range(A), through A's
+    thin factor F = Lambda_r^{1/2} V_r^T (F^T F = A), and is read off
+    B = F M F^T. The coarse space is the truncated SVD F P = Q R: Q (r x s)
+    has orthonormal columns and R (s x nc) is Sigma_s V_s^T.
+    Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
+    is Q C Q^T, s x s core C. B, Q, R, the smoother, Mtilde and
+    pre-smoother forms and the spectra the analysis reads (they decide
+    every convergence condition) are built on first read and kept, so each
+    is solved once per hierarchy. The Mtilde form is a separate array only
+    for a nonsymmetric M; its spectrum is smoother_spectrum. The solver
+    reads A, M and P via sweep_operators.
     build_hierarchy validates; this does not.
     """
 
@@ -320,7 +331,9 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     Raises if P^T A P is invalid or outranks A, or if the smoothing
     iteration is expansive in the energy seminorm, which for weighted Jacobi
     is a weight above the stability limit 2 / lambda_max(D^{-1} A), named in
-    the error. Gauss-Seidel needs no solve: Mbar = M^T D M, D = diag(A) > 0.
+    the error. Gauss-Seidel needs no solve: Mbar = M^T D M, D = diag(A) > 0,
+    so on graph Laplacians that A and Ac certify by structure its set-up
+    solves no spectrum at all.
     """
     if not isinstance(a, SpsdOperator):
         a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
@@ -405,11 +418,10 @@ def neumann_laplacian_1d(n: int) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     a = np.zeros((n, n))
-    for i in range(n - 1):
-        a[i, i] += 1.0
-        a[i + 1, i + 1] += 1.0
-        a[i, i + 1] -= 1.0
-        a[i + 1, i] -= 1.0
+    i = np.arange(n - 1)
+    a[i, i + 1] = a[i + 1, i] = -1.0
+    np.fill_diagonal(a, 2.0)
+    a[0, 0] = a[-1, -1] = 1.0
     return a
 
 
@@ -476,8 +488,8 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
         raise ValueError(f"need n >= 2, got {n}")
     nc = max(1, n // group)
     p = np.zeros((n, nc))
-    for i in range(n):
-        p[i, min(i // group, nc - 1)] = 1.0
+    i = np.arange(n)
+    p[i, np.minimum(i // group, nc - 1)] = 1.0
     return p
 
 

@@ -13,8 +13,10 @@ otherwise dense.
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail
 geometric-mean contraction factor. The error is sqrt(d^T A d) with the
-sweep's A after the null-space part of d is projected out, so a tracked
-sweep costs O(nnz) where its operators do.
+sweep's A after the null-space part of d is projected out with A's null
+basis (for a graph Laplacian certified by structure, its exact component
+indicators, so no spectrum of A is solved), so a tracked sweep costs
+O(nnz) where its operators do.
 """
 from __future__ import annotations
 
@@ -64,7 +66,11 @@ def a_seminorm(matrix: np.ndarray, v: np.ndarray) -> float:
 
 
 def check_consistent(h: TwoGridHierarchy, f: np.ndarray) -> None:
-    """Reject a right-hand side with a component outside the range of A."""
+    """Reject a right-hand side with a component outside the range of A.
+
+    The component is read off A's null basis, the exact component
+    indicators when A is a graph Laplacian certified by structure.
+    """
     null = h.A.null_basis
     if null.shape[1] == 0:
         return

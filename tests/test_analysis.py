@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from twogrid import corpus
-from twogrid.errors import CoarseScalingError, RangeMismatchError
+from twogrid.errors import CoarseScalingError, RangeMismatchError, SmootherError
 from twogrid.analysis import (
     beta_constants,
     check_conditions,
@@ -31,6 +31,7 @@ from twogrid.linalg import (
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
+    GraphLaplacian,
     NeumannLaplacian2D,
     RandomSpsd,
     WeightedJacobi,
@@ -42,6 +43,7 @@ from twogrid.model import (
     neumann_laplacian_1d,
     neumann_laplacian_2d,
 )
+from twogrid.solver import iterate
 
 
 def neumann_hierarchy(n=8, group=2, smoother=None):
@@ -725,6 +727,57 @@ class TestSharedSpectra:
             not gauss_seidel)
         if gauss_seidel:
             assert "dense" not in vars(built[0].M)
+
+    def test_gauss_seidel_solve_runs_no_order_n_eigensolve(self, monkeypatch):
+        # neumann2d:32x32, aggregation by 4: A and Ac (nc = 256) are graph
+        # Laplacians certified by structure, so set-up solves nothing; Ac's
+        # spectrum is solved on the first sweep's read of Ac^+
+        state = {}
+
+        def set_up():
+            a, p, state["f"], state["u_ref"] = generate_problem(
+                NeumannLaplacian2D(32, 32), group=4, seed=0)
+            state["h"] = build_hierarchy(a, p, GaussSeidel())
+
+        assert eigensolves(monkeypatch, set_up) == []
+        monkeypatch.undo()
+        h = state["h"]
+        calls = eigensolves(monkeypatch, lambda: state.update(trace=iterate(
+            h, state["f"], np.zeros(h.n), 120, u_ref=state["u_ref"])))
+        assert calls == [("eigh", h.nc)] and h.nc == 256
+        errors = state["trace"].errors_A
+        assert min(errors) <= 1e-10 * errors[0]
+
+    def test_jacobi_setup_on_a_certified_laplacian_solves_its_smoother(
+            self, monkeypatch):
+        # n = 256, nc = 128: A and Ac are certified by structure; the Jacobi
+        # check still solves the smoother spectrum (order r), whose form
+        # reads A's eigenpairs through F, solved there (order n)
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(16, 16), group=2, seed=0)
+        assert a.components is not None and "eig" not in vars(a)
+        calls = eigensolves(
+            monkeypatch, lambda: build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)))
+        assert calls == [("eigh", 256), ("eigvalsh", 255)]
+
+    @pytest.mark.parametrize("smoother", [GaussSeidel(), WeightedJacobi(2.0 / 3.0)],
+                             ids=["gs", "jacobi"])
+    def test_isolated_node_rejected_without_a_spectrum(self, monkeypatch, smoother):
+        # a path on 128 nodes and node 128 isolated (n^2 >= 2^14): the zero
+        # diagonal entry is found by structure, with no eigen-solve at all
+        edges = tuple((i, i + 1) for i in range(127))
+        a, p, _, _ = generate_problem(GraphLaplacian(edges, n=129), seed=0)
+        assert a.components is not None and a.rank == 127
+        raised = []
+
+        def set_up():
+            with pytest.raises(SmootherError) as err:
+                build_hierarchy(a, p, smoother)
+            raised.append(str(err.value))
+
+        assert eigensolves(monkeypatch, set_up) == []
+        assert raised == [
+            "diagonal entry 128 of A is zero; the matching row and column are zero "
+            "as well, so solve the reduced system with that index removed"]
 
     @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
                              ids=["jacobi", "gs"])

@@ -1,9 +1,14 @@
 """Tests for the dense symmetric spectral kernels."""
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
-from twogrid.errors import NotSpsdError, ShapeError
+from twogrid import linalg
+from twogrid.errors import EigenSolveError, NotSpsdError, ShapeError
 from twogrid.linalg import (
+    EPS,
+    SPARSE_MIN_ENTRIES,
     TolerancePolicy,
     spectrum_psd,
     spectrum_rank,
@@ -11,6 +16,7 @@ from twogrid.linalg import (
     sym_eig,
     symmetric_rank,
 )
+from twogrid.model import neumann_laplacian_2d, random_spsd
 
 
 def policy(n):
@@ -237,3 +243,185 @@ class TestSymmetricRank:
         assert spectrum_rank(w, policy(4)) == 1
         assert spectrum_rank(w, policy(4), scale=1.0) == 0
         assert spectrum_rank(w, policy(4), scale=0.0) == 0
+
+
+class TestSymmetricInput:
+    @pytest.mark.parametrize("n", [1, 5, 64, 130, 200])
+    def test_bytes_of_the_symmetric_part(self, n):
+        rng = np.random.default_rng(n)
+        s = rng.standard_normal((n, n))
+        s = s + s.T + 1e-12 * rng.standard_normal((n, n))  # rounding skew
+        before = s.copy()
+        sym = linalg._symmetric_input(s)
+        expected = 0.5 * (s + s.T)
+        assert sym.tobytes() == expected.tobytes() and sym.flags.c_contiguous
+        assert np.array_equal(s, before) and sym is not s
+
+    def test_fortran_and_list_inputs(self):
+        rng = np.random.default_rng(3)
+        s = rng.standard_normal((7, 7))
+        s = s + s.T
+        expected = (0.5 * (s + s.T)).tobytes()
+        assert linalg._symmetric_input(np.asfortranarray(s)).tobytes() == expected
+        assert linalg._symmetric_input(s.tolist()).tobytes() == expected
+
+    def test_skew_in_the_last_partial_block_is_rejected(self):
+        s = np.eye(130)
+        s[129, 128] = 1e-3  # rows 128 and 129 are the last, partial block
+        with pytest.raises(ShapeError, match="not symmetric"):
+            linalg._symmetric_input(s)
+
+
+def eigh_route(a, tol):
+    """The eigh certificate written out: (sym, rank, clamped spectrum, vectors)."""
+    sym = 0.5 * (a + a.T)
+    w, v = np.linalg.eigh(sym)
+    clamped = np.maximum(w, 0.0)
+    return sym, spectrum_rank(clamped, tol), clamped, v
+
+
+def assert_eigh_certificate(op, a, tol):
+    """op is the eigh certificate of a, byte for byte."""
+    sym, rank, w, v = eigh_route(a, tol)
+    assert op.components is None and "eig" in vars(op)
+    assert op.matrix.tobytes() == sym.tobytes() and op.rank == rank
+    assert op.eig.values.tobytes() == w.tobytes()
+    assert op.eig.vectors.tobytes() == v.tobytes()
+
+
+@st.composite
+def weighted_laplacians(draw):
+    """(A, labels): a weighted graph Laplacian with n >= 128 and its components.
+
+    Each component is a random spanning tree plus random extra edges; some
+    nodes are left isolated. Weights are log-uniform between 10^lo and
+    10^hi, anywhere in [1e-6, 1e6], 0 to 12 decades apart. labels numbers
+    the components by their smallest node.
+    """
+    n = draw(st.integers(128, 160))
+    parts = draw(st.integers(1, 3))
+    isolated = draw(st.integers(0, 3))
+    decades = draw(st.sampled_from(range(13)))
+    lo = draw(st.integers(-6, 6 - decades))
+    hi = lo + decades
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.zeros((n, n))
+    order = rng.permutation(n)
+    group = np.empty(n, dtype=int)
+    group[order[:isolated]] = np.arange(isolated)  # each isolated node alone
+    for g, part in enumerate(np.array_split(order[isolated:], parts)):
+        group[part] = isolated + g
+        tree = [(part[k], part[rng.integers(k)]) for k in range(1, part.size)]
+        extra = [tuple(rng.choice(part, 2, replace=False)) for _ in range(part.size)]
+        for u, v in tree + extra:
+            w = 10.0 ** rng.uniform(lo, hi)
+            a[u, u] += w
+            a[v, v] += w
+            a[u, v] -= w
+            a[v, u] -= w
+    smallest = np.array([np.flatnonzero(group == g)[0] for g in group])
+    return a, np.unique(smallest, return_inverse=True)[1]
+
+
+class TestStructuralCertificate:
+    """Graph Laplacians with n^2 >= SPARSE_MIN_ENTRIES are certified by structure."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(weighted_laplacians())
+    def test_structure_decides_as_eigh(self, laplacian):
+        a, labels = laplacian
+        n = a.shape[0]
+        tol = policy(n)
+        op = spsd_certify(a, tol)
+        weights = -a[a < 0.0]
+        event("eigh fallback" if op.components is None else "structural")
+        event(f"weight ratio 1e{round(np.log10(weights.max() / weights.min()))}")
+        if op.components is None:
+            # outside the margin: the eigh certificate, byte for byte
+            assert_eigh_certificate(op, a, tol)
+            return
+        comps = int(labels.max()) + 1
+        assert np.array_equal(op.components, labels)
+        assert op.rank == n - comps
+        null = op.null_basis
+        assert "eig" not in vars(op)  # the null basis reads no spectrum
+        assert np.array_equal(null != 0.0, labels[:, None] == np.arange(comps))
+        assert np.max(np.abs(null.T @ null - np.eye(comps))) <= n * EPS
+        assert np.max(np.abs(a @ null)) <= n * EPS * np.max(np.diag(a))
+        sym, rank, w, v = eigh_route(a, tol)
+        assert rank == op.rank
+        # largest principal angle to eigh's null basis; eigh's own basis is
+        # accurate to its backward error over the gap (Davis-Kahan)
+        eigh_null = v[:, :comps]
+        angle = np.linalg.norm(eigh_null - null @ (null.T @ eigh_null), 2)
+        assert angle <= max(1e-10, n * EPS * w[-1] / w[comps])
+        # the lazily solved spectrum is eigh's, clamped, byte for byte
+        assert op.eig.values.tobytes() == w.tobytes()
+        assert op.eig.vectors.tobytes() == v.tobytes()
+        assert op.matrix.tobytes() == sym.tobytes()
+
+    def test_well_separated_null_space_to_1e10(self):
+        # lambda_2 / lambda_max far above n EPS: eigh's null basis is good
+        # to 1e-10, and the structural one, exact, lies within that of it
+        a = np.kron(np.eye(2), neumann_laplacian_2d(8, 8))  # two 8x8 grids
+        op = spsd_certify(a, policy(128))
+        assert op.components is not None and op.rank == 126
+        _, _, _, v = eigh_route(a, policy(128))
+        null = op.null_basis
+        angle = np.linalg.norm(v[:, :2] - null @ (null.T @ v[:, :2]), 2)
+        assert angle <= 1e-10
+
+    def test_isolated_nodes_are_components(self):
+        n = 130
+        a = np.zeros((n, n))
+        a[:128, :128] = neumann_1d(128)
+        op = spsd_certify(a, policy(n))
+        assert op.rank == 127 and op.null_basis.shape == (n, 3)
+        assert list(op.components[126:]) == [0, 0, 1, 2]
+        assert np.array_equal(op.null_basis[128:, 1:], np.eye(2))
+
+    def test_below_the_gate_is_the_eigh_certificate(self):
+        a = neumann_1d(127)
+        assert a.size < SPARSE_MIN_ENTRIES
+        assert_eigh_certificate(spsd_certify(a, policy(127)), a, policy(127))
+
+    def test_non_laplacian_falls_back_byte_for_byte(self):
+        a = random_spsd(200, 150, 0)
+        assert_eigh_certificate(spsd_certify(a, policy(200)), a, policy(200))
+
+    def test_edge_below_the_margin_falls_back_byte_for_byte(self):
+        # two paths joined by one 1e-14 edge: Mohar's bound cannot keep
+        # lambda_2 above the rank cut, so the spectrum decides (rank n - 2)
+        a = np.zeros((128, 128))
+        a[:64, :64] = a[64:, 64:] = neumann_1d(64)
+        a[63, 63] += 1e-14
+        a[64, 64] += 1e-14
+        a[63, 64] = a[64, 63] = -1e-14
+        op = spsd_certify(a, policy(128))
+        assert_eigh_certificate(op, a, policy(128))
+        assert op.rank == 126
+
+    def test_positive_off_diagonal_falls_back(self):
+        # a negative edge weight, small enough that A stays PSD
+        a = neumann_1d(128)
+        a[0, 5] = a[5, 0] = 1e-3
+        a[0, 0] -= 1e-3
+        a[5, 5] -= 1e-3
+        assert_eigh_certificate(spsd_certify(a, policy(128)), a, policy(128))
+
+    def test_forged_spectrum_is_rejected_on_first_read(self, monkeypatch):
+        op = spsd_certify(neumann_1d(128), policy(128))
+        assert op.components is not None and op.rank == 127
+        original = np.linalg.eigh
+
+        def forged(sym):
+            w, v = original(sym)
+            w[1] = 0.0  # one more null eigenvalue than the structure allows
+            return w, v
+
+        monkeypatch.setattr(np.linalg, "eigh", forged)
+        with pytest.raises(EigenSolveError, match="rank 126.*1 components"):
+            op.eig
+        with pytest.raises(EigenSolveError):
+            op.factor

@@ -195,7 +195,8 @@ class TestBuildHierarchy:
         assert "sweep_operators" not in vars(h)
 
     def test_four_inputs_derive_the_rest(self):
-        assert [f.name for f in fields(SpsdOperator)] == ["matrix", "eig", "rank", "policy"]
+        assert [f.name for f in fields(SpsdOperator)] == [
+            "matrix", "rank", "policy", "components"]
         assert [f.name for f in fields(TwoGridHierarchy)] == ["A", "M", "P", "Ac"]
         a = certify(neumann_laplacian_1d(10))
         p = aggregation_prolongation(10, 2)
@@ -484,6 +485,24 @@ class TestGenerators:
         second = generate_problem(GraphLaplacian(((0, 1, 2.0), (1, 2, 1.0))), seed=5)
         assert np.array_equal(first[2], second[2])
         assert np.array_equal(first[3], second[3])
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 64, 101])
+    def test_generators_keep_the_bytes_of_their_loops(self, n):
+        a = np.zeros((n, n))
+        for i in range(n - 1):
+            a[i, i] += 1.0
+            a[i + 1, i + 1] += 1.0
+            a[i, i + 1] -= 1.0
+            a[i + 1, i] -= 1.0
+        assert np.array_equal(neumann_laplacian_1d(n), a)
+        assert neumann_laplacian_1d(n).tobytes() == a.tobytes()
+        for group in (2, 3, 4):
+            nc = max(1, n // group)
+            p = np.zeros((n, nc))
+            for i in range(n):
+                p[i, min(i // group, nc - 1)] = 1.0
+            assert np.array_equal(aggregation_prolongation(n, group), p)
+            assert aggregation_prolongation(n, group).tobytes() == p.tobytes()
 
     def test_aggregation_shapes(self):
         p = aggregation_prolongation(9, 4)

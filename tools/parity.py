@@ -15,10 +15,11 @@ exact coarse solve (`Bc = Ac`) on neumann1d:32; the `generate` files; the
 definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
 1 - sigma^2 of the pre-smoother would lose its digits); the report JSON of
 each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
-analyze-2d benchmark workload at seed 0; and one exact `solve` and one
-`stg` solve on neumann2d:16x16 with Gauss-Seidel, large and sparse enough
-that the sweep applies A, P and P^T in CSR and M and M^T as band solves on
-tril(A). Each digest also covers the exit code and the stdout and stderr
+analyze-2d benchmark workload at seed 0; and the `analyze` JSON, one
+exact `solve` and one `stg` solve on neumann2d:16x16 with Gauss-Seidel and
+aggregation by 4, large and sparse enough that A is certified by its
+graph-Laplacian structure and that the sweep applies A, P and P^T in CSR
+and M and M^T as band solves on tril(A). Each digest also covers the exit code and the stdout and stderr
 text of its command. BLAS runs on one thread, so the bytes do not depend on the
 thread count of the host.
 """
@@ -62,7 +63,7 @@ ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--epsilon", "0.3", "--seed", "0"]
 ITG_EXACT = ["solve", "--problem", "neumann1d:32", "--smoother", "gs",
              "--variant", "itg", "--coarse", "exact"]
-SPARSE_SOLVE = ["solve", "--problem", "neumann2d:16x16", "--smoother", "gs",
+SPARSE_SETUP = ["--problem", "neumann2d:16x16", "--smoother", "gs",
                 "--prolongation", "aggregate:4", "--coarse", "exact"]
 
 
@@ -121,10 +122,13 @@ def digests() -> dict[str, str]:
         result[f"corpus {case.name}"] = sha256(text.encode("ascii"))
     result["analyze-2d seed 0"] = run([*ANALYZE_2D, "--output", "r.json"],
                                       ["r.json"])
+    result["analyze json neumann2d:16x16 gs aggregate:4 exact"] = run(
+        ["analyze", *SPARSE_SETUP, "--output", "r.json"], ["r.json"])
     result["solve neumann2d:16x16 gs aggregate:4 exact"] = run(
-        [*SPARSE_SOLVE, "--output", "t"], ["t.csv", "t.json"])
+        ["solve", *SPARSE_SETUP, "--output", "t"], ["t.csv", "t.json"])
     result["solve stg neumann2d:16x16 gs aggregate:4"] = run(
-        [*SPARSE_SOLVE, "--variant", "stg", "--output", "t"], ["t.csv", "t.json"])
+        ["solve", *SPARSE_SETUP, "--variant", "stg", "--output", "t"],
+        ["t.csv", "t.json"])
     return result
 
 
