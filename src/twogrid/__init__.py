@@ -54,8 +54,6 @@ from .model import (
     build_hierarchy,
     build_smoother,
     generate_problem,
-    mbar,
-    mtilde,
 )
 from .solver import (
     GeneralCoarse,
@@ -81,7 +79,7 @@ __all__ = [
     "CustomSmoother", "FromFile", "GaussSeidel", "GraphLaplacian",
     "NeumannLaplacian1D", "NeumannLaplacian2D", "RandomSpsd",
     "TwoGridHierarchy", "WeightedJacobi", "aggregation_prolongation",
-    "build_hierarchy", "build_smoother", "generate_problem", "mbar", "mtilde",
+    "build_hierarchy", "build_smoother", "generate_problem",
     "GeneralCoarse", "IterationTrace", "a_seminorm", "itg_sweep", "iterate",
     "stg_sweep", "tg_sweep",
     "__version__",

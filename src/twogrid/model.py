@@ -1,11 +1,12 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
-Builds smoothers (weighted Jacobi, Gauss-Seidel, custom M), the Galerkin
-coarse matrix P^T A P, and, on range(A) through A's thin factor F (A = F^T F),
-the coarse basis and the forms of the symmetrized smoothers M + M^T - M^T A M
-(mbar) and M + M^T - M A M^T (mtilde), read off the one product F M F^T. Also
-provides SPSD test problems: Neumann Laplacians in 1d/2d, weighted graph
-Laplacians, seeded random rank-deficient matrices, and file input.
+Builds smoothers (weighted Jacobi, Gauss-Seidel as a band solve on tril(A),
+custom M), the Galerkin coarse matrix P^T A P, and, on range(A) through A's
+thin factor F (A = F^T F), the coarse basis and the forms of the symmetrized
+smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T (Mtilde), read off
+the one product F M F^T. Also provides SPSD test problems: Neumann Laplacians
+in 1d/2d, weighted graph Laplacians, seeded random rank-deficient matrices,
+and file input.
 """
 from __future__ import annotations
 
@@ -14,7 +15,8 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.linalg import solve_triangular
+# Unused here; perfbench/recorder.py wraps this binding by name.
+from scipy.linalg import solve_triangular  # noqa: F401
 from scipy.linalg.lapack import dtbtrs
 
 from . import mmio
@@ -79,11 +81,15 @@ class LowerBandSolve:
     """v -> T^{-1} v (trans "N") or T^{-T} v (trans "T") by LAPACK dtbtrs.
 
     T is lower triangular, in band storage band[i - j, j] = T[i, j] (kd + 1
-    rows, kd its bandwidth); numpy reads `dense`, its n x n matrix, built once.
+    rows, kd its bandwidth). This is the only form of the operator: no n x n
+    T^{-1} is ever formed. X @ op is one solve too, (op^T X^T)^T; numpy
+    defers every operator to this class.
     """
 
     band: np.ndarray
     trans: str = "N"
+
+    __array_ufunc__ = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,22 +101,7 @@ class LowerBandSolve:
 
     @cached_property
     def T(self) -> "LowerBandSolve":
-        t = LowerBandSolve(self.band, "T" if self.trans == "N" else "N")
-        t.__dict__["T"] = self  # so T^{-T} reads T^{-1}'s dense view
-        return t
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        """T^{-1} by solve_triangular on the unit columns; T^{-T} its view."""
-        if self.trans == "T":
-            return self.T.dense.T
-        k, j = np.nonzero(self.band)
-        lower = np.zeros(self.shape)
-        lower[j + k, j] = self.band[k, j]
-        return solve_triangular(lower, np.eye(self.shape[0]), lower=True)
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        return np.array(self.dense, dtype=dtype, copy=copy)
+        return LowerBandSolve(self.band, "T" if self.trans == "N" else "N")
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         x, info = dtbtrs(self.band, v, uplo="L", trans=self.trans)
@@ -118,9 +109,12 @@ class LowerBandSolve:
             raise SmootherError(f"banded triangular solve failed: LAPACK info {info}")
         return x
 
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return (self.T @ x.T).T
+
 
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBandSolve:
-    """M as an ndarray, or for Gauss-Seidel a LowerBandSolve (np.asarray: dense)."""
+    """M as an ndarray (n x n, also for Jacobi), or for Gauss-Seidel a LowerBandSolve."""
     if isinstance(spec, WeightedJacobi):
         if spec.omega <= 0.0:
             raise SmootherError(f"Jacobi weight must be positive, got {spec.omega}")
@@ -150,30 +144,12 @@ SPARSE_MAX_DENSITY = 1.0 / 32.0
 
 def sweep_form(matrix):
     """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators."""
-    if isinstance(matrix, LowerBandSolve):
-        return matrix if matrix.shape[0] ** 2 >= SPARSE_MIN_ENTRIES else matrix.dense
-    if (matrix.size >= SPARSE_MIN_ENTRIES
+    if (isinstance(matrix, np.ndarray) and matrix.size >= SPARSE_MIN_ENTRIES
             and np.count_nonzero(matrix) <= SPARSE_MAX_DENSITY * matrix.size):
         # Imported here: hierarchies below the threshold never load scipy.sparse.
         from scipy.sparse import csr_array
         return csr_array(matrix)
     return matrix
-
-
-def mbar(m, a: SpsdOperator) -> np.ndarray:
-    """Symmetrized pre-smoothing operator M + M^T - M^T A M."""
-    m = as_matrix(m, "M")
-    if m.shape != (a.n, a.n):
-        raise ShapeError(f"M has shape {m.shape}, expected ({a.n}, {a.n})")
-    return sym_part(m + m.T - m.T @ a.matrix @ m)
-
-
-def mtilde(m, a: SpsdOperator) -> np.ndarray:
-    """Symmetrized post-smoothing operator M + M^T - M A M^T."""
-    m = as_matrix(m, "M")
-    if m.shape != (a.n, a.n):
-        raise ShapeError(f"M has shape {m.shape}, expected ({a.n}, {a.n})")
-    return sym_part(m + m.T - m @ a.matrix @ m.T)
 
 
 # ---------------------------------------------------------------------------
@@ -185,15 +161,15 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     The fields are the inputs A and Ac (certified SPSD, one tolerance
-    policy), M (for Gauss-Seidel a LowerBandSolve on tril(A), read by the
-    analysis through its dense view) and P. r and s are the ranks of A and
-    Ac (s <= r). When A or Ac is a graph Laplacian certified by structure,
-    its rank and null basis need no spectrum: A's is solved on the first
-    read of F, Ac's on the first read of Ac^+ (the first sweep's coarse
-    solve, or the analysis). Every form is r x r on range(A), through A's
-    thin factor F = Lambda_r^{1/2} V_r^T (F^T F = A), and is read off
-    B = F M F^T. The coarse space is the truncated SVD F P = Q R: Q (r x s)
-    has orthonormal columns and R (s x nc) is Sigma_s V_s^T.
+    policy), M (for Gauss-Seidel a LowerBandSolve on tril(A), its only form)
+    and P. r and s are the ranks of A and Ac (s <= r). When A or Ac is a
+    graph Laplacian certified by structure, its rank and null basis need no
+    spectrum: A's is solved on the first read of F, Ac's on the first read
+    of Ac^+ (the first sweep's coarse solve, or the analysis). Every form is
+    r x r on range(A), through A's thin factor F = Lambda_r^{1/2} V_r^T
+    (F^T F = A), and is read off B = F M F^T. The coarse space is the
+    truncated SVD F P = Q R: Q (r x s) has orthonormal columns and R
+    (s x nc) is Sigma_s V_s^T.
     Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
     is Q C Q^T, s x s core C. B, Q, R, the smoother, Mtilde and
     pre-smoother forms and the spectra the analysis reads (they decide
@@ -233,10 +209,11 @@ class TwoGridHierarchy:
     def sweep_operators(self) -> tuple:
         """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
 
-        Each is its sweep_form: with SPARSE_MIN_ENTRIES entries or more, a
-        Gauss-Seidel M (with M^T) as its LowerBandSolve, any other in CSR if
-        sparse; otherwise the hierarchy's own ndarray or M's dense view (M^T
-        and P^T as views). Built on the first sweep, never by the analysis.
+        Each is its sweep_form: a Gauss-Seidel M (with M^T) as its
+        LowerBandSolve at every size; an ndarray with SPARSE_MIN_ENTRIES
+        entries or more in CSR if sparse, otherwise the hierarchy's own
+        array (M^T and P^T as views). Built on the first sweep, never by the
+        analysis.
         """
         return tuple(sweep_form(op) for op in (self.A.matrix, self.M, self.M.T,
                                                self.P, self.P.T))
@@ -264,7 +241,9 @@ class TwoGridHierarchy:
 
     @cached_property
     def smoother_product(self) -> np.ndarray:
-        """B = F M F^T (r x r), the product every smoother operator is read off."""
+        """B = F M F^T (r x r), the product every smoother operator is read off.
+
+        For a LowerBandSolve M, F M is one band solve on F's r rows."""
         return self.A.factor @ self.M @ self.A.factor.T
 
     @cached_property
@@ -296,7 +275,9 @@ class TwoGridHierarchy:
     @cached_property
     def mtilde_form(self) -> np.ndarray:
         """F Mtilde F^T = B + B^T - B B^T; for a symmetric M, the smoother form."""
-        if np.array_equal(self.M, self.M.T):
+        m = self.M  # a LowerBandSolve is symmetric only with a one-row band
+        if (m.band.shape[0] == 1 if isinstance(m, LowerBandSolve)
+                else np.array_equal(m, m.T)):
             return self.smoother_form
         b = self.smoother_product
         return sym_part(b + b.T - b @ b.T)
@@ -319,8 +300,18 @@ class TwoGridHierarchy:
 
     @cached_property
     def mbar_spectrum(self) -> np.ndarray:
-        """Eigenvalues of Mbar itself, ascending; Mbar is formed and dropped."""
-        return np.linalg.eigvalsh(mbar(self.M, self.A))
+        """Eigenvalues of Mbar = M + M^T - M^T A M itself, ascending.
+
+        An ndarray M forms Mbar and drops it. Gauss-Seidel, M = T^{-1} with
+        T = tril(A), has Mbar^{-1} = T D^{-1} T^T: the spectrum is
+        1 / sigma(T D^{-1/2})^2, as singular values so that rounding cannot
+        turn an eigenvalue of T D^{-1} T^T negative.
+        """
+        m, a = self.M, self.A.matrix
+        if isinstance(m, LowerBandSolve):
+            t = np.tril(a) / np.sqrt(np.diag(a))
+            return 1.0 / np.linalg.svd(t, compute_uv=False) ** 2
+        return np.linalg.eigvalsh(sym_part(m + m.T - m.T @ a @ m))
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:

@@ -8,11 +8,11 @@ import pytest
 from scipy.linalg import solve_triangular
 from scipy.sparse import csr_array
 
-from twogrid import corpus, model
+from twogrid import corpus
+from twogrid.analysis import check_conditions, convergence_report
 from twogrid.cli import parse_problem, parse_smoother
 from twogrid.errors import (
     NotSpsdError,
-    ShapeError,
     SmootherAssumptionError,
     SmootherError,
 )
@@ -34,8 +34,6 @@ from twogrid.model import (
     build_smoother,
     generate_problem,
     graph_laplacian,
-    mbar,
-    mtilde,
     neumann_laplacian_1d,
     neumann_laplacian_2d,
     random_spsd,
@@ -50,6 +48,33 @@ def certify(a):
     return spsd_certify(a, TolerancePolicy.for_dimension(a.shape[0]))
 
 
+def dense_smoother(h):
+    """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
+    if isinstance(h.M, np.ndarray):
+        return h.M
+    return solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
+
+
+def paper_mbar(h):
+    """The paper's n x n Mbar = M + M^T - M^T A M."""
+    m = dense_smoother(h)
+    return sym_part(m + m.T - m.T @ h.A.matrix @ m)
+
+
+def reachable_arrays(obj, seen=None):
+    """Every ndarray reachable from obj through instance attributes."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return []
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, (tuple, list)):
+        return [x for item in obj for x in reachable_arrays(item, seen)]
+    return [x for value in getattr(obj, "__dict__", {}).values()
+            for x in reachable_arrays(value, seen)]
+
+
 class TestBuildSmoother:
     def test_jacobi_unit_diagonal(self):
         a = certify(np.eye(3))
@@ -59,23 +84,22 @@ class TestBuildSmoother:
     def test_gauss_seidel_two_by_two(self):
         a = certify(np.array([[2.0, -1.0], [-1.0, 2.0]]))
         m = build_smoother(GaussSeidel(), a)
-        assert np.allclose(m, [[0.5, 0.0], [0.25, 0.5]])
+        assert np.allclose(m @ np.eye(2), [[0.5, 0.0], [0.25, 0.5]])
 
     def test_jacobi_mbar_is_spd_on_neumann(self):
-        a = certify(neumann_laplacian_1d(8))
-        m = build_smoother(WeightedJacobi(2.0 / 3.0), a)
-        mb = mbar(m, a)
-        assert np.min(np.linalg.eigvalsh(mb)) > 0.0
+        h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
+                            WeightedJacobi(2.0 / 3.0))
+        assert h.mbar_spectrum[0] > 0.0
         # closed form omega^2 D^{-1} (2 omega^{-1} D - A) D^{-1}
-        d = np.diag(a.matrix)
+        d = np.diag(h.A.matrix)
         omega = 2.0 / 3.0
-        closed = omega ** 2 * np.diag(1.0 / d) @ (3.0 * np.diag(d) - a.matrix) @ np.diag(1.0 / d)
-        assert np.allclose(mb, closed, atol=1e-13)
+        closed = omega ** 2 * np.diag(1.0 / d) @ (3.0 * np.diag(d) - h.A.matrix) @ np.diag(1.0 / d)
+        assert np.allclose(h.mbar_spectrum, np.linalg.eigvalsh(closed), atol=1e-13)
 
     def test_gauss_seidel_mbar_is_spd(self):
-        a = certify(neumann_laplacian_1d(8))
-        m = build_smoother(GaussSeidel(), a)
-        assert np.min(np.linalg.eigvalsh(mbar(m, a))) > 0.0
+        h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
+                            GaussSeidel())
+        assert h.mbar_spectrum[0] > 0.0
 
     def test_zero_diagonal_rejected_with_index(self):
         a = certify(np.diag([1.0, 0.0, 2.0]))
@@ -95,43 +119,51 @@ class TestBuildSmoother:
             build_smoother(CustomSmoother(np.eye(2)), a)
 
 
-def same_bits(x, y):
-    return x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64))
-
-
 class TestLowerBandSolve:
     @pytest.mark.parametrize("problem", [NeumannLaplacian1D(8), NeumannLaplacian2D(8, 8),
                                          NeumannLaplacian2D(32, 32),
                                          RandomSpsd(20, 13, 4)], ids=repr)
-    def test_dense_view_is_the_triangular_inverse(self, problem):
-        # the analysis reads the very bits of the former dense Gauss-Seidel M
+    def test_band_solve_applies_the_triangular_inverse(self, problem):
+        # M v, M^T v and X M are band solves on tril(A): no n x n M is formed
         a = generate_problem(problem)[0]
         m = build_smoother(GaussSeidel(), a)
         ref = solve_triangular(np.tril(a.matrix), np.eye(a.n), lower=True)
         assert type(m) is LowerBandSolve and m.shape == (a.n, a.n)
         assert m.nbytes == m.band.nbytes <= ref.nbytes
-        assert same_bits(m.dense, ref) and same_bits(m.T.dense, ref.T)
-        assert np.asarray(m) is m.dense and m.T.dense.base is m.dense
-        for op, matrix in ((m, ref), (m.T, ref.T)):
-            v = np.arange(a.n, dtype=float)
-            assert np.allclose(op @ v, matrix @ v, rtol=1e-12, atol=0.0)
+        v = np.arange(a.n, dtype=float)
+        x = np.vstack([v, v[::-1]])
+        for got, exact in ((m @ v, ref @ v), (m.T @ v, ref.T @ v),
+                           (x @ m, x @ ref), (v @ m, v @ ref)):
+            assert got.shape == exact.shape
+            assert np.allclose(got, exact, rtol=1e-12, atol=0.0)
+        assert [id(array) for array in reachable_arrays(m)] == [id(m.band)]
+
+
+def hierarchy_with(a, smoother):
+    """A hierarchy on `a` (n >= 4) with aggregation by 2."""
+    a = certify(a)
+    return build_hierarchy(a, aggregation_prolongation(a.n, 2), smoother)
 
 
 class TestMbarMtilde:
     def test_identity_smoother(self):
-        a = certify(np.diag([0.5, 1.0, 1.5]))
-        assert np.allclose(mbar(np.eye(3), a), 2.0 * np.eye(3) - a.matrix)
+        h = hierarchy_with(np.diag([0.5, 1.0, 1.5, 1.25]), CustomSmoother(np.eye(4)))
+        assert np.allclose(h.mbar_spectrum, np.sort(2.0 - np.diag(h.A.matrix)))
 
     def test_zero_smoother(self):
-        a = certify(np.eye(3))
-        assert np.array_equal(mbar(np.zeros((3, 3)), a), np.zeros((3, 3)))
-        assert np.array_equal(mtilde(np.zeros((3, 3)), a), np.zeros((3, 3)))
+        h = hierarchy_with(np.eye(4), CustomSmoother(np.zeros((4, 4))))
+        assert np.array_equal(h.mbar_spectrum, np.zeros(4))
+        assert np.array_equal(h.mtilde_form, np.zeros((4, 4)))
 
     def test_symmetric_smoother_makes_them_equal(self):
         rng = np.random.default_rng(3)
-        a = certify(sym_part(np.diag(rng.uniform(0.5, 2.0, size=6))))
-        m = sym_part(rng.standard_normal((6, 6))) * 0.1
-        assert np.allclose(mbar(m, a), mtilde(m, a), atol=1e-14)
+        a = sym_part(np.diag(rng.uniform(0.5, 2.0, size=6)))
+        g = rng.standard_normal((6, 6))
+        m = sym_part(g @ g.T)
+        m *= 0.5 / np.linalg.norm(m, 2)  # ||M|| ||A|| <= 1: Mbar >= M >= 0
+        h = hierarchy_with(a, CustomSmoother(m))
+        assert h.mtilde_form is h.smoother_form
+        assert h.mbar_spectrum[0] >= 0.0
 
     def test_jacobi_eigenvalue_formula(self):
         rng = np.random.default_rng(4)
@@ -140,26 +172,19 @@ class TestMbarMtilde:
         a_raw = a_raw / np.max(np.abs(np.diag(a_raw)))
         np.fill_diagonal(a_raw, 1.0)  # unit diagonal, stays SPD for mild off-diagonal
         a_raw = sym_part(0.1 * a_raw + 0.9 * np.eye(6))
-        a = certify(a_raw)
         omega = 0.4
-        m = omega * np.eye(6)
-        got = np.linalg.eigvalsh(mbar(m, a))
-        lam = np.linalg.eigvalsh(a.matrix)
+        h = hierarchy_with(a_raw, WeightedJacobi(omega))  # unit diagonal: M = omega I
+        lam = np.linalg.eigvalsh(h.A.matrix)
         expected = np.sort(2.0 * omega - omega ** 2 * lam)
-        assert np.allclose(got, expected, atol=1e-12)
+        assert np.allclose(h.mbar_spectrum, expected, atol=1e-12)
 
     def test_gauss_seidel_mtilde_spectrum_in_unit_box(self):
-        a = certify(neumann_laplacian_1d(8))
-        m = build_smoother(GaussSeidel(), a)
-        w = np.linalg.eigvalsh(sym_part(a.factor @ mtilde(m, a) @ a.factor.T))
-        slack = a.policy.psd_slack
+        h = hierarchy_with(neumann_laplacian_1d(8), GaussSeidel())
+        assert h.mtilde_form is not h.smoother_form
+        w = np.linalg.eigvalsh(h.mtilde_form)
+        slack = h.policy.psd_slack
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
-
-    def test_shape_mismatch(self):
-        a = certify(np.eye(3))
-        with pytest.raises(ShapeError):
-            mbar(np.eye(4), a)
 
 
 class TestBuildHierarchy:
@@ -210,17 +235,27 @@ class TestBuildHierarchy:
             assert np.array_equal(mine, theirs)
         assert (h.r, h.s) == (a.rank, ac.rank) == (9, 4)
 
-    def test_setup_and_sweeps_form_no_n_by_n_smoother(self, monkeypatch):
-        # every smoother operator is read off F M F^T; only the Mbar
-        # spectrum of the analysis forms the paper's n x n Mbar
-        def forbidden(*args):
-            raise AssertionError("n x n smoother operator formed")
-        monkeypatch.setattr(model, "mbar", forbidden)
-        monkeypatch.setattr(model, "mtilde", forbidden)
+    def test_setup_and_sweeps_form_no_n_by_n_smoother(self):
+        # set-up and the sweeps read no smoother form and no Mbar spectrum,
+        # and M holds no n x n array
         a, p, f, u_ref = generate_problem(NeumannLaplacian1D(12), group=2, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
         for variant in ("tg", "stg"):
             iterate(h, f, np.zeros(h.n), 3, variant, u_ref=u_ref)
+        for name in ("smoother_product", "smoother_form", "mtilde_form",
+                     "mbar_spectrum"):
+            assert name not in vars(h), name
+        assert all(array.shape != (h.n, h.n) for array in reachable_arrays(h.M))
+
+    def test_analysed_gauss_seidel_m_holds_no_n_by_n_array(self):
+        # the analysis reads M through band solves as well: after a full
+        # report, M and M^T still hold only their band
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
+        assert "smoother_product" in vars(h) and "mbar_spectrum" in vars(h)
+        arrays = reachable_arrays(h.M)
+        assert arrays and all(array.shape != (h.n, h.n) for array in arrays)
 
     def test_zero_coarse_matrix_rejected(self):
         a = certify(np.diag([0.0, 0.0, 1.0]))
@@ -313,10 +348,28 @@ class TestBuildHierarchy:
         hierarchies.append(build_hierarchy(a, p, GaussSeidel()))
         assert len(hierarchies) == 15
         for h in hierarchies:
-            m, f = np.asarray(h.M), h.A.factor
+            m, f = dense_smoother(h), h.A.factor
             ref = f @ m.T @ (np.diag(h.A.matrix)[:, None] * m) @ f.T
             gap = np.max(np.abs(ref - h.smoother_form))
             assert gap <= 1e-13 * np.max(np.abs(ref)), h.n
+
+    def test_gauss_seidel_mbar_spectrum_matches_the_paper_formula(self):
+        # the Mbar spectrum is read off the singular values of
+        # tril(A) D^{-1/2}; the dense paper formula M + M^T - M^T A M is the
+        # reference, and the sufficient condition reads the same
+        hierarchies = [corpus.build_case(case)[0] for case in corpus.builtin_corpus()
+                       if isinstance(case.smoother, GaussSeidel)]
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        hierarchies.append(build_hierarchy(a, p, GaussSeidel()))
+        assert len(hierarchies) == 15
+        for h in hierarchies:
+            ref = np.linalg.eigvalsh(paper_mbar(h))
+            got = h.mbar_spectrum
+            assert got.shape == ref.shape and np.all(np.diff(got) >= 0.0), h.n
+            assert abs(got[0] - ref[0]) <= 1e-13 * abs(ref[0]), h.n
+            twin = TwoGridHierarchy(A=h.A, M=dense_smoother(h), P=h.P, Ac=h.Ac)
+            assert (check_conditions(h).suff_cond_ok
+                    == check_conditions(twin).suff_cond_ok), h.n
 
     def test_raw_matrix_accepted(self):
         h = build_hierarchy(neumann_laplacian_1d(6), aggregation_prolongation(6, 2),
@@ -345,13 +398,16 @@ def parity_problems(monkeypatch):
 class TestSweepOperators:
     @staticmethod
     def assert_own_arrays(h, label):
-        # a small Gauss-Seidel M is applied as its dense view, M^T as the
-        # view's transpose
+        # a small A and P are applied as the hierarchy's arrays, P^T as a
+        # view; a Gauss-Seidel M and M^T as its band solves at every size,
+        # an ndarray M as itself, M^T as a view
         a, m, mt, p, pt = h.sweep_operators
-        dense = np.asarray(h.M)
-        assert a is h.A.matrix and m is dense and p is h.P, label
-        assert mt.base is dense and pt.base is h.P, label
-        assert mt.shape == dense.T.shape and pt.shape == h.P.T.shape, label
+        assert a is h.A.matrix and m is h.M and p is h.P, label
+        assert pt.base is h.P and pt.shape == h.P.T.shape, label
+        if isinstance(h.M, LowerBandSolve):
+            assert mt is h.M.T and type(mt) is LowerBandSolve, label
+        else:
+            assert mt.base is h.M and mt.shape == h.M.T.shape, label
 
     def test_solve_2d_hierarchy(self):
         # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; M and M^T are
@@ -363,15 +419,13 @@ class TestSweepOperators:
         assert [type(op) for op in ops] == [csr_array, LowerBandSolve, LowerBandSolve,
                                             csr_array, csr_array]
         a_op, m, mt, p_op, pt = ops
-        assert m is h.M and mt is h.M.T and mt.T is m
-        assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band
+        assert m is h.M and mt is h.M.T and mt.T.trans == "N"
+        assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band is mt.T.band
         assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
-        # neither set-up nor the sweep forms the n x n M
-        assert "dense" not in vars(m) and "dense" not in vars(mt)
         for op, matrix in ((a_op, h.A.matrix), (p_op, h.P), (pt, h.P.T)):
             assert np.array_equal(op.toarray(), matrix)
         v = np.random.default_rng(0).standard_normal(h.n)
-        dense = np.asarray(h.M)
+        dense = dense_smoother(h)
         for op, matrix in ((m, dense), (mt, dense.T)):
             exact = matrix @ v
             assert np.linalg.norm(op @ v - exact) <= 1e-14 * np.linalg.norm(exact)
@@ -399,7 +453,6 @@ class TestSweepOperators:
         h = build_hierarchy(a, p, GaussSeidel())
         assert workloads.sweep_arrays(h)["M"] == h.M.band.nbytes == 33 * 1024 * 8
         assert workloads.hierarchy_arrays(h)["M.band"] == h.M.band.nbytes
-        assert "dense" not in vars(h.M)
 
     def test_dense_a_gives_a_full_band(self):
         # a dense A: tril(A) is a full triangle, kd = n - 1
@@ -408,7 +461,7 @@ class TestSweepOperators:
         m, mt = h.sweep_operators[1:3]
         assert type(m) is LowerBandSolve and m.band.shape == (128, 128)
         v = np.random.default_rng(1).standard_normal(h.n)
-        dense = np.asarray(h.M)
+        dense = dense_smoother(h)
         for op, matrix in ((m, dense), (mt, dense.T)):
             exact = matrix @ v
             assert np.linalg.norm(op @ v - exact) <= 1e-12 * np.linalg.norm(exact)

@@ -18,8 +18,9 @@ each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
 analyze-2d benchmark workload at seed 0; and the `analyze` JSON, one
 exact `solve` and one `stg` solve on neumann2d:16x16 with Gauss-Seidel and
 aggregation by 4, large and sparse enough that A is certified by its
-graph-Laplacian structure and that the sweep applies A, P and P^T in CSR
-and M and M^T as band solves on tril(A). Each digest also covers the exit code and the stdout and stderr
+graph-Laplacian structure and that the sweep applies A, P and P^T in CSR.
+In every Gauss-Seidel command M and M^T are band solves on tril(A), at
+every size. Each digest also covers the exit code and the stdout and stderr
 text of its command. BLAS runs on one thread, so the bytes do not depend on the
 thread count of the host.
 """
