@@ -19,6 +19,7 @@ RANK_REL_TOL and MATCH_TOL override the tolerance policy.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -99,9 +100,7 @@ def _read_edge_list(path: str):
             parts = line.split()
             if len(parts) not in (2, 3):
                 raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
-            u, v = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-            edges.append((u, v, w))
+            edges.append((int(parts[0]), int(parts[1]), *map(float, parts[2:])))
     return tuple(edges)
 
 
@@ -156,13 +155,14 @@ def parse_coarse(text: str):
 
 
 def policy_from_env(n: int) -> TolerancePolicy:
-    base = TolerancePolicy.for_dimension(n)
-    rank_rel = os.environ.get("RANK_REL_TOL")
-    match = os.environ.get("MATCH_TOL")
-    return TolerancePolicy(
-        rank_rel_tol=float(rank_rel) if rank_rel else base.rank_rel_tol,
-        psd_slack=base.psd_slack,
-        match_tol=float(match) if match else base.match_tol)
+    policy = TolerancePolicy.for_dimension(n)
+    for var in ("RANK_REL_TOL", "MATCH_TOL"):  # each overrides its lower-case field
+        if text := os.environ.get(var):
+            try:
+                policy = dataclasses.replace(policy, **{var.lower(): float(text)})
+            except ValueError as exc:
+                raise UsageError(f"environment variable {var}: {exc}") from None
+    return policy
 
 
 def load_config(path: str) -> dict:

@@ -66,10 +66,10 @@ def _symmetric_input(s) -> np.ndarray:
     read 64 rows at a time), then S^T + S, the bytes of S + S^T.
     """
     block = 64
-    s = as_matrix(s, "S", copy=False)
+    s = as_matrix(s, copy=False)
     n = s.shape[0]
     if s.shape[1] != n:
-        raise ShapeError(f"S must be square, got shape {s.shape}")
+        raise ShapeError(f"matrix must be square, got shape {s.shape}")
     sym = s.T.copy()
     skew = 0.0
     for k in range(0, n, block):
@@ -77,7 +77,7 @@ def _symmetric_input(s) -> np.ndarray:
         skew = max(skew, float(np.abs(d, out=d).max()))
     scale = max(float(s.max()), -float(s.min()))
     if skew > SYMMETRY_RTOL * max(scale, 1.0):
-        raise ShapeError(f"S is not symmetric: max|S - S^T| = {skew:.3e}")
+        raise ShapeError(f"matrix is not symmetric: max|a_ij - a_ji| = {skew:.3e}")
     sym += s
     sym *= 0.5
     return sym

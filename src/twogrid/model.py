@@ -5,8 +5,8 @@ custom M), the Galerkin coarse matrix P^T A P, and, on range(A) through A's
 thin factor F (A = F^T F), the coarse basis and the forms of the symmetrized
 smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T (Mtilde), read off
 the one product F M F^T. Also provides SPSD test problems: Neumann Laplacians
-in 1d/2d, weighted graph Laplacians, seeded random rank-deficient matrices,
-and file input.
+in 1d/2d and weighted graph Laplacians, each summed from its edge list by one
+assembler (_laplacian), seeded random rank-deficient matrices, and file input.
 """
 from __future__ import annotations
 
@@ -404,57 +404,70 @@ ProblemSpec = Union[NeumannLaplacian1D, NeumannLaplacian2D, GraphLaplacian,
                     RandomSpsd, FromFile]
 
 
+def _laplacian(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """L = D - W (n x n) of the edges u[k] - v[k], weights w[k], in one bincount.
+
+    Its keys row * n + col run per edge as (u, u) +w, (v, v) +w, (u, v) -w,
+    (v, u) -w, so each entry adds its terms in edge order: a per-edge loop's bytes.
+    """
+    keys = np.outer(u, [n + 1, 0, n, 1]) + np.outer(v, [0, n + 1, 1, n])
+    terms = np.outer(w, [1.0, 1.0, -1.0, -1.0])
+    return np.bincount(keys.ravel(), weights=terms.ravel(),
+                       minlength=n * n).reshape(n, n)
+
+
 def neumann_laplacian_1d(n: int) -> np.ndarray:
-    """Second-difference matrix with pure Neumann ends (corner entries 1)."""
+    """Second-difference matrix with pure Neumann ends: the path graph's Laplacian."""
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
-    a = np.zeros((n, n))
     i = np.arange(n - 1)
-    a[i, i + 1] = a[i + 1, i] = -1.0
-    np.fill_diagonal(a, 2.0)
-    a[0, 0] = a[-1, -1] = 1.0
-    return a
+    return _laplacian(i, i + 1, np.ones(n - 1), n)
 
 
 def neumann_laplacian_2d(nx: int, ny: int) -> np.ndarray:
-    """Tensor 5-point Neumann Laplacian on an nx x ny grid."""
+    """5-point Neumann Laplacian: the nx x ny grid graph's, node (x, y) at x * ny + y."""
     if nx < 2 or ny < 2:
         raise ValueError(f"need nx, ny >= 2, got {nx} x {ny}")
-    lx = neumann_laplacian_1d(nx)
-    ly = neumann_laplacian_1d(ny)
-    return np.kron(lx, np.eye(ny)) + np.kron(np.eye(nx), ly)
+    node = np.arange(nx * ny).reshape(nx, ny)
+    u = np.concatenate([node[:-1].ravel(), node[:, :-1].ravel()])
+    v = np.concatenate([node[1:].ravel(), node[:, 1:].ravel()])
+    return _laplacian(u, v, np.ones(u.size), nx * ny)
 
 
 def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
-    """Weighted graph Laplacian L = D - W; weights must be nonnegative."""
-    normalized = []
+    """Weighted graph Laplacian L = D - W of (u, v[, weight]) edges.
+
+    Weights (default 1) must be finite and nonnegative; repeated edges add.
+    The first invalid edge is named: a self loop, then its weight, then a
+    negative index; then the node count (n, or the largest index + 1).
+    """
+    us, vs, ws = [], [], []
     for edge in edges:
-        if len(edge) == 2:
-            u, v = edge
-            w = 1.0
-        else:
-            u, v, w = edge
-        u, v, w = int(u), int(v), float(w)
-        if u == v:
-            raise ValueError(f"self loop at node {u} is not allowed")
-        if w < 0.0:
-            raise ValueError(f"edge ({u}, {v}) has negative weight {w}")
-        if u < 0 or v < 0:
-            raise ValueError(f"edge ({u}, {v}) has a negative node index")
-        normalized.append((u, v, w))
-    size = n if n is not None else (max(max(u, v) for u, v, _ in normalized) + 1
-                                    if normalized else 0)
+        u, v, w = (*edge, 1.0) if len(edge) == 2 else edge
+        us.append(int(u))
+        vs.append(int(v))
+        ws.append(float(w))
+    try:
+        (u, v), w = np.array([us, vs], dtype=np.int64), np.array(ws)
+    except OverflowError:
+        raise ValueError("a node index lies outside the int64 range") from None
+    failed = np.array([u == v, ~np.isfinite(w), w < 0.0, np.minimum(u, v) < 0])
+    if failed.any():  # name the first invalid edge by its first failed check
+        k, check = np.argwhere(failed.T)[0]
+        raise ValueError(("self loop at node {u} is not allowed",
+                          "edge ({u}, {v}) has non-finite weight {w}",
+                          "edge ({u}, {v}) has negative weight {w}",
+                          "edge ({u}, {v}) has a negative node index")[check]
+                         .format(u=us[k], v=vs[k], w=ws[k]))
+    top = np.maximum(u, v)
+    size = n if n is not None else (int(top.max()) + 1 if ws else 0)
     if size < 2:
         raise ValueError("graph needs at least two nodes")
-    a = np.zeros((size, size))
-    for u, v, w in normalized:
-        if u >= size or v >= size:
-            raise ValueError(f"edge ({u}, {v}) exceeds node count {size}")
-        a[u, u] += w
-        a[v, v] += w
-        a[u, v] -= w
-        a[v, u] -= w
-    return a
+    over = np.flatnonzero(top >= size)
+    if over.size:
+        k = int(over[0])
+        raise ValueError(f"edge ({us[k]}, {vs[k]}) exceeds node count {size}")
+    return _laplacian(u, v, w, size)
 
 
 def random_spsd(n: int, rank: int, seed: int) -> np.ndarray:

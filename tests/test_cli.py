@@ -354,6 +354,33 @@ def test_invalid_coarse_matrix_is_named(command, coarse, capsys, tmp_path,
     assert f"coarse matrix '{coarse}' is invalid" in err
 
 
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
+    return captured.err
+
+
+def test_non_finite_edge_weight_is_named(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2 2.0\n0 1 nan\n", encoding="ascii")
+    assert run(["analyze", "--problem", f"graph:{edges}"]) == 1
+    assert "edge (0, 1) has non-finite weight nan" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("matrix, message", [
+    (np.eye(4) + np.triu(np.ones((4, 4)), 1), "matrix is not symmetric"),
+    (np.ones((3, 4)), "matrix must be square, got shape (3, 4)"),
+], ids=["nonsymmetric", "non-square"])
+def test_invalid_problem_file_is_an_error_line(matrix, message, tmp_path, capsys):
+    from twogrid.mmio import write_matrix
+    path = tmp_path / "a.mtx"
+    write_matrix(path, matrix)
+    assert run(["analyze", "--problem", f"file:{path}"]) == 1
+    assert message in _one_error_line(capsys)
+
+
 class TestEnvOverrides:
     def test_match_tol_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCH_TOL", "1e-6")
@@ -370,3 +397,16 @@ class TestEnvOverrides:
                     "--prolongation", "aggregate:2", "--output", str(out)]) == 0
         report = json.loads(out.read_text())
         assert report["tolerances"]["rank_rel_tol"] == 1e-4
+
+    @pytest.mark.parametrize("var", ["RANK_REL_TOL", "MATCH_TOL"])
+    @pytest.mark.parametrize("value, message", [
+        ("abc", "could not convert string to float: 'abc'"),
+        ("2", "must lie in (0, 1), got 2.0"),
+    ], ids=["abc", "2"])
+    def test_bad_value_names_the_variable(self, var, value, message, monkeypatch,
+                                          capsys):
+        monkeypatch.setenv(var, value)
+        assert run(["analyze", "--problem", "neumann1d:8"]) == 1
+        err = _one_error_line(capsys)
+        assert f"environment variable {var}: " in err
+        assert message in err

@@ -1,5 +1,6 @@
 """Tests for smoother construction, hierarchy assembly, and generators."""
 import importlib.util
+import re
 from dataclasses import fields
 from pathlib import Path
 
@@ -556,6 +557,52 @@ class TestGenerators:
                 p[i, min(i // group, nc - 1)] = 1.0
             assert np.array_equal(aggregation_prolongation(n, group), p)
             assert aggregation_prolongation(n, group).tobytes() == p.tobytes()
+        for ny in (2, 5, 9):
+            # + 0.0 turns kron's -0.0 products (-1 * 0) into the +0.0 of a sum
+            kron = (np.kron(neumann_laplacian_1d(n), np.eye(ny))
+                    + np.kron(np.eye(n), neumann_laplacian_1d(ny)) + 0.0)
+            assert neumann_laplacian_2d(n, ny).tobytes() == kron.tobytes()
+        rng = np.random.default_rng(n)
+        u = rng.integers(0, n, 3 * n)
+        v = (u + rng.integers(1, n, 3 * n)) % n
+        w = np.where(rng.random(3 * n) < 0.2, 0.0,
+                     rng.random(3 * n) * 10.0 ** rng.integers(-8, 3, 3 * n))
+        edges = [(int(a), int(b), float(c)) for a, b, c in zip(u, v, w)]
+        edges += [(b, a, 0.5 * c) for a, b, c in edges[::3]]  # reversed
+        edges += edges[::5]  # repeated
+        edges += [(a, b) for a, b, _ in edges[::7]]  # unit weight
+        edges = [edges[k] for k in rng.permutation(len(edges))]
+        a = np.zeros((n, n))
+        for edge in edges:
+            i, j, c = edge if len(edge) == 3 else (*edge, 1.0)
+            a[i, i] += c
+            a[j, j] += c
+            a[i, j] -= c
+            a[j, i] -= c
+        assert graph_laplacian(edges, n).tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("edges, n, message", [
+        ([(0, 1), (2, 2)], None, "self loop at node 2 is not allowed"),
+        ([(0, 1, -1.0)], None, "edge (0, 1) has negative weight -1.0"),
+        ([(0, -1)], None, "edge (0, -1) has a negative node index"),
+        ([(0, 1), (1, 5)], 3, "edge (1, 5) exceeds node count 3"),
+        ([], None, "graph needs at least two nodes"),
+        ([(0, 1)], 1, "graph needs at least two nodes"),
+        ([(3, 3, -1.0)], None, "self loop at node 3 is not allowed"),
+        ([(-1, 1, -2.0)], None, "edge (-1, 1) has negative weight -2.0"),
+        ([(0, 1, -1.0), (2, 2)], None, "edge (0, 1) has negative weight -1.0"),
+        ([(0, 9), (1, 1)], 3, "self loop at node 1 is not allowed"),
+        ([(0, 9), (-1, 1)], 2, "edge (-1, 1) has a negative node index"),
+        ([(0, 1), (1, 2 ** 63)], 3, "a node index lies outside the int64 range"),
+        ([(0, 1), (1, 2, float("nan"))], None, "edge (1, 2) has non-finite weight nan"),
+        ([(0, 1, float("inf"))], None, "edge (0, 1) has non-finite weight inf"),
+        ([(0, 1, -float("inf"))], None, "edge (0, 1) has non-finite weight -inf"),
+    ])
+    def test_invalid_edges_are_named(self, edges, n, message):
+        # the first invalid edge is named: self loop, then weight, then
+        # index; the node count is checked after every edge passed
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            graph_laplacian(edges, n)
 
     def test_aggregation_shapes(self):
         p = aggregation_prolongation(9, 4)

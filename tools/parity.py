@@ -18,11 +18,13 @@ each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
 analyze-2d benchmark workload at seed 0; and the `analyze` JSON, one
 exact `solve` and one `stg` solve on neumann2d:16x16 with Gauss-Seidel and
 aggregation by 4, large and sparse enough that A is certified by its
-graph-Laplacian structure and that the sweep applies A, P and P^T in CSR.
-In every Gauss-Seidel command M and M^T are band solves on tril(A), at
-every size. Each digest also covers the exit code and the stdout and stderr
-text of its command. BLAS runs on one thread, so the bytes do not depend on the
-thread count of the host.
+graph-Laplacian structure and that the sweep applies A, P and P^T in CSR;
+and the `analyze` JSON and one exact `solve` on `graph:edges.txt`, an edge
+file the tool writes: 2- and 3-column lines, one edge listed twice (the
+second time reversed) and two components. In every Gauss-Seidel command M
+and M^T are band solves on tril(A), at every size. Each digest also covers
+the exit code and the stdout and stderr text of its command. BLAS runs on
+one thread, so the bytes do not depend on the thread count of the host.
 """
 from __future__ import annotations
 
@@ -66,6 +68,19 @@ ITG_EXACT = ["solve", "--problem", "neumann1d:32", "--smoother", "gs",
              "--variant", "itg", "--coarse", "exact"]
 SPARSE_SETUP = ["--problem", "neumann2d:16x16", "--smoother", "gs",
                 "--prolongation", "aggregate:4", "--coarse", "exact"]
+# A weighted path 0 - ... - 4, with edge 0 - 1 listed twice, and a triangle.
+EDGE_FILE = """# u v [weight]
+0 1 2.0
+1 2
+2 3 0.5
+3 4
+1 0 1.5
+5 6
+6 7 3.0
+7 5
+"""
+GRAPH_SETUP = ["--problem", "graph:edges.txt", "--smoother", "gs",
+               "--coarse", "exact"]
 
 
 def sha256(data: bytes) -> str:
@@ -130,6 +145,11 @@ def digests() -> dict[str, str]:
     result["solve stg neumann2d:16x16 gs aggregate:4"] = run(
         ["solve", *SPARSE_SETUP, "--variant", "stg", "--output", "t"],
         ["t.csv", "t.json"])
+    Path("edges.txt").write_text(EDGE_FILE, encoding="ascii")
+    result["analyze json graph:edges.txt gs exact"] = run(
+        ["analyze", *GRAPH_SETUP, "--output", "r.json"], ["r.json"])
+    result["solve graph:edges.txt gs exact"] = run(
+        ["solve", *GRAPH_SETUP, "--output", "t"], ["t.csv", "t.json"])
     return result
 
 
