@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import CoarseScalingError, RangeMismatchError, ShapeError
 from .linalg import (
+    PSD_SLACK,
     SpsdOperator,
     spectrum_psd,
     spectrum_rank,
@@ -204,9 +205,9 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
     nullity_a = h.n - h.r
     null_in_range = h.r - spectrum_rank(w_smooth, h.policy)
     return ConditionReport(
-        smoother_ok=bool(spectrum_psd(w_smooth, h.policy)),
+        smoother_ok=bool(spectrum_psd(w_smooth)),
         equiv_cond_ok=bool(inter_dim == nullity_a),
-        suff_cond_ok=bool(spectrum_psd(h.mbar_spectrum, h.policy)
+        suff_cond_ok=bool(spectrum_psd(h.mbar_spectrum)
                           and null_in_range == 0),
         intersection_dim=int(inter_dim),
         nullity_A=int(nullity_a),
@@ -479,24 +480,25 @@ CSV_COLUMNS = [
     "intersection_dim", "nullity_a",
 ]
 
+# The CSV columns that the report holds under "flags"; every other column
+# is a flat report field.
+FLAG_COLUMNS = ("smoother_ok", "equiv_cond_ok", "suff_cond_ok")
+
 
 def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
                        epsilon: float | None = None,
                        meta: dict | None = None) -> dict:
     """Assemble the full report dictionary with the frozen field names.
 
+    The flat fields are CSV_COLUMNS less FLAG_COLUMNS, each null until set.
     Inexact fields are null unless a coarse matrix is given; epsilon fields
     are null unless an accuracy level is given. `meta` supplies the
     provenance strings (problem, smoother, prolongation, coarse, seed).
     """
     conditions = check_conditions(h)
     exact = exact_factor(h)
-    report = {
-        "problem": None,
-        "smoother": None,
-        "prolongation": None,
-        "coarse": None,
-        "seed": None,
+    report = dict.fromkeys(c for c in CSV_COLUMNS if c not in FLAG_COLUMNS)
+    report.update({
         "n": h.n,
         "nc": h.nc,
         "rank_a": h.r,
@@ -508,17 +510,6 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         "lower": exact.lower_bound,
         "upper": exact.upper_bound,
         "eigengap_at_index": exact.eigengap_at_index,
-        "alpha1": None,
-        "alpha2": None,
-        "beta1": None,
-        "beta2": None,
-        "delta_tg": None,
-        "lower_itg": None,
-        "upper_itg": None,
-        "factor_itg": None,
-        "factor_itg_oracle": None,
-        "epsilon": None,
-        "epsilon_bound": None,
         "intersection_dim": conditions.intersection_dim,
         "nullity_a": conditions.nullity_A,
         "flags": {
@@ -535,10 +526,10 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         },
         "tolerances": {
             "rank_rel_tol": h.policy.rank_rel_tol,
-            "psd_slack": h.policy.psd_slack,
+            "psd_slack": PSD_SLACK,
             "match_tol": h.policy.match_tol,
         },
-    }
+    })
     if coarse is not None:
         inexact = inexact_linear_analysis(h, coarse)
         report.update({
@@ -557,8 +548,7 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         report["epsilon"] = float(epsilon)
         report["epsilon_bound"] = general_epsilon_bound(h, epsilon)
     if meta:
-        for key, value in meta.items():
-            report[key] = value
+        report.update(meta)
     return report
 
 
@@ -575,7 +565,7 @@ def report_csv(reports) -> str:
     for report in reports:
         row = []
         for col in CSV_COLUMNS:
-            if col in ("smoother_ok", "equiv_cond_ok", "suff_cond_ok"):
+            if col in FLAG_COLUMNS:
                 value = report["flags"][col]
                 row.append("" if value is None else int(value))
             else:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -28,8 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corpus, mmio, solver
-from .errors import NotSpsdError, ShapeError, TwoGridError
+from .errors import EdgeError, NotSpsdError, ShapeError, TwoGridError
 from .linalg import TolerancePolicy, spsd_certify
+from .mmio import content_lines
 from .model import (
     CustomSmoother,
     FromFile,
@@ -73,7 +74,7 @@ def parse_problem(text: str):
             if len(parts) == 2:
                 return RandomSpsd(int(parts[0]), int(parts[1]), seed=0)
             if len(parts) == 3:
-                return RandomSpsd(int(parts[0]), int(parts[1]), int(parts[2]))
+                return RandomSpsd(int(parts[0]), int(parts[1]), seed(parts[2]))
             raise ValueError("random needs N:RANK[:SEED]")
         if kind == "graph":
             return GraphLaplacian(edges=_read_edge_list(rest))
@@ -89,19 +90,27 @@ def parse_problem(text: str):
 
 
 def _read_edge_list(path: str):
+    """The edges of an edge-list file, one per content line, in file order."""
     if not path:
         raise ValueError("graph needs an edge-list file path")
     edges = []
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in content_lines(path, "#"):
+        parts = line.split()
+        try:
             if len(parts) not in (2, 3):
-                raise ValueError(f"{path}:{lineno}: expected 'u v [weight]'")
+                raise ValueError("expected 'u v [weight]'")
             edges.append((int(parts[0]), int(parts[1]), *map(float, parts[2:])))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     return tuple(edges)
+
+
+def seed(text: str) -> int:
+    """A seed: a non-negative integer, for --seed, its config key and random:."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    return value
 
 
 def parse_smoother(text: str):
@@ -131,27 +140,37 @@ def build_prolongation(text: str, n: int) -> np.ndarray:
     return mmio.read_matrix(text)
 
 
-def parse_coarse(text: str):
-    """Returns (mode, value): ("exact", None), ("bc", path), ("scale", c), ("eps", e)."""
+def parse_coarse(text: str, h):
+    """(Bc, eps) of a --coarse spec on hierarchy h: (None, None) for exact,
+    (certified Bc, None) for bc:PATH and scale:C (an invalid Bc is reported
+    under the spec), and (None, E) for eps:E."""
     kind, _, rest = text.partition(":")
     if kind == "exact":
-        return "exact", None
+        return None, None
+    if kind == "eps":
+        try:
+            return None, float(rest)
+        except ValueError as exc:
+            raise UsageError(f"bad coarse accuracy '{rest}'") from exc
     if kind == "bc":
         if not rest:
             raise UsageError("coarse spec bc needs a matrix file path")
-        return "bc", rest
-    if kind == "scale":
+        matrix = mmio.read_matrix(rest)
+    elif kind == "scale":
         try:
-            return "scale", float(rest)
+            scale = float(rest)
+            if not math.isfinite(scale):
+                raise ValueError(rest)
         except ValueError as exc:
             raise UsageError(f"bad coarse scale '{rest}'") from exc
-    if kind == "eps":
-        try:
-            return "eps", float(rest)
-        except ValueError as exc:
-            raise UsageError(f"bad coarse accuracy '{rest}'") from exc
-    raise UsageError(
-        f"unknown coarse spec '{text}' (expected exact, bc:PATH.mtx, scale:C, or eps:E)")
+        matrix = scale * h.Ac.matrix
+    else:
+        raise UsageError(f"unknown coarse spec '{text}' "
+                         "(expected exact, bc:PATH.mtx, scale:C, or eps:E)")
+    try:
+        return spsd_certify(matrix, h.policy), None
+    except (NotSpsdError, ShapeError) as exc:
+        raise type(exc)(f"coarse matrix '{text}' is invalid: {exc}") from exc
 
 
 def policy_from_env(n: int) -> TolerancePolicy:
@@ -168,15 +187,11 @@ def policy_from_env(n: int) -> TolerancePolicy:
 def load_config(path: str) -> dict:
     """Flat key=value file; '#' starts a comment."""
     values = {}
-    with open(path, "r", encoding="ascii") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            values[key.strip()] = value.strip()
+    for lineno, line in content_lines(path, "#"):
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -201,7 +216,7 @@ _CHOICES = {
 }
 
 # The type of each non-string option, for its flag and its config key.
-_TYPES = {"sweeps": int, "seed": int, "epsilon": float}
+_TYPES = {"sweeps": int, "seed": seed, "epsilon": float}
 
 
 def _finalize_args(args) -> None:
@@ -236,7 +251,12 @@ def _finalize_args(args) -> None:
 
 def _build_problem(args):
     """(A, P, f, u_ref) with A certified under the environment's policy."""
-    matrix = problem_matrix(parse_problem(args.problem))
+    try:
+        matrix = problem_matrix(parse_problem(args.problem))
+    except EdgeError as exc:  # an invalid edge of a graph: file, named by FILE:LINE
+        path = args.problem.partition(":")[2]
+        lineno = content_lines(path, "#")[exc.index][0]
+        raise UsageError(f"{path}:{lineno}: {exc}") from exc
     n = matrix.shape[0]
     a = spsd_certify(matrix, policy_from_env(n))
     p = build_prolongation(args.prolongation, n)
@@ -244,30 +264,11 @@ def _build_problem(args):
     return a, p, a.matrix @ u_ref, u_ref
 
 
-def _coarse_matrix(spec, mode, value, h):
-    """Certified Bc for the bc:PATH and scale:C coarse specs, else None.
-
-    `spec` is the coarse spec text that (mode, value) was parsed from; an
-    invalid Bc is reported under it.
-    """
-    try:
-        if mode == "bc":
-            return spsd_certify(mmio.read_matrix(value), h.policy)
-        if mode == "scale":
-            return spsd_certify(value * h.Ac.matrix, h.policy)
-    except (NotSpsdError, ShapeError) as exc:
-        raise type(exc)(f"coarse matrix '{spec}' is invalid: {exc}") from exc
-    return None
-
-
 def _setup(args):
-    """(h, f, u_ref, mode, value, bc) of an analyze or solve run: (mode, value)
-    is the parsed --coarse spec, bc its certified coarse matrix or None."""
+    """(h, f, u_ref) of an analyze or solve run."""
     _finalize_args(args)
     a, p, f, u_ref = _build_problem(args)
-    h = build_hierarchy(a, p, parse_smoother(args.smoother))
-    mode, value = parse_coarse(args.coarse)
-    return h, f, u_ref, mode, value, _coarse_matrix(args.coarse, mode, value, h)
+    return build_hierarchy(a, p, parse_smoother(args.smoother)), f, u_ref
 
 
 def _meta(args) -> dict:
@@ -293,13 +294,11 @@ def _write_text(path, text: str) -> None:
 
 
 def cmd_analyze(args) -> int:
-    h, _, _, mode, value, bc = _setup(args)
-    epsilon = args.epsilon
-    if mode == "eps" and epsilon is None:
-        epsilon = value
-
-    report = analysis.convergence_report(h, coarse=bc, epsilon=epsilon,
-                                         meta=_meta(args))
+    h, _, _ = _setup(args)
+    bc, eps = parse_coarse(args.coarse, h)
+    report = analysis.convergence_report(
+        h, coarse=bc, epsilon=eps if args.epsilon is None else args.epsilon,
+        meta=_meta(args))
     if args.format == "csv":
         _write_text(args.output, analysis.report_csv([report]))
     else:
@@ -308,33 +307,27 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    h, f, u_ref, mode, value, coarse = _setup(args)
-    if mode == "eps":
-        approx = solver.eps_perturbed_coarse(h, value,
+    h, f, u_ref = _setup(args)
+    coarse, eps = parse_coarse(args.coarse, h)
+    if eps is not None:
+        approx = solver.eps_perturbed_coarse(h, eps,
                                              np.random.default_rng([args.seed, 2]))
-        coarse = solver.GeneralCoarse(approx, declared_eps=value)
+        coarse = solver.GeneralCoarse(approx, declared_eps=eps)
     variant = args.variant
     if variant == "auto":
-        variant = "tg" if mode == "exact" else "itg"
-    if variant != "itg" and coarse is not None:
-        raise UsageError(
-            f"variant '{variant}' always uses the exact coarse solve; "
-            "drop --coarse or use --variant itg")
-    if variant == "itg" and mode == "exact":
+        variant = "tg" if coarse is None else "itg"
+    if variant == "itg" and coarse is None:
         coarse = h.Ac
 
     u0 = np.random.default_rng([args.seed, 1]).standard_normal(h.n)
     trace = solver.iterate(h, f, u0, args.sweeps, variant, coarse=coarse,
                            u_ref=u_ref)
-    meta = _meta(args)
-    meta["variant"] = variant
+    meta = {**_meta(args), "variant": variant}
+    path = None
     if args.output:
-        base = Path(args.output)
-        solver.write_trace_csv(trace, base.with_suffix(".csv"))
-        solver.write_trace_summary(trace, base.with_suffix(".json"), meta=meta)
-    else:
-        sys.stdout.write(json.dumps(solver.trace_summary(trace, meta),
-                                    sort_keys=True, indent=2) + "\n")
+        path = Path(args.output).with_suffix(".json")
+        solver.write_trace_csv(trace, path.with_suffix(".csv"))
+    _write_text(path, analysis.report_json(solver.trace_summary(trace, meta)))
     return 0
 
 

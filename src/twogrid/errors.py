@@ -48,5 +48,13 @@ class DivergenceError(TwoGridError, RuntimeError):
         self.trace = trace
 
 
+class EdgeError(TwoGridError, ValueError):
+    """Invalid edge of a graph Laplacian; index is its position in the edge list."""
+
+    def __init__(self, message, index):
+        super().__init__(message)
+        self.index = index
+
+
 class MatrixMarketError(TwoGridError, ValueError):
     """Malformed MatrixMarket content."""

@@ -23,6 +23,10 @@ EPS = float(np.finfo(np.float64).eps)
 # Relative asymmetry accepted before an input is rejected as nonsymmetric.
 SYMMETRY_RTOL = 1e-8
 
+# Negative eigenvalues above -PSD_SLACK * lambda_max are rounding noise,
+# clamped to zero; anything lower rejects a matrix as not PSD.
+PSD_SLACK = 1e-10
+
 # Inputs with at least this many entries are tried for a structural
 # certificate (spsd_certify); model's sweeps apply an operator in CSR only
 # from this size on. Below it a dense eigh costs less than the checks.
@@ -85,20 +89,18 @@ def _symmetric_input(s) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TolerancePolicy:
-    """Thresholds shared by every rank, PSD, and identity decision.
+    """Thresholds shared by every rank and identity decision.
 
     rank_rel_tol: eigenvalues below rank_rel_tol * lambda_max count as zero.
-    psd_slack: negative eigenvalues above -psd_slack * lambda_max are treated
-        as rounding noise and clamped to zero; anything lower is rejected.
     match_tol: tolerance for identity and oracle comparisons.
+    The PSD decisions use the constant PSD_SLACK.
     """
 
     rank_rel_tol: float
-    psd_slack: float = 1e-10
     match_tol: float = 1e-10
 
     def __post_init__(self):
-        for fname in ("rank_rel_tol", "psd_slack", "match_tol"):
+        for fname in ("rank_rel_tol", "match_tol"):
             value = getattr(self, fname)
             if not (0.0 < value < 1.0):
                 raise ValueError(f"{fname} must lie in (0, 1), got {value}")
@@ -252,28 +254,28 @@ def _laplacian_components(sym: np.ndarray, tol: TolerancePolicy) -> np.ndarray |
     lambda_max once the rows sum to zero):
     - every off-diagonal entry is <= 0 and every row sums to within
       n EPS max(diag) of zero;
-    - every nonzero diagonal entry exceeds 2 psd_slack upper;
+    - every nonzero diagonal entry exceeds 2 PSD_SLACK upper;
     - each component C of the nonzero pattern, w_min its smallest edge
       weight, has 4 w_min / (|C| (|C| - 1)) > 2 rank_rel_tol upper: a lower
       bound on its lambda_2 (Mohar: 4 / (|C| diam) for unit weights, and
       diam <= |C| - 1) clears the rank cut;
-    - rank_rel_tol and psd_slack are at least 8 n EPS, above the null
+    - rank_rel_tol and PSD_SLACK are at least 8 n EPS, above the null
       eigenvalues' row-sum slack.
     The factors 2 and 8 leave room for eigh's rounding (relative n EPS), so
     eigh's rank cut would keep every nonzero eigenvalue and drop exactly one
     per component (rank n - #components), its PSD test would pass, and a
-    diagonal entry is below psd_slack lambda_max exactly when it is zero.
+    diagonal entry is below PSD_SLACK lambda_max exactly when it is zero.
     """
     n = sym.shape[0]
     diag = np.diag(sym)
     max_diag = float(diag.max())
-    if max_diag <= 0.0 or min(tol.rank_rel_tol, tol.psd_slack) < 8.0 * n * EPS:
+    if max_diag <= 0.0 or min(tol.rank_rel_tol, PSD_SLACK) < 8.0 * n * EPS:
         return None
     if float(np.max(np.abs(sym.sum(axis=1)))) > n * EPS * max_diag:
         return None
     upper = 2.0 * max_diag
     degrees = diag[diag != 0.0]
-    if float(degrees.min()) <= 2.0 * tol.psd_slack * upper:
+    if float(degrees.min()) <= 2.0 * PSD_SLACK * upper:
         return None
     i, j = np.nonzero(sym != 0.0)
     off = i != j
@@ -300,7 +302,7 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     n - #components, the component indicators as its null basis and no
     eigen-solve: its spectrum is solved on first read. Every other input is
     certified on its spectrum, solved here. Eigenvalues in
-    [-psd_slack * lambda_max, 0) are clamped to zero as rounding noise
+    [-PSD_SLACK * lambda_max, 0) are clamped to zero as rounding noise
     (assembled products like P^T A P accumulate it); anything below that
     rejects the input. The zero matrix is rejected outright since relative
     rank decisions need a positive scale.
@@ -321,10 +323,10 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             raise NotSpsdError("matrix is zero; a nonzero SPSD matrix is required")
         raise NotSpsdError(
             f"matrix is not SPSD: largest eigenvalue {lam_max:.6e} is not positive")
-    if float(w[0]) < -tol.psd_slack * lam_max:
+    if float(w[0]) < -PSD_SLACK * lam_max:
         raise NotSpsdError(
             f"matrix is not SPSD: eigenvalue {float(w[0]):.6e} lies below "
-            f"-psd_slack * lambda_max = {-tol.psd_slack * lam_max:.6e}")
+            f"-psd_slack * lambda_max = {-PSD_SLACK * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
     op = SpsdOperator(matrix=sym, rank=spectrum_rank(clamped, tol), policy=tol)
@@ -332,22 +334,14 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     return op
 
 
-def symmetric_rank(s, tol: TolerancePolicy) -> int:
-    """Rank of a symmetric PSD-ish matrix by thresholded eigenvalue count.
-
-    Unlike spsd_certify this accepts the zero matrix (rank 0); small negative
-    eigenvalues are ignored for the count.
-    """
-    return spectrum_rank(np.linalg.eigvalsh(_symmetric_input(s)), tol)
-
-
 def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,
                   scale: float | None = None) -> int:
-    """symmetric_rank read off an already computed spectrum w.
+    """Numerical rank read off a symmetric matrix's spectrum w.
 
     The one rank rule: eigenvalues above rank_rel_tol * scale count, where
-    scale defaults to max|w|. Pass the scale of the matrix that w was
-    compressed from when w itself may be pure rounding.
+    scale defaults to max|w| (so the zero matrix has rank 0). Pass the
+    scale of the matrix that w was compressed from when w itself may be
+    pure rounding.
     """
     if scale is None:
         scale = float(np.max(np.abs(w)))
@@ -356,11 +350,11 @@ def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,
     return int(np.count_nonzero(w > tol.rank_rel_tol * scale))
 
 
-def spectrum_psd(w: np.ndarray, tol: TolerancePolicy) -> bool:
+def spectrum_psd(w: np.ndarray) -> bool:
     """Whether an ascending spectrum w is PSD up to rounding.
 
     The one PSD-within-slack rule: the smallest eigenvalue may dip to
-    -psd_slack * max(1, max|w|).
+    -PSD_SLACK * max(1, max|w|).
     """
     scale = max(1.0, float(np.max(np.abs(w))))
-    return bool(float(w[0]) >= -tol.psd_slack * scale)
+    return bool(float(w[0]) >= -PSD_SLACK * scale)

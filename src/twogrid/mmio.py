@@ -19,14 +19,29 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _stored(rows: int, cols: int, symmetry: str) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the entries a file stores, in order: by columns, i >= j if symmetric."""
+    j, i = (np.triu_indices(rows) if symmetry == "symmetric"
+            else np.indices((cols, rows)).reshape(2, -1))
+    return i, j
+
+
+def content_lines(path, comment: str) -> list[tuple[int, str]]:
+    """(line number, stripped text) of each line of an ASCII file with text before
+    `comment`, which runs to the end of its line: the package's one text reader."""
+    with open(path, "r", encoding="ascii") as handle:
+        return [(lineno, text) for lineno, line in enumerate(handle, start=1)
+                if (text := line.partition(comment)[0].strip())]
+
+
 def read_matrix(path) -> np.ndarray:
     """Read a real matrix from a MatrixMarket file as a dense float64 array."""
     with open(path, "r", encoding="ascii") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        first = handle.readline()
+    if not first:
         raise MatrixMarketError(f"{path}: empty file")
 
-    header = lines[0].strip().lower().split()
+    header = first.strip().lower().split()
     if len(header) != 5 or header[0] != _HEADER_PREFIX or header[1] != "matrix":
         raise MatrixMarketError(f"{path}:1: not a MatrixMarket matrix header")
     _, _, layout, field, symmetry = header
@@ -37,28 +52,28 @@ def read_matrix(path) -> np.ndarray:
     if symmetry not in ("general", "symmetric"):
         raise MatrixMarketError(f"{path}:1: unsupported symmetry '{symmetry}'")
 
-    # strip comments and blanks, remembering original line numbers
-    body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
-            if ln.strip() and not ln.strip().startswith("%")]
+    body = content_lines(path, "%")  # the header line is a comment too
     if not body:
         raise MatrixMarketError(f"{path}: missing size line")
     size_lineno, size_line = body[0]
     entries = body[1:]
 
+    fields = "rows cols nnz" if layout == "coordinate" else "rows cols"
+    parts = size_line.split()
+    if len(parts) != len(fields.split()):
+        raise MatrixMarketError(
+            f"{path}:{size_lineno}: {layout} size line needs '{fields}'")
+    try:
+        rows, cols, *nnz = (int(p) for p in parts)
+    except ValueError as exc:
+        raise MatrixMarketError(f"{path}:{size_lineno}: bad size line") from exc
+    if rows < 1 or cols < 1 or min(nnz, default=0) < 0:
+        raise MatrixMarketError(f"{path}:{size_lineno}: nonpositive dimensions")
+
     if layout == "coordinate":
-        parts = size_line.split()
-        if len(parts) != 3:
+        if len(entries) != nnz[0]:
             raise MatrixMarketError(
-                f"{path}:{size_lineno}: coordinate size line needs 'rows cols nnz'")
-        try:
-            rows, cols, nnz = (int(p) for p in parts)
-        except ValueError as exc:
-            raise MatrixMarketError(f"{path}:{size_lineno}: bad size line") from exc
-        if rows < 1 or cols < 1 or nnz < 0:
-            raise MatrixMarketError(f"{path}:{size_lineno}: nonpositive dimensions")
-        if len(entries) != nnz:
-            raise MatrixMarketError(
-                f"{path}: expected {nnz} entries, found {len(entries)}")
+                f"{path}: expected {nnz[0]} entries, found {len(entries)}")
         out = np.zeros((rows, cols))
         for lineno, ln in entries:
             parts = ln.split()
@@ -75,46 +90,26 @@ def read_matrix(path) -> np.ndarray:
             out[i - 1, j - 1] += v
             if symmetry == "symmetric" and i != j:
                 out[j - 1, i - 1] += v
-        if not np.isfinite(out).all():
-            raise MatrixMarketError(f"{path}: non-finite values")
-        return out
-
-    parts = size_line.split()
-    if len(parts) != 2:
-        raise MatrixMarketError(f"{path}:{size_lineno}: array size line needs 'rows cols'")
-    try:
-        rows, cols = int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise MatrixMarketError(f"{path}:{size_lineno}: bad size line") from exc
-    if rows < 1 or cols < 1:
-        raise MatrixMarketError(f"{path}:{size_lineno}: nonpositive dimensions")
-    if symmetry == "symmetric" and rows != cols:
-        raise MatrixMarketError(f"{path}:{size_lineno}: symmetric array must be square")
-    expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
-    if len(entries) != expected:
-        raise MatrixMarketError(
-            f"{path}: expected {expected} values, found {len(entries)}")
-    values = []
-    for lineno, ln in entries:
-        try:
-            values.append(float(ln.split()[0]))
-        except (ValueError, IndexError) as exc:
-            raise MatrixMarketError(f"{path}:{lineno}: bad value") from exc
-    out = np.zeros((rows, cols))
-    k = 0
-    if symmetry == "general":
-        # array storage is column-major
-        for j in range(cols):
-            for i in range(rows):
-                out[i, j] = values[k]
-                k += 1
     else:
-        # lower triangle stored column by column
-        for j in range(cols):
-            for i in range(j, rows):
-                out[i, j] = values[k]
-                out[j, i] = values[k]
-                k += 1
+        if symmetry == "symmetric" and rows != cols:
+            raise MatrixMarketError(
+                f"{path}:{size_lineno}: symmetric array must be square")
+        # counted before anything of the declared size is allocated
+        expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
+        if len(entries) != expected:
+            raise MatrixMarketError(
+                f"{path}: expected {expected} values, found {len(entries)}")
+        values = []
+        for lineno, ln in entries:
+            try:
+                values.append(float(ln.split()[0]))
+            except ValueError as exc:
+                raise MatrixMarketError(f"{path}:{lineno}: bad value") from exc
+        i, j = _stored(rows, cols, symmetry)
+        out = np.zeros((rows, cols))
+        out[i, j] = values
+        if symmetry == "symmetric":
+            out[j, i] = values
     if not np.isfinite(out).all():
         raise MatrixMarketError(f"{path}: non-finite values")
     return out
@@ -135,24 +130,15 @@ def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> N
             raise ValueError("symmetric storage requires exactly symmetric entries")
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
+    i, j = _stored(rows, cols, symmetry)
     if layout == "array":
         out.append(f"{rows} {cols}")
-        if symmetry == "general":
-            for j in range(cols):
-                for i in range(rows):
-                    out.append(_fmt(m[i, j]))
-        else:
-            for j in range(cols):
-                for i in range(j, rows):
-                    out.append(_fmt(m[i, j]))
+        out.extend(map(_fmt, m[i, j]))
     else:
-        if symmetry == "general":
-            idx = [(i, j) for j in range(cols) for i in range(rows) if m[i, j] != 0.0]
-        else:
-            idx = [(i, j) for j in range(cols) for i in range(j, rows) if m[i, j] != 0.0]
-        out.append(f"{rows} {cols} {len(idx)}")
-        for i, j in idx:
-            out.append(f"{i + 1} {j + 1} {_fmt(m[i, j])}")
+        nonzero = m[i, j] != 0.0
+        i, j = i[nonzero], j[nonzero]
+        out.append(f"{rows} {cols} {i.size}")
+        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, m[i, j]))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
 

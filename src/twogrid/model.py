@@ -20,8 +20,10 @@ from scipy.linalg import solve_triangular  # noqa: F401
 from scipy.linalg.lapack import dtbtrs
 
 from . import mmio
-from .errors import NotSpsdError, ShapeError, SmootherAssumptionError, SmootherError
+from .errors import (EdgeError, NotSpsdError, ShapeError, SmootherAssumptionError,
+                     SmootherError)
 from .linalg import (
+    PSD_SLACK,
     SPARSE_MIN_ENTRIES,
     SpsdOperator,
     TolerancePolicy,
@@ -59,15 +61,15 @@ SmootherSpec = Union[WeightedJacobi, GaussSeidel, CustomSmoother]
 
 
 def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
-    """diag(A), or SmootherError at its first entry d <= psd_slack * lambda_max.
+    """diag(A), or SmootherError at its first entry d <= PSD_SLACK * lambda_max.
 
     On a graph Laplacian certified by structure the certificate puts every
-    nonzero entry above psd_slack * 2 max diag(A) >= psd_slack * lambda_max
-    (Gershgorin), so d <= psd_slack * lambda_max holds exactly when d == 0:
+    nonzero entry above PSD_SLACK * 2 max diag(A) >= PSD_SLACK * lambda_max
+    (Gershgorin), so d <= PSD_SLACK * lambda_max holds exactly when d == 0:
     the same decision, made without reading A's spectrum.
     """
     d = np.diag(a.matrix).copy()
-    floor = 0.0 if a.components is not None else a.policy.psd_slack * a.max_eigenvalue
+    floor = 0.0 if a.components is not None else PSD_SLACK * a.max_eigenvalue
     bad = np.nonzero(d <= floor)[0]
     if bad.size:
         raise SmootherError(
@@ -116,8 +118,9 @@ class LowerBandSolve:
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBandSolve:
     """M as an ndarray (n x n, also for Jacobi), or for Gauss-Seidel a LowerBandSolve."""
     if isinstance(spec, WeightedJacobi):
-        if spec.omega <= 0.0:
-            raise SmootherError(f"Jacobi weight must be positive, got {spec.omega}")
+        if not 0.0 < spec.omega < np.inf:
+            raise SmootherError(
+                f"Jacobi weight must be positive and finite, got {spec.omega}")
         return np.diag(spec.omega / _positive_diagonal(a))
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
@@ -337,7 +340,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
 
     m = build_smoother(spec, a)
     try:
-        ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
+        ac = spsd_certify(p.T @ a.matrix @ p, a.policy)
     except NotSpsdError as exc:
         raise NotSpsdError(f"coarse-grid matrix P^T A P is invalid: {exc}") from exc
     if ac.rank > a.rank:
@@ -349,7 +352,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     if isinstance(spec, GaussSeidel):
         return h
     spectrum = h.smoother_spectrum
-    if not spectrum_psd(spectrum, a.policy):
+    if not spectrum_psd(spectrum):
         limit = ""
         if isinstance(spec, WeightedJacobi):
             # The smoother form of omega D^{-1} has the eigenvalues
@@ -439,7 +442,8 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
 
     Weights (default 1) must be finite and nonnegative; repeated edges add.
     The first invalid edge is named: a self loop, then its weight, then a
-    negative index; then the node count (n, or the largest index + 1).
+    negative index; then the node count (n, or the largest index + 1). Its
+    EdgeError carries its index in `edges`.
     """
     us, vs, ws = [], [], []
     for edge in edges:
@@ -454,11 +458,11 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     failed = np.array([u == v, ~np.isfinite(w), w < 0.0, np.minimum(u, v) < 0])
     if failed.any():  # name the first invalid edge by its first failed check
         k, check = np.argwhere(failed.T)[0]
-        raise ValueError(("self loop at node {u} is not allowed",
-                          "edge ({u}, {v}) has non-finite weight {w}",
-                          "edge ({u}, {v}) has negative weight {w}",
-                          "edge ({u}, {v}) has a negative node index")[check]
-                         .format(u=us[k], v=vs[k], w=ws[k]))
+        raise EdgeError(("self loop at node {u} is not allowed",
+                         "edge ({u}, {v}) has non-finite weight {w}",
+                         "edge ({u}, {v}) has negative weight {w}",
+                         "edge ({u}, {v}) has a negative node index")[check]
+                        .format(u=us[k], v=vs[k], w=ws[k]), int(k))
     top = np.maximum(u, v)
     size = n if n is not None else (int(top.max()) + 1 if ws else 0)
     if size < 2:
@@ -466,7 +470,7 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     over = np.flatnonzero(top >= size)
     if over.size:
         k = int(over[0])
-        raise ValueError(f"edge ({us[k]}, {vs[k]}) exceeds node count {size}")
+        raise EdgeError(f"edge ({us[k]}, {vs[k]}) exceeds node count {size}", k)
     return _laplacian(u, v, w, size)
 
 

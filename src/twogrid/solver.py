@@ -21,7 +21,6 @@ O(nnz) where its operators do.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -240,7 +239,8 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
             raise ValueError("variant 'itg' needs a coarse solve")
     else:
         if coarse is not None:
-            raise ValueError(f"variant '{variant}' uses the exact coarse solve")
+            raise ValueError(f"variant '{variant}' uses the exact coarse solve; "
+                             "pass no coarse solve, or use variant 'itg'")
         coarse = h.Ac
 
     u, f, r = _start(h, u0, f, coarse)
@@ -346,10 +346,3 @@ def trace_summary(trace: IterationTrace, meta: dict | None = None) -> dict:
     if meta:
         summary.update(meta)
     return summary
-
-
-def write_trace_summary(trace: IterationTrace, path,
-                        meta: dict | None = None) -> None:
-    with open(path, "w", encoding="ascii", newline="\n") as handle:
-        handle.write(json.dumps(trace_summary(trace, meta), sort_keys=True,
-                                indent=2) + "\n")

@@ -6,6 +6,8 @@ from scipy.linalg import solve_triangular
 from twogrid import corpus
 from twogrid.errors import CoarseScalingError, RangeMismatchError, SmootherError
 from twogrid.analysis import (
+    CSV_COLUMNS,
+    FLAG_COLUMNS,
     beta_constants,
     check_conditions,
     convergence_report,
@@ -24,10 +26,11 @@ from twogrid.analysis import (
     spectral_equivalence_constants,
 )
 from twogrid.linalg import (
+    PSD_SLACK,
     TolerancePolicy,
+    spectrum_rank,
     spsd_certify,
     sym_part,
-    symmetric_rank,
 )
 from twogrid.model import (
     CustomSmoother,
@@ -230,7 +233,7 @@ class TestExactFactor:
     def test_nullity_of_quadratic_form(self):
         h = neumann_hierarchy(n=12)
         f = ftg_matrix(h)
-        assert symmetric_rank(f, h.policy) == h.r
+        assert spectrum_rank(np.linalg.eigvalsh(f), h.policy) == h.r
 
     def test_routes_agree_near_stability_limit(self):
         # Jacobi weight at 95 percent of 2 / lambda_max(D^{-1} A) pushes the
@@ -340,7 +343,7 @@ class TestSpectrumBox:
     def test_conjugated_mtilde_in_unit_interval(self, smoother):
         h = neumann_hierarchy(n=12, smoother=smoother)
         w = np.linalg.eigvalsh(h.mtilde_form)
-        slack = h.policy.psd_slack
+        slack = PSD_SLACK
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
 
@@ -454,8 +457,8 @@ class TestInexactAnalysis:
         h = neumann_hierarchy(n=10)
         f_exact = ftg_matrix(h)
         f_inexact = fitg_matrix(h, spsd_certify(2.0 * h.Ac.matrix, h.policy))
-        assert symmetric_rank(f_exact, h.policy) == h.r
-        assert symmetric_rank(f_inexact, h.policy) == h.r
+        assert spectrum_rank(np.linalg.eigvalsh(f_exact), h.policy) == h.r
+        assert spectrum_rank(np.linalg.eigvalsh(f_inexact), h.policy) == h.r
 
     def test_sigma_delta_floor_consistency(self):
         h = neumann_hierarchy(n=12, smoother=GaussSeidel())
@@ -548,6 +551,17 @@ class TestReportAssembly:
                     "upper", "alpha1", "alpha2", "beta1", "beta2", "delta_tg",
                     "flags"):
             assert f'"{key}"' in text1
+
+    @pytest.mark.parametrize("with_bc", [False, True])
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_flat_fields_are_the_csv_columns(self, with_bc, epsilon):
+        h = neumann_hierarchy(n=8)
+        rep = convergence_report(h, coarse=h.Ac if with_bc else None, epsilon=epsilon)
+        flat = {key for key, value in rep.items() if not isinstance(value, dict)}
+        assert flat == set(CSV_COLUMNS) - set(FLAG_COLUMNS)
+        assert set(FLAG_COLUMNS) <= rep["flags"].keys()
+        assert (rep["alpha1"] is None) != with_bc
+        assert (rep["epsilon"] is None) == (epsilon is None)
 
     def test_csv_row(self):
         h = neumann_hierarchy(n=8)

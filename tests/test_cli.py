@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,17 @@ from twogrid.cli import (
     parse_problem,
     parse_smoother,
 )
-from twogrid.model import NeumannLaplacian1D, NeumannLaplacian2D, RandomSpsd, WeightedJacobi
+from twogrid.mmio import write_matrix
+from twogrid.model import (
+    GaussSeidel,
+    NeumannLaplacian1D,
+    NeumannLaplacian2D,
+    RandomSpsd,
+    WeightedJacobi,
+    aggregation_prolongation,
+    build_hierarchy,
+    neumann_laplacian_1d,
+)
 
 
 NUMERIC_FIELDS = ("sigma_tg", "factor_identity", "factor_ftg", "factor_oracle",
@@ -42,12 +53,22 @@ class TestSpecParsers:
         with pytest.raises(UsageError):
             parse_smoother("sor:1.5")
 
-    def test_coarse_specs(self):
-        assert parse_coarse("exact") == ("exact", None)
-        assert parse_coarse("scale:2.0") == ("scale", 2.0)
-        assert parse_coarse("eps:0.5") == ("eps", 0.5)
-        with pytest.raises(UsageError):
-            parse_coarse("approx")
+    def test_coarse_specs(self, tmp_path):
+        h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
+                            GaussSeidel())
+        assert parse_coarse("exact", h) == (None, None)
+        bc, eps = parse_coarse("scale:2", h)
+        assert eps is None
+        assert bc.matrix.tobytes() == (2.0 * h.Ac.matrix).tobytes()
+        assert bc.rank == h.s and bc.policy is h.policy
+        path = tmp_path / "bc.mtx"
+        write_matrix(path, 3.0 * h.Ac.matrix)
+        bc, eps = parse_coarse(f"bc:{path}", h)
+        assert eps is None
+        assert bc.matrix.tobytes() == (3.0 * h.Ac.matrix).tobytes()
+        assert parse_coarse("eps:0.5", h) == (None, 0.5)
+        with pytest.raises(UsageError, match="unknown coarse spec 'approx'"):
+            parse_coarse("approx", h)
 
 
 class TestAnalyze:
@@ -301,23 +322,68 @@ class TestConfigValues:
         assert f"'{line.partition('=')[0].strip()}'" in captured.err
 
 
-@pytest.mark.parametrize("argv", [
-    ["solve", "--problem", "neumann1d:8", "--sweeps", "0"],
-    ["analyze", "--problem", "neumann1d:8", "--epsilon", "1.5"],
-    ["solve", "--problem", "neumann1d:8", "--coarse", "eps:1.5"],
-    ["analyze", "--problem", "random:8:9"],
-    ["analyze", "--problem", "neumann1d:1"],
-    ["analyze", "--problem", "neumann1d:8", "--format", "xml"],
-    ["solve", "--problem", "neumann1d:8", "--sweeps", "abc"],
-    ["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:1.5"],
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--problem", "neumann1d:8", "--sweeps", "0"],
+     "sweeps must be >= 1, got 0"),
+    (["analyze", "--problem", "neumann1d:8", "--epsilon", "1.5"],
+     "eps must lie in [0, 1), got 1.5"),
+    (["solve", "--problem", "neumann1d:8", "--coarse", "eps:1.5"],
+     "eps must lie in [0, 1), got 1.5"),
+    (["analyze", "--problem", "random:8:9"], "rank must lie in [1, 8], got 9"),
+    (["analyze", "--problem", "neumann1d:1"], "need n >= 2, got 1"),
+    (["analyze", "--problem", "neumann1d:8", "--format", "xml"],
+     "argument --format: invalid choice: 'xml'"),
+    (["solve", "--problem", "neumann1d:8", "--sweeps", "abc"],
+     "argument --sweeps: invalid int value: 'abc'"),
+    (["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:1.5"],
+     "Jacobi weight 1.5 exceeds the stability limit 1"),
+    (["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:nan"],
+     "Jacobi weight must be positive and finite, got nan"),
+    (["analyze", "--problem", "neumann1d:8", "--smoother", "jacobi:inf"],
+     "Jacobi weight must be positive and finite, got inf"),
+    (["solve", "--problem", "neumann1d:8", "--smoother", "jacobi:1e400"],
+     "Jacobi weight must be positive and finite, got inf"),
+    (["analyze", "--problem", "neumann1d:8", "--coarse", "scale:nan"],
+     "bad coarse scale 'nan'"),
+    (["solve", "--problem", "neumann1d:8", "--coarse", "scale:inf"],
+     "bad coarse scale 'inf'"),
+    (["analyze", "--problem", "neumann1d:8", "--coarse", "scale:1e400"],
+     "bad coarse scale '1e400'"),
 ], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
-        "format-xml", "sweeps-abc", "jacobi1.5"])
-def test_invalid_value_is_an_error_line(argv, capsys):
-    assert run(argv) == 1
+        "format-xml", "sweeps-abc", "jacobi1.5", "jacobi-nan", "jacobi-inf",
+        "jacobi-1e400", "scale-nan", "scale-inf", "scale-1e400"])
+def test_invalid_value_is_an_error_line(argv, message, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(argv) == 1
+    assert caught == []
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (["analyze", "--problem", "neumann1d:8", "--seed", "-1"], None,
+     "argument --seed: invalid seed value: '-1'"),
+    (["solve"], "seed = -1", "config key 'seed': invalid seed value '-1'"),
+    (["analyze", "--problem", "random:5:2:-1"], None,
+     "bad problem spec 'random:5:2:-1': seed must be non-negative, got -1"),
+], ids=["flag", "config", "problem-spec"])
+def test_negative_seed_is_named(argv, config, message, tmp_path, capsys):
+    if config:
+        argv = [*argv, "--config", write_config(tmp_path, config)]
+    assert run(argv) == 1
+    assert message in _one_error_line(capsys)
+
+
+def test_exact_variant_with_a_coarse_solve_is_rejected(capsys):
+    assert run(["solve", "--problem", "neumann1d:8", "--variant", "tg",
+                "--coarse", "scale:2"]) == 1
+    err = _one_error_line(capsys)
+    assert "variant 'tg' uses the exact coarse solve; pass no coarse solve, " \
+           "or use variant 'itg'" in err
 
 
 def test_help_exits_zero():
@@ -362,11 +428,21 @@ def _one_error_line(capsys) -> str:
     return captured.err
 
 
-def test_non_finite_edge_weight_is_named(tmp_path, capsys):
+@pytest.mark.parametrize("bad, message", [
+    ("0 1 nan", "5: edge (0, 1) has non-finite weight nan"),
+    ("1 1", "5: self loop at node 1 is not allowed"),
+    ("-1 2", "5: edge (-1, 2) has a negative node index"),
+    ("1 2.5", "5: invalid literal for int() with base 10: '2.5'"),
+    ("1 2 3 4", "5: expected 'u v [weight]'"),
+], ids=["nan-weight", "self-loop", "negative-index", "float-node", "four-columns"])
+def test_edge_file_error_names_file_and_line(bad, message, tmp_path, capsys):
+    # the third edge is on line 5: comments and blank lines count in the line
+    # number, not in the edge index
     edges = tmp_path / "edges.txt"
-    edges.write_text("0 1\n1 2 2.0\n0 1 nan\n", encoding="ascii")
+    edges.write_text(f"# u v [weight]\n0 1\n\n1 2 2.0  # second edge\n{bad}\n",
+                     encoding="ascii")
     assert run(["analyze", "--problem", f"graph:{edges}"]) == 1
-    assert "edge (0, 1) has non-finite weight nan" in _one_error_line(capsys)
+    assert f"{edges}:{message}" in _one_error_line(capsys)
 
 
 @pytest.mark.parametrize("matrix, message", [

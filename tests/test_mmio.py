@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from twogrid.errors import MatrixMarketError
-from twogrid.mmio import read_matrix, write_matrix, write_vector
+from twogrid.mmio import content_lines, read_matrix, write_matrix, write_vector
 
 
 @pytest.mark.parametrize("layout", ["array", "coordinate"])
@@ -40,6 +40,16 @@ def test_symmetric_storage_expanded_on_read(tmp_path):
     assert np.array_equal(back, np.array([[2.0, -1.0], [-1.0, 0.0]]))
 
 
+def test_array_storage_order_on_read(tmp_path):
+    # by columns; a symmetric array stores the lower triangle
+    path = tmp_path / "a.mtx"
+    path.write_text("%%MatrixMarket matrix array real general\n2 3\n1\n2\n3\n4\n5\n6\n")
+    assert np.array_equal(read_matrix(path), [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+    path.write_text("%%MatrixMarket matrix array real symmetric\n3 3\n1\n2\n3\n4\n5\n6\n")
+    assert np.array_equal(read_matrix(path),
+                          [[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
+
+
 def test_vector_round_trip(tmp_path):
     v = np.array([1.5, -2.25, 0.0, 3.0])
     path = tmp_path / "v.mtx"
@@ -72,3 +82,19 @@ def test_parse_errors_have_context(tmp_path, content, fragment):
     path.write_text(content)
     with pytest.raises(MatrixMarketError, match=fragment):
         read_matrix(path)
+
+
+@pytest.mark.parametrize("comment", ["%", "#"])
+def test_content_lines(tmp_path, comment):
+    path = tmp_path / "text.txt"
+    path.write_text(f"{comment} header\n\n  a b  \nc {comment} note\n   \n"
+                    f"{comment}{comment}\nd{comment}e\n", encoding="ascii")
+    assert content_lines(path, comment) == [(3, "a b"), (4, "c"), (7, "d")]
+
+
+def test_inline_comment_after_matrix_data(tmp_path):
+    path = tmp_path / "m.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 2 1 % rows cols nnz\n"
+                    "1 2 7.5 % the only entry\n")
+    assert np.array_equal(read_matrix(path), np.array([[0.0, 7.5], [0.0, 0.0]]))

@@ -13,11 +13,12 @@ from twogrid import corpus
 from twogrid.analysis import check_conditions, convergence_report
 from twogrid.cli import parse_problem, parse_smoother
 from twogrid.errors import (
+    EdgeError,
     NotSpsdError,
     SmootherAssumptionError,
     SmootherError,
 )
-from twogrid.linalg import SpsdOperator, TolerancePolicy, spsd_certify, sym_part
+from twogrid.linalg import PSD_SLACK, SpsdOperator, TolerancePolicy, spsd_certify, sym_part
 from twogrid.model import (
     SPARSE_MAX_DENSITY,
     SPARSE_MIN_ENTRIES,
@@ -183,7 +184,7 @@ class TestMbarMtilde:
         h = hierarchy_with(neumann_laplacian_1d(8), GaussSeidel())
         assert h.mtilde_form is not h.smoother_form
         w = np.linalg.eigvalsh(h.mtilde_form)
-        slack = h.policy.psd_slack
+        slack = PSD_SLACK
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
 
@@ -603,6 +604,17 @@ class TestGenerators:
         # index; the node count is checked after every edge passed
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             graph_laplacian(edges, n)
+
+    @pytest.mark.parametrize("edges, n, index", [
+        ([(0, -1)], None, 0),
+        ([(0, 9), (1, 1)], 3, 1),
+        ([(0, 1), (1, 2, float("nan"))], None, 1),
+        ([(0, 1), (1, 2), (2, 5)], 4, 2),
+    ])
+    def test_invalid_edge_error_carries_its_index(self, edges, n, index):
+        with pytest.raises(EdgeError) as caught:
+            graph_laplacian(edges, n)
+        assert caught.value.index == index
 
     def test_aggregation_shapes(self):
         p = aggregation_prolongation(9, 4)

@@ -1,4 +1,6 @@
 """Guard-rail tests for tolerance policies and rank-consistency errors."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -18,14 +20,18 @@ from twogrid.model import (
 
 class TestTolerancePolicy:
     @pytest.mark.parametrize("field,value", [
-        ("rank_rel_tol", 0.0), ("rank_rel_tol", 1.0),
-        ("psd_slack", -1e-10), ("match_tol", 2.0),
+        ("rank_rel_tol", 0.0), ("rank_rel_tol", 1.0), ("match_tol", 2.0),
     ])
     def test_out_of_range_rejected(self, field, value):
-        kwargs = {"rank_rel_tol": 1e-12, "psd_slack": 1e-10, "match_tol": 1e-10}
+        kwargs = {"rank_rel_tol": 1e-12, "match_tol": 1e-10}
         kwargs[field] = value
         with pytest.raises(ValueError, match=field):
             TolerancePolicy(**kwargs)
+
+    def test_two_fields(self):
+        # the PSD slack is the constant linalg.PSD_SLACK, not a setting
+        assert [f.name for f in dataclasses.fields(TolerancePolicy)] == [
+            "rank_rel_tol", "match_tol"]
 
     def test_for_dimension_scales_with_n(self):
         small = TolerancePolicy.for_dimension(8)

@@ -1,11 +1,15 @@
 """Tests for the two-grid sweeps and trace machinery."""
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
 from twogrid import solver
 from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
-from twogrid.analysis import exact_factor, general_epsilon_bound, inexact_linear_analysis
+from twogrid.analysis import (exact_factor, general_epsilon_bound, inexact_linear_analysis,
+                              report_json)
+from twogrid.cli import main
 from twogrid.linalg import EPS, SPARSE_MIN_ENTRIES, spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
@@ -31,8 +35,6 @@ from twogrid.solver import (
     stg_sweep,
     tg_sweep,
     trace_summary,
-    write_trace_csv,
-    write_trace_summary,
 )
 
 
@@ -306,6 +308,13 @@ class TestIterate:
         with pytest.raises(ValueError, match="coarse"):
             iterate(h, f, np.zeros(8), 3, "itg")
 
+    @pytest.mark.parametrize("variant", ["tg", "stg"])
+    def test_exact_variants_reject_a_coarse_solve(self, setup8, variant):
+        h, f, _ = setup8
+        with pytest.raises(ValueError, match=f"^variant '{variant}' uses the exact "
+                           "coarse solve; pass no coarse solve, or use variant 'itg'$"):
+            iterate(h, f, np.zeros(8), 3, variant, coarse=h.Ac)
+
     def test_general_coarse_violation_recorded(self, setup8):
         h, f, u_ref = setup8
         rng = np.random.default_rng(14)
@@ -558,22 +567,19 @@ class TestIterate:
 
 
 class TestTraceOutput:
-    def test_csv_and_summary(self, tmp_path, setup8):
-        h, f, u_ref = setup8
-        u0 = np.random.default_rng(16).standard_normal(8)
-        trace = iterate(h, f, u0, 6, "tg", u_ref=u_ref)
-        csv_path = tmp_path / "trace.csv"
-        summary_path = tmp_path / "summary.json"
-        write_trace_csv(trace, csv_path)
-        write_trace_summary(trace, summary_path, meta={"seed": 16})
-        lines = csv_path.read_text().splitlines()
+    def test_csv_and_summary(self, tmp_path):
+        # the two files that `twogrid solve --output` writes
+        assert main(["solve", "--problem", "neumann1d:8", "--sweeps", "6",
+                     "--seed", "16", "--output", str(tmp_path / "trace")]) == 0
+        lines = (tmp_path / "trace.csv").read_text().splitlines()
         assert lines[0] == "sweep,error_A,residual_2,ratio"
         assert len(lines) == 8
         first = lines[1].split(",")
         assert first[0] == "0" and first[3] == ""
-        text = summary_path.read_text()
+        text = (tmp_path / "trace.json").read_text()
         assert '"observed_factor"' in text
         assert '"seed": 16' in text
+        assert text == report_json(json.loads(text))
 
     def test_summary_dict(self, setup8):
         h, f, u_ref = setup8

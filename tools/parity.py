@@ -21,9 +21,13 @@ aggregation by 4, large and sparse enough that A is certified by its
 graph-Laplacian structure and that the sweep applies A, P and P^T in CSR;
 and the `analyze` JSON and one exact `solve` on `graph:edges.txt`, an edge
 file the tool writes: 2- and 3-column lines, one edge listed twice (the
-second time reversed) and two components. In every Gauss-Seidel command M
-and M^T are band solves on tril(A), at every size. Each digest also covers
-the exit code and the stdout and stderr text of its command. BLAS runs on
+second time reversed) and two components; the `analyze --config` JSON and
+one `solve --config` of a `generate neumann2d:8x8 jacobi` round trip
+through a relative directory; and three commands that fail with one error
+line: a `graph:` file with a non-finite weight (named by FILE:LINE),
+`--coarse scale:nan` and `--smoother jacobi:inf`. In every Gauss-Seidel
+command M and M^T are band solves on tril(A), at every size. Each digest
+also covers the exit code and the stdout and stderr text of its command. BLAS runs on
 one thread, so the bytes do not depend on the thread count of the host.
 """
 from __future__ import annotations
@@ -81,6 +85,13 @@ EDGE_FILE = """# u v [weight]
 """
 GRAPH_SETUP = ["--problem", "graph:edges.txt", "--smoother", "gs",
                "--coarse", "exact"]
+# The third edge has a non-finite weight; it is on line 4.
+BAD_EDGE_FILE = "# u v [weight]\n0 1\n1 2 2.0\n2 3 nan\n"
+ERRORS = {
+    "graph:bad-edges.txt": ["--problem", "graph:bad-edges.txt"],
+    "--coarse scale:nan": ["--problem", "neumann1d:8", "--coarse", "scale:nan"],
+    "--smoother jacobi:inf": ["--problem", "neumann1d:8", "--smoother", "jacobi:inf"],
+}
 
 
 def sha256(data: bytes) -> str:
@@ -150,6 +161,17 @@ def digests() -> dict[str, str]:
         ["analyze", *GRAPH_SETUP, "--output", "r.json"], ["r.json"])
     result["solve graph:edges.txt gs exact"] = run(
         ["solve", *GRAPH_SETUP, "--output", "t"], ["t.csv", "t.json"])
+    run(["generate", "--problem", "neumann2d:8x8", "--smoother", "jacobi",
+         "--output-dir", "roundtrip"], [])
+    result["analyze json --config roundtrip/problem.cfg"] = run(
+        ["analyze", "--config", "roundtrip/problem.cfg", "--output", "r.json"],
+        ["r.json"])
+    result["solve --config roundtrip/problem.cfg"] = run(
+        ["solve", "--config", "roundtrip/problem.cfg", "--output", "t"],
+        ["t.csv", "t.json"])
+    Path("bad-edges.txt").write_text(BAD_EDGE_FILE, encoding="ascii")
+    for label, setup in ERRORS.items():
+        result[f"error analyze {label}"] = run(["analyze", *setup], [])
     return result
 
 
