@@ -48,6 +48,7 @@ from .linalg import (
     sym_part,
 )
 from .model import TwoGridHierarchy
+from .solver import _check_variant
 
 
 def _factor_from(value: float) -> float:
@@ -259,14 +260,9 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     the identity and the quadratic form read the singular values of this
     same G, built from the same F, B and Q.
     """
-    if iteration not in ("tg", "stg", "itg"):
-        raise ValueError(f"unknown iteration '{iteration}'")
+    _check_variant(iteration, coarse)
     if iteration == "itg":
-        if coarse is None:
-            raise ValueError("iteration 'itg' needs the coarse matrix")
         coarse = _certified_coarse(h, coarse)
-    elif coarse is not None:
-        raise ValueError(f"iteration '{iteration}' uses the exact coarse solve")
     pre = h.pre_smoother
     core = _coarse_core(h, coarse)
     g = pre - h.Q @ (core @ (h.Q.T @ pre))

@@ -253,10 +253,11 @@ def _build_problem(args):
     """(A, P, f, u_ref) with A certified under the environment's policy."""
     try:
         matrix = problem_matrix(parse_problem(args.problem))
-    except EdgeError as exc:  # an invalid edge of a graph: file, named by FILE:LINE
-        path = args.problem.partition(":")[2]
-        lineno = content_lines(path, "#")[exc.index][0]
-        raise UsageError(f"{path}:{lineno}: {exc}") from exc
+    except EdgeError as exc:  # a graph: file, named by FILE:LINE at an invalid edge
+        where = args.problem.partition(":")[2]
+        if exc.index is not None:
+            where += f":{content_lines(where, '#')[exc.index][0]}"
+        raise UsageError(f"{where}: {exc}") from exc
     n = matrix.shape[0]
     a = spsd_certify(matrix, policy_from_env(n))
     p = build_prolongation(args.prolongation, n)

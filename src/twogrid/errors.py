@@ -49,7 +49,8 @@ class DivergenceError(TwoGridError, RuntimeError):
 
 
 class EdgeError(TwoGridError, ValueError):
-    """Invalid edge of a graph Laplacian; index is its position in the edge list."""
+    """Invalid edge list of a graph Laplacian; index is the position of the
+    invalid edge in it, or None for a fault of the whole list."""
 
     def __init__(self, message, index):
         super().__init__(message)

@@ -6,8 +6,8 @@ numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
 within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
 convergence analysis, solvers) stands on these primitives, so each rule is
 written once and the rank threshold is decided once per matrix. A large
-weighted graph Laplacian is certified by its structure instead, and its
-spectrum is solved only when something reads it.
+weighted graph Laplacian is certified by its structure instead, in O(nnz)
+on its CSR form, and its spectrum is solved only when something reads it.
 """
 from __future__ import annotations
 
@@ -28,9 +28,16 @@ SYMMETRY_RTOL = 1e-8
 PSD_SLACK = 1e-10
 
 # Inputs with at least this many entries are tried for a structural
-# certificate (spsd_certify); model's sweeps apply an operator in CSR only
-# from this size on. Below it a dense eigh costs less than the checks.
+# certificate (spsd_certify), and model holds a graph Laplacian of this size
+# in CSR; the sweeps apply an operator in CSR only from this size on. Below
+# it a dense eigh costs less than the checks.
 SPARSE_MIN_ENTRIES = 2 ** 14
+
+# A sparse input of larger order that fails the structural certificate is
+# refused instead of densified for eigh: its n x n array would take 2 GiB at
+# this order, and on a unit grid the certificate cannot hold from n = 56296
+# on (8 n EPS exceeds PSD_SLACK), so neumann2d:256x256 would take 34 GB.
+DENSIFY_MAX_ORDER = 2 ** 14
 
 
 def as_matrix(a, name: str = "matrix", copy: bool = True) -> np.ndarray:
@@ -56,6 +63,16 @@ def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return arr
+
+
+def is_sparse(m) -> bool:
+    """Whether m is a scipy sparse matrix, told without importing scipy.sparse."""
+    return not isinstance(m, np.ndarray) and hasattr(m, "tocsr")
+
+
+def dense(m) -> np.ndarray:
+    """m as an ndarray: a sparse matrix's toarray(), anything else itself."""
+    return m.toarray() if is_sparse(m) else m
 
 
 def sym_part(x: np.ndarray) -> np.ndarray:
@@ -85,6 +102,21 @@ def _symmetric_input(s) -> np.ndarray:
     sym += s
     sym *= 0.5
     return sym
+
+
+def _symmetric_csr(s):
+    """A sparse s as a canonical CsrArray, checked as _symmetric_input checks a
+    dense one, with the bytes of (S^T + S) / 2."""
+    from .csr import as_csr
+
+    a = as_csr(s)
+    n = a.shape[0]
+    if a.shape[1] != n:
+        raise ShapeError(f"matrix must be square, got shape {a.shape}")
+    skew = float(abs(a - a.T).max())
+    if skew > SYMMETRY_RTOL * max(float(np.abs(a.data).max(initial=0.0)), 1.0):
+        raise ShapeError(f"matrix is not symmetric: max|a_ij - a_ji| = {skew:.3e}")
+    return a if skew == 0.0 else as_csr((a.T + a) * 0.5)
 
 
 @dataclass(frozen=True)
@@ -149,15 +181,16 @@ class SpsdOperator:
     """An SPSD matrix with the rank its certification decided.
 
     components is None after the eigh certificate, whose spectrum is eig's
-    cached value. After the structural one it labels each index with its
-    connected component of the graph Laplacian (0, 1, ... in the order of
-    their smallest index); null_basis is then the normalized component
-    indicators, and eig is solved on first read. Every operator derived
+    cached value, and matrix is an ndarray. After the structural one it
+    labels each index with its connected component of the graph Laplacian
+    (0, 1, ... in the order of their smallest index); matrix is then a
+    csr.CsrArray, null_basis the normalized component indicators, and eig is
+    solved on first read, on a dense copy dropped after. Every operator derived
     from the spectrum (thin factor, Moore-Penrose inverse, range basis) is a
     cached property, built on first read under the one rank decision.
     """
 
-    matrix: np.ndarray
+    matrix: np.ndarray  # or a csr.CsrArray after the structural certificate
     rank: int
     policy: TolerancePolicy
     components: np.ndarray | None = None
@@ -178,7 +211,7 @@ class SpsdOperator:
         the same bytes as the eigh certificate; raises EigenSolveError if its
         rank differs from the structural rank.
         """
-        eig = _eigh(self.matrix)
+        eig = _eigh(dense(self.matrix))
         clamped = np.maximum(eig.values, 0.0)
         rank = spectrum_rank(clamped, self.policy)
         if rank != self.rank:
@@ -247,8 +280,9 @@ def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
         labels = hooked
 
 
-def _laplacian_components(sym: np.ndarray, tol: TolerancePolicy) -> np.ndarray | None:
-    """Component labels when sym is certified as a weighted graph Laplacian, else None.
+def _laplacian_components(a, tol: TolerancePolicy) -> np.ndarray | None:
+    """Component labels when the CsrArray a is certified as a weighted graph
+    Laplacian, else None; O(nnz) on a's entries.
 
     The certificate, with upper = 2 max(diag) (Gershgorin's bound on
     lambda_max once the rows sum to zero):
@@ -266,21 +300,23 @@ def _laplacian_components(sym: np.ndarray, tol: TolerancePolicy) -> np.ndarray |
     per component (rank n - #components), its PSD test would pass, and a
     diagonal entry is below PSD_SLACK lambda_max exactly when it is zero.
     """
-    n = sym.shape[0]
-    diag = np.diag(sym)
+    from .csr import entries
+
+    n = a.shape[0]
+    diag = a.diagonal()
     max_diag = float(diag.max())
     if max_diag <= 0.0 or min(tol.rank_rel_tol, PSD_SLACK) < 8.0 * n * EPS:
         return None
-    if float(np.max(np.abs(sym.sum(axis=1)))) > n * EPS * max_diag:
+    i, j, x = entries(a)
+    row_sums = np.bincount(i, weights=x, minlength=n)
+    if float(np.max(np.abs(row_sums))) > n * EPS * max_diag:
         return None
     upper = 2.0 * max_diag
     degrees = diag[diag != 0.0]
     if float(degrees.min()) <= 2.0 * PSD_SLACK * upper:
         return None
-    i, j = np.nonzero(sym != 0.0)
     off = i != j
-    i, j = i[off], j[off]
-    weights = -sym[i, j]
+    i, j, weights = i[off], j[off], -x[off]
     if weights.size and float(weights.min()) < 0.0:
         return None
     labels = _components(i, j, n)
@@ -297,11 +333,14 @@ def _laplacian_components(sym: np.ndarray, tol: TolerancePolicy) -> np.ndarray |
 def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     """Certify a matrix as SPSD: decide its rank once.
 
-    An input with at least SPARSE_MIN_ENTRIES entries that passes the
-    graph-Laplacian certificate (_laplacian_components) gets rank
+    s is an ndarray (or array-like) or a scipy sparse matrix. An input with
+    at least SPARSE_MIN_ENTRIES entries is read into CSR once, a dense one
+    after its symmetry check, and if it passes the graph-Laplacian
+    certificate (_laplacian_components) it is kept in CSR with rank
     n - #components, the component indicators as its null basis and no
     eigen-solve: its spectrum is solved on first read. Every other input is
-    certified on its spectrum, solved here. Eigenvalues in
+    certified on its spectrum, solved here on the dense matrix; a sparse one
+    of order above DENSIFY_MAX_ORDER is refused instead. Eigenvalues in
     [-PSD_SLACK * lambda_max, 0) are clamped to zero as rounding noise
     (assembled products like P^T A P accumulate it); anything below that
     rejects the input. The zero matrix is rejected outright since relative
@@ -309,12 +348,23 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
 
     The derived operators are built lazily on the returned SpsdOperator.
     """
-    sym = _symmetric_input(s)
-    if sym.size >= SPARSE_MIN_ENTRIES:
-        labels = _laplacian_components(sym, tol)
+    sparse = is_sparse(s)
+    sym = _symmetric_csr(s) if sparse else _symmetric_input(s)
+    n = sym.shape[0]
+    if n * n >= SPARSE_MIN_ENTRIES:
+        from .csr import CsrArray
+
+        a = sym if sparse else CsrArray(sym)
+        labels = _laplacian_components(a, tol)
         if labels is not None:
-            return SpsdOperator(matrix=sym, rank=sym.shape[0] - int(labels.max()) - 1,
+            return SpsdOperator(matrix=a, rank=n - int(labels.max()) - 1,
                                 policy=tol, components=labels)
+        if sparse and n > DENSIFY_MAX_ORDER:
+            raise NotSpsdError(
+                f"the structural certificate failed on this sparse {n} x {n} matrix, "
+                f"and its order exceeds {DENSIFY_MAX_ORDER}, the largest one "
+                "certified on a dense eigen-solve")
+    sym = dense(sym)
     eig = _eigh(sym)
     w = eig.values
     lam_max = float(w[-1])

@@ -1,16 +1,17 @@
-"""MatrixMarket reader and writer for dense real matrices, plus a vector writer.
+"""MatrixMarket reader and writer for real matrices, plus a vector writer.
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to a
-full dense array. Values are written with 17 significant digits so float64
-content round-trips exactly.
+full dense array; a CSR matrix is written with the bytes of its dense form.
+Values are written with 17 significant digits so float64 content
+round-trips exactly.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import MatrixMarketError
-from .linalg import as_matrix
+from .linalg import as_matrix, dense, is_sparse
 
 _HEADER_PREFIX = "%%matrixmarket"
 
@@ -116,29 +117,47 @@ def read_matrix(path) -> np.ndarray:
 
 
 def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> None:
-    """Write a dense matrix in MatrixMarket form (array or coordinate layout)."""
-    m = as_matrix(m, "matrix")
+    """Write a dense or CSR matrix in MatrixMarket form (array or coordinate layout).
+
+    A CSR matrix is written as its dense form would be; in coordinate layout
+    it is read entry by entry, with no dense copy.
+    """
     if layout not in ("array", "coordinate"):
         raise ValueError(f"unsupported layout '{layout}'")
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry '{symmetry}'")
+    sparse = layout == "coordinate" and is_sparse(m)
+    if sparse:
+        from .csr import as_csr
+        m = as_csr(m)
+    else:
+        m = as_matrix(dense(m), "matrix")
     rows, cols = m.shape
     if symmetry == "symmetric":
         if rows != cols:
             raise ValueError("symmetric storage requires a square matrix")
-        if np.max(np.abs(m - m.T)) != 0.0:
+        if abs(m - m.T).max() != 0.0:
             raise ValueError("symmetric storage requires exactly symmetric entries")
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
-    i, j = _stored(rows, cols, symmetry)
+    if sparse:  # its entries in _stored's order: by columns, i >= j if symmetric
+        from .csr import entries
+        i, j, values = entries(m)
+        order = np.lexsort((i, j))
+        if symmetry == "symmetric":
+            order = order[i[order] >= j[order]]
+        i, j, values = i[order], j[order], values[order]
+    else:
+        i, j = _stored(rows, cols, symmetry)
+        values = m[i, j]
     if layout == "array":
         out.append(f"{rows} {cols}")
-        out.extend(map(_fmt, m[i, j]))
+        out.extend(map(_fmt, values))
     else:
-        nonzero = m[i, j] != 0.0
-        i, j = i[nonzero], j[nonzero]
+        nonzero = values != 0.0
+        i, j, values = i[nonzero], j[nonzero], values[nonzero]
         out.append(f"{rows} {cols} {i.size}")
-        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, m[i, j]))
+        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, values))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
 

@@ -1,12 +1,14 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
 Builds smoothers (weighted Jacobi, Gauss-Seidel as a band solve on tril(A),
-custom M), the Galerkin coarse matrix P^T A P, and, on range(A) through A's
+custom M), the Galerkin coarse matrix P^T A P (for a large graph Laplacian
+and an aggregation, the quotient graph's Laplacian), and, on range(A) through A's
 thin factor F (A = F^T F), the coarse basis and the forms of the symmetrized
 smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T (Mtilde), read off
 the one product F M F^T. Also provides SPSD test problems: Neumann Laplacians
 in 1d/2d and weighted graph Laplacians, each summed from its edge list by one
-assembler (_laplacian), seeded random rank-deficient matrices, and file input.
+assembler (_laplacian; in CSR from 2^14 entries on, with no n x n array),
+seeded random rank-deficient matrices, and file input.
 """
 from __future__ import annotations
 
@@ -28,6 +30,8 @@ from .linalg import (
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
+    dense,
+    is_sparse,
     spectrum_psd,
     spsd_certify,
     sym_part,
@@ -68,7 +72,7 @@ def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
     (Gershgorin), so d <= PSD_SLACK * lambda_max holds exactly when d == 0:
     the same decision, made without reading A's spectrum.
     """
-    d = np.diag(a.matrix).copy()
+    d = a.matrix.diagonal().copy()
     floor = 0.0 if a.components is not None else PSD_SLACK * a.max_eigenvalue
     bad = np.nonzero(d <= floor)[0]
     if bad.size:
@@ -125,10 +129,11 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBan
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
         # tril(A) as a Fortran-ordered band (dtbtrs copies a C-ordered one)
-        i, j = np.nonzero(a.matrix)
-        i, j = i[i >= j], j[i >= j]
+        i, j, x = _entries(a.matrix)
+        lower = i >= j
+        i, j = i[lower], j[lower]
         band = np.zeros((int((i - j).max()) + 1, a.n), order="F")
-        band[i - j, j] = a.matrix[i, j]
+        band[i - j, j] = x[lower]
         return LowerBandSolve(band)
     if isinstance(spec, CustomSmoother):
         m = as_matrix(spec.matrix, "M")
@@ -139,16 +144,34 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBan
     raise TypeError(f"unknown smoother spec {spec!r}")
 
 
+def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) of each nonzero entry of an ndarray or a CsrArray,
+    row by row."""
+    if isinstance(m, np.ndarray):
+        i, j = np.nonzero(m)
+        return i, j, m[i, j]
+    from .csr import entries
+    return entries(m)
+
+
 # The sweep applies an operator in CSR only when it has at least
 # SPARSE_MIN_ENTRIES (linalg) entries and at most SPARSE_MAX_DENSITY of them
 # are nonzero. Below that size scipy's cost per call exceeds the dense product.
 SPARSE_MAX_DENSITY = 1.0 / 32.0
 
 
+def _sparse_enough(size: int, nonzeros: int) -> bool:
+    """Whether the sweep applies an operator of `size` entries, `nonzeros` of
+    them nonzero, in CSR."""
+    return size >= SPARSE_MIN_ENTRIES and nonzeros <= SPARSE_MAX_DENSITY * size
+
+
 def sweep_form(matrix):
     """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators."""
-    if (isinstance(matrix, np.ndarray) and matrix.size >= SPARSE_MIN_ENTRIES
-            and np.count_nonzero(matrix) <= SPARSE_MAX_DENSITY * matrix.size):
+    if is_sparse(matrix):  # A and P held in CSR, or P^T as their CSC transpose
+        return matrix.tocsr()
+    if isinstance(matrix, np.ndarray) and _sparse_enough(matrix.size,
+                                                         np.count_nonzero(matrix)):
         # Imported here: hierarchies below the threshold never load scipy.sparse.
         from scipy.sparse import csr_array
         return csr_array(matrix)
@@ -164,11 +187,13 @@ class TwoGridHierarchy:
     """All operators of one two-grid setup, immutable after construction.
 
     The fields are the inputs A and Ac (certified SPSD, one tolerance
-    policy), M (for Gauss-Seidel a LowerBandSolve on tril(A), its only form)
-    and P. r and s are the ranks of A and Ac (s <= r). When A or Ac is a
-    graph Laplacian certified by structure, its rank and null basis need no
-    spectrum: A's is solved on the first read of F, Ac's on the first read
-    of Ac^+ (the first sweep's coarse solve, or the analysis). Every form is
+    policy; a graph Laplacian certified by structure is held in CSR), M (for
+    Gauss-Seidel a LowerBandSolve on tril(A), its only form) and P (in CSR
+    when aggregation_prolongation made it so). r and s are the ranks of A
+    and Ac (s <= r). When A or Ac is a graph Laplacian certified by
+    structure, its rank and null basis need no spectrum: A's is solved on
+    the first read of F, Ac's on the first read of Ac^+ (the first sweep's
+    coarse solve, or the analysis). Every form is
     r x r on range(A), through A's thin factor F = Lambda_r^{1/2} V_r^T
     (F^T F = A), and is read off B = F M F^T. The coarse space is the
     truncated SVD F P = Q R: Q (r x s) has orthonormal columns and R
@@ -185,7 +210,7 @@ class TwoGridHierarchy:
 
     A: SpsdOperator
     M: np.ndarray | LowerBandSolve
-    P: np.ndarray
+    P: np.ndarray  # or a csr.CsrArray
     Ac: SpsdOperator
 
     @property
@@ -213,9 +238,10 @@ class TwoGridHierarchy:
         """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
 
         Each is its sweep_form: a Gauss-Seidel M (with M^T) as its
-        LowerBandSolve at every size; an ndarray with SPARSE_MIN_ENTRIES
-        entries or more in CSR if sparse, otherwise the hierarchy's own
-        array (M^T and P^T as views). Built on the first sweep, never by the
+        LowerBandSolve at every size; A and P held in CSR as they are (P^T
+        in CSR too); an ndarray with SPARSE_MIN_ENTRIES entries or more in
+        CSR if sparse, otherwise the hierarchy's own array (M^T and P^T as
+        views). Built on the first sweep, never by the
         analysis.
         """
         return tuple(sweep_form(op) for op in (self.A.matrix, self.M, self.M.T,
@@ -226,9 +252,10 @@ class TwoGridHierarchy:
         """(Q, R) from the SVD of F P, truncated to s = rank(Ac).
 
         The squared singular values are Ac's eigenvalues, so s is Ac's one
-        rank decision; none is made again on these singular values.
+        rank decision; none is made again on these singular values. A P
+        held in CSR is read dense, so the product has the dense bytes.
         """
-        u, sv, vt = np.linalg.svd(self.A.factor @ self.P, full_matrices=False)
+        u, sv, vt = np.linalg.svd(self.A.factor @ dense(self.P), full_matrices=False)
         s = self.s
         return u[:, :s].copy(), sv[:s, None] * vt[:s]
 
@@ -310,11 +337,42 @@ class TwoGridHierarchy:
         1 / sigma(T D^{-1/2})^2, as singular values so that rounding cannot
         turn an eigenvalue of T D^{-1} T^T negative.
         """
-        m, a = self.M, self.A.matrix
+        m, a = self.M, dense(self.A.matrix)
         if isinstance(m, LowerBandSolve):
             t = np.tril(a) / np.sqrt(np.diag(a))
             return 1.0 / np.linalg.svd(t, compute_uv=False) ** 2
         return np.linalg.eigvalsh(sym_part(m + m.T - m.T @ a @ m))
+
+
+def _galerkin(a: SpsdOperator, p) -> np.ndarray:
+    """P^T A P; in CSR when it is the quotient graph of a large one.
+
+    When A is a graph Laplacian certified by structure and P an aggregation
+    (one entry per row, equal to 1), P^T A P is the Laplacian of the quotient
+    graph: each edge (i, j, w) of A becomes (agg i, agg j, w), the edges
+    inside an aggregate drop out, and _laplacian sums them, with no product
+    formed. On unit weights the sums are exact, so the bytes are the
+    product's. Any other A or P is multiplied out, with a dense A as dense
+    products and a CSR A in O(nnz(A) nc).
+    """
+    groups = _aggregates(p) if a.components is not None else None
+    if groups is not None:
+        i, j, x = _entries(a.matrix)
+        cut = (i > j) & (groups[i] != groups[j])
+        return _laplacian(groups[i[cut]], groups[j[cut]], -x[cut], p.shape[1])
+    p = dense(p)
+    if is_sparse(a.matrix):
+        return p.T @ (a.matrix @ p)
+    return p.T @ a.matrix @ p
+
+
+def _aggregates(p) -> np.ndarray | None:
+    """The column of each row's one entry when every row of P holds exactly one
+    nonzero entry, equal to 1; else None."""
+    i, j, x = _entries(p)
+    if np.array_equal(i, np.arange(p.shape[0])) and bool((x == 1.0).all()):
+        return j
+    return None
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
@@ -330,8 +388,12 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     solves no spectrum at all.
     """
     if not isinstance(a, SpsdOperator):
-        a = spsd_certify(a, TolerancePolicy.for_dimension(np.asarray(a).shape[0]))
-    p = as_matrix(p, "P")
+        a = spsd_certify(a, TolerancePolicy.for_dimension(np.shape(a)[0]))
+    if is_sparse(p):
+        from .csr import as_csr
+        p = as_csr(p, "P")
+    else:
+        p = as_matrix(p, "P")
     n, nc = p.shape
     if n != a.n:
         raise ShapeError(f"P has {n} rows, expected {a.n}")
@@ -340,7 +402,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
 
     m = build_smoother(spec, a)
     try:
-        ac = spsd_certify(p.T @ a.matrix @ p, a.policy)
+        ac = spsd_certify(_galerkin(a, p), a.policy)
     except NotSpsdError as exc:
         raise NotSpsdError(f"coarse-grid matrix P^T A P is invalid: {exc}") from exc
     if ac.rank > a.rank:
@@ -411,10 +473,16 @@ def _laplacian(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarra
     """L = D - W (n x n) of the edges u[k] - v[k], weights w[k], in one bincount.
 
     Its keys row * n + col run per edge as (u, u) +w, (v, v) +w, (u, v) -w,
-    (v, u) -w, so each entry adds its terms in edge order: a per-edge loop's bytes.
+    (v, u) -w, so each entry adds its terms in edge order: a per-edge loop's
+    bytes. With SPARSE_MIN_ENTRIES entries or more L is a csr.CsrArray of the
+    same sums (csr.from_terms), the CSR form of the dense L, and no n x n
+    array is formed.
     """
     keys = np.outer(u, [n + 1, 0, n, 1]) + np.outer(v, [0, n + 1, 1, n])
     terms = np.outer(w, [1.0, 1.0, -1.0, -1.0])
+    if n * n >= SPARSE_MIN_ENTRIES:
+        from .csr import from_terms
+        return from_terms(keys.ravel(), terms.ravel(), (n, n))
     return np.bincount(keys.ravel(), weights=terms.ravel(),
                        minlength=n * n).reshape(n, n)
 
@@ -441,9 +509,10 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     """Weighted graph Laplacian L = D - W of (u, v[, weight]) edges.
 
     Weights (default 1) must be finite and nonnegative; repeated edges add.
-    The first invalid edge is named: a self loop, then its weight, then a
-    negative index; then the node count (n, or the largest index + 1). Its
-    EdgeError carries its index in `edges`.
+    The first invalid edge is named: an index beyond int64, then a self
+    loop, then its weight, then a negative index; then the node count (n, or
+    the largest index + 1). Its EdgeError carries its index in `edges`; a
+    graph of fewer than two nodes raises one with index None.
     """
     us, vs, ws = [], [], []
     for edge in edges:
@@ -454,7 +523,10 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     try:
         (u, v), w = np.array([us, vs], dtype=np.int64), np.array(ws)
     except OverflowError:
-        raise ValueError("a node index lies outside the int64 range") from None
+        k = next(k for k, pair in enumerate(zip(us, vs))
+                 if not all(-2 ** 63 <= x < 2 ** 63 for x in pair))
+        raise EdgeError(f"edge ({us[k]}, {vs[k]}) has a node index outside the "
+                        "int64 range", k) from None
     failed = np.array([u == v, ~np.isfinite(w), w < 0.0, np.minimum(u, v) < 0])
     if failed.any():  # name the first invalid edge by its first failed check
         k, check = np.argwhere(failed.T)[0]
@@ -466,7 +538,7 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     top = np.maximum(u, v)
     size = n if n is not None else (int(top.max()) + 1 if ws else 0)
     if size < 2:
-        raise ValueError("graph needs at least two nodes")
+        raise EdgeError("graph needs at least two nodes", None)
     over = np.flatnonzero(top >= size)
     if over.size:
         k = int(over[0])
@@ -488,16 +560,21 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
 
     Column j is the indicator of indices [j*group, (j+1)*group); the last
     group absorbs the remainder. group >= 2 keeps the coarse space strictly
-    smaller than the fine space.
+    smaller than the fine space. P is a csr.CsrArray when the sweep would
+    apply it in CSR (sweep_form), otherwise an ndarray.
     """
     if group < 2:
         raise ValueError(f"aggregation group must be >= 2, got {group}")
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     nc = max(1, n // group)
-    p = np.zeros((n, nc))
     i = np.arange(n)
-    p[i, np.minimum(i // group, nc - 1)] = 1.0
+    groups = np.minimum(i // group, nc - 1)
+    if _sparse_enough(n * nc, n):
+        from .csr import from_terms
+        return from_terms(i * nc + groups, np.ones(n), (n, nc))
+    p = np.zeros((n, nc))
+    p[i, groups] = 1.0
     return p
 
 
@@ -521,7 +598,9 @@ def generate_problem(spec: ProblemSpec, group: int = 2, seed: int = 0
 
     u_ref is drawn from a seeded generator and f = A u_ref, which guarantees
     that f lies in the range of A. P defaults to pairwise aggregation. A is
-    certified under the default policy for its dimension.
+    certified under the default policy for its dimension. A graph Laplacian
+    with SPARSE_MIN_ENTRIES entries or more stays in CSR from its edge list
+    on, so f is a CSR product.
     """
     matrix = problem_matrix(spec)
     n = matrix.shape[0]

@@ -121,6 +121,19 @@ def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
     return ec_hat
 
 
+def _check_variant(variant: str, coarse) -> None:
+    """The pairing rule of an iteration and its coarse solve, for iterate and
+    analysis.seminorm_oracle: "tg" and "stg" use the exact solve and take
+    none; "itg" needs one."""
+    if variant not in ("tg", "stg", "itg"):
+        raise ValueError(f"unknown variant '{variant}'")
+    if variant == "itg" and coarse is None:
+        raise ValueError("variant 'itg' needs a coarse solve")
+    if variant != "itg" and coarse is not None:
+        raise ValueError(f"variant '{variant}' uses the exact coarse solve; "
+                         "pass no coarse solve, or use variant 'itg'")
+
+
 def _start(h: TwoGridHierarchy, u0, f, coarse):
     """_sweep's (u0, f, r0 = f - A u0), with them and the coarse solve checked."""
     u0 = as_vector(u0, h.n, "u0")
@@ -232,15 +245,8 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     """
     if sweeps < 1:
         raise ValueError(f"sweeps must be >= 1, got {sweeps}")
-    if variant not in ("tg", "stg", "itg"):
-        raise ValueError(f"unknown variant '{variant}'")
-    if variant == "itg":
-        if coarse is None:
-            raise ValueError("variant 'itg' needs a coarse solve")
-    else:
-        if coarse is not None:
-            raise ValueError(f"variant '{variant}' uses the exact coarse solve; "
-                             "pass no coarse solve, or use variant 'itg'")
+    _check_variant(variant, coarse)
+    if variant != "itg":
         coarse = h.Ac
 
     u, f, r = _start(h, u0, f, coarse)

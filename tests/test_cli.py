@@ -445,6 +445,19 @@ def test_edge_file_error_names_file_and_line(bad, message, tmp_path, capsys):
     assert f"{edges}:{message}" in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("text, where, message", [
+    ("# no edges\n\n", "", "graph needs at least two nodes"),
+    ("0 1\n# the second edge\n1 99999999999999999999\n", ":3",
+     "edge (1, 99999999999999999999) has a node index outside the int64 range"),
+], ids=["no-edges", "beyond-int64"])
+def test_edge_file_fault_names_the_file(text, where, message, tmp_path, capsys):
+    # a fault of the whole list names the file, an edge's names its line
+    edges = tmp_path / "edges.txt"
+    edges.write_text(text, encoding="ascii")
+    assert run(["analyze", "--problem", f"graph:{edges}"]) == 1
+    assert _one_error_line(capsys) == f"error: {edges}{where}: {message}\n"
+
+
 @pytest.mark.parametrize("matrix, message", [
     (np.eye(4) + np.triu(np.ones((4, 4)), 1), "matrix is not symmetric"),
     (np.ones((3, 4)), "matrix must be square, got shape (3, 4)"),

@@ -356,7 +356,7 @@ class TestStructuralCertificate:
         # the lazily solved spectrum is eigh's, clamped, byte for byte
         assert op.eig.values.tobytes() == w.tobytes()
         assert op.eig.vectors.tobytes() == v.tobytes()
-        assert op.matrix.tobytes() == sym.tobytes()
+        assert op.matrix.toarray().tobytes() == sym.tobytes()  # held in CSR
 
     def test_well_separated_null_space_to_1e10(self):
         # lambda_2 / lambda_max far above n EPS: eigh's null basis is good

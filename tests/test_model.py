@@ -18,7 +18,9 @@ from twogrid.errors import (
     SmootherAssumptionError,
     SmootherError,
 )
-from twogrid.linalg import PSD_SLACK, SpsdOperator, TolerancePolicy, spsd_certify, sym_part
+from twogrid.csr import CsrArray
+from twogrid.linalg import (PSD_SLACK, SpsdOperator, TolerancePolicy, dense, spsd_certify,
+                            sym_part)
 from twogrid.model import (
     SPARSE_MAX_DENSITY,
     SPARSE_MIN_ENTRIES,
@@ -54,13 +56,13 @@ def dense_smoother(h):
     """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
     if isinstance(h.M, np.ndarray):
         return h.M
-    return solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
+    return solve_triangular(np.tril(dense(h.A.matrix)), np.eye(h.n), lower=True)
 
 
 def paper_mbar(h):
     """The paper's n x n Mbar = M + M^T - M^T A M."""
     m = dense_smoother(h)
-    return sym_part(m + m.T - m.T @ h.A.matrix @ m)
+    return sym_part(m + m.T - m.T @ dense(h.A.matrix) @ m)
 
 
 def reachable_arrays(obj, seen=None):
@@ -129,7 +131,7 @@ class TestLowerBandSolve:
         # M v, M^T v and X M are band solves on tril(A): no n x n M is formed
         a = generate_problem(problem)[0]
         m = build_smoother(GaussSeidel(), a)
-        ref = solve_triangular(np.tril(a.matrix), np.eye(a.n), lower=True)
+        ref = solve_triangular(np.tril(dense(a.matrix)), np.eye(a.n), lower=True)
         assert type(m) is LowerBandSolve and m.shape == (a.n, a.n)
         assert m.nbytes == m.band.nbytes <= ref.nbytes
         v = np.arange(a.n, dtype=float)
@@ -351,7 +353,7 @@ class TestBuildHierarchy:
         assert len(hierarchies) == 15
         for h in hierarchies:
             m, f = dense_smoother(h), h.A.factor
-            ref = f @ m.T @ (np.diag(h.A.matrix)[:, None] * m) @ f.T
+            ref = f @ m.T @ (np.diag(dense(h.A.matrix))[:, None] * m) @ f.T
             gap = np.max(np.abs(ref - h.smoother_form))
             assert gap <= 1e-13 * np.max(np.abs(ref)), h.n
 
@@ -418,13 +420,14 @@ class TestSweepOperators:
         h = build_hierarchy(a, p, GaussSeidel())
         ops = h.sweep_operators
         assert ops is h.sweep_operators
-        assert [type(op) for op in ops] == [csr_array, LowerBandSolve, LowerBandSolve,
-                                            csr_array, csr_array]
+        assert [type(op) for op in ops] == [CsrArray, LowerBandSolve, LowerBandSolve,
+                                            CsrArray, csr_array]
         a_op, m, mt, p_op, pt = ops
         assert m is h.M and mt is h.M.T and mt.T.trans == "N"
         assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band is mt.T.band
         assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
-        for op, matrix in ((a_op, h.A.matrix), (p_op, h.P), (pt, h.P.T)):
+        for op, matrix in ((a_op, h.A.matrix.toarray()), (p_op, h.P.toarray()),
+                           (pt, h.P.T.toarray())):
             assert np.array_equal(op.toarray(), matrix)
         v = np.random.default_rng(0).standard_normal(h.n)
         dense = dense_smoother(h)
@@ -562,7 +565,7 @@ class TestGenerators:
             # + 0.0 turns kron's -0.0 products (-1 * 0) into the +0.0 of a sum
             kron = (np.kron(neumann_laplacian_1d(n), np.eye(ny))
                     + np.kron(np.eye(n), neumann_laplacian_1d(ny)) + 0.0)
-            assert neumann_laplacian_2d(n, ny).tobytes() == kron.tobytes()
+            assert dense(neumann_laplacian_2d(n, ny)).tobytes() == kron.tobytes()
         rng = np.random.default_rng(n)
         u = rng.integers(0, n, 3 * n)
         v = (u + rng.integers(1, n, 3 * n)) % n
@@ -594,7 +597,8 @@ class TestGenerators:
         ([(0, 1, -1.0), (2, 2)], None, "edge (0, 1) has negative weight -1.0"),
         ([(0, 9), (1, 1)], 3, "self loop at node 1 is not allowed"),
         ([(0, 9), (-1, 1)], 2, "edge (-1, 1) has a negative node index"),
-        ([(0, 1), (1, 2 ** 63)], 3, "a node index lies outside the int64 range"),
+        ([(0, 1), (1, 2 ** 63)], 3,
+         "edge (1, 9223372036854775808) has a node index outside the int64 range"),
         ([(0, 1), (1, 2, float("nan"))], None, "edge (1, 2) has non-finite weight nan"),
         ([(0, 1, float("inf"))], None, "edge (0, 1) has non-finite weight inf"),
         ([(0, 1, -float("inf"))], None, "edge (0, 1) has non-finite weight -inf"),
@@ -610,6 +614,8 @@ class TestGenerators:
         ([(0, 9), (1, 1)], 3, 1),
         ([(0, 1), (1, 2, float("nan"))], None, 1),
         ([(0, 1), (1, 2), (2, 5)], 4, 2),
+        ([(0, 1), (-2 ** 63 - 1, 1), (1, 2 ** 63)], None, 1),
+        ([], None, None),
     ])
     def test_invalid_edge_error_carries_its_index(self, edges, n, index):
         with pytest.raises(EdgeError) as caught:

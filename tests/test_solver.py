@@ -8,9 +8,9 @@ from scipy.linalg import solve_triangular
 from twogrid import solver
 from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
 from twogrid.analysis import (exact_factor, general_epsilon_bound, inexact_linear_analysis,
-                              report_json)
+                              report_json, seminorm_oracle)
 from twogrid.cli import main
-from twogrid.linalg import EPS, SPARSE_MIN_ENTRIES, spsd_certify, sym_part
+from twogrid.linalg import EPS, SPARSE_MIN_ENTRIES, dense, spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
     GaussSeidel,
@@ -447,7 +447,7 @@ class TestIterate:
         trace = iterate(h, f, u, sweeps, variant[:3], coarse=coarse, u_ref=u_ref)
         errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
         # the dense M, not the band solve the sweep applies
-        m = (solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
+        m = (solve_triangular(np.tril(h.A.matrix.toarray()), np.eye(h.n), lower=True)
              if isinstance(smoother, GaussSeidel) else h.M)
         for _ in range(sweeps):
             u = u + m @ (f - h.A.matrix @ u)
@@ -498,8 +498,8 @@ class TestIterate:
         # start, the traced error may miss it by 8 EPS sqrt(lambda_max) ||d||
         a, p, _, _ = generate_problem(problem, group=group, seed=0)
         h = build_hierarchy(a, p, smoother)
-        i, j = np.nonzero(np.triu(h.A.matrix, 1))
-        w = -h.A.matrix[i, j].astype(np.longdouble)
+        i, j = np.nonzero(np.triu(dense(h.A.matrix), 1))
+        w = -dense(h.A.matrix)[i, j].astype(np.longdouble)
         scale = 8.0 * EPS * np.sqrt(h.A.max_eigenvalue)
         for start in range(4):
             rng = np.random.default_rng(start)
@@ -587,3 +587,24 @@ class TestTraceOutput:
         summary = trace_summary(trace)
         assert summary["sweeps"] == 3
         assert summary["variant"] == "tg"
+
+
+@pytest.mark.parametrize("variant, with_coarse, message", [
+    ("jacobi", False, "unknown variant 'jacobi'"),
+    ("itg", False, "variant 'itg' needs a coarse solve"),
+    ("tg", True, "variant 'tg' uses the exact coarse solve; pass no coarse solve, "
+                 "or use variant 'itg'"),
+    ("stg", True, "variant 'stg' uses the exact coarse solve; pass no coarse solve, "
+                  "or use variant 'itg'"),
+])
+def test_solver_and_oracle_state_one_pairing_rule(variant, with_coarse, message):
+    # the iteration and the seminorm oracle reject a variant and coarse
+    # solve that do not pair with the same words
+    a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), seed=0)
+    h = build_hierarchy(a, p, GaussSeidel())
+    coarse = h.Ac if with_coarse else None
+    for call in (lambda: iterate(h, f, 0.0 * f, 1, variant, coarse=coarse, u_ref=u_ref),
+                 lambda: seminorm_oracle(h, variant, coarse)):
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == message

@@ -16,9 +16,10 @@ definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
 1 - sigma^2 of the pre-smoother would lose its digits); the report JSON of
 each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
 analyze-2d benchmark workload at seed 0; and the `analyze` JSON, one
-exact `solve` and one `stg` solve on neumann2d:16x16 with Gauss-Seidel and
-aggregation by 4, large and sparse enough that A is certified by its
-graph-Laplacian structure and that the sweep applies A, P and P^T in CSR;
+exact `solve`, one `stg` solve and the `generate` files on neumann2d:16x16
+with Gauss-Seidel and aggregation by 4, large and sparse enough that A and
+P are held in CSR from the start, A is certified by its graph-Laplacian
+structure and the sweep applies A, P and P^T in CSR;
 and the `analyze` JSON and one exact `solve` on `graph:edges.txt`, an edge
 file the tool writes: 2- and 3-column lines, one edge listed twice (the
 second time reversed) and two components; the `analyze --config` JSON and
@@ -72,6 +73,8 @@ ITG_EXACT = ["solve", "--problem", "neumann1d:32", "--smoother", "gs",
              "--variant", "itg", "--coarse", "exact"]
 SPARSE_SETUP = ["--problem", "neumann2d:16x16", "--smoother", "gs",
                 "--prolongation", "aggregate:4", "--coarse", "exact"]
+GENERATED = [f"gen/{name}" for name in
+             ("A.mtx", "P.mtx", "f.mtx", "u_ref.mtx", "problem.cfg")]
 # A weighted path 0 - ... - 4, with edge 0 - 1 listed twice, and a triangle.
 EDGE_FILE = """# u v [weight]
 0 1 2.0
@@ -129,10 +132,8 @@ def digests() -> dict[str, str]:
         result[f"solve stg {problem} {smoother}"] = run(
             ["solve", *setup, "--variant", "stg", "--output", "t"],
             ["t.csv", "t.json"])
-        files = [f"gen/{name}" for name in
-                 ("A.mtx", "P.mtx", "f.mtx", "u_ref.mtx", "problem.cfg")]
         result[f"generate {problem} {smoother}"] = run(
-            ["generate", *setup, "--output-dir", "gen"], files)
+            ["generate", *setup, "--output-dir", "gen"], GENERATED)
     result["solve itg neumann1d:32 gs exact"] = run(
         [*ITG_EXACT, "--output", "t"], ["t.csv", "t.json"])
     for i, (problem, label, matrix) in enumerate(CUSTOM):
@@ -156,6 +157,8 @@ def digests() -> dict[str, str]:
     result["solve stg neumann2d:16x16 gs aggregate:4"] = run(
         ["solve", *SPARSE_SETUP, "--variant", "stg", "--output", "t"],
         ["t.csv", "t.json"])
+    result["generate neumann2d:16x16 gs aggregate:4"] = run(
+        ["generate", *SPARSE_SETUP[:-2], "--output-dir", "gen"], GENERATED)
     Path("edges.txt").write_text(EDGE_FILE, encoding="ascii")
     result["analyze json graph:edges.txt gs exact"] = run(
         ["analyze", *GRAPH_SETUP, "--output", "r.json"], ["r.json"])
