@@ -2,7 +2,7 @@
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to a
-full dense array; a CSR matrix is written with the bytes of its dense form.
+full dense array; a CSR matrix is written as its dense form.
 Values are written with 17 significant digits so float64 content
 round-trips exactly.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixMarketError
-from .linalg import as_matrix, dense, is_sparse
+from .linalg import as_matrix, dense
 
 _HEADER_PREFIX = "%%matrixmarket"
 
@@ -119,45 +119,30 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> None:
     """Write a dense or CSR matrix in MatrixMarket form (array or coordinate layout).
 
-    A CSR matrix is written as its dense form would be; in coordinate layout
-    it is read entry by entry, with no dense copy.
+    A CSR matrix is written as its dense form.
     """
+    m = as_matrix(dense(m), "matrix")
     if layout not in ("array", "coordinate"):
         raise ValueError(f"unsupported layout '{layout}'")
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry '{symmetry}'")
-    sparse = layout == "coordinate" and is_sparse(m)
-    if sparse:
-        from .csr import as_csr
-        m = as_csr(m)
-    else:
-        m = as_matrix(dense(m), "matrix")
     rows, cols = m.shape
     if symmetry == "symmetric":
         if rows != cols:
             raise ValueError("symmetric storage requires a square matrix")
-        if abs(m - m.T).max() != 0.0:
+        if np.max(np.abs(m - m.T)) != 0.0:
             raise ValueError("symmetric storage requires exactly symmetric entries")
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
-    if sparse:  # its entries in _stored's order: by columns, i >= j if symmetric
-        from .csr import entries
-        i, j, values = entries(m)
-        order = np.lexsort((i, j))
-        if symmetry == "symmetric":
-            order = order[i[order] >= j[order]]
-        i, j, values = i[order], j[order], values[order]
-    else:
-        i, j = _stored(rows, cols, symmetry)
-        values = m[i, j]
+    i, j = _stored(rows, cols, symmetry)
     if layout == "array":
         out.append(f"{rows} {cols}")
-        out.extend(map(_fmt, values))
+        out.extend(map(_fmt, m[i, j]))
     else:
-        nonzero = values != 0.0
-        i, j, values = i[nonzero], j[nonzero], values[nonzero]
+        nonzero = m[i, j] != 0.0
+        i, j = i[nonzero], j[nonzero]
         out.append(f"{rows} {cols} {i.size}")
-        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, values))
+        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, m[i, j]))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
 

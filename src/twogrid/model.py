@@ -2,7 +2,7 @@
 
 Builds smoothers (weighted Jacobi, Gauss-Seidel as a band solve on tril(A),
 custom M), the Galerkin coarse matrix P^T A P (for a large graph Laplacian
-and an aggregation, the quotient graph's Laplacian), and, on range(A) through A's
+in O(nnz) as a sparse product), and, on range(A) through A's
 thin factor F (A = F^T F), the coarse basis and the forms of the symmetrized
 smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T (Mtilde), read off
 the one product F M F^T. Also provides SPSD test problems: Neumann Laplacians
@@ -345,34 +345,15 @@ class TwoGridHierarchy:
 
 
 def _galerkin(a: SpsdOperator, p) -> np.ndarray:
-    """P^T A P; in CSR when it is the quotient graph of a large one.
-
-    When A is a graph Laplacian certified by structure and P an aggregation
-    (one entry per row, equal to 1), P^T A P is the Laplacian of the quotient
-    graph: each edge (i, j, w) of A becomes (agg i, agg j, w), the edges
-    inside an aggregate drop out, and _laplacian sums them, with no product
-    formed. On unit weights the sums are exact, so the bytes are the
-    product's. Any other A or P is multiplied out, with a dense A as dense
-    products and a CSR A in O(nnz(A) nc).
-    """
-    groups = _aggregates(p) if a.components is not None else None
-    if groups is not None:
-        i, j, x = _entries(a.matrix)
-        cut = (i > j) & (groups[i] != groups[j])
-        return _laplacian(groups[i[cut]], groups[j[cut]], -x[cut], p.shape[1])
-    p = dense(p)
+    """P^T A P: for a CSR A (a large graph Laplacian) as the sparse product
+    P^T (A P) in O(nnz), dense below SPARSE_MIN_ENTRIES entries; else dense."""
     if is_sparse(a.matrix):
-        return p.T @ (a.matrix @ p)
+        from .csr import as_csr
+        p = as_csr(p, "P")
+        ac = p.T @ (a.matrix @ p)
+        return ac if ac.shape[0] ** 2 >= SPARSE_MIN_ENTRIES else ac.toarray()
+    p = dense(p)
     return p.T @ a.matrix @ p
-
-
-def _aggregates(p) -> np.ndarray | None:
-    """The column of each row's one entry when every row of P holds exactly one
-    nonzero entry, equal to 1; else None."""
-    i, j, x = _entries(p)
-    if np.array_equal(i, np.arange(p.shape[0])) and bool((x == 1.0).all()):
-        return j
-    return None
 
 
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:

@@ -426,9 +426,18 @@ class TestSweepOperators:
         assert m is h.M and mt is h.M.T and mt.T.trans == "N"
         assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band is mt.T.band
         assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
-        for op, matrix in ((a_op, h.A.matrix.toarray()), (p_op, h.P.toarray()),
-                           (pt, h.P.T.toarray())):
-            assert np.array_equal(op.toarray(), matrix)
+        # A and P are swept as stored, with the bytes csr_array gives the
+        # dense Laplacian and aggregation, and P^T as their CSR transpose
+        assert a_op is h.A.matrix and p_op is h.P
+        lap = neumann_laplacian_1d(32)
+        agg = np.zeros((h.n, h.nc))
+        agg[np.arange(h.n), np.arange(h.n) // 4] = 1.0
+        for op, matrix in ((a_op, np.kron(lap, np.eye(32)) + np.kron(np.eye(32), lap)),
+                           (p_op, agg), (pt, agg.T)):
+            ref = csr_array(matrix)
+            for name in ("data", "indices", "indptr"):
+                mine, theirs = getattr(op, name), getattr(ref, name)
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
         v = np.random.default_rng(0).standard_normal(h.n)
         dense = dense_smoother(h)
         for op, matrix in ((m, dense), (mt, dense.T)):

@@ -445,20 +445,22 @@ class TestIterate:
         u = np.random.default_rng(6).standard_normal(h.n)
         sweeps = 10
         trace = iterate(h, f, u, sweeps, variant[:3], coarse=coarse, u_ref=u_ref)
-        errors, residuals = [error(u)], [float(np.linalg.norm(f - h.A.matrix @ u))]
-        # the dense M, not the band solve the sweep applies
-        m = (solve_triangular(np.tril(h.A.matrix.toarray()), np.eye(h.n), lower=True)
+        # the dense A, P and M, not the CSR and band forms the sweep applies
+        ad, pd = dense(h.A.matrix), dense(h.P)
+        assert type(ad) is type(pd) is np.ndarray
+        m = (solve_triangular(np.tril(ad), np.eye(h.n), lower=True)
              if isinstance(smoother, GaussSeidel) else h.M)
+        errors, residuals = [error(u)], [float(np.linalg.norm(f - ad @ u))]
         for _ in range(sweeps):
-            u = u + m @ (f - h.A.matrix @ u)
-            u = u + h.P @ coarse_solve(h.P.T @ (f - h.A.matrix @ u))
+            u = u + m @ (f - ad @ u)
+            u = u + pd @ coarse_solve(pd.T @ (f - ad @ u))
             if variant == "stg":
-                u = u + m.T @ (f - h.A.matrix @ u)
+                u = u + m.T @ (f - ad @ u)
             errors.append(error(u))
-            residuals.append(float(np.linalg.norm(f - h.A.matrix @ u)))
+            residuals.append(float(np.linalg.norm(f - ad @ u)))
         assert errors[-1] < 1e-2 * errors[0]
-        for mine, dense in ((trace.errors_A, errors), (trace.residuals, residuals)):
-            gaps = np.abs(np.subtract(mine, dense)) / np.abs(dense)
+        for mine, ref in ((trace.errors_A, errors), (trace.residuals, residuals)):
+            gaps = np.abs(np.subtract(mine, ref)) / np.abs(ref)
             assert np.max(gaps) <= 1e-12, gaps
 
     @pytest.mark.parametrize("problem", [NeumannLaplacian1D(32), RandomSpsd(20, 13, 4)],

@@ -106,9 +106,9 @@ def test_gauss_seidel_band_is_the_dense_one(routes):
     assert band.tobytes() == build_smoother(GaussSeidel(), dense_op).band.tobytes()
 
 
-def test_quotient_graph_galerkin_matches_the_product(routes):
-    # unit weights sum exactly, so the quotient graph's Laplacian has the
-    # product's bytes; weighted graphs agree to rounding
+def test_sparse_galerkin_matches_the_dense_product(routes):
+    # unit weights sum exactly, so the sparse product has the dense one's
+    # bytes; weighted graphs agree to rounding
     op, dense_op, p, unit = routes
     sparse_h = build_hierarchy(op, p, GaussSeidel())
     dense_h = build_hierarchy(dense_op, dense(p), GaussSeidel())
@@ -124,7 +124,7 @@ def test_quotient_graph_galerkin_matches_the_product(routes):
 
 
 def test_other_prolongation_is_multiplied_out(routes):
-    # a smoothed aggregation is no aggregation: P^T (A P) with the CSR A
+    # a smoothed aggregation P, dense, is read into CSR for the product
     op, dense_op, p, _ = routes
     d = dense_op.matrix
     smoothed = dense(p) - (0.5 / np.diag(d))[:, None] * (d @ dense(p))
