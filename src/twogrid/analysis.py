@@ -4,7 +4,11 @@ Everything here reduces to eigenvalues of explicitly symmetric matrices:
 nonsymmetric products whose spectra are needed are replaced by a similar
 symmetric form first (documented per operation), so no nonsymmetric
 eigensolver is ever run. Every form is r x r on range(A), conjugated by A's
-thin factor F = Lambda_r^{1/2} V_r^T (F^T F = A). The paper's n x n spectra
+thin factor F (F^T F = A): the eigen factor Lambda_r^{1/2} V_r^T, or for a
+graph Laplacian certified by structure the pinned Cholesky factor, with
+Bc^+ and Ac^+ alike from Cholesky factors. Two r-row factors differ by an
+orthogonal r x r U, and U Y U^T has Y's spectrum, so every quantity here is
+the same under either factor up to rounding. The paper's n x n spectra
 start with the n - r zeros of null(A), so the paper's ascending position
 n - r + k is array index k - 1 here (n - r + 1 is index 0, n - r + s + 1 is
 index s); reports keep the paper's positions and dimensions. Each form and

@@ -348,7 +348,7 @@ def cmd_generate(args) -> int:
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    mmio.write_matrix(out / "A.mtx", a.matrix, symmetry="symmetric")
+    mmio.write_matrix(out / "A.mtx", a.matrix, "coordinate", "symmetric")
     mmio.write_matrix(out / "P.mtx", p, layout="coordinate")
     mmio.write_vector(out / "f.mtx", f)
     mmio.write_vector(out / "u_ref.mtx", u_ref)

@@ -7,7 +7,12 @@ within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
 convergence analysis, solvers) stands on these primitives, so each rule is
 written once and the rank threshold is decided once per matrix. A large
 weighted graph Laplacian is certified by its structure instead, in O(nnz)
-on its CSR form, and its spectrum is solved only when something reads it.
+on its CSR form; its thin factor and pseudoinverse come from one Cholesky
+per connected component with one node pinned, and its spectrum is solved
+only when something reads it. The analysis reads a matrix only through
+forms F X F^T of some thin factor F (F^T F = A) and through pseudoinverses,
+and any two r-row factors differ by an r x r orthogonal matrix, so no
+spectrum it computes depends on which factor a certificate gives.
 """
 from __future__ import annotations
 
@@ -15,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from .errors import EigenSolveError, NotSpsdError, ShapeError
 
@@ -181,13 +187,18 @@ class SpsdOperator:
     """An SPSD matrix with the rank its certification decided.
 
     components is None after the eigh certificate, whose spectrum is eig's
-    cached value, and matrix is an ndarray. After the structural one it
-    labels each index with its connected component of the graph Laplacian
-    (0, 1, ... in the order of their smallest index); matrix is then a
-    csr.CsrArray, null_basis the normalized component indicators, and eig is
-    solved on first read, on a dense copy dropped after. Every operator derived
-    from the spectrum (thin factor, Moore-Penrose inverse, range basis) is a
-    cached property, built on first read under the one rank decision.
+    cached value, and matrix is an ndarray; the thin factor is then the
+    eigen factor and the pseudoinverse is read off the spectrum. After the
+    structural one it labels each index with its connected component of the
+    graph Laplacian (0, 1, ... in the order of their smallest index); matrix
+    is then a csr.CsrArray, null_basis the normalized component indicators,
+    the thin factor and the pseudoinverse come from one Cholesky per
+    component with its smallest node pinned (_pinned_cholesky), and eig is
+    solved only when read, on a dense copy dropped after. Both factors
+    satisfy F^T F = A with rank rows, so they differ by an orthogonal
+    rank x rank matrix and every form F X F^T has the same spectrum under
+    either. Every derived operator is a cached property, built on first
+    read under the one rank decision.
     """
 
     matrix: np.ndarray  # or a csr.CsrArray after the structural certificate
@@ -222,22 +233,73 @@ class SpsdOperator:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Thin factor F = Lambda_r^{1/2} V_r^T (rank x n) over the kept eigenpairs.
+        """Thin factor F (rank x n) with F^T F = A.
 
-        F^T F is the matrix less the eigenvalues the rank discards, and F
-        is zero on the null basis up to the rounding of its orthogonality.
+        After the eigh certificate F = Lambda_r^{1/2} V_r^T over the kept
+        eigenpairs: F^T F is the matrix less the eigenvalues the rank
+        discards, and F is zero on the null basis up to the rounding of its
+        orthogonality. After the structural certificate each component C
+        with pinned node p and L L^T = A[rest, rest] (rest = C - p) has the
+        rows [L^T | -L^T 1], L^T on rest and -L^T 1 in column p: F^T F = A
+        because A's rows sum to zero, and each row sums to zero over C.
         """
-        first = self.n - self.rank
-        return np.sqrt(self.eig.values[first:])[:, None] * self.eig.vectors[:, first:].T
+        if self.components is None:
+            first = self.n - self.rank
+            return (np.sqrt(self.eig.values[first:])[:, None]
+                    * self.eig.vectors[:, first:].T)
+        f = np.zeros((self.rank, self.n))
+        row = 0
+        for label, nodes in enumerate(self._component_nodes()):
+            if nodes.size == 1:  # an isolated node: a zero row and column of A
+                continue
+            upper = self._pinned_cholesky(label, nodes).T
+            rows = slice(row, row + nodes.size - 1)
+            f[rows, nodes[1:]] = upper
+            f[rows, nodes[0]] = -upper.sum(axis=1)
+            row = rows.stop
+        return f
 
     @cached_property
     def pinv(self) -> np.ndarray:
-        """Moore-Penrose inverse; inverts exactly the eigenvalues the rank keeps."""
-        first = self.n - self.rank
-        w, v = self.eig.values, self.eig.vectors
-        g = np.zeros_like(w)
-        g[first:] = 1.0 / w[first:]
-        return sym_part((v * g) @ v.T)
+        """Moore-Penrose inverse; inverts exactly the eigenvalues the rank keeps.
+
+        After the structural certificate, A^+ = (I - N N^T) X (I - N N^T)
+        with N the null basis and X A[rest, rest]^{-1} on each component's
+        unpinned nodes, zero elsewhere (X is a generalized inverse of A, and
+        projecting both sides onto range(A) gives the Moore-Penrose one). On
+        a component C the projection subtracts v_i + v_j from X_ij, where
+        v = m - mean(m) / 2 and m holds X's row means over C; it runs in
+        place, a block of rows at a time.
+        """
+        if self.components is None:
+            first = self.n - self.rank
+            w, v = self.eig.values, self.eig.vectors
+            g = np.zeros_like(w)
+            g[first:] = 1.0 / w[first:]
+            return sym_part((v * g) @ v.T)
+        out = np.zeros((self.n, self.n))
+        for label, nodes in enumerate(self._component_nodes()):
+            size = nodes.size
+            if size == 1:  # (I - N N^T) is zero on an isolated node
+                continue
+            # info > 0 flags a zero diagonal entry of L, which dpotrf excluded
+            inv, _ = dpotri(self._pinned_cholesky(label, nodes), lower=1,
+                            overwrite_c=1)
+            _mirror_lower(inv)
+            means = np.zeros(size)
+            means[1:] = inv.sum(axis=1) / size
+            shift = means - 0.5 * means.mean()
+            first, stop = int(nodes[0]), int(nodes[-1]) + 1
+            contiguous = stop - first == size
+            block = (out[first:stop, first:stop] if contiguous
+                     else np.zeros((size, size)))
+            block[1:, 1:] = inv
+            del inv
+            for k in range(0, size, _ROWS):
+                block[k:k + _ROWS] -= shift[k:k + _ROWS, None] + shift
+            if not contiguous:
+                out[np.ix_(nodes, nodes)] = block
+        return out
 
     @cached_property
     def range_basis(self) -> np.ndarray:
@@ -257,6 +319,43 @@ class SpsdOperator:
         basis = np.zeros((self.n, sizes.size))
         basis[np.arange(self.n), self.components] = 1.0 / np.sqrt(sizes[self.components])
         return basis
+
+    def _component_nodes(self) -> list[np.ndarray]:
+        """The nodes of each component, ascending, in the order of the labels."""
+        order = np.argsort(self.components, kind="stable")
+        return np.split(order, np.cumsum(np.bincount(self.components))[:-1])
+
+    def _pinned_cholesky(self, label: int, nodes: np.ndarray) -> np.ndarray:
+        """L (lower triangular, Fortran-ordered) with L L^T = A[rest, rest].
+
+        rest is the component's nodes less the first, its pinned node. A
+        connected component's Laplacian with one node removed is positive
+        definite, so a failed factorization means the structural rank does
+        not hold; it raises EigenSolveError naming the component.
+        """
+        rest = nodes[1:]
+        block = self.matrix[rest][:, rest].toarray().T  # Fortran order: in place
+        lower, info = dpotrf(block, lower=1, overwrite_a=1)
+        if info != 0:
+            raise EigenSolveError(
+                f"Cholesky factorization failed on component {label} ({nodes.size} "
+                f"nodes, node {int(nodes[0])} pinned; LAPACK info {info}): the graph "
+                f"Laplacian does not have its structural rank {self.rank}")
+        return lower
+
+
+# Rows per block of the in-place passes over a dense pseudoinverse.
+_ROWS = 256
+
+
+def _mirror_lower(x: np.ndarray) -> None:
+    """Copy the strict lower triangle of the square x onto its upper one, in place.
+
+    The upper triangle must be zero, as dpotri leaves it after a dpotrf that
+    cleaned it. A block of _ROWS rows at a time, so no second square array.
+    """
+    for k in range(0, x.shape[0], _ROWS):
+        x[k:k + _ROWS, k:] += np.triu(x[k:, k:k + _ROWS].T, 1)
 
 
 def _components(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
@@ -338,7 +437,8 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     after its symmetry check, and if it passes the graph-Laplacian
     certificate (_laplacian_components) it is kept in CSR with rank
     n - #components, the component indicators as its null basis and no
-    eigen-solve: its spectrum is solved on first read. Every other input is
+    eigen-solve: its factor and pseudoinverse come from pinned Cholesky
+    factors, and its spectrum is solved only if read. Every other input is
     certified on its spectrum, solved here on the dense matrix; a sparse one
     of order above DENSIFY_MAX_ORDER is refused instead. Eigenvalues in
     [-PSD_SLACK * lambda_max, 0) are clamped to zero as rounding noise

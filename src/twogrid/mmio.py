@@ -2,7 +2,8 @@
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to a
-full dense array; a CSR matrix is written as its dense form.
+full dense array. A CSR matrix is written in coordinate layout from its
+stored entries, with no dense form; in array layout, as its dense form.
 Values are written with 17 significant digits so float64 content
 round-trips exactly.
 """
@@ -11,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixMarketError
-from .linalg import as_matrix, dense
+from .linalg import as_matrix, dense, is_sparse
 
 _HEADER_PREFIX = "%%matrixmarket"
 
@@ -119,30 +120,43 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> None:
     """Write a dense or CSR matrix in MatrixMarket form (array or coordinate layout).
 
-    A CSR matrix is written as its dense form.
+    Either layout stores its entries by columns. A CSR matrix in coordinate
+    layout is read off its stored entries (O(nnz), the dense form's bytes);
+    in array layout it is written as its dense form.
     """
-    m = as_matrix(dense(m), "matrix")
     if layout not in ("array", "coordinate"):
         raise ValueError(f"unsupported layout '{layout}'")
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry '{symmetry}'")
+    sparse = is_sparse(m) and layout == "coordinate"
+    if sparse:
+        from .csr import as_csr, entries
+        m = as_csr(m)
+    else:
+        m = as_matrix(dense(m), "matrix")
     rows, cols = m.shape
     if symmetry == "symmetric":
         if rows != cols:
             raise ValueError("symmetric storage requires a square matrix")
-        if np.max(np.abs(m - m.T)) != 0.0:
+        if abs(m - m.T).max() != 0.0:
             raise ValueError("symmetric storage requires exactly symmetric entries")
+    if sparse:
+        j, i, values = entries(as_csr(m.T))  # by columns of m
+    else:
+        i, j = _stored(rows, cols, symmetry)
+        values = m[i, j]
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
-    i, j = _stored(rows, cols, symmetry)
     if layout == "array":
         out.append(f"{rows} {cols}")
-        out.extend(map(_fmt, m[i, j]))
+        out.extend(map(_fmt, values))
     else:
-        nonzero = m[i, j] != 0.0
-        i, j = i[nonzero], j[nonzero]
+        kept = values != 0.0
+        if symmetry == "symmetric":
+            kept &= i >= j  # a CSR matrix lists both triangles
+        i, j, values = i[kept], j[kept], values[kept]
         out.append(f"{rows} {cols} {i.size}")
-        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, m[i, j]))
+        out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, values))
     with open(path, "w", encoding="ascii", newline="\n") as handle:
         handle.write("\n".join(out) + "\n")
 

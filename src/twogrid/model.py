@@ -191,13 +191,15 @@ class TwoGridHierarchy:
     Gauss-Seidel a LowerBandSolve on tril(A), its only form) and P (in CSR
     when aggregation_prolongation made it so). r and s are the ranks of A
     and Ac (s <= r). When A or Ac is a graph Laplacian certified by
-    structure, its rank and null basis need no spectrum: A's is solved on
-    the first read of F, Ac's on the first read of Ac^+ (the first sweep's
-    coarse solve, or the analysis). Every form is
-    r x r on range(A), through A's thin factor F = Lambda_r^{1/2} V_r^T
-    (F^T F = A), and is read off B = F M F^T. The coarse space is the
-    truncated SVD F P = Q R: Q (r x s) has orthonormal columns and R
-    (s x nc) is Sigma_s V_s^T.
+    structure, its rank, null basis, thin factor and pseudoinverse need no
+    spectrum: F and Ac^+ (the first sweep's coarse solve) come from pinned
+    Cholesky factors (SpsdOperator). Every form is r x r on range(A),
+    through A's thin factor F (F^T F = A; the eigen factor
+    Lambda_r^{1/2} V_r^T after the eigh certificate), and is read off
+    B = F M F^T. Any two r-row factors differ by an orthogonal r x r
+    matrix, so no spectrum read here depends on which one A has. The
+    coarse space is the truncated SVD F P = Q R: Q (r x s) has orthonormal
+    columns and R (s x nc) is Sigma_s V_s^T.
     Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
     is Q C Q^T, s x s core C. B, Q, R, the smoother, Mtilde and
     pre-smoother forms and the spectra the analysis reads (they decide
@@ -252,10 +254,12 @@ class TwoGridHierarchy:
         """(Q, R) from the SVD of F P, truncated to s = rank(Ac).
 
         The squared singular values are Ac's eigenvalues, so s is Ac's one
-        rank decision; none is made again on these singular values. A P
-        held in CSR is read dense, so the product has the dense bytes.
+        rank decision; none is made again on these singular values. With P
+        held in CSR, F P is the sparse product (P^T F^T)^T, with no dense P.
         """
-        u, sv, vt = np.linalg.svd(self.A.factor @ dense(self.P), full_matrices=False)
+        f, p = self.A.factor, self.P
+        fp = (p.T @ f.T).T if is_sparse(p) else f @ p
+        u, sv, vt = np.linalg.svd(fp, full_matrices=False)
         s = self.s
         return u[:, :s].copy(), sv[:s, None] * vt[:s]
 

@@ -4,11 +4,13 @@ One sweep is: smoothing with M, restriction of the residual through P^T,
 a coarse correction, and prolongation back to the fine grid. The coarse
 solve is either a certified SPSD matrix Bc, applied as Bc^+ (the exact solve
 is Bc = Ac, the Galerkin matrix), or a GeneralCoarse: an arbitrary callable
-of declared relative accuracy. A symmetrized sweep appends one M^T smoothing
-step after the prolongation. Sweeps apply A, M, M^T, P and P^T as the
-hierarchy's sweep_operators holds them: a large Gauss-Seidel M as a banded
-triangular solve on tril(A), other operators in CSR when large and sparse,
-otherwise dense.
+of declared relative accuracy. Bc^+ is a dense product, built on the first
+sweep; for a graph Laplacian certified by structure it comes from one
+pinned Cholesky factor per component, so a solve runs no eigen-solve. A
+symmetrized sweep appends one M^T smoothing step after the prolongation.
+Sweeps apply A, M, M^T, P and P^T as the hierarchy's sweep_operators holds
+them: a large Gauss-Seidel M as a banded triangular solve on tril(A), other
+operators in CSR when large and sparse, otherwise dense.
 
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail

@@ -763,8 +763,8 @@ class TestSharedSpectra:
 
     def test_gauss_seidel_solve_runs_no_order_n_eigensolve(self, monkeypatch):
         # neumann2d:32x32, aggregation by 4: A and Ac (nc = 256) are graph
-        # Laplacians certified by structure, so set-up solves nothing; Ac's
-        # spectrum is solved on the first sweep's read of Ac^+
+        # Laplacians certified by structure, so set-up solves nothing, and
+        # the first sweep's Ac^+ comes from Ac's pinned Cholesky factor
         state = {}
 
         def set_up():
@@ -777,7 +777,7 @@ class TestSharedSpectra:
         h = state["h"]
         calls = eigensolves(monkeypatch, lambda: state.update(trace=iterate(
             h, state["f"], np.zeros(h.n), 120, u_ref=state["u_ref"])))
-        assert calls == [("eigh", h.nc)] and h.nc == 256
+        assert calls == [] and h.nc == 256 and "eig" not in vars(h.Ac)
         errors = state["trace"].errors_A
         assert min(errors) <= 1e-10 * errors[0]
 
@@ -785,12 +785,12 @@ class TestSharedSpectra:
             self, monkeypatch):
         # n = 256, nc = 128: A and Ac are certified by structure; the Jacobi
         # check still solves the smoother spectrum (order r), whose form
-        # reads A's eigenpairs through F, solved there (order n)
+        # reads A through its pinned Cholesky factor F, with no spectrum of A
         a, p, _, _ = generate_problem(NeumannLaplacian2D(16, 16), group=2, seed=0)
         assert a.components is not None and "eig" not in vars(a)
         calls = eigensolves(
             monkeypatch, lambda: build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)))
-        assert calls == [("eigh", 256), ("eigvalsh", 255)]
+        assert calls == [("eigvalsh", 255)] and "eig" not in vars(a)
 
     @pytest.mark.parametrize("smoother", [GaussSeidel(), WeightedJacobi(2.0 / 3.0)],
                              ids=["gs", "jacobi"])

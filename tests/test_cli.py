@@ -13,8 +13,9 @@ from twogrid.cli import (
     parse_problem,
     parse_smoother,
 )
-from twogrid.mmio import write_matrix
+from twogrid.mmio import read_matrix, write_matrix
 from twogrid.model import (
+    FromFile,
     GaussSeidel,
     NeumannLaplacian1D,
     NeumannLaplacian2D,
@@ -22,7 +23,9 @@ from twogrid.model import (
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
+    generate_problem,
     neumann_laplacian_1d,
+    neumann_laplacian_2d,
 )
 
 
@@ -255,6 +258,24 @@ class TestGenerateRoundTrip:
         b = json.loads(from_file.read_text())
         for field in NUMERIC_FIELDS:
             assert abs(a[field] - b[field]) <= 1e-14
+
+    def test_sparse_a_is_written_entry_by_entry(self, tmp_path, capsys):
+        # neumann2d:32x32 is held in CSR: A.mtx lists its lower-triangle
+        # entries by columns (1024 diagonal, 1984 edges), not n(n+1)/2 values,
+        # and reads back as the same matrix
+        gen = tmp_path / "gen"
+        assert run(["generate", "--problem", "neumann2d:32x32", "--smoother", "gs",
+                    "--prolongation", "aggregate:4", "--output-dir", str(gen)]) == 0
+        capsys.readouterr()
+        lines = (gen / "A.mtx").read_text().splitlines()
+        assert lines[:3] == ["%%MatrixMarket matrix coordinate real symmetric",
+                             "1024 1024 3008", "1 1 2"]
+        assert len(lines) == 3010
+        a = neumann_laplacian_2d(32, 32)
+        assert read_matrix(gen / "A.mtx").tobytes() == a.toarray().tobytes()
+        op, _, _, _ = generate_problem(FromFile(str(gen / "A.mtx")), group=4)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(op.matrix, name).tobytes() == getattr(a, name).tobytes()
 
     def test_config_file_round_trip(self, tmp_path):
         gen = tmp_path / "gen"

@@ -420,5 +420,111 @@ class TestStructuralCertificate:
         monkeypatch.setattr(np.linalg, "eigh", forged)
         with pytest.raises(EigenSolveError, match="rank 126.*1 components"):
             op.eig
-        with pytest.raises(EigenSolveError):
+        # the factor reads no spectrum: it is the pinned Cholesky factor
+        assert op.factor.shape == (127, 128)
+
+
+def pinned_cases():
+    """(name, A, labels): graph Laplacians just above the gate, certified by
+    structure, and their components numbered by smallest node."""
+    connected = linalg.dense(neumann_laplacian_2d(16, 8))
+    two = np.kron(np.eye(2), neumann_laplacian_2d(8, 8))
+    perm = np.random.default_rng(0).permutation(128)  # interleaved components
+    isolated = np.zeros((130, 130))  # nodes 0 and 129 alone, a path between
+    isolated[1:129, 1:129] = neumann_1d(128)
+    return [
+        ("connected", connected, np.zeros(128, dtype=int)),
+        ("disconnected", two[np.ix_(perm, perm)],
+         np.unique(perm // 64 != perm[0] // 64, return_inverse=True)[1]),
+        ("isolated", isolated, np.r_[0, np.ones(128, dtype=int), 2]),
+    ]
+
+
+def assert_pinned_operators(op, a, labels):
+    """The pinned factor and pseudoinverse of a structurally certified op.
+
+    Flat bounds on the factor. The pseudoinverse is held to 1e-12, or to
+    EPS kappa where eigh's pinv is itself no closer (kappa = lambda_max over
+    the smallest kept eigenvalue, which sets both routes' rounding).
+    """
+    n = a.shape[0]
+    assert op.components is not None and np.array_equal(op.components, labels)
+    f, x, null = op.factor, op.pinv, op.null_basis
+    assert "eig" not in vars(op)  # neither reads a spectrum
+    assert f.shape == (op.rank, n)
+    scale = np.max(np.abs(a))
+    assert np.max(np.abs(f.T @ f - a)) <= 1e-13 * scale
+    assert np.max(np.abs(f @ null)) <= n * EPS * np.max(np.abs(f))
+    w = op.eig.values  # solved only now, for kappa and the eig-based pinv
+    bound = max(1e-12, EPS * w[-1] / w[n - op.rank])
+    assert np.array_equal(x, x.T)
+    ax, xa = a @ x, x @ a
+    assert np.max(np.abs(ax @ a - a)) <= bound * scale
+    assert np.max(np.abs(xa @ x - x)) <= bound * np.max(np.abs(x))
+    assert np.max(np.abs(ax - ax.T)) <= bound
+    assert np.max(np.abs(xa - xa.T)) <= bound
+    eigen = linalg.SpsdOperator(matrix=a, rank=op.rank, policy=op.policy)
+    vars(eigen)["eig"] = op.eig
+    assert np.max(np.abs(x - eigen.pinv)) <= bound * np.max(np.abs(eigen.pinv))
+
+
+class TestPinnedOperators:
+    """A structurally certified Laplacian's F and A^+ from pinned Cholesky factors."""
+
+    @pytest.mark.parametrize("name, a, labels", pinned_cases(),
+                             ids=[case[0] for case in pinned_cases()])
+    def test_factor_and_pinv(self, name, a, labels):
+        assert a.size >= SPARSE_MIN_ENTRIES
+        op = spsd_certify(a, policy(a.shape[0]))
+        assert_pinned_operators(op, op.matrix.toarray(), labels)
+
+    def test_isolated_nodes_have_no_rows(self):
+        _, a, labels = pinned_cases()[2]
+        op = spsd_certify(a, policy(130))
+        f, x = op.factor, op.pinv
+        assert f.shape == (127, 130)
+        for node in (0, 129):
+            assert not f[:, node].any() and not x[node].any() and not x[:, node].any()
+        # component 1 is pinned at node 1: its rows are [-L^T 1 | L^T]
+        assert np.array_equal(f[:, 1], -f[:, 2:129].sum(axis=1))
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(weighted_laplacians())
+    def test_weighted_graphs(self, laplacian):
+        # weights anywhere in [1e-6, 1e6]; the draws the certificate refuses
+        # keep the eigen factor
+        a, labels = laplacian
+        op = spsd_certify(a, policy(a.shape[0]))
+        event("eigh fallback" if op.components is None else "structural")
+        if op.components is None:
+            return
+        assert_pinned_operators(op, a, labels)
+
+    def test_failed_cholesky_names_the_component(self, monkeypatch):
+        # a path on nodes 0..99 and one on 100..129: component 1 has 30 nodes
+        a = np.zeros((130, 130))
+        a[:100, :100] = neumann_1d(100)
+        a[100:, 100:] = neumann_1d(30)
+        op = spsd_certify(a, policy(130))
+        assert op.rank == 128
+        original = linalg.dpotrf
+
+        def forged(block, **kwargs):
+            lower, info = original(block, **kwargs)
+            return lower, (7 if block.shape[0] == 29 else info)
+
+        monkeypatch.setattr(linalg, "dpotrf", forged)
+        message = (r"Cholesky factorization failed on component 1 \(30 nodes, "
+                   r"node 100 pinned; LAPACK info 7\)")
+        with pytest.raises(EigenSolveError, match=message):
             op.factor
+        with pytest.raises(EigenSolveError, match=message):
+            op.pinv
+
+    def test_eigh_certificate_keeps_the_eigen_factor(self):
+        a = random_spsd(200, 150, 0)  # above the gate, not a Laplacian
+        op = spsd_certify(a, policy(200))
+        assert op.components is None
+        w, v = op.eig.values, op.eig.vectors
+        assert op.factor.tobytes() == (np.sqrt(w[50:])[:, None] * v[:, 50:].T).tobytes()

@@ -123,6 +123,35 @@ def test_sparse_galerkin_matches_the_dense_product(routes):
         assert np.array_equal(sparse_h.Ac.components, dense_h.Ac.components)
 
 
+def test_pinned_factor_and_pinv_match_the_eigen_ones(routes):
+    # both factors give A; they differ by an orthogonal matrix, so F F^T has
+    # the eigen factor's spectrum, and A^+ is the eigen one to rounding
+    op, dense_op, _, _ = routes
+    d = dense_op.matrix
+    f = op.factor
+    scale = np.max(np.abs(d))
+    assert f.shape == dense_op.factor.shape
+    assert np.max(np.abs(f.T @ f - d)) <= 1e-13 * scale
+    kept = np.linalg.eigvalsh(f @ f.T)
+    assert np.max(np.abs(kept - dense_op.eig.values[op.n - op.rank:])) <= 1e-12 * scale
+    ref = dense_op.pinv
+    assert np.max(np.abs(op.pinv - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_coarse_basis_reads_csr_p_as_the_dense_product(routes):
+    # F P as (P^T F^T)^T: the bytes of F @ dense(P), so Q and R keep theirs
+    op, _, p, _ = routes
+    h = build_hierarchy(op, p, GaussSeidel())
+    f = op.factor
+    fp = f @ dense(p)
+    if type(p) is CsrArray:
+        assert ((p.T @ f.T).T).tobytes() == fp.tobytes()
+    u, sv, vt = np.linalg.svd(fp, full_matrices=False)
+    q, r = h.coarse_factors
+    assert q.tobytes() == u[:, :h.s].copy().tobytes()
+    assert r.tobytes() == (sv[:h.s, None] * vt[:h.s]).tobytes()
+
+
 def test_other_prolongation_is_multiplied_out(routes):
     # a smoothed aggregation P, dense, is read into CSR for the product
     op, dense_op, p, _ = routes
