@@ -14,9 +14,15 @@ n - r + k is array index k - 1 here (n - r + 1 is index 0, n - r + s + 1 is
 index s); reports keep the paper's positions and dimensions. Each form and
 spectrum that depends only on the hierarchy is solved once and cached on it
 (see TwoGridHierarchy); each function here is the one formula for its
-quantity over those spectra. The smoother enters through B = F M F^T alone:
-K = I - B, F Mbar F^T = B + B^T - B^T B = I - K^T K and F Mtilde F^T =
-B + B^T - B B^T = I - K K^T, so the spectrum of Mtilde A is the smoother's.
+quantity over those spectra. The complement spectrum, which holds sigma_tg,
+is s exact zeros (range(Q)) and one eigen-solve of order r - s in the
+complement basis Q_perp. Every coarse correction reads K through Q^T K,
+formed once per hierarchy, and a report with a coarse matrix forms its core
+R Bc^+ R^T once for the inexact quadratic form and the itg oracle. The
+smoother enters through B = F M F^T alone: K = I - B,
+F Mbar F^T = B + B^T - B^T B = I - K^T K and
+F Mtilde F^T = B + B^T - B B^T = I - K K^T, so the spectrum of Mtilde A is
+the smoother's.
 
 Main entry points:
 
@@ -109,21 +115,29 @@ def _certified_coarse(h: TwoGridHierarchy, bc) -> SpsdOperator:
     return bc if isinstance(bc, SpsdOperator) else spsd_certify(bc, h.policy)
 
 
-def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator | None) -> np.ndarray:
-    """The s x s core C of the coarse correction Q C Q^T on range(A).
+def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
+    """The s x s core C = R Bc^+ R^T of the coarse correction Q C Q^T on range(A).
 
-    C = I for the exact solve, whose correction is the projector Pi, and
-    C = R Bc^+ R^T for the coarse solve Bc^+.
+    The exact solve's core is I, whose correction is the projector Pi; it is
+    never formed (None stands for it below).
     """
-    if bc is None:
-        return np.eye(h.s)
     return h.R @ bc.pinv @ h.R.T
 
 
-def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
-    """F Mbar F^T + K^T Q C Q^T K with K = I - B (r x r)."""
-    c = h.Q.T @ h.pre_smoother
-    return sym_part(h.smoother_form + c.T @ core @ c)
+def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray | None) -> np.ndarray:
+    """F Mbar F^T + K^T Q C Q^T K with K = I - B (r x r); core None is C = I.
+
+    c^T c is formed as a general product of the copy c^T with c, the bytes
+    of c^T I c, not as the symmetric rank-s update numpy picks for c^T c.
+    """
+    c = h.restricted_pre_smoother
+    coarse = (np.ascontiguousarray(c.T) if core is None else c.T @ core) @ c
+    return sym_part(h.smoother_form + coarse)
+
+
+def _inexact_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
+    """fitg_matrix's form with the coarse core C = R Bc^+ R^T already formed."""
+    return _quadratic_form(h, 2.0 * core - core @ core)
 
 
 def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
@@ -133,7 +147,7 @@ def ftg_matrix(h: TwoGridHierarchy) -> np.ndarray:
     coarse block is Q C Q^T with core C = I; SPSD, and nonsingular exactly
     when the intersection condition holds.
     """
-    return _quadratic_form(h, _coarse_core(h, None))
+    return _quadratic_form(h, None)
 
 
 def fitg_matrix(h: TwoGridHierarchy, bc) -> np.ndarray:
@@ -143,8 +157,7 @@ def fitg_matrix(h: TwoGridHierarchy, bc) -> np.ndarray:
     Ac^+: on range(A) its block is Q (2 C - C^2) Q^T with
     C = R Bc^+ R^T, since R^T R = Ac. A raw matrix Bc is certified first.
     """
-    core = _coarse_core(h, _certified_coarse(h, bc))
-    return _quadratic_form(h, 2.0 * core - core @ core)
+    return _inexact_form(h, _coarse_core(h, _certified_coarse(h, bc)))
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +202,9 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
         ftg is I - G^T G and the complement form is (I - Pi) - G G^T, so
         the complement's nullity is s plus the nullity of ftg, which is the
         intersection dimension less n - r. The complement is a compression
-        of the Mtilde form (and at s = r pure rounding), so its rank is cut
-        relative to the largest magnitude of the smoother spectrum, which
-        the Mtilde form shares.
+        of the Mtilde form (and at s = r zero), so its rank is cut relative
+        to the largest magnitude of the smoother spectrum, which the Mtilde
+        form shares.
     suff_cond_ok: Mbar is PSD and its null space meets the range of A only
         at zero; a practical sufficient condition implying equiv_cond_ok.
         F^T maps R^r onto range(A), so for a PSD Mbar that intersection has
@@ -265,12 +278,18 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     same G, built from the same F, B and Q.
     """
     _check_variant(iteration, coarse)
+    core = None
     if iteration == "itg":
-        coarse = _certified_coarse(h, coarse)
-    pre = h.pre_smoother
-    core = _coarse_core(h, coarse)
-    g = pre - h.Q @ (core @ (h.Q.T @ pre))
-    if iteration == "stg":
+        core = _coarse_core(h, _certified_coarse(h, coarse))
+    return _propagator_norm(h, core, iteration == "stg")
+
+
+def _propagator_norm(h: TwoGridHierarchy, core: np.ndarray | None,
+                     post_smooth: bool) -> float:
+    """seminorm_oracle's value for the coarse core C (None: C = I)."""
+    pre, qk = h.pre_smoother, h.restricted_pre_smoother
+    g = pre - h.Q @ (qk if core is None else core @ qk)
+    if post_smooth:
         g = pre.T @ g
     w = np.linalg.eigvalsh(sym_part(g.T @ g))
     return float(np.sqrt(max(float(w[-1]), 0.0)))
@@ -433,7 +452,9 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
     sigma = sigma_tg(h)
     floor = smoothing_floor(h)
 
-    w_fitg = np.linalg.eigvalsh(fitg_matrix(h, bc))
+    # one core C = R Bc^+ R^T for the quadratic form and the oracle
+    core = _coarse_core(h, bc)
+    w_fitg = np.linalg.eigvalsh(_inexact_form(h, core))
     factor_itg = _factor_from(float(w_fitg[0]))
 
     return InexactFactorReport(
@@ -446,7 +467,7 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
         lower_L=lower_bound_inexact(beta2, sigma, delta, floor),
         upper_U=upper_bound_inexact(beta1, sigma, delta, floor),
         factor_exact_itg=factor_itg,
-        factor_oracle=seminorm_oracle(h, "itg", bc),
+        factor_oracle=_propagator_norm(h, core, False),
     )
 
 

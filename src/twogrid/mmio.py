@@ -1,9 +1,11 @@
 """MatrixMarket reader and writer for real matrices, plus a vector writer.
 
 Supports the coordinate and array formats with general or symmetric storage
-(1-based indices). Symmetric storage is honored on read and expanded to a
-full dense array. A CSR matrix is written in coordinate layout from its
-stored entries, with no dense form; in array layout, as its dense form.
+(1-based indices). Symmetric storage is honored on read and expanded to the
+full matrix: a dense array, or for a coordinate file of at least
+SPARSE_MIN_ENTRIES entries a csr.CsrArray with no dense form. A CSR matrix
+is written in coordinate layout from its stored entries, with no dense
+form; in array layout, as its dense form.
 Values are written with 17 significant digits so float64 content
 round-trips exactly.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixMarketError
-from .linalg import as_matrix, dense, is_sparse
+from .linalg import SPARSE_MIN_ENTRIES, as_matrix, dense, is_sparse
 
 _HEADER_PREFIX = "%%matrixmarket"
 
@@ -37,7 +39,13 @@ def content_lines(path, comment: str) -> list[tuple[int, str]]:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a real matrix from a MatrixMarket file as a dense float64 array."""
+    """Read a real matrix from a MatrixMarket file as a float64 array.
+
+    A coordinate file of at least SPARSE_MIN_ENTRIES entries (rows * cols)
+    is read as a csr.CsrArray: each entry sums its terms in file order, so
+    the result has the bytes of csr_array of the dense matrix, which is
+    never formed. Every other file gives a dense ndarray.
+    """
     with open(path, "r", encoding="ascii") as handle:
         first = handle.readline()
     if not first:
@@ -76,7 +84,7 @@ def read_matrix(path) -> np.ndarray:
         if len(entries) != nnz[0]:
             raise MatrixMarketError(
                 f"{path}: expected {nnz[0]} entries, found {len(entries)}")
-        out = np.zeros((rows, cols))
+        keys, terms = [], []
         for lineno, ln in entries:
             parts = ln.split()
             if len(parts) != 3:
@@ -89,9 +97,18 @@ def read_matrix(path) -> np.ndarray:
             if not (1 <= i <= rows and 1 <= j <= cols):
                 raise MatrixMarketError(
                     f"{path}:{lineno}: index ({i}, {j}) outside {rows} x {cols}")
-            out[i - 1, j - 1] += v
+            keys.append((i - 1) * cols + j - 1)
+            terms.append(v)
             if symmetry == "symmetric" and i != j:
-                out[j - 1, i - 1] += v
+                keys.append((j - 1) * cols + i - 1)
+                terms.append(v)
+        keys, terms = np.array(keys, dtype=np.int64), np.array(terms)
+        if rows * cols >= SPARSE_MIN_ENTRIES:
+            from .csr import from_terms
+            out = from_terms(keys, terms, (rows, cols))
+        else:
+            out = np.bincount(keys, weights=terms,
+                              minlength=rows * cols).reshape(rows, cols)
     else:
         if symmetry == "symmetric" and rows != cols:
             raise MatrixMarketError(
@@ -112,7 +129,7 @@ def read_matrix(path) -> np.ndarray:
         out[i, j] = values
         if symmetry == "symmetric":
             out[j, i] = values
-    if not np.isfinite(out).all():
+    if not np.isfinite(out.data if is_sparse(out) else out).all():
         raise MatrixMarketError(f"{path}: non-finite values")
     return out
 

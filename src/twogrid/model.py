@@ -1,14 +1,16 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
-Builds smoothers (weighted Jacobi, Gauss-Seidel as a band solve on tril(A),
-custom M), the Galerkin coarse matrix P^T A P (for a large graph Laplacian
-in O(nnz) as a sparse product), and, on range(A) through A's
-thin factor F (A = F^T F), the coarse basis and the forms of the symmetrized
-smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T (Mtilde), read off
-the one product F M F^T. Also provides SPSD test problems: Neumann Laplacians
-in 1d/2d and weighted graph Laplacians, each summed from its edge list by one
-assembler (_laplacian; in CSR from 2^14 entries on, with no n x n array),
-seeded random rank-deficient matrices, and file input.
+Builds smoothers (weighted Jacobi as its diagonal, Gauss-Seidel as a band
+solve on tril(A), neither with an n x n array; a custom M as given), the
+Galerkin coarse matrix P^T A P (for a large graph Laplacian in O(nnz) as a
+sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
+coarse basis Q with its orthogonal complement and the forms of the
+symmetrized smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T
+(Mtilde), read off the one product F M F^T. Also provides SPSD test
+problems: Neumann Laplacians in 1d/2d and weighted graph Laplacians, each
+summed from its edge list by one assembler (_laplacian; in CSR from 2^14
+entries on, with no n x n array), seeded random rank-deficient matrices,
+and file input.
 """
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class WeightedJacobi:
-    """M = omega * D^{-1} with D = diag(A); requires omega > 0."""
+    """M = omega * D^{-1} with D = diag(A), a DiagonalScaling; requires omega > 0."""
 
     omega: float = 2.0 / 3.0
 
@@ -56,7 +58,7 @@ class GaussSeidel:
 
 @dataclass(frozen=True, eq=False)
 class CustomSmoother:
-    """User-supplied n x n smoother matrix M."""
+    """User-supplied n x n smoother matrix M; a sparse one is held dense."""
 
     matrix: np.ndarray
 
@@ -119,13 +121,50 @@ class LowerBandSolve:
         return (self.T @ x.T).T
 
 
-def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBandSolve:
-    """M as an ndarray (n x n, also for Jacobi), or for Gauss-Seidel a LowerBandSolve."""
+@dataclass(frozen=True, eq=False)
+class DiagonalScaling:
+    """v -> diag(diagonal) v, weighted Jacobi's M = omega D^{-1}, held as its diagonal.
+
+    Symmetric, so op.T is op. op @ X scales the rows of X and X @ op its
+    columns: each entry is one product, the bytes of the product with
+    np.diag(diagonal), and no n x n array is formed; numpy defers every
+    operator to this class.
+    """
+
+    diagonal: np.ndarray
+
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.diagonal.size,) * 2
+
+    @property
+    def nbytes(self) -> int:
+        return self.diagonal.nbytes
+
+    @property
+    def T(self) -> "DiagonalScaling":
+        return self
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return (self.diagonal[:, None] if np.ndim(v) == 2 else self.diagonal) * v
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return x * self.diagonal
+
+
+Smoother = Union[np.ndarray, LowerBandSolve, DiagonalScaling]
+
+
+def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> Smoother:
+    """M as a DiagonalScaling (Jacobi), a LowerBandSolve (Gauss-Seidel) or,
+    for a custom M, a dense n x n ndarray."""
     if isinstance(spec, WeightedJacobi):
         if not 0.0 < spec.omega < np.inf:
             raise SmootherError(
                 f"Jacobi weight must be positive and finite, got {spec.omega}")
-        return np.diag(spec.omega / _positive_diagonal(a))
+        return DiagonalScaling(spec.omega / _positive_diagonal(a))
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
         # tril(A) as a Fortran-ordered band (dtbtrs copies a C-ordered one)
@@ -136,7 +175,7 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> np.ndarray | LowerBan
         band[i - j, j] = x[lower]
         return LowerBandSolve(band)
     if isinstance(spec, CustomSmoother):
-        m = as_matrix(spec.matrix, "M")
+        m = as_matrix(dense(spec.matrix), "M")
         if m.shape != (a.n, a.n):
             raise SmootherError(
                 f"custom smoother has shape {m.shape}, expected ({a.n}, {a.n})")
@@ -167,7 +206,9 @@ def _sparse_enough(size: int, nonzeros: int) -> bool:
 
 
 def sweep_form(matrix):
-    """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators."""
+    """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators.
+
+    A DiagonalScaling or LowerBandSolve passes through unchanged."""
     if is_sparse(matrix):  # A and P held in CSR, or P^T as their CSC transpose
         return matrix.tocsr()
     if isinstance(matrix, np.ndarray) and _sparse_enough(matrix.size,
@@ -188,30 +229,33 @@ class TwoGridHierarchy:
 
     The fields are the inputs A and Ac (certified SPSD, one tolerance
     policy; a graph Laplacian certified by structure is held in CSR), M (for
-    Gauss-Seidel a LowerBandSolve on tril(A), its only form) and P (in CSR
-    when aggregation_prolongation made it so). r and s are the ranks of A
-    and Ac (s <= r). When A or Ac is a graph Laplacian certified by
-    structure, its rank, null basis, thin factor and pseudoinverse need no
-    spectrum: F and Ac^+ (the first sweep's coarse solve) come from pinned
-    Cholesky factors (SpsdOperator). Every form is r x r on range(A),
-    through A's thin factor F (F^T F = A; the eigen factor
-    Lambda_r^{1/2} V_r^T after the eigh certificate), and is read off
-    B = F M F^T. Any two r-row factors differ by an orthogonal r x r
-    matrix, so no spectrum read here depends on which one A has. The
-    coarse space is the truncated SVD F P = Q R: Q (r x s) has orthonormal
-    columns and R (s x nc) is Sigma_s V_s^T.
+    Jacobi a DiagonalScaling holding omega / diag(A), for Gauss-Seidel a
+    LowerBandSolve on tril(A), each its only form; a custom M an n x n
+    ndarray) and P (in CSR when aggregation_prolongation made it so). r and
+    s are the ranks of A and Ac (s <= r). When A or Ac is a graph Laplacian
+    certified by structure, its rank, null basis, thin factor and
+    pseudoinverse need no spectrum: F and Ac^+ (the first sweep's coarse
+    solve) come from pinned Cholesky factors (SpsdOperator). Every form is
+    r x r on range(A), through A's thin factor F (F^T F = A; the eigen
+    factor Lambda_r^{1/2} V_r^T after the eigh certificate), and is read off
+    B = F M F^T. Any two r-row factors differ by an orthogonal r x r matrix,
+    so no spectrum read here depends on which one A has. The coarse space
+    is the SVD F P = Q R, truncated to s: Q (r x s) has orthonormal columns
+    and R (s x nc) is Sigma_s V_s^T; the same full SVD gives Q_perp
+    (r x (r - s)), an orthonormal basis of the complement of range(Q).
     Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
-    is Q C Q^T, s x s core C. B, Q, R, the smoother, Mtilde and
-    pre-smoother forms and the spectra the analysis reads (they decide
-    every convergence condition) are built on first read and kept, so each
-    is solved once per hierarchy. The Mtilde form is a separate array only
-    for a nonsymmetric M; its spectrum is smoother_spectrum. The solver
-    reads A, M and P via sweep_operators.
+    is Q C Q^T, s x s core C, and reads K = I - B through Q^T K (s x r). B,
+    Q, R, Q_perp, Q^T K, the smoother, Mtilde and pre-smoother forms and the
+    spectra the analysis reads (they decide every convergence condition)
+    are built on first read and kept, so each is solved once per hierarchy.
+    The Mtilde form is a separate array only for a nonsymmetric M; its
+    spectrum is smoother_spectrum. The solver reads A, M and P via
+    sweep_operators.
     build_hierarchy validates; this does not.
     """
 
     A: SpsdOperator
-    M: np.ndarray | LowerBandSolve
+    M: Smoother
     P: np.ndarray  # or a csr.CsrArray
     Ac: SpsdOperator
 
@@ -239,29 +283,31 @@ class TwoGridHierarchy:
     def sweep_operators(self) -> tuple:
         """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
 
-        Each is its sweep_form: a Gauss-Seidel M (with M^T) as its
-        LowerBandSolve at every size; A and P held in CSR as they are (P^T
-        in CSR too); an ndarray with SPARSE_MIN_ENTRIES entries or more in
-        CSR if sparse, otherwise the hierarchy's own array (M^T and P^T as
-        views). Built on the first sweep, never by the
-        analysis.
+        Each is its sweep_form: a Jacobi M as its DiagonalScaling (M^T is
+        M) and a Gauss-Seidel M (with M^T) as its LowerBandSolve, at every
+        size; A and P held in CSR as they are (P^T in CSR too); an ndarray
+        with SPARSE_MIN_ENTRIES entries or more in CSR if sparse, otherwise
+        the hierarchy's own array (M^T and P^T as views). Built on the first
+        sweep, never by the analysis.
         """
         return tuple(sweep_form(op) for op in (self.A.matrix, self.M, self.M.T,
                                                self.P, self.P.T))
 
     @cached_property
-    def coarse_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, R) from the SVD of F P, truncated to s = rank(Ac).
+    def coarse_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, R, Q_perp) from the full SVD F P = U Sigma V^T, cut at s = rank(Ac).
 
-        The squared singular values are Ac's eigenvalues, so s is Ac's one
-        rank decision; none is made again on these singular values. With P
-        held in CSR, F P is the sparse product (P^T F^T)^T, with no dense P.
+        Q = U[:, :s], R = Sigma_s V_s^T and Q_perp = U[:, s:]; U itself is
+        not kept. The squared singular values are Ac's eigenvalues, so s is
+        Ac's one rank decision; none is made again on these singular values.
+        With P held in CSR, F P is the sparse product (P^T F^T)^T, with no
+        dense P.
         """
         f, p = self.A.factor, self.P
         fp = (p.T @ f.T).T if is_sparse(p) else f @ p
-        u, sv, vt = np.linalg.svd(fp, full_matrices=False)
+        u, sv, vt = np.linalg.svd(fp, full_matrices=True)
         s = self.s
-        return u[:, :s].copy(), sv[:s, None] * vt[:s]
+        return u[:, :s].copy(), sv[:s, None] * vt[:s], u[:, s:].copy()
 
     @property
     def Q(self) -> np.ndarray:
@@ -273,11 +319,17 @@ class TwoGridHierarchy:
         """The s x nc factor with Q R = F P."""
         return self.coarse_factors[1]
 
+    @property
+    def Q_perp(self) -> np.ndarray:
+        """Orthonormal basis (r x (r - s)) of the complement of range(Q)."""
+        return self.coarse_factors[2]
+
     @cached_property
     def smoother_product(self) -> np.ndarray:
         """B = F M F^T (r x r), the product every smoother operator is read off.
 
-        For a LowerBandSolve M, F M is one band solve on F's r rows."""
+        For a DiagonalScaling M, F M scales F's columns, (F * m) F^T; for a
+        LowerBandSolve M, F M is one band solve on F's r rows."""
         return self.A.factor @ self.M @ self.A.factor.T
 
     @cached_property
@@ -307,21 +359,34 @@ class TwoGridHierarchy:
         return np.eye(self.r) - self.smoother_product
 
     @cached_property
+    def restricted_pre_smoother(self) -> np.ndarray:
+        """Q^T K (s x r), the one product of K with the coarse basis."""
+        return self.Q.T @ self.pre_smoother
+
+    @cached_property
     def mtilde_form(self) -> np.ndarray:
         """F Mtilde F^T = B + B^T - B B^T; for a symmetric M, the smoother form."""
         m = self.M  # a LowerBandSolve is symmetric only with a one-row band
-        if (m.band.shape[0] == 1 if isinstance(m, LowerBandSolve)
-                else np.array_equal(m, m.T)):
+        if isinstance(m, LowerBandSolve):
+            symmetric = m.band.shape[0] == 1
+        else:
+            symmetric = isinstance(m, DiagonalScaling) or np.array_equal(m, m.T)
+        if symmetric:
             return self.smoother_form
         b = self.smoother_product
         return sym_part(b + b.T - b @ b.T)
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:
-        """Spectrum of (I - Pi) F Mtilde F^T (I - Pi), Pi = Q Q^T (r x r)."""
-        q = self.Q
-        y = self.mtilde_form - q @ (q.T @ self.mtilde_form)
-        return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
+        """Spectrum of (I - Pi) F Mtilde F^T (I - Pi), Pi = Q Q^T (r x r), ascending.
+
+        [Q Q_perp] is orthogonal, and in that basis the form is zero but for
+        its Q_perp block, so the spectrum is s exact zeros and that of
+        Q_perp^T F Mtilde F^T Q_perp, one eigen-solve of order r - s.
+        """
+        q = self.Q_perp
+        w = np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
+        return np.sort(np.concatenate([np.zeros(self.s), w]))
 
     @cached_property
     def coarse_spectrum(self) -> np.ndarray:
@@ -336,16 +401,24 @@ class TwoGridHierarchy:
     def mbar_spectrum(self) -> np.ndarray:
         """Eigenvalues of Mbar = M + M^T - M^T A M itself, ascending.
 
-        An ndarray M forms Mbar and drops it. Gauss-Seidel, M = T^{-1} with
-        T = tril(A), has Mbar^{-1} = T D^{-1} T^T: the spectrum is
-        1 / sigma(T D^{-1/2})^2, as singular values so that rounding cannot
-        turn an eigenvalue of T D^{-1} T^T negative.
+        An ndarray M forms Mbar and drops it. Jacobi, M = diag(m), forms
+        M^T A M as (m[:, None] * A) * m[None, :] and M + M^T on the
+        diagonal alone. Gauss-Seidel, M = T^{-1} with T = tril(A), has
+        Mbar^{-1} = T D^{-1} T^T: the spectrum is 1 / sigma(T D^{-1/2})^2,
+        as singular values so that rounding cannot turn an eigenvalue of
+        T D^{-1} T^T negative.
         """
         m, a = self.M, dense(self.A.matrix)
         if isinstance(m, LowerBandSolve):
             t = np.tril(a) / np.sqrt(np.diag(a))
             return 1.0 / np.linalg.svd(t, compute_uv=False) ** 2
-        return np.linalg.eigvalsh(sym_part(m + m.T - m.T @ a @ m))
+        if isinstance(m, DiagonalScaling):
+            mbar = m.T @ a @ m
+            np.subtract(0.0, mbar, out=mbar)  # M + M^T is zero off the diagonal
+            mbar[np.diag_indices(self.n)] += m.diagonal + m.diagonal
+        else:
+            mbar = m + m.T - m.T @ a @ m
+        return np.linalg.eigvalsh(sym_part(mbar))
 
 
 def _galerkin(a: SpsdOperator, p) -> np.ndarray:

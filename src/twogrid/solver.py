@@ -9,8 +9,9 @@ sweep; for a graph Laplacian certified by structure it comes from one
 pinned Cholesky factor per component, so a solve runs no eigen-solve. A
 symmetrized sweep appends one M^T smoothing step after the prolongation.
 Sweeps apply A, M, M^T, P and P^T as the hierarchy's sweep_operators holds
-them: a large Gauss-Seidel M as a banded triangular solve on tril(A), other
-operators in CSR when large and sparse, otherwise dense.
+them: a Jacobi M as its diagonal, a Gauss-Seidel M as a banded triangular
+solve on tril(A), other operators in CSR when large and sparse, otherwise
+dense.
 
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail

@@ -34,6 +34,7 @@ from twogrid.linalg import (
 )
 from twogrid.model import (
     CustomSmoother,
+    DiagonalScaling,
     GaussSeidel,
     GraphLaplacian,
     LowerBandSolve,
@@ -80,6 +81,8 @@ def dense_smoother(h):
     """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
     if isinstance(h.M, np.ndarray):
         return h.M
+    if isinstance(h.M, DiagonalScaling):
+        return np.diag(h.M.diagonal)
     return solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
 
 
@@ -601,6 +604,70 @@ def assert_range_sized(h, calls):
     assert [order for _, order in calls if order > h.r] in ([], [h.n]), calls
 
 
+def projected_complement_spectrum(h):
+    """Spectrum of the r x r form (I - Q Q^T) F Mtilde F^T (I - Q Q^T), projected
+    on both sides."""
+    q = h.Q
+    y = h.mtilde_form - q @ (q.T @ h.mtilde_form)
+    return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
+
+
+def ladder_build(grid):
+    a, p, _, _ = generate_problem(NeumannLaplacian2D(grid, grid), group=2, seed=0)
+    return build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+
+
+class TestComplementBasis:
+    """The complement spectrum is s exact zeros and one solve of order r - s."""
+
+    @pytest.mark.parametrize("build", [
+        *CORPUS_BUILDS,
+        ZERO_SMOOTHER_BUILD,
+        pytest.param(engineered_hierarchy, id="engineered"),
+        *[pytest.param(lambda g=g: ladder_build(g), id=f"neumann2d:{g}x{g}")
+          for g in (16, 24, 32)],
+    ])
+    def test_matches_the_projected_form(self, build):
+        # Q_perp completes Q to an orthogonal r x r matrix; the nonzero part
+        # agrees to 1e-13, and the rank cut, the intersection dimension and
+        # its flag read the same off either spectrum
+        h = build()
+        q, q_perp = h.Q, h.Q_perp
+        assert q_perp.shape == (h.r, h.r - h.s)
+        assert np.max(np.abs(q_perp.T @ q), initial=0.0) <= 1e-14
+        assert np.max(np.abs(q_perp.T @ q_perp - np.eye(h.r - h.s)),
+                      initial=0.0) <= 1e-14
+        w, ref = h.complement_spectrum, projected_complement_spectrum(h)
+        assert w.shape == (h.r,) and np.count_nonzero(w == 0.0) >= h.s
+        assert np.max(np.abs(w - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
+        scale = float(np.max(np.abs(h.smoother_spectrum)))
+        kept = spectrum_rank(ref, h.policy, scale=scale)
+        rep = check_conditions(h)
+        assert rep.intersection_dim == h.n - h.s - kept
+        assert rep.equiv_cond_ok == (h.n - h.s - kept == h.n - h.r)
+
+    def test_failed_intersection_is_still_reported(self):
+        h = neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8))))
+        assert np.array_equal(h.complement_spectrum, np.zeros(h.r))
+        rep = check_conditions(h)
+        assert not rep.equiv_cond_ok and rep.intersection_dim == h.n - h.s
+        assert exact_factor(h).warn_equiv_cond
+
+    def test_analyze_2d_solves_the_complement_at_order_r_minus_s(self, monkeypatch):
+        # one solve of order r - s = 288 where the projected form took 575;
+        # the report still runs 8 eigen-solves
+        h = ladder_build(24)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        assert (h.r, h.s) == (575, 287)
+        calls = eigensolves(monkeypatch, lambda: h.complement_spectrum)
+        assert calls == [("eigvalsh", h.r - h.s)]
+        h = ladder_build(24)
+        calls = eigensolves(monkeypatch, lambda: convergence_report(
+            h, coarse=bc, epsilon=0.3))
+        assert sorted(order for _, order in calls) == [287, 287, 288, 575, 575,
+                                                       575, 575, 576]
+
+
 class TestSharedSpectra:
     """One report shares its forms and spectra without changing a bit."""
 
@@ -700,14 +767,17 @@ class TestSharedSpectra:
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
         # pre-smoother (r x r) is the only square array a Jacobi report
-        # adds; the coarse basis adds Q (r x s) and R (s x nc)
+        # adds; the coarse basis adds Q (r x s), R (s x nc) and Q_perp
+        # (r x (r - s)), and the coarse rows of K add Q^T K (s x r)
         h, bc = neumann2d_report_inputs()
         before = dict(vars(h))
         held = {id(value) for value in before.values()}
         convergence_report(h, coarse=bc, epsilon=0.3)
         added = {key: value for key, value in vars(h).items() if key not in before}
-        q, r = added.pop("coarse_factors")
+        q, r, q_perp = added.pop("coarse_factors")
         assert q.shape == (h.r, h.s) and r.shape == (h.s, h.nc)
+        assert q_perp.shape == (h.r, h.r - h.s) and h.r - h.s != h.s
+        assert added.pop("restricted_pre_smoother").shape == (h.s, h.r)
         square = {id(value) for value in added.values()
                   if np.ndim(value) == 2 and id(value) not in held}
         assert square == {id(h.pre_smoother)}

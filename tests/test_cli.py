@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -127,6 +128,27 @@ class TestAnalyze:
         report = json.loads(out.read_text())
         assert report["factor_identity"] == 0.0
         assert report["flags"]["degenerate_full_rank_coarse"]
+
+    def test_custom_smoother_read_into_csr_is_held_dense(self, tmp_path):
+        # a 128 x 128 coordinate file is read into CSR; as a custom smoother
+        # it is densified, and Jacobi 2/3 written out this way gives the
+        # numbers of the built-in Jacobi smoother, held as its diagonal
+        n = 128
+        m = np.diag((2.0 / 3.0) / neumann_laplacian_1d(n).diagonal())
+        write_matrix(tmp_path / "M.mtx", m, layout="coordinate")
+        smoother = parse_smoother(f"custom:{tmp_path / 'M.mtx'}")
+        assert not isinstance(smoother.matrix, np.ndarray)
+        reports = []
+        for spec in (f"custom:{tmp_path / 'M.mtx'}", "jacobi:0.6666666666666666"):
+            out = tmp_path / "r.json"
+            assert run(["analyze", "--problem", f"neumann1d:{n}", "--smoother", spec,
+                        "--coarse", "scale:2", "--output", str(out)]) == 0
+            reports.append(json.loads(out.read_text()))
+        h = build_hierarchy(neumann_laplacian_1d(n), aggregation_prolongation(n, 2),
+                            smoother)
+        assert type(h.M) is np.ndarray and np.array_equal(h.M, m)
+        for field in (*NUMERIC_FIELDS, "factor_itg", "factor_itg_oracle", "delta_tg"):
+            assert reports[0][field] == reports[1][field], field
 
     def test_range_mismatch_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bc.mtx"
@@ -262,7 +284,8 @@ class TestGenerateRoundTrip:
     def test_sparse_a_is_written_entry_by_entry(self, tmp_path, capsys):
         # neumann2d:32x32 is held in CSR: A.mtx lists its lower-triangle
         # entries by columns (1024 diagonal, 1984 edges), not n(n+1)/2 values,
-        # and reads back as the same matrix
+        # and reads back as the same CSR matrix, with no n x n array: the
+        # traced peak of the read stays under 2 MB (an 8 MB array before)
         gen = tmp_path / "gen"
         assert run(["generate", "--problem", "neumann2d:32x32", "--smoother", "gs",
                     "--prolongation", "aggregate:4", "--output-dir", str(gen)]) == 0
@@ -272,7 +295,16 @@ class TestGenerateRoundTrip:
                              "1024 1024 3008", "1 1 2"]
         assert len(lines) == 3010
         a = neumann_laplacian_2d(32, 32)
-        assert read_matrix(gen / "A.mtx").tobytes() == a.toarray().tobytes()
+        tracemalloc.start()
+        try:
+            back = read_matrix(gen / "A.mtx")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20, peak
+        for name in ("data", "indices", "indptr"):
+            mine, theirs = getattr(back, name), getattr(a, name)
+            assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
         op, _, _, _ = generate_problem(FromFile(str(gen / "A.mtx")), group=4)
         for name in ("data", "indices", "indptr"):
             assert getattr(op.matrix, name).tobytes() == getattr(a, name).tobytes()

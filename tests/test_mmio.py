@@ -2,7 +2,11 @@
 import numpy as np
 import pytest
 
+from scipy.sparse import csr_array
+
+from twogrid.csr import CsrArray
 from twogrid.errors import MatrixMarketError
+from twogrid.linalg import SPARSE_MIN_ENTRIES
 from twogrid.mmio import content_lines, read_matrix, write_matrix, write_vector
 
 
@@ -98,3 +102,57 @@ def test_inline_comment_after_matrix_data(tmp_path):
                     "2 2 1 % rows cols nnz\n"
                     "1 2 7.5 % the only entry\n")
     assert np.array_equal(read_matrix(path), np.array([[0.0, 7.5], [0.0, 0.0]]))
+
+
+def coordinate_file(path, rows, cols, symmetry, entries):
+    path.write_text(f"%%MatrixMarket matrix coordinate real {symmetry}\n"
+                    f"{rows} {cols} {len(entries)}\n"
+                    + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
+
+
+@pytest.mark.parametrize("symmetry", ["general", "symmetric"])
+def test_large_coordinate_file_is_read_into_csr(tmp_path, symmetry):
+    # from SPARSE_MIN_ENTRIES entries on, a coordinate file is summed into
+    # CSR with the bytes csr_array gives the matrix that adding each entry
+    # in file order builds; repeated entries, both triangles of a symmetric
+    # file and entries that cancel included
+    rng = np.random.default_rng(7)
+    n = 128
+    assert n * n == SPARSE_MIN_ENTRIES
+    i, j = rng.integers(1, 21, size=(2, 400))
+    values = rng.standard_normal(400) * 10.0 ** rng.integers(-8, 8, size=400)
+    entries = [*zip(i.tolist(), j.tolist(), values.tolist()),
+               (n, 1, 0.5), (n, 1, -0.5), (3, 3, 0.0)]
+    path = tmp_path / "big.mtx"
+    coordinate_file(path, n, n, symmetry, entries)
+    ref = np.zeros((n, n))
+    for a, b, v in entries:
+        ref[a - 1, b - 1] += v
+        if symmetry == "symmetric" and a != b:
+            ref[b - 1, a - 1] += v
+    back = read_matrix(path)
+    assert type(back) is CsrArray
+    expected = csr_array(ref)
+    for name in ("data", "indices", "indptr"):
+        mine, theirs = getattr(back, name), getattr(expected, name)
+        assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+    # one entry fewer stays dense, with the same sums
+    coordinate_file(path, n - 1, n + 1, symmetry="general", entries=entries[:-3])
+    small = read_matrix(path)
+    assert type(small) is np.ndarray and small.shape == (n - 1, n + 1)
+
+
+@pytest.mark.parametrize("line,fragment", [
+    ("2 5 x", "big.mtx:5: bad entry"),
+    ("2 200 1.0", r"big.mtx:5: index \(2, 200\) outside 128 x 128"),
+    ("2 5", "big.mtx:5: coordinate entry needs"),
+    ("2 5 inf", "big.mtx: non-finite values"),
+])
+def test_large_coordinate_file_keeps_its_errors(tmp_path, line, fragment):
+    path = tmp_path / "big.mtx"
+    coordinate_file(path, 128, 128, "general", [(1, 1, 1.0), (2, 2, 2.0), (3, 3, 3.0)])
+    lines = path.read_text().splitlines()
+    lines[4] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MatrixMarketError, match=fragment):
+        read_matrix(path)

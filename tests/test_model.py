@@ -25,6 +25,7 @@ from twogrid.model import (
     SPARSE_MAX_DENSITY,
     SPARSE_MIN_ENTRIES,
     CustomSmoother,
+    DiagonalScaling,
     GaussSeidel,
     NeumannLaplacian1D,
     NeumannLaplacian2D,
@@ -56,6 +57,8 @@ def dense_smoother(h):
     """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
     if isinstance(h.M, np.ndarray):
         return h.M
+    if isinstance(h.M, DiagonalScaling):
+        return np.diag(h.M.diagonal)
     return solve_triangular(np.tril(dense(h.A.matrix)), np.eye(h.n), lower=True)
 
 
@@ -83,7 +86,8 @@ class TestBuildSmoother:
     def test_jacobi_unit_diagonal(self):
         a = certify(np.eye(3))
         m = build_smoother(WeightedJacobi(0.5), a)
-        assert np.allclose(m, 0.5 * np.eye(3))
+        assert type(m) is DiagonalScaling and m.shape == (3, 3) and m.T is m
+        assert np.array_equal(m @ np.eye(3), 0.5 * np.eye(3))
 
     def test_gauss_seidel_two_by_two(self):
         a = certify(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -312,7 +316,7 @@ class TestBuildHierarchy:
         # thin factor F = Lambda_r^{1/2} V_r^T formed here from A's eigenpairs
         for case in corpus.builtin_corpus():
             h, _, _ = corpus.build_case(case)
-            q, r = h.coarse_factors
+            q, r, _ = h.coarse_factors
             lam, v = h.A.eig.values[h.n - h.r:], h.A.eig.vectors[:, h.n - h.r:]
             fp = np.sqrt(lam)[:, None] * (v.T @ h.P)
             assert q.shape == (h.r, h.s), case.name
@@ -403,13 +407,16 @@ class TestSweepOperators:
     @staticmethod
     def assert_own_arrays(h, label):
         # a small A and P are applied as the hierarchy's arrays, P^T as a
-        # view; a Gauss-Seidel M and M^T as its band solves at every size,
-        # an ndarray M as itself, M^T as a view
+        # view; a Gauss-Seidel M and M^T as its band solves at every size, a
+        # Jacobi M and M^T as its diagonal, an ndarray M as itself, M^T as a
+        # view
         a, m, mt, p, pt = h.sweep_operators
         assert a is h.A.matrix and m is h.M and p is h.P, label
         assert pt.base is h.P and pt.shape == h.P.T.shape, label
         if isinstance(h.M, LowerBandSolve):
             assert mt is h.M.T and type(mt) is LowerBandSolve, label
+        elif isinstance(h.M, DiagonalScaling):
+            assert mt is h.M, label
         else:
             assert mt.base is h.M and mt.shape == h.M.T.shape, label
 
@@ -448,13 +455,14 @@ class TestSweepOperators:
             other = TwoGridHierarchy(A=h.A, M=matrix, P=h.P, Ac=h.Ac)
             m, mt = other.sweep_operators[1:3]
             assert m is other.M and mt.base is other.M
-        # a Jacobi M of the same size is diagonal, so M and M^T are sparse
+        # a Jacobi M of the same size is swept as its diagonal, M^T as M,
+        # with the bytes of the product with the n x n diagonal matrix
         jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
                                   P=h.P, Ac=h.Ac)
         m, mt = jacobi.sweep_operators[1:3]
-        assert type(m) is csr_array and type(mt) is csr_array
-        assert np.array_equal(m.toarray(), jacobi.M)
-        assert np.array_equal(mt.toarray(), jacobi.M.T)
+        assert type(m) is DiagonalScaling and m is jacobi.M and mt is m
+        assert m.nbytes == h.n * 8
+        assert (m @ v).tobytes() == (np.diag(m.diagonal) @ v).tobytes()
 
     def test_benchmark_reads_the_band_solve(self):
         # perfbench's solve-2d workload sizes the hierarchy it sweeps through
@@ -513,6 +521,60 @@ class TestSweepOperators:
             assert np.array_equal(form.toarray(), matrix)
         else:
             assert form is matrix
+
+
+def jacobi_cases():
+    """(label, hierarchy, f, u_ref) of every Jacobi corpus case and of the
+    analyze-2d benchmark set-up (neumann2d:24x24, Jacobi 2/3, aggregation 2)."""
+    cases = [(case.name, *corpus.build_case(case)) for case in corpus.builtin_corpus()
+             if isinstance(case.smoother, WeightedJacobi)]
+    a, p, f, u_ref = generate_problem(NeumannLaplacian2D(24, 24), group=2, seed=0)
+    cases.append(("analyze-2d", build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)),
+                  f, u_ref))
+    return cases
+
+
+class TestDiagonalJacobi:
+    """Jacobi's M is its diagonal: the bytes of the n x n diag(omega / d)."""
+
+    def test_every_jacobi_case_gives_the_dense_diagonal_bytes(self):
+        cases = jacobi_cases()
+        assert len(cases) == 8
+        for label, h, f, u_ref in cases:
+            assert type(h.M) is DiagonalScaling, label
+            twin = TwoGridHierarchy(A=h.A, M=np.diag(h.M.diagonal), P=h.P, Ac=h.Ac)
+            for name in ("smoother_product", "mbar_spectrum"):
+                assert getattr(h, name).tobytes() == getattr(twin, name).tobytes(), (
+                    label, name)
+            bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+            u0 = np.random.default_rng(5).standard_normal(h.n)
+            for variant, coarse in (("tg", None), ("stg", None), ("itg", bc)):
+                mine, theirs = (iterate(x, f, u0, 6, variant, coarse, u_ref=u_ref)
+                                for x in (h, twin))
+                assert mine.errors_A == theirs.errors_A, (label, variant)
+                assert mine.residuals == theirs.residuals, (label, variant)
+
+    def test_jacobi_hierarchy_holds_no_n_by_n_smoother(self):
+        # not after set-up, the sweeps or a full report; the sweep applies
+        # M and M^T as the diagonal itself, with no CSR copy
+        _, h, f, u_ref = jacobi_cases()[-1]
+        iterate(h, f, np.zeros(h.n), 2, "stg", u_ref=u_ref)
+        convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
+        assert "smoother_product" in vars(h) and "mbar_spectrum" in vars(h)
+        assert h.sweep_operators[1] is h.M and h.sweep_operators[2] is h.M
+        arrays = reachable_arrays(h.M)
+        assert [array.shape for array in arrays] == [(h.n,)]
+        assert h.M.nbytes == h.n * 8
+
+    def test_operator_products(self):
+        m = DiagonalScaling(np.array([2.0, 0.5, -1.0]))
+        x = np.arange(6.0).reshape(3, 2)
+        dense_m = np.diag(m.diagonal)
+        assert np.array_equal(m @ x, dense_m @ x)
+        assert np.array_equal(x.T @ m, x.T @ dense_m)
+        assert np.array_equal(m @ x[:, 0], dense_m @ x[:, 0])
+        assert np.array_equal(x[:, 0] @ m, x[:, 0] @ dense_m)
+        assert m.T is m and m.shape == (3, 3)
 
 
 class TestGenerators:
