@@ -38,7 +38,6 @@ from .linalg import (
     SymEigen,
     TolerancePolicy,
     spsd_certify,
-    sym_eig,
 )
 from .model import (
     CustomSmoother,
@@ -75,7 +74,7 @@ __all__ = [
     "CoarseScalingError", "DivergenceError", "InconsistentSystemError",
     "MatrixMarketError", "NotSpsdError", "RangeMismatchError", "ShapeError",
     "SmootherAssumptionError", "SmootherError", "TwoGridError",
-    "SpsdOperator", "SymEigen", "TolerancePolicy", "spsd_certify", "sym_eig",
+    "SpsdOperator", "SymEigen", "TolerancePolicy", "spsd_certify",
     "CustomSmoother", "FromFile", "GaussSeidel", "GraphLaplacian",
     "NeumannLaplacian1D", "NeumannLaplacian2D", "RandomSpsd",
     "TwoGridHierarchy", "WeightedJacobi", "aggregation_prolongation",

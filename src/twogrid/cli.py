@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, corpus, mmio, solver
-from .errors import EdgeError, NotSpsdError, ShapeError, TwoGridError
+from .errors import EdgeError, TwoGridError
 from .linalg import TolerancePolicy, spsd_certify
 from .mmio import content_lines
 from .model import (
@@ -142,8 +142,8 @@ def build_prolongation(text: str, n: int) -> np.ndarray:
 
 def parse_coarse(text: str, h):
     """(Bc, eps) of a --coarse spec on hierarchy h: (None, None) for exact,
-    (certified Bc, None) for bc:PATH and scale:C (an invalid Bc is reported
-    under the spec), and (None, E) for eps:E."""
+    (certified Bc, None) for bc:PATH and scale:C (an invalid Bc, an overflowed
+    scale:C among them, is reported under the spec), and (None, E) for eps:E."""
     kind, _, rest = text.partition(":")
     if kind == "exact":
         return None, None
@@ -163,13 +163,14 @@ def parse_coarse(text: str, h):
                 raise ValueError(rest)
         except ValueError as exc:
             raise UsageError(f"bad coarse scale '{rest}'") from exc
-        matrix = scale * h.Ac.matrix
+        with np.errstate(over="ignore"):  # an overflow is named under the spec below
+            matrix = scale * h.Ac.matrix
     else:
         raise UsageError(f"unknown coarse spec '{text}' "
                          "(expected exact, bc:PATH.mtx, scale:C, or eps:E)")
     try:
         return spsd_certify(matrix, h.policy), None
-    except (NotSpsdError, ShapeError) as exc:
+    except ValueError as exc:  # NotSpsdError, ShapeError or a non-finite entry
         raise type(exc)(f"coarse matrix '{text}' is invalid: {exc}") from exc
 
 
@@ -297,6 +298,9 @@ def _write_text(path, text: str) -> None:
 def cmd_analyze(args) -> int:
     h, _, _ = _setup(args)
     bc, eps = parse_coarse(args.coarse, h)
+    if eps is not None and args.epsilon is not None:
+        raise UsageError(f"coarse spec '{args.coarse}' and epsilon {args.epsilon} "
+                         "both give the coarse accuracy; give one of them")
     report = analysis.convergence_report(
         h, coarse=bc, epsilon=eps if args.epsilon is None else args.epsilon,
         meta=_meta(args))

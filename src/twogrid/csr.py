@@ -1,8 +1,8 @@
 """The CSR form of a large sparse operator, imported only where one is built.
 
-A graph Laplacian with at least linalg.SPARSE_MIN_ENTRIES entries, the
-aggregation prolongation the sweep would apply in CSR and a sparse input to
-linalg.spsd_certify are held as a CsrArray. A problem below that size never
+A graph Laplacian or an aggregation prolongation with at least
+linalg.SPARSE_MIN_ENTRIES entries and a sparse input to linalg.spsd_certify
+are held as a CsrArray. A problem below that size never
 imports this module, so it never loads scipy.sparse.
 """
 from __future__ import annotations

@@ -34,9 +34,10 @@ SYMMETRY_RTOL = 1e-8
 PSD_SLACK = 1e-10
 
 # Inputs with at least this many entries are tried for a structural
-# certificate (spsd_certify), and model holds a graph Laplacian of this size
-# in CSR; the sweeps apply an operator in CSR only from this size on. Below
-# it a dense eigh costs less than the checks.
+# certificate (spsd_certify), and model holds a graph Laplacian and an
+# aggregation prolongation of this size in CSR, the one form the sweeps then
+# apply. Below it a dense eigh costs less than the checks, and a dense
+# product less than scipy's cost per call.
 SPARSE_MIN_ENTRIES = 2 ** 14
 
 # A sparse input of larger order that fails the structural certificate is
@@ -157,16 +158,6 @@ class SymEigen:
 
     values: np.ndarray
     vectors: np.ndarray
-
-
-def sym_eig(s) -> SymEigen:
-    """Full eigendecomposition of a symmetric matrix.
-
-    The input is symmetrized as (S + S^T)/2 before factorization, so mild
-    rounding skew is tolerated; gross asymmetry is rejected. The output is
-    deterministic: identical input bytes give identical eigenvalue bytes.
-    """
-    return _eigh(_symmetric_input(s))
 
 
 def _eigh(sym: np.ndarray) -> SymEigen:

@@ -193,32 +193,6 @@ def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return entries(m)
 
 
-# The sweep applies an operator in CSR only when it has at least
-# SPARSE_MIN_ENTRIES (linalg) entries and at most SPARSE_MAX_DENSITY of them
-# are nonzero. Below that size scipy's cost per call exceeds the dense product.
-SPARSE_MAX_DENSITY = 1.0 / 32.0
-
-
-def _sparse_enough(size: int, nonzeros: int) -> bool:
-    """Whether the sweep applies an operator of `size` entries, `nonzeros` of
-    them nonzero, in CSR."""
-    return size >= SPARSE_MIN_ENTRIES and nonzeros <= SPARSE_MAX_DENSITY * size
-
-
-def sweep_form(matrix):
-    """`matrix` as the sweep applies it; see TwoGridHierarchy.sweep_operators.
-
-    A DiagonalScaling or LowerBandSolve passes through unchanged."""
-    if is_sparse(matrix):  # A and P held in CSR, or P^T as their CSC transpose
-        return matrix.tocsr()
-    if isinstance(matrix, np.ndarray) and _sparse_enough(matrix.size,
-                                                         np.count_nonzero(matrix)):
-        # Imported here: hierarchies below the threshold never load scipy.sparse.
-        from scipy.sparse import csr_array
-        return csr_array(matrix)
-    return matrix
-
-
 # ---------------------------------------------------------------------------
 # hierarchy
 
@@ -231,7 +205,10 @@ class TwoGridHierarchy:
     policy; a graph Laplacian certified by structure is held in CSR), M (for
     Jacobi a DiagonalScaling holding omega / diag(A), for Gauss-Seidel a
     LowerBandSolve on tril(A), each its only form; a custom M an n x n
-    ndarray) and P (in CSR when aggregation_prolongation made it so). r and
+    ndarray) and P (in CSR when given sparse, as aggregation_prolongation
+    gives it from SPARSE_MIN_ENTRIES entries on). Each operator has the one
+    form it was built in, and the solver's sweeps apply A, M, M^T and P in
+    it, with P^T from PT, the one operator kept for the sweeps alone. r and
     s are the ranks of A and Ac (s <= r). When A or Ac is a graph Laplacian
     certified by structure, its rank, null basis, thin factor and
     pseudoinverse need no spectrum: F and Ac^+ (the first sweep's coarse
@@ -249,8 +226,7 @@ class TwoGridHierarchy:
     spectra the analysis reads (they decide every convergence condition)
     are built on first read and kept, so each is solved once per hierarchy.
     The Mtilde form is a separate array only for a nonsymmetric M; its
-    spectrum is smoother_spectrum. The solver reads A, M and P via
-    sweep_operators.
+    spectrum is smoother_spectrum.
     build_hierarchy validates; this does not.
     """
 
@@ -280,18 +256,10 @@ class TwoGridHierarchy:
         return self.A.policy
 
     @cached_property
-    def sweep_operators(self) -> tuple:
-        """(A, M, M^T, P, P^T) as the solver's sweeps apply them.
-
-        Each is its sweep_form: a Jacobi M as its DiagonalScaling (M^T is
-        M) and a Gauss-Seidel M (with M^T) as its LowerBandSolve, at every
-        size; A and P held in CSR as they are (P^T in CSR too); an ndarray
-        with SPARSE_MIN_ENTRIES entries or more in CSR if sparse, otherwise
-        the hierarchy's own array (M^T and P^T as views). Built on the first
-        sweep, never by the analysis.
-        """
-        return tuple(sweep_form(op) for op in (self.A.matrix, self.M, self.M.T,
-                                               self.P, self.P.T))
+    def PT(self):
+        """P^T, the restriction the sweeps apply: for a CSR P its CSR
+        transpose, built on the first sweep and kept; otherwise the view P.T."""
+        return self.P.T.tocsr() if is_sparse(self.P) else self.P.T
 
     @cached_property
     def coarse_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -618,8 +586,8 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
 
     Column j is the indicator of indices [j*group, (j+1)*group); the last
     group absorbs the remainder. group >= 2 keeps the coarse space strictly
-    smaller than the fine space. P is a csr.CsrArray when the sweep would
-    apply it in CSR (sweep_form), otherwise an ndarray.
+    smaller than the fine space. P is a csr.CsrArray from SPARSE_MIN_ENTRIES
+    entries (n * nc) on, otherwise an ndarray.
     """
     if group < 2:
         raise ValueError(f"aggregation group must be >= 2, got {group}")
@@ -628,7 +596,7 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
     nc = max(1, n // group)
     i = np.arange(n)
     groups = np.minimum(i // group, nc - 1)
-    if _sparse_enough(n * nc, n):
+    if n * nc >= SPARSE_MIN_ENTRIES:
         from .csr import from_terms
         return from_terms(i * nc + groups, np.ones(n), (n, nc))
     p = np.zeros((n, nc))

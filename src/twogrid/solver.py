@@ -8,15 +8,16 @@ of declared relative accuracy. Bc^+ is a dense product, built on the first
 sweep; for a graph Laplacian certified by structure it comes from one
 pinned Cholesky factor per component, so a solve runs no eigen-solve. A
 symmetrized sweep appends one M^T smoothing step after the prolongation.
-Sweeps apply A, M, M^T, P and P^T as the hierarchy's sweep_operators holds
-them: a Jacobi M as its diagonal, a Gauss-Seidel M as a banded triangular
-solve on tril(A), other operators in CSR when large and sparse, otherwise
-dense.
+Sweeps apply A, M, M^T and P in the one form the hierarchy holds them in:
+A and P in CSR where they were built so (a large graph Laplacian, a large
+aggregation), a Jacobi M as its diagonal, a Gauss-Seidel M as a banded
+triangular solve on tril(A), anything else dense; P^T is the hierarchy's
+cached PT.
 
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail
-geometric-mean contraction factor. The error is sqrt(d^T A d) with the
-sweep's A after the null-space part of d is projected out with A's null
+geometric-mean contraction factor. The error is sqrt(d^T A d), with A as
+held, after the null-space part of d is projected out with A's null
 basis (for a graph Laplacian certified by structure, its exact component
 indicators, so no spectrum of A is solved), so a tracked sweep costs
 O(nnz) where its operators do.
@@ -149,19 +150,19 @@ def _start(h: TwoGridHierarchy, u0, f, coarse):
     elif not isinstance(coarse, GeneralCoarse):
         raise TypeError("the coarse solve must be an SpsdOperator or a "
                         f"GeneralCoarse, got {type(coarse).__name__}")
-    return u0, f, f - h.sweep_operators[0] @ u0
+    return u0, f, f - h.A.matrix @ u0
 
 
 def _sweep(h: TwoGridHierarchy, u0: np.ndarray, f: np.ndarray, r0: np.ndarray,
            coarse: SpsdOperator | GeneralCoarse,
            post_smooth: bool = False) -> np.ndarray:
     """One sweep on _start's checked inputs; post_smooth appends the M^T step."""
-    a, m, mt, p, pt = h.sweep_operators
-    u1 = u0 + m @ r0
-    rc = pt @ (f - a @ u1)
-    u = u1 + p @ _coarse_correction(h, rc, coarse)
+    a = h.A.matrix
+    u1 = u0 + h.M @ r0
+    rc = h.PT @ (f - a @ u1)
+    u = u1 + h.P @ _coarse_correction(h, rc, coarse)
     if post_smooth:
-        u = u + mt @ (f - a @ u)
+        u = u + h.M.T @ (f - a @ u)
     return u
 
 
@@ -256,10 +257,10 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     if u_ref is not None:
         u_ref = as_vector(u_ref, h.n, "u_ref")
 
-    a = h.sweep_operators[0]
+    a = h.A.matrix
     f_norm = float(np.linalg.norm(f))
 
-    # ||d||_A = sqrt(d^T A d) with the sweep's A, O(nnz(A)) in CSR. The
+    # ||d||_A = sqrt(d^T A d), O(nnz(A)) for A in CSR. The
     # null-space part of d is projected out first: it adds nothing to the
     # seminorm but would add its rounding.
     null = h.A.null_basis

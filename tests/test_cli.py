@@ -354,6 +354,17 @@ class TestConfigValues:
         assert run(["solve", "--config", cfg]) == 0
         assert json.loads(capsys.readouterr().out)["variant"] == "stg"
 
+    @pytest.mark.parametrize("flags, lines", [
+        ([], ["coarse = eps:0.3", "epsilon = 0.5"]),
+        (["--epsilon", "0.5"], ["coarse = eps:0.3"]),
+        (["--coarse", "eps:0.3"], ["epsilon = 0.5"]),
+    ], ids=["both-keys", "key-and-flag", "flag-and-key"])
+    def test_two_epsilons_are_an_error_line(self, tmp_path, capsys, flags, lines):
+        cfg = write_config(tmp_path, *lines)
+        assert run(["analyze", "--config", cfg, *flags]) == 1
+        assert ("coarse spec 'eps:0.3' and epsilon 0.5 both give the coarse "
+                "accuracy" in _one_error_line(capsys))
+
     @pytest.mark.parametrize("command, line", [
         ("analyze", "format = xml"),
         ("solve", "variant = bogus"),
@@ -402,9 +413,17 @@ class TestConfigValues:
      "bad coarse scale 'inf'"),
     (["analyze", "--problem", "neumann1d:8", "--coarse", "scale:1e400"],
      "bad coarse scale '1e400'"),
+    # finite, but the scaled Ac overflows
+    (["analyze", "--problem", "neumann1d:8", "--coarse", "scale:1e308"],
+     "coarse matrix 'scale:1e308' is invalid: matrix contains NaN or Inf entries"),
+    (["solve", "--problem", "neumann2d:16x16", "--coarse", "scale:1e308"],
+     "coarse matrix 'scale:1e308' is invalid: matrix contains NaN or Inf entries"),
+    (["analyze", "--problem", "neumann1d:8", "--coarse", "eps:0.3", "--epsilon", "0.5"],
+     "coarse spec 'eps:0.3' and epsilon 0.5 both give the coarse accuracy"),
 ], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
         "format-xml", "sweeps-abc", "jacobi1.5", "jacobi-nan", "jacobi-inf",
-        "jacobi-1e400", "scale-nan", "scale-inf", "scale-1e400"])
+        "jacobi-1e400", "scale-nan", "scale-inf", "scale-1e400", "scale-1e308",
+        "scale-1e308-csr", "two-epsilons"])
 def test_invalid_value_is_an_error_line(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

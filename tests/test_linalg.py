@@ -13,7 +13,6 @@ from twogrid.linalg import (
     spectrum_psd,
     spectrum_rank,
     spsd_certify,
-    sym_eig,
 )
 from twogrid.model import neumann_laplacian_2d, random_spsd
 
@@ -30,55 +29,6 @@ def neumann_1d(n):
         a[i, i + 1] -= 1.0
         a[i + 1, i] -= 1.0
     return a
-
-
-class TestSymEig:
-    def test_diagonal_input(self):
-        e = sym_eig(np.diag([3.0, 1.0, 2.0]))
-        assert np.allclose(e.values, [1.0, 2.0, 3.0])
-        # eigenvectors are signed permuted identity columns
-        assert np.allclose(np.abs(e.vectors), np.eye(3)[:, [1, 2, 0]])
-
-    def test_two_by_two_closed_form(self):
-        e = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        assert np.allclose(e.values, [-1.0, 1.0])
-        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
-        for k in range(2):
-            col = e.vectors[:, k]
-            ref = expected[:, k]
-            assert np.allclose(col, ref) or np.allclose(col, -ref)
-
-    def test_random_reconstruction(self):
-        rng = np.random.default_rng(12)
-        s = rng.standard_normal((12, 12))
-        s = 0.5 * (s + s.T)
-        e = sym_eig(s)
-        recon = (e.vectors * e.values) @ e.vectors.T
-        scale = np.max(np.abs(s))
-        assert np.max(np.abs(recon - s)) <= 1e-12 * scale
-        # orthonormality
-        assert np.max(np.abs(e.vectors.T @ e.vectors - np.eye(12))) < 1e-13
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(5)
-        s = rng.standard_normal((9, 9))
-        s = s + s.T
-        e1 = sym_eig(s)
-        e2 = sym_eig(s)
-        assert np.array_equal(e1.values, e2.values)
-        assert np.array_equal(e1.vectors, e2.vectors)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeError):
-            sym_eig(np.ones((2, 3)))
-
-    def test_rejects_nonsymmetric(self):
-        with pytest.raises(ShapeError):
-            sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            sym_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestSpsdCertify:
@@ -105,6 +55,44 @@ class TestSpsdCertify:
         assert null.shape == (6, 1)
         direction = null[:, 0] * np.sqrt(6.0)
         assert np.allclose(np.abs(direction), np.ones(6), atol=1e-10)
+
+    def test_eig_of_a_diagonal_input(self):
+        e = spsd_certify(np.diag([3.0, 1.0, 2.0]), policy(3)).eig
+        assert np.allclose(e.values, [1.0, 2.0, 3.0])
+        # eigenvectors are signed permuted identity columns
+        assert np.allclose(np.abs(e.vectors), np.eye(3)[:, [1, 2, 0]])
+
+    def test_eig_two_by_two_closed_form(self):
+        e = spsd_certify(np.array([[1.0, 1.0], [1.0, 1.0]]), policy(2)).eig
+        assert np.allclose(e.values, [0.0, 2.0], atol=1e-15)
+        expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0)
+        for k in range(2):
+            col, ref = e.vectors[:, k], expected[:, k]
+            assert np.allclose(col, ref) or np.allclose(col, -ref)
+
+    def test_eig_reconstructs_the_input(self):
+        g = np.random.default_rng(12).standard_normal((12, 12))
+        s = g.T @ g
+        e = spsd_certify(s, policy(12)).eig
+        recon = (e.vectors * e.values) @ e.vectors.T
+        assert np.max(np.abs(recon - s)) <= 1e-12 * np.max(np.abs(s))
+        assert np.max(np.abs(e.vectors.T @ e.vectors - np.eye(12))) < 1e-13
+
+    def test_identical_bytes_give_identical_eig_bytes(self):
+        g = np.random.default_rng(5).standard_normal((6, 9))
+        s = g.T @ g
+        e1, e2 = (spsd_certify(s.copy(), policy(9)).eig for _ in range(2))
+        assert e1.values.tobytes() == e2.values.tobytes()
+        assert e1.vectors.tobytes() == e2.vectors.tobytes()
+
+    @pytest.mark.parametrize("matrix,error", [
+        (np.ones((2, 3)), ShapeError),
+        (np.array([[0.0, 1.0], [0.0, 0.0]]), ShapeError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), ValueError),
+    ], ids=["nonsquare", "nonsymmetric", "nonfinite"])
+    def test_rejects_malformed_input(self, matrix, error):
+        with pytest.raises(error):
+            spsd_certify(matrix, policy(2))
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotSpsdError):

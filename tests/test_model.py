@@ -22,7 +22,6 @@ from twogrid.csr import CsrArray
 from twogrid.linalg import (PSD_SLACK, SpsdOperator, TolerancePolicy, dense, spsd_certify,
                             sym_part)
 from twogrid.model import (
-    SPARSE_MAX_DENSITY,
     SPARSE_MIN_ENTRIES,
     CustomSmoother,
     DiagonalScaling,
@@ -42,9 +41,8 @@ from twogrid.model import (
     neumann_laplacian_1d,
     neumann_laplacian_2d,
     random_spsd,
-    sweep_form,
 )
-from twogrid.solver import iterate
+from twogrid.solver import iterate, tg_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -225,7 +223,7 @@ class TestBuildHierarchy:
         assert "coarse_factors" not in vars(h)
         assert "pinv" not in vars(h.A) and "factor" not in vars(h.Ac)
         assert "factor" in vars(h.A) and "pinv" not in vars(h.Ac)
-        assert "sweep_operators" not in vars(h)
+        assert "PT" not in vars(h)
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == [
@@ -406,36 +404,33 @@ def parity_problems(monkeypatch):
 class TestSweepOperators:
     @staticmethod
     def assert_own_arrays(h, label):
-        # a small A and P are applied as the hierarchy's arrays, P^T as a
-        # view; a Gauss-Seidel M and M^T as its band solves at every size, a
-        # Jacobi M and M^T as its diagonal, an ndarray M as itself, M^T as a
-        # view
-        a, m, mt, p, pt = h.sweep_operators
-        assert a is h.A.matrix and m is h.M and p is h.P, label
-        assert pt.base is h.P and pt.shape == h.P.T.shape, label
+        # a small P is held and swept as an ndarray, P^T as its view; a
+        # Gauss-Seidel M and M^T as its band solves at every size, a Jacobi
+        # M and M^T as its diagonal, a custom M as its ndarray
+        assert type(h.P) is np.ndarray, label
+        assert h.PT.base is h.P and h.PT.shape == h.P.T.shape, label
         if isinstance(h.M, LowerBandSolve):
-            assert mt is h.M.T and type(mt) is LowerBandSolve, label
+            assert type(h.M.T) is LowerBandSolve and h.M.T.band is h.M.band, label
         elif isinstance(h.M, DiagonalScaling):
-            assert mt is h.M, label
+            assert h.M.T is h.M, label
         else:
-            assert mt.base is h.M and mt.shape == h.M.T.shape, label
+            assert type(h.M) is np.ndarray, label
 
     def test_solve_2d_hierarchy(self):
         # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; M and M^T are
         # one band solve on tril(A), whose bandwidth is the grid width
         a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
-        ops = h.sweep_operators
-        assert ops is h.sweep_operators
+        ops = (h.A.matrix, h.M, h.M.T, h.P, h.PT)
+        assert h.PT is h.PT
         assert [type(op) for op in ops] == [CsrArray, LowerBandSolve, LowerBandSolve,
                                             CsrArray, csr_array]
         a_op, m, mt, p_op, pt = ops
-        assert m is h.M and mt is h.M.T and mt.T.trans == "N"
+        assert mt is h.M.T and mt.T.trans == "N"
         assert (m.trans, mt.trans) == ("N", "T") and mt.band is m.band is mt.T.band
         assert m.band.shape == (33, h.n) and m.band.flags.f_contiguous
-        # A and P are swept as stored, with the bytes csr_array gives the
-        # dense Laplacian and aggregation, and P^T as their CSR transpose
-        assert a_op is h.A.matrix and p_op is h.P
+        # A and P hold the bytes csr_array gives the dense Laplacian and
+        # aggregation, and P^T is their CSR transpose
         lap = neumann_laplacian_1d(32)
         agg = np.zeros((h.n, h.nc))
         agg[np.arange(h.n), np.arange(h.n) // 4] = 1.0
@@ -450,19 +445,33 @@ class TestSweepOperators:
         for op, matrix in ((m, dense), (mt, dense.T)):
             exact = matrix @ v
             assert np.linalg.norm(op @ v - exact) <= 1e-14 * np.linalg.norm(exact)
-        # an ndarray M keeps its dense array, even tril(A)^{-1} itself
+        # an ndarray M is held and swept as that array, even tril(A)^{-1}
         for matrix in (0.9 * dense, dense):
             other = TwoGridHierarchy(A=h.A, M=matrix, P=h.P, Ac=h.Ac)
-            m, mt = other.sweep_operators[1:3]
-            assert m is other.M and mt.base is other.M
-        # a Jacobi M of the same size is swept as its diagonal, M^T as M,
-        # with the bytes of the product with the n x n diagonal matrix
+            tg_sweep(other, v, h.A.matrix @ v)
+            assert other.M is matrix and other.M.T.base is matrix
+        # a Jacobi M of the same size is its diagonal, M^T is M, with the
+        # bytes of the product with the n x n diagonal matrix
         jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
                                   P=h.P, Ac=h.Ac)
-        m, mt = jacobi.sweep_operators[1:3]
-        assert type(m) is DiagonalScaling and m is jacobi.M and mt is m
+        m = jacobi.M
+        assert type(m) is DiagonalScaling and m.T is m
         assert m.nbytes == h.n * 8
         assert (m @ v).tobytes() == (np.diag(m.diagonal) @ v).tobytes()
+
+    def test_sweeps_keep_one_operator_of_their_own(self):
+        # after a report, three sweeps on the solve-2d hierarchy add one
+        # entry to it, the CSR P^T; A, M and P are applied as held
+        a, p, f, u_ref = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        convergence_report(h)
+        before = set(vars(h))
+        iterate(h, f, np.zeros(h.n), 3, "tg", u_ref=u_ref)
+        assert set(vars(h)) - before == {"PT"}
+        assert type(h.PT) is csr_array
+        ref = csr_array(dense(h.P).T)
+        for name in ("data", "indices", "indptr"):
+            assert getattr(h.PT, name).tobytes() == getattr(ref, name).tobytes()
 
     def test_benchmark_reads_the_band_solve(self):
         # perfbench's solve-2d workload sizes the hierarchy it sweeps through
@@ -480,7 +489,7 @@ class TestSweepOperators:
         # a dense A: tril(A) is a full triangle, kd = n - 1
         a, p, _, _ = generate_problem(RandomSpsd(128, 96, 0), group=2, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
-        m, mt = h.sweep_operators[1:3]
+        m, mt = h.M, h.M.T
         assert type(m) is LowerBandSolve and m.band.shape == (128, 128)
         v = np.random.default_rng(1).standard_normal(h.n)
         dense = dense_smoother(h)
@@ -504,23 +513,22 @@ class TestSweepOperators:
         for label, a, p, smoother in problems:
             self.assert_own_arrays(build_hierarchy(a, p, smoother), label)
 
-    @pytest.mark.parametrize("shape,nonzeros,sparse", [
-        ((128, 128), 128, True),    # 2^14 entries
-        ((127, 129), 127, False),   # 2^14 - 1 entries
-        ((128, 128), 512, True),    # density 1/32
-        ((128, 128), 513, False),   # density just above 1/32
-    ])
-    def test_thresholds(self, shape, nonzeros, sparse):
-        assert SPARSE_MIN_ENTRIES == 2 ** 14 and SPARSE_MAX_DENSITY == 1.0 / 32.0
-        matrix = np.zeros(shape)
-        matrix.flat[np.linspace(0, matrix.size - 1, nonzeros).astype(int)] = 1.5
-        assert np.count_nonzero(matrix) == nonzeros
-        form = sweep_form(matrix)
-        if sparse:
-            assert type(form) is csr_array
-            assert np.array_equal(form.toarray(), matrix)
-        else:
-            assert form is matrix
+    @pytest.mark.parametrize("problem,group,a_csr,p_csr", [
+        (NeumannLaplacian2D(8, 16), 2, True, False),    # A 2^14 entries, P 2^13
+        (NeumannLaplacian1D(127), 2, False, False),     # A 2^14 - 255 entries
+        (NeumannLaplacian2D(16, 16), 4, True, True),    # P 256 x 64 = 2^14 entries
+        (NeumannLaplacian2D(32, 32), 64, True, True),   # P 1024 x 16, 1/16 nonzero
+    ], ids=["8x16-agg2", "1d-127", "16x16-agg4", "32x32-agg64"])
+    def test_thresholds(self, problem, group, a_csr, p_csr):
+        # the entry count alone decides where A and P are built in CSR, and
+        # a sweep applies that form, P^T in CSR exactly when P is
+        assert SPARSE_MIN_ENTRIES == 2 ** 14
+        a, p, f, _ = generate_problem(problem, group=group, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        tg_sweep(h, np.zeros(h.n), f)
+        assert type(h.A.matrix) is (CsrArray if a_csr else np.ndarray)
+        assert type(h.P) is (CsrArray if p_csr else np.ndarray)
+        assert type(h.PT) is (csr_array if p_csr else np.ndarray)
 
 
 def jacobi_cases():
@@ -561,7 +569,7 @@ class TestDiagonalJacobi:
         iterate(h, f, np.zeros(h.n), 2, "stg", u_ref=u_ref)
         convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
         assert "smoother_product" in vars(h) and "mbar_spectrum" in vars(h)
-        assert h.sweep_operators[1] is h.M and h.sweep_operators[2] is h.M
+        assert h.M.T is h.M
         arrays = reachable_arrays(h.M)
         assert [array.shape for array in arrays] == [(h.n,)]
         assert h.M.nbytes == h.n * 8

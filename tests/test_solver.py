@@ -378,7 +378,7 @@ class TestIterate:
     def test_trace_equals_public_sweeps_bit_for_bit(self, variant, problem):
         a, p, f, u_ref = generate_problem(problem, group=2, seed=4)
         h = build_hierarchy(a, p, GaussSeidel())
-        a_sweep = h.sweep_operators[0]
+        a_matrix = h.A.matrix
         # one coarse solver for iterate, an identical one for the loop
         if variant == "itg-eps":
             coarse = [GeneralCoarse(eps_perturbed_coarse(
@@ -398,15 +398,15 @@ class TestIterate:
         def error(u):
             d = u_ref - u
             d -= h.A.null_basis @ (h.A.null_basis.T @ d)
-            return a_seminorm(a_sweep, d)
+            return a_seminorm(a_matrix, d)
 
         u = np.random.default_rng(6).standard_normal(h.n)
         trace = iterate(h, f, u, 12, variant[:3], coarse=coarse[0], u_ref=u_ref)
-        errors, residuals = [error(u)], [float(np.linalg.norm(f - a_sweep @ u))]
+        errors, residuals = [error(u)], [float(np.linalg.norm(f - a_matrix @ u))]
         for _ in range(12):
             u = sweep(u)
             errors.append(error(u))
-            residuals.append(float(np.linalg.norm(f - a_sweep @ u)))
+            residuals.append(float(np.linalg.norm(f - a_matrix @ u)))
         assert trace.errors_A == errors
         assert trace.residuals == residuals
 
@@ -430,12 +430,13 @@ class TestIterate:
     @pytest.mark.parametrize("variant", ["tg", "stg", "itg-linear", "itg-eps"])
     def test_sparse_operators_match_dense_sweeps(self, variant, problem, group,
                                                  smoother):
-        # A, P and P^T are applied in CSR, M and M^T in CSR (Jacobi) or as
-        # band solves on tril(A) (Gauss-Seidel); the trace must match dense
-        # sweeps up to rounding
+        # A, P and P^T are applied in CSR, M and M^T as the diagonal (Jacobi)
+        # or as band solves on tril(A) (Gauss-Seidel); the trace must match
+        # dense sweeps up to rounding
         a, p, f, u_ref = generate_problem(problem, group=group, seed=4)
         h = build_hierarchy(a, p, smoother)
-        assert not any(isinstance(op, np.ndarray) for op in h.sweep_operators)
+        assert not any(isinstance(op, np.ndarray)
+                       for op in (h.A.matrix, h.M, h.M.T, h.P, h.PT))
         coarse, coarse_solve = self.coarse_pair(h, variant)
 
         def error(u):
@@ -475,7 +476,7 @@ class TestIterate:
         a, p, f, _ = generate_problem(problem, group=2, seed=4)
         h = build_hierarchy(a, p, GaussSeidel())
         assert h.A.matrix.size < SPARSE_MIN_ENTRIES
-        assert [type(op) for op in h.sweep_operators[1:3]] == [LowerBandSolve] * 2
+        assert type(h.M) is type(h.M.T) is LowerBandSolve
         coarse, coarse_solve = self.coarse_pair(h, variant)
         m = solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
         band = dense = np.random.default_rng(6).standard_normal(h.n)

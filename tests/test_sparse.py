@@ -169,10 +169,10 @@ def test_other_prolongation_is_multiplied_out(routes):
 def test_sweep_reads_the_bytes_of_the_dense_conversion(routes):
     op, _, p, _ = routes
     h = build_hierarchy(op, p, GaussSeidel())
-    a, _, _, p_op, pt = h.sweep_operators
-    pairs = [(a, op.matrix)]
-    if type(p) is CsrArray:  # else small enough to stay dense in the sweep
-        pairs += [(p_op, p), (pt, p.T)]
+    assert h.A.matrix is op.matrix
+    pairs = [(h.A.matrix, op.matrix)]
+    if type(p) is CsrArray:  # else small enough to be held and swept dense
+        pairs += [(h.P, p), (h.PT, p.T)]
     for got, matrix in pairs:
         ref = csr_array(dense(matrix))
         for name in ("data", "indices", "indptr"):
@@ -186,7 +186,7 @@ def test_aggregation_is_csr_exactly_where_the_sweep_applies_csr(n, group):
     nc = max(1, n // group)
     ref = np.zeros((n, nc))
     ref[np.arange(n), np.minimum(np.arange(n) // group, nc - 1)] = 1.0
-    csr = n * nc >= SPARSE_MIN_ENTRIES and nc >= 32
+    csr = n * nc >= SPARSE_MIN_ENTRIES
     assert isinstance(p, CsrArray) is csr
     assert dense(p).tobytes() == ref.tobytes()
     assert p.nbytes == (p.data.nbytes + p.indices.nbytes + p.indptr.nbytes

@@ -26,10 +26,15 @@ second time reversed) and two components; the `analyze --config` JSON and
 one `solve --config` of a `generate neumann2d:8x8 jacobi` round trip
 through a relative directory; and three commands that fail with one error
 line: a `graph:` file with a non-finite weight (named by FILE:LINE),
-`--coarse scale:nan` and `--smoother jacobi:inf`. In every Gauss-Seidel
-command M and M^T are band solves on tril(A), at every size. Each digest
-also covers the exit code and the stdout and stderr text of its command. BLAS runs on
-one thread, so the bytes do not depend on the thread count of the host.
+`--coarse scale:nan` and `--smoother jacobi:inf`; and one exact `solve` on
+each of two inputs above the 2^14-entry gate that are held and swept dense:
+a custom block Jacobi M on neumann2d:16x16 (0.5 times the inverse of each
+2 x 2 diagonal block of A) and a `file:` coordinate matrix, that Laplacian
+plus 0.01 I, which is no Laplacian and so is certified by eigh. In every
+Gauss-Seidel command M and M^T are band solves on tril(A), at every size.
+Each digest also covers the exit code and the stdout and stderr text of its
+command. BLAS runs on one thread, so the bytes do not depend on the thread
+count of the host.
 """
 from __future__ import annotations
 
@@ -95,6 +100,17 @@ ERRORS = {
     "--coarse scale:nan": ["--problem", "neumann1d:8", "--coarse", "scale:nan"],
     "--smoother jacobi:inf": ["--problem", "neumann1d:8", "--smoother", "jacobi:inf"],
 }
+
+
+def write_large_dense_inputs() -> None:
+    """block-jacobi.mtx and shifted.mtx, the two inputs held dense above the gate."""
+    a = model.neumann_laplacian_2d(16, 16).toarray()
+    m = np.zeros_like(a)
+    for k in range(0, a.shape[0], 2):
+        m[k:k + 2, k:k + 2] = 0.5 * np.linalg.inv(a[k:k + 2, k:k + 2])
+    mmio.write_matrix("block-jacobi.mtx", m, "coordinate")
+    mmio.write_matrix("shifted.mtx", a + 0.01 * np.eye(a.shape[0]), "coordinate",
+                      "symmetric")
 
 
 def sha256(data: bytes) -> str:
@@ -175,6 +191,13 @@ def digests() -> dict[str, str]:
     Path("bad-edges.txt").write_text(BAD_EDGE_FILE, encoding="ascii")
     for label, setup in ERRORS.items():
         result[f"error analyze {label}"] = run(["analyze", *setup], [])
+    write_large_dense_inputs()
+    result["solve neumann2d:16x16 custom 0.5*block-jacobi:2"] = run(
+        ["solve", "--problem", "neumann2d:16x16", "--smoother",
+         "custom:block-jacobi.mtx", "--output", "t"], ["t.csv", "t.json"])
+    result["solve file:shifted.mtx jacobi"] = run(
+        ["solve", "--problem", "file:shifted.mtx", "--output", "t"],
+        ["t.csv", "t.json"])
     return result
 
 
