@@ -1,8 +1,9 @@
 """The CSR form of a large sparse operator, imported only where one is built.
 
-A graph Laplacian or an aggregation prolongation with at least
-linalg.SPARSE_MIN_ENTRIES entries and a sparse input to linalg.spsd_certify
-are held as a CsrArray. A problem below that size never
+linalg.assemble, the one place the size rule is applied, builds a large
+summed matrix (a graph Laplacian, an aggregation prolongation, a coordinate
+MatrixMarket file) here by from_terms, and a sparse input to
+linalg.spsd_certify is held as a CsrArray. A problem below that size never
 imports this module, so it never loads scipy.sparse.
 """
 from __future__ import annotations
@@ -49,9 +50,3 @@ def as_csr(m, name: str = "matrix") -> CsrArray:
     a.sum_duplicates()
     a.eliminate_zeros()
     return a
-
-
-def entries(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, value) of each stored entry of a CSR matrix, row by row."""
-    rows = np.repeat(np.arange(a.shape[0]), np.diff(a.indptr))
-    return rows, a.indices, a.data

@@ -82,6 +82,32 @@ def dense(m) -> np.ndarray:
     return m.toarray() if is_sparse(m) else m
 
 
+def assemble(keys: np.ndarray, terms: np.ndarray, shape: tuple[int, int]):
+    """The matrix whose entry at key = row * shape[1] + col sums the terms of that key.
+
+    The one constructor of a summed matrix and the one place its form is
+    chosen: a csr.CsrArray (csr.from_terms) from SPARSE_MIN_ENTRIES entries
+    on, with no dense form, else an ndarray by one np.bincount. Each entry
+    adds its terms to 0.0 in the order they come in either form, so dense()
+    of the CSR form has the bytes of the ndarray.
+    """
+    rows, cols = shape
+    if rows * cols >= SPARSE_MIN_ENTRIES:
+        from .csr import from_terms
+        return from_terms(keys, terms, shape)
+    return np.bincount(keys, weights=terms, minlength=rows * cols).reshape(shape)
+
+
+def entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, column, value) of each nonzero entry of an ndarray, or each stored
+    entry of a sparse matrix (read as CSR), row by row: the one entry reader."""
+    if isinstance(m, np.ndarray):
+        i, j = np.nonzero(m)
+        return i, j, m[i, j]
+    m = m.tocsr()
+    return np.repeat(np.arange(m.shape[0]), np.diff(m.indptr)), m.indices, m.data
+
+
 def sym_part(x: np.ndarray) -> np.ndarray:
     """Symmetric part (x + x^T)/2; kills rounding skew of assembled products."""
     return 0.5 * (x + x.T)
@@ -293,11 +319,6 @@ class SpsdOperator:
         return out
 
     @cached_property
-    def range_basis(self) -> np.ndarray:
-        """Orthonormal columns spanning the range (eigenvectors of kept eigenvalues)."""
-        return self.eig.vectors[:, self.n - self.rank:].copy()
-
-    @cached_property
     def null_basis(self) -> np.ndarray:
         """Orthonormal columns spanning the null space (shape n x (n - rank)).
 
@@ -390,8 +411,6 @@ def _laplacian_components(a, tol: TolerancePolicy) -> np.ndarray | None:
     per component (rank n - #components), its PSD test would pass, and a
     diagonal entry is below PSD_SLACK lambda_max exactly when it is zero.
     """
-    from .csr import entries
-
     n = a.shape[0]
     diag = a.diagonal()
     max_diag = float(diag.max())
@@ -435,7 +454,9 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     [-PSD_SLACK * lambda_max, 0) are clamped to zero as rounding noise
     (assembled products like P^T A P accumulate it); anything below that
     rejects the input. The zero matrix is rejected outright since relative
-    rank decisions need a positive scale.
+    rank decisions need a positive scale, and so is a matrix whose smallest
+    kept eigenvalue has no finite reciprocal (a subnormal scale), since its
+    pseudoinverse would overflow.
 
     The derived operators are built lazily on the returned SpsdOperator.
     """
@@ -470,7 +491,13 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
             f"-psd_slack * lambda_max = {-PSD_SLACK * lam_max:.6e}")
 
     clamped = np.maximum(w, 0.0)
-    op = SpsdOperator(matrix=sym, rank=spectrum_rank(clamped, tol), policy=tol)
+    rank = spectrum_rank(clamped, tol)
+    smallest = float(clamped[n - rank])
+    if 1.0 / smallest == np.inf:  # Python float division: no overflow warning
+        raise NotSpsdError(
+            f"matrix is too small to invert: its smallest kept eigenvalue "
+            f"{smallest:.6e} has no finite reciprocal")
+    op = SpsdOperator(matrix=sym, rank=rank, policy=tol)
     vars(op)["eig"] = SymEigen(values=clamped, vectors=eig.vectors)  # eig's cached value
     return op
 

@@ -2,10 +2,11 @@
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to the
-full matrix: a dense array, or for a coordinate file of at least
-SPARSE_MIN_ENTRIES entries a csr.CsrArray with no dense form. A CSR matrix
-is written in coordinate layout from its stored entries, with no dense
-form; in array layout, as its dense form.
+full matrix. An array file is read dense; a coordinate file is summed by
+linalg.assemble, the one place that chooses between a dense array and a
+csr.CsrArray with no dense form. The coordinate layout is written from
+linalg.entries of either form, a CSR matrix with no dense form; the array
+layout from the dense form.
 Values are written with 17 significant digits so float64 content
 round-trips exactly.
 """
@@ -14,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MatrixMarketError
-from .linalg import SPARSE_MIN_ENTRIES, as_matrix, dense, is_sparse
+from .linalg import as_matrix, assemble, dense, entries, is_sparse
 
 _HEADER_PREFIX = "%%matrixmarket"
 
@@ -41,10 +42,10 @@ def content_lines(path, comment: str) -> list[tuple[int, str]]:
 def read_matrix(path) -> np.ndarray:
     """Read a real matrix from a MatrixMarket file as a float64 array.
 
-    A coordinate file of at least SPARSE_MIN_ENTRIES entries (rows * cols)
-    is read as a csr.CsrArray: each entry sums its terms in file order, so
-    the result has the bytes of csr_array of the dense matrix, which is
-    never formed. Every other file gives a dense ndarray.
+    A coordinate file is summed by linalg.assemble, each entry its terms in
+    file order: a large one is a csr.CsrArray with the bytes of csr_array of
+    the dense matrix, which is never formed. Every other file gives a dense
+    ndarray.
     """
     with open(path, "r", encoding="ascii") as handle:
         first = handle.readline()
@@ -102,13 +103,8 @@ def read_matrix(path) -> np.ndarray:
             if symmetry == "symmetric" and i != j:
                 keys.append((j - 1) * cols + i - 1)
                 terms.append(v)
-        keys, terms = np.array(keys, dtype=np.int64), np.array(terms)
-        if rows * cols >= SPARSE_MIN_ENTRIES:
-            from .csr import from_terms
-            out = from_terms(keys, terms, (rows, cols))
-        else:
-            out = np.bincount(keys, weights=terms,
-                              minlength=rows * cols).reshape(rows, cols)
+        out = assemble(np.array(keys, dtype=np.int64), np.array(terms),
+                       (rows, cols))
     else:
         if symmetry == "symmetric" and rows != cols:
             raise MatrixMarketError(
@@ -137,17 +133,16 @@ def read_matrix(path) -> np.ndarray:
 def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> None:
     """Write a dense or CSR matrix in MatrixMarket form (array or coordinate layout).
 
-    Either layout stores its entries by columns. A CSR matrix in coordinate
-    layout is read off its stored entries (O(nnz), the dense form's bytes);
-    in array layout it is written as its dense form.
+    Either layout stores its entries by columns. The coordinate layout reads
+    them off linalg.entries of m^T, for a CSR matrix its stored entries
+    (O(nnz), the dense form's bytes); the array layout writes the dense form.
     """
     if layout not in ("array", "coordinate"):
         raise ValueError(f"unsupported layout '{layout}'")
     if symmetry not in ("general", "symmetric"):
         raise ValueError(f"unsupported symmetry '{symmetry}'")
-    sparse = is_sparse(m) and layout == "coordinate"
-    if sparse:
-        from .csr import as_csr, entries
+    if is_sparse(m) and layout == "coordinate":
+        from .csr import as_csr
         m = as_csr(m)
     else:
         m = as_matrix(dense(m), "matrix")
@@ -157,21 +152,16 @@ def write_matrix(path, m, layout: str = "array", symmetry: str = "general") -> N
             raise ValueError("symmetric storage requires a square matrix")
         if abs(m - m.T).max() != 0.0:
             raise ValueError("symmetric storage requires exactly symmetric entries")
-    if sparse:
-        j, i, values = entries(as_csr(m.T))  # by columns of m
-    else:
-        i, j = _stored(rows, cols, symmetry)
-        values = m[i, j]
 
     out = [f"%%MatrixMarket matrix {layout} real {symmetry}"]
     if layout == "array":
         out.append(f"{rows} {cols}")
-        out.extend(map(_fmt, values))
+        out.extend(map(_fmt, m[_stored(rows, cols, symmetry)]))
     else:
-        kept = values != 0.0
+        j, i, values = entries(m.T)  # by columns of m
         if symmetry == "symmetric":
-            kept &= i >= j  # a CSR matrix lists both triangles
-        i, j, values = i[kept], j[kept], values[kept]
+            kept = i >= j
+            i, j, values = i[kept], j[kept], values[kept]
         out.append(f"{rows} {cols} {i.size}")
         out.extend(f"{a + 1} {b + 1} {_fmt(v)}" for a, b, v in zip(i, j, values))
     with open(path, "w", encoding="ascii", newline="\n") as handle:

@@ -8,9 +8,10 @@ coarse basis Q with its orthogonal complement and the forms of the
 symmetrized smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T
 (Mtilde), read off the one product F M F^T. Also provides SPSD test
 problems: Neumann Laplacians in 1d/2d and weighted graph Laplacians, each
-summed from its edge list by one assembler (_laplacian; in CSR from 2^14
-entries on, with no n x n array), seeded random rank-deficient matrices,
-and file input.
+summed from its edge list (_laplacian), seeded random rank-deficient
+matrices, and file input. Every summed matrix here, a Laplacian and an
+aggregation prolongation, is built by linalg.assemble, the one place that
+chooses between an ndarray and a CSR form with no n x n array.
 """
 from __future__ import annotations
 
@@ -28,11 +29,12 @@ from .errors import (EdgeError, NotSpsdError, ShapeError, SmootherAssumptionErro
                      SmootherError)
 from .linalg import (
     PSD_SLACK,
-    SPARSE_MIN_ENTRIES,
     SpsdOperator,
     TolerancePolicy,
     as_matrix,
+    assemble,
     dense,
+    entries,
     is_sparse,
     spectrum_psd,
     spsd_certify,
@@ -168,7 +170,7 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> Smoother:
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
         # tril(A) as a Fortran-ordered band (dtbtrs copies a C-ordered one)
-        i, j, x = _entries(a.matrix)
+        i, j, x = entries(a.matrix)
         lower = i >= j
         i, j = i[lower], j[lower]
         band = np.zeros((int((i - j).max()) + 1, a.n), order="F")
@@ -183,16 +185,6 @@ def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> Smoother:
     raise TypeError(f"unknown smoother spec {spec!r}")
 
 
-def _entries(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, column, value) of each nonzero entry of an ndarray or a CsrArray,
-    row by row."""
-    if isinstance(m, np.ndarray):
-        i, j = np.nonzero(m)
-        return i, j, m[i, j]
-    from .csr import entries
-    return entries(m)
-
-
 # ---------------------------------------------------------------------------
 # hierarchy
 
@@ -205,8 +197,8 @@ class TwoGridHierarchy:
     policy; a graph Laplacian certified by structure is held in CSR), M (for
     Jacobi a DiagonalScaling holding omega / diag(A), for Gauss-Seidel a
     LowerBandSolve on tril(A), each its only form; a custom M an n x n
-    ndarray) and P (in CSR when given sparse, as aggregation_prolongation
-    gives it from SPARSE_MIN_ENTRIES entries on). Each operator has the one
+    ndarray) and P (in CSR when given sparse, as linalg.assemble builds a
+    large aggregation_prolongation). Each operator has the one
     form it was built in, and the solver's sweeps apply A, M, M^T and P in
     it, with P^T from PT, the one operator kept for the sweeps alone. r and
     s are the ranks of A and Ac (s <= r). When A or Ac is a graph Laplacian
@@ -390,13 +382,13 @@ class TwoGridHierarchy:
 
 
 def _galerkin(a: SpsdOperator, p) -> np.ndarray:
-    """P^T A P: for a CSR A (a large graph Laplacian) as the sparse product
-    P^T (A P) in O(nnz), dense below SPARSE_MIN_ENTRIES entries; else dense."""
+    """P^T A P: for a CSR A (a large graph Laplacian) the sparse product
+    P^T (A P) in O(nnz), else dense. A small sparse product is left for
+    spsd_certify to densify, by the size rule it shares with linalg.assemble."""
     if is_sparse(a.matrix):
         from .csr import as_csr
         p = as_csr(p, "P")
-        ac = p.T @ (a.matrix @ p)
-        return ac if ac.shape[0] ** 2 >= SPARSE_MIN_ENTRIES else ac.toarray()
+        return p.T @ (a.matrix @ p)
     p = dense(p)
     return p.T @ a.matrix @ p
 
@@ -496,21 +488,16 @@ ProblemSpec = Union[NeumannLaplacian1D, NeumannLaplacian2D, GraphLaplacian,
 
 
 def _laplacian(u: np.ndarray, v: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
-    """L = D - W (n x n) of the edges u[k] - v[k], weights w[k], in one bincount.
+    """L = D - W (n x n) of the edges u[k] - v[k], weights w[k], in one assemble.
 
     Its keys row * n + col run per edge as (u, u) +w, (v, v) +w, (u, v) -w,
     (v, u) -w, so each entry adds its terms in edge order: a per-edge loop's
-    bytes. With SPARSE_MIN_ENTRIES entries or more L is a csr.CsrArray of the
-    same sums (csr.from_terms), the CSR form of the dense L, and no n x n
-    array is formed.
+    bytes. linalg.assemble sums them, so a large L is a csr.CsrArray of the
+    same sums and no n x n array is formed.
     """
     keys = np.outer(u, [n + 1, 0, n, 1]) + np.outer(v, [0, n + 1, 1, n])
     terms = np.outer(w, [1.0, 1.0, -1.0, -1.0])
-    if n * n >= SPARSE_MIN_ENTRIES:
-        from .csr import from_terms
-        return from_terms(keys.ravel(), terms.ravel(), (n, n))
-    return np.bincount(keys.ravel(), weights=terms.ravel(),
-                       minlength=n * n).reshape(n, n)
+    return assemble(keys.ravel(), terms.ravel(), (n, n))
 
 
 def neumann_laplacian_1d(n: int) -> np.ndarray:
@@ -586,8 +573,8 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
 
     Column j is the indicator of indices [j*group, (j+1)*group); the last
     group absorbs the remainder. group >= 2 keeps the coarse space strictly
-    smaller than the fine space. P is a csr.CsrArray from SPARSE_MIN_ENTRIES
-    entries (n * nc) on, otherwise an ndarray.
+    smaller than the fine space. linalg.assemble builds P, so a large P is
+    a csr.CsrArray, otherwise an ndarray.
     """
     if group < 2:
         raise ValueError(f"aggregation group must be >= 2, got {group}")
@@ -596,12 +583,7 @@ def aggregation_prolongation(n: int, group: int = 2) -> np.ndarray:
     nc = max(1, n // group)
     i = np.arange(n)
     groups = np.minimum(i // group, nc - 1)
-    if n * nc >= SPARSE_MIN_ENTRIES:
-        from .csr import from_terms
-        return from_terms(i * nc + groups, np.ones(n), (n, nc))
-    p = np.zeros((n, nc))
-    p[i, groups] = 1.0
-    return p
+    return assemble(i * nc + groups, np.ones(n), (n, nc))
 
 
 def problem_matrix(spec: ProblemSpec) -> np.ndarray:
@@ -625,8 +607,8 @@ def generate_problem(spec: ProblemSpec, group: int = 2, seed: int = 0
     u_ref is drawn from a seeded generator and f = A u_ref, which guarantees
     that f lies in the range of A. P defaults to pairwise aggregation. A is
     certified under the default policy for its dimension. A graph Laplacian
-    with SPARSE_MIN_ENTRIES entries or more stays in CSR from its edge list
-    on, so f is a CSR product.
+    that linalg.assemble builds in CSR stays in CSR from its edge list on,
+    so f is a CSR product.
     """
     matrix = problem_matrix(spec)
     n = matrix.shape[0]

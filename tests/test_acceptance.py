@@ -121,7 +121,7 @@ def test_criterion_4_inexact_sandwich():
     h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
     exact = analysis.exact_factor(h)
     rng = np.random.default_rng(23)
-    vr = h.Ac.range_basis
+    vr = h.Ac.eig.vectors[:, h.nc - h.s:]
     k = rng.standard_normal((h.s, h.s))
     bump = vr @ sym_part(k @ k.T) @ vr.T
     candidates = {

@@ -68,7 +68,7 @@ def engineered_hierarchy():
     h0 = neumann_hierarchy(n=8)
     a = h0.A
     rng = np.random.default_rng(42)
-    v = a.range_basis @ rng.standard_normal(a.rank)
+    v = a.eig.vectors[:, a.n - a.rank:] @ rng.standard_normal(a.rank)
     v /= np.linalg.norm(v)
     z = rng.standard_normal((8, 7))
     z -= np.outer(v, v @ z)  # columns orthogonal to v
@@ -418,7 +418,7 @@ class TestInexactAnalysis:
         h = neumann_hierarchy(n=8)
         # range-preserving SPSD bump built on the coarse range basis
         rng = np.random.default_rng(17)
-        vr = h.Ac.range_basis
+        vr = h.Ac.eig.vectors[:, h.nc - h.s:]
         k = rng.standard_normal((h.s, h.s))
         bump = vr @ sym_part(k @ k.T) @ vr.T
         bc = h.Ac.matrix + magnitude * bump
@@ -444,7 +444,7 @@ class TestInexactAnalysis:
         # range: the stacked null bases have sigma_min = angle / sqrt(2), far
         # above the rank cut, though their Gram matrix's angle**2 / 2 is not
         h = neumann_hierarchy(n=16)
-        z, v = h.Ac.null_basis[:, 0], h.Ac.range_basis[:, 0]
+        z, v = h.Ac.null_basis[:, 0], h.Ac.eig.vectors[:, h.nc - h.s]
         turn = (np.sin(angle) * (np.outer(v, z) - np.outer(z, v))
                 + (np.cos(angle) - 1.0) * (np.outer(z, z) + np.outer(v, v)))
         rot = np.eye(h.nc) + turn

@@ -418,12 +418,18 @@ class TestConfigValues:
      "coarse matrix 'scale:1e308' is invalid: matrix contains NaN or Inf entries"),
     (["solve", "--problem", "neumann2d:16x16", "--coarse", "scale:1e308"],
      "coarse matrix 'scale:1e308' is invalid: matrix contains NaN or Inf entries"),
+    # a subnormal Bc: certified, its pseudoinverse would overflow
+    *([[command, "--problem", problem, "--coarse", "scale:1e-320"],
+       "coarse matrix 'scale:1e-320' is invalid: matrix is too small to invert"]
+      for problem in ("neumann1d:8", "neumann2d:24x24")
+      for command in ("analyze", "solve")),
     (["analyze", "--problem", "neumann1d:8", "--coarse", "eps:0.3", "--epsilon", "0.5"],
      "coarse spec 'eps:0.3' and epsilon 0.5 both give the coarse accuracy"),
 ], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
         "format-xml", "sweeps-abc", "jacobi1.5", "jacobi-nan", "jacobi-inf",
         "jacobi-1e400", "scale-nan", "scale-inf", "scale-1e400", "scale-1e308",
-        "scale-1e308-csr", "two-epsilons"])
+        "scale-1e308-csr", "scale-1e-320-analyze", "scale-1e-320-solve",
+        "scale-1e-320-analyze-2d", "scale-1e-320-solve-2d", "two-epsilons"])
 def test_invalid_value_is_an_error_line(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -102,6 +102,14 @@ class TestSpsdCertify:
         with pytest.raises(NotSpsdError, match="zero"):
             spsd_certify(np.zeros((3, 3)), policy(3))
 
+    def test_rejects_kept_eigenvalue_without_finite_reciprocal(self):
+        # subnormal: certified on its relative rank, its pseudoinverse would
+        # overflow; the smallest kept eigenvalue 1e-310 is the cut
+        spsd_certify(np.diag([1e-300, 1e-305, 0.0]), policy(3))
+        with pytest.raises(NotSpsdError, match="smallest kept eigenvalue 1.0+e-310 "
+                           "has no finite reciprocal"):
+            spsd_certify(np.diag([1e-300, 1e-310, 0.0]), policy(3))
+
     def test_clamps_roundoff_negatives(self):
         op = spsd_certify(np.diag([1.0, -1e-14]), policy(2))
         assert op.rank == 1
@@ -181,7 +189,7 @@ class TestNumericalRank:
 class TestRangeNullBases:
     def test_diag(self):
         op = spsd_certify(np.diag([2.0, 0.0]), policy(2))
-        rng_b, null_b = op.range_basis, op.null_basis
+        rng_b, null_b = op.eig.vectors[:, op.n - op.rank:], op.null_basis
         assert np.allclose(np.abs(rng_b), [[1.0], [0.0]])
         assert np.allclose(np.abs(null_b), [[0.0], [1.0]])
 
@@ -194,7 +202,7 @@ class TestRangeNullBases:
         rng = np.random.default_rng(11)
         g = rng.standard_normal((3, 8))
         op = spsd_certify(g.T @ g, policy(8))
-        rng_b, null_b = op.range_basis, op.null_basis
+        rng_b, null_b = op.eig.vectors[:, op.n - op.rank:], op.null_basis
         assert rng_b.shape == (8, 3)
         assert null_b.shape == (8, 5)
         assert np.max(np.abs(op.matrix @ null_b)) <= 1e-10 * op.max_eigenvalue

@@ -110,6 +110,16 @@ def coordinate_file(path, rows, cols, symmetry, entries):
                     + "".join(f"{i} {j} {v!r}\n" for i, j, v in entries))
 
 
+def summed(rows, cols, symmetry, entries):
+    """The matrix that adding each entry in file order builds."""
+    out = np.zeros((rows, cols))
+    for a, b, v in entries:
+        out[a - 1, b - 1] += v
+        if symmetry == "symmetric" and a != b:
+            out[b - 1, a - 1] += v
+    return out
+
+
 @pytest.mark.parametrize("symmetry", ["general", "symmetric"])
 def test_large_coordinate_file_is_read_into_csr(tmp_path, symmetry):
     # from SPARSE_MIN_ENTRIES entries on, a coordinate file is summed into
@@ -125,21 +135,23 @@ def test_large_coordinate_file_is_read_into_csr(tmp_path, symmetry):
                (n, 1, 0.5), (n, 1, -0.5), (3, 3, 0.0)]
     path = tmp_path / "big.mtx"
     coordinate_file(path, n, n, symmetry, entries)
-    ref = np.zeros((n, n))
-    for a, b, v in entries:
-        ref[a - 1, b - 1] += v
-        if symmetry == "symmetric" and a != b:
-            ref[b - 1, a - 1] += v
+    ref = summed(n, n, symmetry, entries)
     back = read_matrix(path)
     assert type(back) is CsrArray
+    assert back.toarray().tobytes() == ref.tobytes()
     expected = csr_array(ref)
     for name in ("data", "indices", "indptr"):
         mine, theirs = getattr(back, name), getattr(expected, name)
         assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
-    # one entry fewer stays dense, with the same sums
+    # written back in coordinate layout, the CSR and the dense form give one file
+    write_matrix(tmp_path / "csr.mtx", back, "coordinate", symmetry)
+    write_matrix(tmp_path / "dense.mtx", ref, "coordinate", symmetry)
+    assert (tmp_path / "csr.mtx").read_bytes() == (tmp_path / "dense.mtx").read_bytes()
+    # one entry fewer (127 x 129 = 16383) stays dense, with the same sums
     coordinate_file(path, n - 1, n + 1, symmetry="general", entries=entries[:-3])
     small = read_matrix(path)
-    assert type(small) is np.ndarray and small.shape == (n - 1, n + 1)
+    assert type(small) is np.ndarray
+    assert small.tobytes() == summed(n - 1, n + 1, "general", entries[:-3]).tobytes()
 
 
 @pytest.mark.parametrize("line,fragment", [

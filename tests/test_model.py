@@ -19,10 +19,9 @@ from twogrid.errors import (
     SmootherError,
 )
 from twogrid.csr import CsrArray
-from twogrid.linalg import (PSD_SLACK, SpsdOperator, TolerancePolicy, dense, spsd_certify,
-                            sym_part)
+from twogrid.linalg import (PSD_SLACK, SPARSE_MIN_ENTRIES, SpsdOperator, TolerancePolicy,
+                            dense, spsd_certify, sym_part)
 from twogrid.model import (
-    SPARSE_MIN_ENTRIES,
     CustomSmoother,
     DiagonalScaling,
     GaussSeidel,

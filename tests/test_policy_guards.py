@@ -1,9 +1,12 @@
 """Guard-rail tests for tolerance policies and rank-consistency errors."""
+import ast
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import twogrid
 from twogrid.errors import ShapeError
 from twogrid.analysis import sigma_tg
 from twogrid.linalg import TolerancePolicy, spsd_certify
@@ -55,3 +58,21 @@ def test_inconsistent_ranks_rejected_by_analysis():
     assert (forged.r, forged.s) == (1, 3)
     with pytest.raises(ShapeError, match="inconsistent"):
         sigma_tg(forged)
+
+
+def test_only_linalg_reads_the_size_rule():
+    # SPARSE_MIN_ENTRIES, the dense-or-CSR rule, is read in linalg alone, and
+    # there only by assemble and spsd_certify
+    readers = {}
+    for path in sorted(Path(twogrid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name == "SPARSE_MIN_ENTRIES" and not (
+                    isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)):
+                owner = next((f.name for f in functions if node in ast.walk(f)), None)
+                readers.setdefault(path.name, set()).add(owner)
+    assert readers == {"linalg.py": {"assemble", "spsd_certify"}}

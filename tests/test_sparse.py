@@ -20,6 +20,7 @@ from twogrid.linalg import (
     SpsdOperator,
     TolerancePolicy,
     dense,
+    entries,
     spectrum_rank,
     spsd_certify,
 )
@@ -108,11 +109,14 @@ def test_gauss_seidel_band_is_the_dense_one(routes):
 
 def test_sparse_galerkin_matches_the_dense_product(routes):
     # unit weights sum exactly, so the sparse product has the dense one's
-    # bytes; weighted graphs agree to rounding
+    # bytes; weighted graphs agree to rounding. Below SPARSE_MIN_ENTRIES
+    # (neumann2d:16x16 by 4, nc = 64) spsd_certify alone densifies Ac
     op, dense_op, p, unit = routes
     sparse_h = build_hierarchy(op, p, GaussSeidel())
     dense_h = build_hierarchy(dense_op, dense(p), GaussSeidel())
     got, ref = dense(sparse_h.Ac.matrix), dense(dense_h.Ac.matrix)
+    small = sparse_h.nc ** 2 < SPARSE_MIN_ENTRIES
+    assert type(sparse_h.Ac.matrix) is (np.ndarray if small else CsrArray)
     assert type(sparse_h.Ac.matrix) is type(dense_h.Ac.matrix)
     if unit:
         assert got.tobytes() == ref.tobytes()
@@ -180,7 +184,35 @@ def test_sweep_reads_the_bytes_of_the_dense_conversion(routes):
             assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
 
 
-@pytest.mark.parametrize("n, group", [(128, 2), (256, 4), (1024, 4), (1024, 64), (300, 3)])
+def test_entries_reads_both_forms_alike(routes):
+    # the one entry reader: the same triples, row by row, for a CSR matrix,
+    # its transpose (a csc_array) and the dense form of each
+    op, _, p, _ = routes
+    for matrix in (op.matrix, p, p.T):
+        got, ref = entries(matrix), entries(dense(matrix))
+        assert all(np.array_equal(x, y) for x, y in zip(got[:2], ref[:2]))
+        assert got[2].tobytes() == ref[2].tobytes()
+
+
+@pytest.mark.parametrize("n", [127, 128])
+def test_laplacian_is_csr_exactly_from_the_gate(n):
+    # order 127 is below SPARSE_MIN_ENTRIES = 128^2, order 128 is at it;
+    # either form has the bytes of adding each repeated, weighted edge in turn
+    edges = weighted_graph(n, 2, 5, repeat=True)
+    ref = np.zeros((n, n))
+    for u, v, w in edges:
+        ref[u, u] += w
+        ref[v, v] += w
+        ref[u, v] -= w
+        ref[v, u] -= w
+    lap = graph_laplacian(edges, n)
+    assert type(lap) is (CsrArray if n * n >= SPARSE_MIN_ENTRIES else np.ndarray)
+    assert dense(lap).tobytes() == ref.tobytes()
+
+
+# n * nc just below (5461 * 3 = 16383) and at (256 * 64, 8192 * 2) the gate
+@pytest.mark.parametrize("n, group", [(128, 2), (256, 4), (1024, 4), (1024, 64), (300, 3),
+                                      (5461, 1820), (8192, 4096)])
 def test_aggregation_is_csr_exactly_where_the_sweep_applies_csr(n, group):
     p = aggregation_prolongation(n, group)
     nc = max(1, n // group)
@@ -268,7 +300,8 @@ def test_large_gauss_seidel_setup_forms_no_n_by_n_array():
                                               ("coordinate", "general"),
                                               ("array", "general")])
 def test_csr_is_written_with_the_dense_bytes(layout, symmetry, tmp_path):
-    for matrix in (neumann_laplacian_2d(12, 12), aggregation_prolongation(256, 4)):
+    for matrix in (neumann_laplacian_2d(12, 12), aggregation_prolongation(256, 4),
+                   graph_laplacian(weighted_graph(300, 3, 2, repeat=True))):
         if symmetry == "symmetric" and matrix.shape[0] != matrix.shape[1]:
             continue
         mmio.write_matrix(tmp_path / "csr.mtx", matrix, layout, symmetry)

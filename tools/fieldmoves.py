@@ -31,9 +31,10 @@ BLAS_THREADS = {var: "1" for var in
 
 def build_reports() -> dict[str, dict]:
     """The 22 reports of the tree on sys.path, by case name."""
-    from parity import ANALYZE_2D  # the argv of the analyze-2d workload
+    # the argv of the analyze-2d workload, and the corpus reports
+    from parity import ANALYZE_2D, corpus_reports
 
-    from twogrid import analysis, cli, corpus, linalg
+    from twogrid import cli
 
     reports = {}
     with tempfile.TemporaryDirectory() as tmp:
@@ -42,11 +43,8 @@ def build_reports() -> dict[str, dict]:
         if code != 0:
             raise SystemExit(f"analyze-2d exited with {code}")
         reports["analyze-2d seed 0"] = json.loads(path.read_text(encoding="ascii"))
-    for case in corpus.builtin_corpus():
-        h, _, _ = corpus.build_case(case)
-        bc = linalg.spsd_certify(2.0 * h.Ac.matrix, h.policy)
-        reports[f"corpus {case.name}"] = analysis.convergence_report(
-            h, coarse=bc, epsilon=0.3)
+    for name, report in corpus_reports():
+        reports[f"corpus {name}"] = report
     return reports
 
 

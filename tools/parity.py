@@ -130,6 +130,15 @@ def run(argv: list[str], outputs: list[str]) -> str:
     return sha256(b"".join(parts))
 
 
+def corpus_reports():
+    """(case name, report) of each of the 21 corpus cases, Bc = 2 Ac and eps 0.3:
+    the one builder of the corpus reports this tool and fieldmoves.py read."""
+    for case in corpus.builtin_corpus():
+        h, _, _ = corpus.build_case(case)
+        bc = linalg.spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        yield case.name, analysis.convergence_report(h, coarse=bc, epsilon=0.3)
+
+
 def digests() -> dict[str, str]:
     result = {"verify": run(["verify"], [])}
     for problem, smoother in PROBLEMS:
@@ -158,12 +167,9 @@ def digests() -> dict[str, str]:
         result[f"analyze json {problem} custom {label}"] = run(
             ["analyze", "--problem", problem, "--smoother", f"custom:{path}",
              "--output", "r.json"], ["r.json"])
-    for case in corpus.builtin_corpus():
-        h, _, _ = corpus.build_case(case)
-        bc = linalg.spsd_certify(2.0 * h.Ac.matrix, h.policy)
-        text = analysis.report_json(
-            analysis.convergence_report(h, coarse=bc, epsilon=0.3))
-        result[f"corpus {case.name}"] = sha256(text.encode("ascii"))
+    for name, report in corpus_reports():
+        text = analysis.report_json(report)
+        result[f"corpus {name}"] = sha256(text.encode("ascii"))
     result["analyze-2d seed 0"] = run([*ANALYZE_2D, "--output", "r.json"],
                                       ["r.json"])
     result["analyze json neumann2d:16x16 gs aggregate:4 exact"] = run(
