@@ -19,6 +19,10 @@ is s exact zeros (range(Q)) and one eigen-solve of order r - s in the
 complement basis Q_perp. Every coarse correction reads K through Q^T K,
 formed once per hierarchy, and a report with a coarse matrix forms its core
 R Bc^+ R^T once for the inexact quadratic form and the itg oracle. The
+quadratic-form factors and the oracles read one end of their r x r forms
+(lambda_min of ftg and fitg, lambda_max of G^T G) through
+linalg.spectrum_end: a dense solve below END_MIN_ORDER, restarted Lanczos
+from it on; every form is still assembled in full. The
 smoother enters through B = F M F^T alone: K = I - B,
 F Mbar F^T = B + B^T - B^T B = I - K^T K and
 F Mtilde F^T = B + B^T - B B^T = I - K K^T, so the spectrum of Mtilde A is
@@ -52,6 +56,7 @@ from .errors import CoarseScalingError, RangeMismatchError, ShapeError
 from .linalg import (
     PSD_SLACK,
     SpsdOperator,
+    spectrum_end,
     spectrum_psd,
     spectrum_rank,
     spsd_certify,
@@ -171,7 +176,8 @@ class ConditionReport:
     Every field is read off a spectrum the hierarchy caches:
     smoother_ok, smoother_min_eig and mbar_null_in_range_dim off the
     smoother spectrum, intersection_dim and intersection_margin off the
-    complement spectrum, and mbar_min_eig off the spectrum of Mbar.
+    complement spectrum, and mbar_min_eig, the smallest eigenvalue of Mbar,
+    off the hierarchy's mbar_ends.
     intersection_margin is sqrt of the smallest eigenvalue the complement
     rank keeps (0.0 when none is kept); when the intersection condition
     holds and s < r it is sqrt(sigma_tg).
@@ -209,7 +215,8 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
         at zero; a practical sufficient condition implying equiv_cond_ok.
         F^T maps R^r onto range(A), so for a PSD Mbar that intersection has
         dimension r minus the rank of the smoother form: the flag reads the
-        Mbar spectrum and the smoother spectrum.
+        ends of Mbar's spectrum (mbar_ends: lambda_min, and lambda_max only
+        when lambda_min < 0) and the smoother spectrum.
         mbar_null_in_range_dim is that difference; it is the dimension of
         null(Mbar) within range(A) whenever Mbar is PSD, the only case in
         which the flag reads it.
@@ -225,13 +232,12 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
     return ConditionReport(
         smoother_ok=bool(spectrum_psd(w_smooth)),
         equiv_cond_ok=bool(inter_dim == nullity_a),
-        suff_cond_ok=bool(spectrum_psd(h.mbar_spectrum)
-                          and null_in_range == 0),
+        suff_cond_ok=bool(spectrum_psd(h.mbar_ends) and null_in_range == 0),
         intersection_dim=int(inter_dim),
         nullity_A=int(nullity_a),
         smoother_min_eig=float(w_smooth[0]),
         intersection_margin=float(np.sqrt(w_comp[h.r - kept])) if kept else 0.0,
-        mbar_min_eig=float(h.mbar_spectrum[0]),
+        mbar_min_eig=h.mbar_min_eig,
         mbar_null_in_range_dim=int(null_in_range),
     )
 
@@ -271,7 +277,8 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
     iteration ("tg", "stg", or "itg" with a coarse matrix, certified or
     raw; like the solver, "tg" and "stg" take none and use the exact solve)
     on range(A), whose coarse correction is Q C Q^T with the core C of that
-    solve, and returns its largest singular value as sqrt(lambda_max(G^T G)).
+    solve, and returns its largest singular value as sqrt(lambda_max(G^T G)),
+    the one end read by linalg.spectrum_end.
     It reads no spectral position, so it checks the index bookkeeping of
     the identity above; it is not independent of the operators: for "tg"
     the identity and the quadratic form read the singular values of this
@@ -291,8 +298,8 @@ def _propagator_norm(h: TwoGridHierarchy, core: np.ndarray | None,
     g = pre - h.Q @ (qk if core is None else core @ qk)
     if post_smooth:
         g = pre.T @ g
-    w = np.linalg.eigvalsh(sym_part(g.T @ g))
-    return float(np.sqrt(max(float(w[-1]), 0.0)))
+    top = spectrum_end(sym_part(g.T @ g), highest=True)
+    return float(np.sqrt(max(top, 0.0)))
 
 
 def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
@@ -325,8 +332,7 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
 
     factor_ftg, eigengap = 0.0, None
     if h.s < h.r:
-        w_ftg = np.linalg.eigvalsh(ftg_matrix(h))
-        factor_ftg = _factor_from(float(w_ftg[0]))
+        factor_ftg = _factor_from(spectrum_end(ftg_matrix(h), highest=False))
         w = h.complement_spectrum
         eigengap = float(w[h.s] - w[h.s - 1])
 
@@ -454,8 +460,7 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
 
     # one core C = R Bc^+ R^T for the quadratic form and the oracle
     core = _coarse_core(h, bc)
-    w_fitg = np.linalg.eigvalsh(_inexact_form(h, core))
-    factor_itg = _factor_from(float(w_fitg[0]))
+    factor_itg = _factor_from(spectrum_end(_inexact_form(h, core), highest=False))
 
     return InexactFactorReport(
         alpha1=alpha1,

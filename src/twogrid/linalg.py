@@ -3,16 +3,19 @@
 Eigendecomposition, thin factors and Moore-Penrose inverses under a shared
 tolerance policy, plus the two decisions every module shares: the
 numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
-within slack (spectrum_psd). Every higher-level module (hierarchy assembly,
-convergence analysis, solvers) stands on these primitives, so each rule is
-written once and the rank threshold is decided once per matrix. A large
-weighted graph Laplacian is certified by its structure instead, in O(nnz)
-on its CSR form; its thin factor and pseudoinverse come from one Cholesky
-per connected component with one node pinned, and its spectrum is solved
-only when something reads it. The analysis reads a matrix only through
-forms F X F^T of some thin factor F (F^T F = A) and through pseudoinverses,
-and any two r-row factors differ by an r x r orthogonal matrix, so no
-spectrum it computes depends on which factor a certificate gives.
+within slack (spectrum_psd). Where only one end of a spectrum is read, the
+end readers (spectrum_end, singular_max) solve it in full below
+END_MIN_ORDER and by restarted Lanczos from there on. Every higher-level
+module (hierarchy assembly, convergence analysis, solvers) stands on these
+primitives, so each rule is written once and the rank threshold is decided
+once per matrix. A large weighted graph Laplacian is certified by its
+structure instead, in O(nnz) on its CSR form; its thin factor and
+pseudoinverse come from one Cholesky per connected component with one node
+pinned, and its spectrum is solved only when something reads it. The
+analysis reads a matrix only through forms F X F^T of some thin factor F
+(F^T F = A) and through pseudoinverses, and any two r-row factors differ by
+an r x r orthogonal matrix, so no spectrum it computes depends on which
+factor a certificate gives.
 """
 from __future__ import annotations
 
@@ -39,6 +42,12 @@ PSD_SLACK = 1e-10
 # apply. Below it a dense eigh costs less than the checks, and a dense
 # product less than scipy's cost per call.
 SPARSE_MIN_ENTRIES = 2 ** 14
+
+# From this order on one end of a spectrum (spectrum_end) or the largest
+# singular value (singular_max) is read by restarted Lanczos instead of a full
+# dense solve: the measured break-even. At order 128 a Jacobi report on a
+# 12 x 12 grid ran 40% slower with Lanczos.
+END_MIN_ORDER = 256
 
 # A sparse input of larger order that fails the structural certificate is
 # refused instead of densified for eigh: its n x n array would take 2 GiB at
@@ -406,6 +415,9 @@ def _laplacian_components(a, tol: TolerancePolicy) -> np.ndarray | None:
       diam <= |C| - 1) clears the rank cut;
     - rank_rel_tol and PSD_SLACK are at least 8 n EPS, above the null
       eigenvalues' row-sum slack.
+    A matrix that passes but whose smallest margin has no finite reciprocal
+    (a subnormal scale) raises NotSpsdError, as the eigh certificate refuses
+    a kept eigenvalue with none: its pseudoinverse would overflow.
     The factors 2 and 8 leave room for eigh's rounding (relative n EPS), so
     eigh's rank cut would keep every nonzero eigenvalue and drop exactly one
     per component (rank n - #components), its PSD test would pass, and a
@@ -436,6 +448,10 @@ def _laplacian_components(a, tol: TolerancePolicy) -> np.ndarray | None:
     margin = 4.0 * w_min[linked] / (sizes[linked] * (sizes[linked] - 1.0))
     if margin.size and float(margin.min()) <= 2.0 * tol.rank_rel_tol * upper:
         return None
+    if margin.size and 1.0 / float(margin.min()) == np.inf:
+        raise NotSpsdError(
+            f"matrix is too small to invert: the lower bound {float(margin.min()):.6e} "
+            "on its smallest kept eigenvalue has no finite reciprocal")
     return labels
 
 
@@ -518,11 +534,59 @@ def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,
     return int(np.count_nonzero(w > tol.rank_rel_tol * scale))
 
 
+def _lanczos_start(n: int) -> np.ndarray:
+    """ARPACK's start vector for order n, from a fixed seed: the same bytes
+    in, the same bytes out, so a report stays deterministic."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def spectrum_end(x, highest: bool) -> float:
+    """The largest (highest) or smallest eigenvalue of the symmetric x.
+
+    x is an ndarray or a scipy sparse matrix. Below END_MIN_ORDER it is
+    w[-1] or w[0] of a dense eigvalsh, the full solve's bytes. From that
+    order on it is one eigenpair of restarted Lanczos (ARPACK eigsh, k=1,
+    tol=0: converged to machine precision), from _lanczos_start; where
+    ARPACK fails (no convergence, or a zero operator, whose start vector
+    maps to zero) the dense solve runs instead. scipy.sparse.linalg is
+    imported only on that branch.
+    """
+    n = x.shape[0]
+    if n >= END_MIN_ORDER:
+        from scipy.sparse.linalg import ArpackError, eigsh
+        try:
+            return float(eigsh(x, k=1, which="LA" if highest else "SA", tol=0,
+                               v0=_lanczos_start(n), return_eigenvectors=False)[0])
+        except ArpackError:
+            pass
+    w = np.linalg.eigvalsh(dense(x))
+    return float(w[-1] if highest else w[0])
+
+
+def singular_max(x) -> float:
+    """The largest singular value of x, read as spectrum_end reads an end.
+
+    Below END_MIN_ORDER (of the shorter side) a dense svd; from that order
+    on ARPACK svds (k=1, tol=0) from _lanczos_start, and the dense svd where
+    ARPACK fails.
+    """
+    n = min(x.shape)
+    if n >= END_MIN_ORDER:
+        from scipy.sparse.linalg import ArpackError, svds
+        try:
+            return float(svds(x, k=1, tol=0, v0=_lanczos_start(n),
+                              return_singular_vectors=False)[0])
+        except ArpackError:
+            pass
+    return float(np.linalg.svd(dense(x), compute_uv=False)[0])
+
+
 def spectrum_psd(w: np.ndarray) -> bool:
     """Whether an ascending spectrum w is PSD up to rounding.
 
     The one PSD-within-slack rule: the smallest eigenvalue may dip to
-    -PSD_SLACK * max(1, max|w|).
+    -PSD_SLACK * max(1, max|w|). Only the two ends are read, so w may be
+    just [lambda_min, lambda_max], or [lambda_min] alone when it is >= 0.
     """
     scale = max(1.0, float(np.max(np.abs(w))))
     return bool(float(w[0]) >= -PSD_SLACK * scale)

@@ -6,12 +6,15 @@ Galerkin coarse matrix P^T A P (for a large graph Laplacian in O(nnz) as a
 sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
 coarse basis Q with its orthogonal complement and the forms of the
 symmetrized smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T
-(Mtilde), read off the one product F M F^T. Also provides SPSD test
-problems: Neumann Laplacians in 1d/2d and weighted graph Laplacians, each
-summed from its edge list (_laplacian), seeded random rank-deficient
-matrices, and file input. Every summed matrix here, a Laplacian and an
-aggregation prolongation, is built by linalg.assemble, the one place that
-chooses between an ndarray and a CSR form with no n x n array.
+(Mtilde), read off the one product F M F^T, and the ends of Mbar's own
+spectrum that the sufficient condition reads (for Gauss-Seidel and Jacobi
+from A's entries, with no dense A, from linalg.END_MIN_ORDER on). Also
+provides SPSD test problems: Neumann Laplacians in 1d/2d and weighted graph
+Laplacians, each summed from its edge list (_laplacian), seeded random
+rank-deficient matrices, and file input. Every summed matrix here, a
+Laplacian and an aggregation prolongation, is built by linalg.assemble, the
+one place that chooses between an ndarray and a CSR form with no n x n
+array.
 """
 from __future__ import annotations
 
@@ -28,6 +31,7 @@ from . import mmio
 from .errors import (EdgeError, NotSpsdError, ShapeError, SmootherAssumptionError,
                      SmootherError)
 from .linalg import (
+    END_MIN_ORDER,
     PSD_SLACK,
     SpsdOperator,
     TolerancePolicy,
@@ -36,6 +40,8 @@ from .linalg import (
     dense,
     entries,
     is_sparse,
+    singular_max,
+    spectrum_end,
     spectrum_psd,
     spsd_certify,
     sym_part,
@@ -214,9 +220,10 @@ class TwoGridHierarchy:
     (r x (r - s)), an orthonormal basis of the complement of range(Q).
     Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
     is Q C Q^T, s x s core C, and reads K = I - B through Q^T K (s x r). B,
-    Q, R, Q_perp, Q^T K, the smoother, Mtilde and pre-smoother forms and the
-    spectra the analysis reads (they decide every convergence condition)
-    are built on first read and kept, so each is solved once per hierarchy.
+    Q, R, Q_perp, Q^T K, the smoother, Mtilde and pre-smoother forms, the
+    spectra the analysis reads and the ends of Mbar's spectrum (mbar_ends;
+    together they decide every convergence condition) are built on first
+    read and kept, so each is solved once per hierarchy.
     The Mtilde form is a separate array only for a nonsymmetric M; its
     spectrum is smoother_spectrum.
     build_hierarchy validates; this does not.
@@ -358,27 +365,58 @@ class TwoGridHierarchy:
         return np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
 
     @cached_property
-    def mbar_spectrum(self) -> np.ndarray:
-        """Eigenvalues of Mbar = M + M^T - M^T A M itself, ascending.
+    def mbar_ends(self) -> np.ndarray:
+        """The ends of the spectrum of Mbar = M + M^T - M^T A M that are read:
+        lambda_min, followed by lambda_max only when lambda_min < 0.
 
-        An ndarray M forms Mbar and drops it. Jacobi, M = diag(m), forms
-        M^T A M as (m[:, None] * A) * m[None, :] and M + M^T on the
-        diagonal alone. Gauss-Seidel, M = T^{-1} with T = tril(A), has
-        Mbar^{-1} = T D^{-1} T^T: the spectrum is 1 / sigma(T D^{-1/2})^2,
-        as singular values so that rounding cannot turn an eigenvalue of
-        T D^{-1} T^T negative.
+        That is all spectrum_psd needs for the sufficient condition, and
+        mbar_min_eig is the first entry. Below END_MIN_ORDER, and for a
+        custom M at any order, Mbar is formed dense (for Jacobi,
+        M = diag(m), as (m[:, None] * A) * m[None, :] with M + M^T on the
+        diagonal alone) and its spectrum solved in full. From that order on:
+        - Gauss-Seidel, M = T^{-1} with T = tril(A), has Mbar^{-1} =
+          T D^{-1} T^T, PD by its structure: lambda_min is
+          1 / sigma_max(T D^{-1/2})^2 (linalg.singular_max), with T read
+          off A's entries, so no dense A;
+        - Jacobi has Mbar = 2 diag(m) - A * (m m^T), formed in CSR from A's
+          entries and read by linalg.spectrum_end.
         """
-        m, a = self.M, dense(self.A.matrix)
+        m, a = self.M, self.A.matrix
+        if self.n >= END_MIN_ORDER and isinstance(m, (LowerBandSolve, DiagonalScaling)):
+            from .csr import CsrArray
+            i, j, x = entries(a)
+            if isinstance(m, LowerBandSolve):
+                lower = i >= j
+                i, j = i[lower], j[lower]
+                t = x[lower] / np.sqrt(a.diagonal()[j])
+                sigma = singular_max(CsrArray((t, (i, j)), shape=a.shape))
+                return np.array([1.0 / (sigma * sigma)])
+            w = m.diagonal
+            data = -x * (w[i] * w[j])
+            on = i == j  # every diagonal entry of A is positive, so stored
+            data[on] += 2.0 * w[i[on]]
+            mbar = CsrArray((data, (i, j)), shape=a.shape)
+            low = spectrum_end(mbar, highest=False)
+            if low >= 0.0:
+                return np.array([low])
+            return np.array([low, spectrum_end(mbar, highest=True)])
+        a = dense(a)
         if isinstance(m, LowerBandSolve):
-            t = np.tril(a) / np.sqrt(np.diag(a))
-            return 1.0 / np.linalg.svd(t, compute_uv=False) ** 2
+            sigma = singular_max(np.tril(a) / np.sqrt(np.diag(a)))
+            return np.array([1.0 / (sigma * sigma)])
         if isinstance(m, DiagonalScaling):
             mbar = m.T @ a @ m
             np.subtract(0.0, mbar, out=mbar)  # M + M^T is zero off the diagonal
             mbar[np.diag_indices(self.n)] += m.diagonal + m.diagonal
         else:
             mbar = m + m.T - m.T @ a @ m
-        return np.linalg.eigvalsh(sym_part(mbar))
+        w = np.linalg.eigvalsh(sym_part(mbar))
+        return w[:1] if w[0] >= 0.0 else w[[0, -1]]
+
+    @property
+    def mbar_min_eig(self) -> float:
+        """The smallest eigenvalue of Mbar (mbar_ends)."""
+        return float(self.mbar_ends[0])
 
 
 def _galerkin(a: SpsdOperator, p) -> np.ndarray:

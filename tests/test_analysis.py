@@ -28,6 +28,7 @@ from twogrid.analysis import (
 from twogrid.linalg import (
     PSD_SLACK,
     TolerancePolicy,
+    dense,
     spectrum_rank,
     spsd_certify,
     sym_part,
@@ -83,7 +84,7 @@ def dense_smoother(h):
         return h.M
     if isinstance(h.M, DiagonalScaling):
         return np.diag(h.M.diagonal)
-    return solve_triangular(np.tril(h.A.matrix), np.eye(h.n), lower=True)
+    return solve_triangular(np.tril(dense(h.A.matrix)), np.eye(h.n), lower=True)
 
 
 def mbar(h):
@@ -588,13 +589,17 @@ def neumann2d_report_inputs(smoother=WeightedJacobi(2.0 / 3.0)):
 
 
 def eigensolves(monkeypatch, call):
-    """(name, order) of each numpy eigen-solve `call()` runs, in order."""
+    """(name, order) of each numpy eigen-solve and each ARPACK eigsh `call()`
+    runs, in order."""
+    import scipy.sparse.linalg
+
     calls = []
-    for name in ("eigh", "eigvalsh"):
-        def counted(*args, _solver=getattr(np.linalg, name), **kwargs):
-            calls.append((_solver.__name__, np.shape(args[0])[0]))
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                        (scipy.sparse.linalg, "eigsh")):
+        def counted(*args, _solver=getattr(owner, name), _name=name, **kwargs):
+            calls.append((_name, np.shape(args[0])[0]))
             return _solver(*args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     call()
     return calls
 
@@ -655,7 +660,8 @@ class TestComplementBasis:
 
     def test_analyze_2d_solves_the_complement_at_order_r_minus_s(self, monkeypatch):
         # one solve of order r - s = 288 where the projected form took 575;
-        # the report still runs 8 eigen-solves
+        # the report runs 3 full eigen-solves, and its five end-only spectra
+        # (ftg, fitg, the two oracles and Mbar) are Lanczos reads of one end
         h = ladder_build(24)
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
         assert (h.r, h.s) == (575, 287)
@@ -664,8 +670,73 @@ class TestComplementBasis:
         h = ladder_build(24)
         calls = eigensolves(monkeypatch, lambda: convergence_report(
             h, coarse=bc, epsilon=0.3))
-        assert sorted(order for _, order in calls) == [287, 287, 288, 575, 575,
-                                                       575, 575, 576]
+        assert sorted(order for name, order in calls if name != "eigsh") == [
+            287, 287, 288]
+        assert sorted(order for name, order in calls if name == "eigsh") == [
+            575, 575, 575, 575, 576]
+
+
+def weighted_grid_edges(nx, ny, seed):
+    """The edges of an nx x ny grid graph with seeded weights e^U(-1, 1)."""
+    node = np.arange(nx * ny).reshape(nx, ny)
+    u = np.concatenate([node[:-1].ravel(), node[:, :-1].ravel()])
+    v = np.concatenate([node[1:].ravel(), node[:, 1:].ravel()])
+    w = np.exp(np.random.default_rng(seed).uniform(-1.0, 1.0, u.size))
+    return tuple(zip(u.tolist(), v.tolist(), w.tolist()))
+
+
+END_READ_PROBLEMS = {
+    "neumann2d:16x16": NeumannLaplacian2D(16, 16),
+    "neumann2d:24x24": NeumannLaplacian2D(24, 24),
+    "graph:18x18-weighted": GraphLaplacian(weighted_grid_edges(18, 18, 7)),
+}
+
+
+class TestEndReads:
+    """The five end-only spectra agree with the full dense eigvalsh."""
+
+    @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
+                             ids=["jacobi", "gs"])
+    @pytest.mark.parametrize("problem", END_READ_PROBLEMS.values(),
+                             ids=END_READ_PROBLEMS.keys())
+    def test_agree_with_the_dense_spectra(self, problem, smoother):
+        a, p, _, _ = generate_problem(problem, group=2, seed=0)
+        h = build_hierarchy(a, p, smoother)
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        assert h.n >= 256
+        pre, qk = h.pre_smoother, h.restricted_pre_smoother
+        core = h.R @ bc.pinv @ h.R.T
+
+        def oracle_top(c):
+            g = pre - h.Q @ (qk if c is None else c @ qk)
+            return np.linalg.eigvalsh(sym_part(g.T @ g))[-1]
+
+        m = dense_smoother(h)
+        a_dense = dense(h.A.matrix)
+        inexact = inexact_linear_analysis(h, bc)
+        pairs = {
+            "ftg": (1.0 - exact_factor(h).factor_ftg ** 2,
+                    np.linalg.eigvalsh(ftg_matrix(h))[0]),
+            "fitg": (1.0 - inexact.factor_exact_itg ** 2,
+                     np.linalg.eigvalsh(fitg_matrix(h, bc))[0]),
+            "oracle": (seminorm_oracle(h, "tg") ** 2, oracle_top(None)),
+            "itg_oracle": (inexact.factor_oracle ** 2, oracle_top(core)),
+            "mbar_min_eig": (h.mbar_min_eig, np.linalg.eigvalsh(
+                sym_part(m + m.T - m.T @ a_dense @ m))[0]),
+        }
+        for name, (got, ref) in pairs.items():
+            assert abs(got - ref) <= 1e-13 * abs(ref), (name, got, ref)
+
+    @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
+                             ids=["jacobi", "gs"])
+    def test_fresh_hierarchies_give_the_same_report_bytes(self, smoother):
+        texts = []
+        for _ in range(2):
+            a, p, _, _ = generate_problem(NeumannLaplacian2D(24, 24), group=2, seed=0)
+            h = build_hierarchy(a, p, smoother)
+            texts.append(report_json(convergence_report(
+                h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)))
+        assert texts[0] == texts[1]
 
 
 class TestSharedSpectra:

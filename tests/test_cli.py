@@ -423,13 +423,22 @@ class TestConfigValues:
        "coarse matrix 'scale:1e-320' is invalid: matrix is too small to invert"]
       for problem in ("neumann1d:8", "neumann2d:24x24")
       for command in ("analyze", "solve")),
+    # a subnormal Bc that passes the structural certificate's relative
+    # checks: the reciprocal of its lambda_2 lower bound is inf
+    (["solve", "--problem", "neumann2d:32x32", "--smoother", "gs",
+      "--coarse", "scale:1e-310"],
+     "coarse matrix 'scale:1e-310' is invalid: matrix is too small to invert"),
+    (["analyze", "--problem", "neumann2d:24x24", "--coarse", "scale:1e-310"],
+     "coarse matrix 'scale:1e-310' is invalid: matrix is too small to invert"),
     (["analyze", "--problem", "neumann1d:8", "--coarse", "eps:0.3", "--epsilon", "0.5"],
      "coarse spec 'eps:0.3' and epsilon 0.5 both give the coarse accuracy"),
 ], ids=["sweeps0", "epsilon1.5", "coarse-eps1.5", "rank-above-n", "n1",
         "format-xml", "sweeps-abc", "jacobi1.5", "jacobi-nan", "jacobi-inf",
         "jacobi-1e400", "scale-nan", "scale-inf", "scale-1e400", "scale-1e308",
         "scale-1e308-csr", "scale-1e-320-analyze", "scale-1e-320-solve",
-        "scale-1e-320-analyze-2d", "scale-1e-320-solve-2d", "two-epsilons"])
+        "scale-1e-320-analyze-2d", "scale-1e-320-solve-2d",
+        "scale-1e-310-solve-2d-structural", "scale-1e-310-analyze-2d-structural",
+        "two-epsilons"])
 def test_invalid_value_is_an_error_line(argv, message, capsys):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from twogrid import linalg
 from twogrid.errors import EigenSolveError, NotSpsdError, ShapeError
 from twogrid.linalg import (
+    END_MIN_ORDER,
     EPS,
     SPARSE_MIN_ENTRIES,
     TolerancePolicy,
+    singular_max,
+    spectrum_end,
     spectrum_psd,
     spectrum_rank,
     spsd_certify,
@@ -464,6 +467,22 @@ def assert_pinned_operators(op, a, labels):
     assert np.max(np.abs(x - eigen.pinv)) <= bound * np.max(np.abs(eigen.pinv))
 
 
+class TestSubnormalLaplacian:
+    def test_structural_route_refuses_an_infinite_reciprocal(self):
+        # 1e-310 L passes every relative check of the certificate, but its
+        # lambda_2 lower bound (the Mohar margin) has no finite reciprocal
+        a = neumann_laplacian_2d(16, 16)
+        assert spsd_certify(a, policy(256)).components is not None
+        with pytest.raises(NotSpsdError, match=(
+                r"^matrix is too small to invert: the lower bound .* on its "
+                r"smallest kept eigenvalue has no finite reciprocal$")):
+            spsd_certify(1e-310 * a, policy(256))
+
+    def test_structural_route_keeps_a_small_normal_scale(self):
+        op = spsd_certify(1e-300 * neumann_laplacian_2d(16, 16), policy(256))
+        assert op.components is not None and op.rank == 255
+
+
 class TestPinnedOperators:
     """A structurally certified Laplacian's F and A^+ from pinned Cholesky factors."""
 
@@ -524,3 +543,63 @@ class TestPinnedOperators:
         assert op.components is None
         w, v = op.eig.values, op.eig.vectors
         assert op.factor.tobytes() == (np.sqrt(w[50:])[:, None] * v[:, 50:].T).tobytes()
+
+
+class TestEndReader:
+    """spectrum_end and singular_max: dense below END_MIN_ORDER, Lanczos from it on."""
+
+    @pytest.mark.parametrize("n", [8, END_MIN_ORDER - 1])
+    def test_below_the_gate_the_dense_bytes(self, n):
+        assert END_MIN_ORDER == 256
+        x = random_spsd(n, n // 2 + 1, 1) - 0.3 * np.eye(n)
+        w = np.linalg.eigvalsh(x)
+        assert spectrum_end(x, highest=False) == float(w[0])
+        assert spectrum_end(x, highest=True) == float(w[-1])
+        t = np.triu(x)
+        assert singular_max(t) == float(np.linalg.svd(t, compute_uv=False)[0])
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_above_the_gate_lanczos_agrees_with_the_dense_ends(self, sparse, monkeypatch):
+        from twogrid.csr import CsrArray
+
+        n = END_MIN_ORDER + 44
+        x = linalg.dense(neumann_laplacian_2d(15, 20)) - 0.25 * np.eye(n)
+        assert x.shape == (n, n)
+        w = np.linalg.eigvalsh(x)
+        sv = np.linalg.svd(np.tril(x), compute_uv=False)[0]
+        x = CsrArray(x) if sparse else x
+        t = CsrArray(np.tril(x.toarray())) if sparse else np.tril(x)
+        monkeypatch.setattr(np.linalg, "eigvalsh", None)  # no dense route taken
+        monkeypatch.setattr(np.linalg, "svd", None)
+        assert abs(spectrum_end(x, highest=False) - w[0]) <= 1e-13 * abs(w[0])
+        assert abs(spectrum_end(x, highest=True) - w[-1]) <= 1e-13 * abs(w[-1])
+        assert abs(singular_max(t) - sv) <= 1e-13 * sv
+        # a fixed start vector: the same bytes on every call
+        assert spectrum_end(x, highest=False) == spectrum_end(x, highest=False)
+
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+    def test_zero_operator_above_the_gate_reads_the_dense_value(self, sparse):
+        # ARPACK refuses it ("starting vector is zero"); the dense solve runs
+        from twogrid.csr import CsrArray
+
+        n = END_MIN_ORDER + 1
+        x = CsrArray((n, n)) if sparse else np.zeros((n, n))
+        assert spectrum_end(x, highest=False) == 0.0
+        assert spectrum_end(x, highest=True) == 0.0
+        assert singular_max(x) == 0.0
+
+    def test_no_convergence_falls_back_to_the_dense_value(self, monkeypatch):
+        import scipy.sparse.linalg
+        from scipy.sparse.linalg import ArpackNoConvergence
+
+        def stalled(*args, **kwargs):
+            raise ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0)))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        monkeypatch.setattr(scipy.sparse.linalg, "svds", stalled)
+        n = END_MIN_ORDER + 4
+        x = random_spsd(n, n - 10, 2)
+        w = np.linalg.eigvalsh(x)
+        assert spectrum_end(x, highest=False) == float(w[0])
+        assert spectrum_end(x, highest=True) == float(w[-1])
+        assert singular_max(x) == float(np.linalg.svd(x, compute_uv=False)[0])

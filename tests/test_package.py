@@ -57,3 +57,21 @@ def test_band_solve_never_imports_scipy_sparse_linalg():
     """)
     assert "'scipy.sparse'" in loaded
     assert "scipy.sparse.linalg" not in loaded
+
+
+def test_reports_below_the_end_gate_never_import_scipy_sparse_linalg():
+    # a corpus case and a 12 x 12 grid (A held in CSR, r = 143 below
+    # END_MIN_ORDER) read every spectrum end by a dense solve: no ARPACK
+    loaded = loaded_scipy_sparse("""
+        from twogrid import (GaussSeidel, NeumannLaplacian2D, build_hierarchy,
+                             convergence_report, generate_problem)
+        from twogrid import corpus
+        case = corpus.builtin_corpus()[-1]
+        h, _, _ = corpus.build_case(case)
+        convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
+        a, p, _, _ = generate_problem(NeumannLaplacian2D(12, 12), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
+    """)
+    assert "'scipy.sparse'" in loaded
+    assert "scipy.sparse.linalg" not in loaded
