@@ -519,8 +519,11 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
     The flat fields are CSV_COLUMNS less FLAG_COLUMNS, each null until set.
     Inexact fields are null unless a coarse matrix is given; epsilon fields
     are null unless an accuracy level is given. `meta` supplies the
-    provenance strings (problem, smoother, prolongation, coarse, seed).
+    provenance strings (problem, smoother, prolongation, coarse, seed). The
+    epsilon bound comes first: it refuses an epsilon outside [0, 1) before
+    any spectrum is read.
     """
+    epsilon_bound = None if epsilon is None else general_epsilon_bound(h, epsilon)
     conditions = check_conditions(h)
     exact = exact_factor(h)
     report = dict.fromkeys(c for c in CSV_COLUMNS if c not in FLAG_COLUMNS)
@@ -572,7 +575,7 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
         report["flags"]["delta_guard_ok"] = inexact.delta_guard_ok
     if epsilon is not None:
         report["epsilon"] = float(epsilon)
-        report["epsilon_bound"] = general_epsilon_bound(h, epsilon)
+        report["epsilon_bound"] = epsilon_bound
     if meta:
         report.update(meta)
     return report

@@ -120,7 +120,7 @@ def parse_smoother(text: str):
             return WeightedJacobi(float(rest)) if rest else WeightedJacobi()
         except ValueError as exc:
             raise UsageError(f"bad Jacobi weight '{rest}'") from exc
-    if kind in ("gs", "gauss-seidel"):
+    if text in ("gs", "gauss-seidel"):
         return GaussSeidel()
     if kind == "custom":
         if not rest:
@@ -145,7 +145,7 @@ def parse_coarse(text: str, h):
     (certified Bc, None) for bc:PATH and scale:C (an invalid Bc, an overflowed
     scale:C among them, is reported under the spec), and (None, E) for eps:E."""
     kind, _, rest = text.partition(":")
-    if kind == "exact":
+    if text == "exact":
         return None, None
     if kind == "eps":
         try:

@@ -4,18 +4,18 @@ Eigendecomposition, thin factors and Moore-Penrose inverses under a shared
 tolerance policy, plus the two decisions every module shares: the
 numerical rank of a spectrum (spectrum_rank) and whether a spectrum is PSD
 within slack (spectrum_psd). Where only one end of a spectrum is read, the
-end readers (spectrum_end, singular_max) solve it in full below
-END_MIN_ORDER and by restarted Lanczos from there on. Every higher-level
-module (hierarchy assembly, convergence analysis, solvers) stands on these
-primitives, so each rule is written once and the rank threshold is decided
-once per matrix. A large weighted graph Laplacian is certified by its
-structure instead, in O(nnz) on its CSR form; its thin factor and
-pseudoinverse come from one Cholesky per connected component with one node
-pinned, and its spectrum is solved only when something reads it. The
-analysis reads a matrix only through forms F X F^T of some thin factor F
-(F^T F = A) and through pseudoinverses, and any two r-row factors differ by
-an r x r orthogonal matrix, so no spectrum it computes depends on which
-factor a certificate gives.
+one end reader (spectrum_end) solves it in full below END_MIN_ORDER and by
+restarted Lanczos from there on; it is the only reader of that order rule.
+Every higher-level module (hierarchy assembly, convergence analysis,
+solvers) stands on these primitives, so each rule is written once and
+the rank threshold is decided once per matrix. A large weighted graph
+Laplacian is certified by its structure instead, in O(nnz) on its CSR
+form; its thin factor and pseudoinverse come from one Cholesky per
+connected component with one node pinned, and its spectrum is solved only
+when something reads it. The analysis reads a matrix only through forms
+F X F^T of some thin factor F (F^T F = A) and through pseudoinverses, and
+any two r-row factors differ by an r x r orthogonal matrix, so no spectrum
+it computes depends on which factor a certificate gives.
 """
 from __future__ import annotations
 
@@ -43,10 +43,10 @@ PSD_SLACK = 1e-10
 # product less than scipy's cost per call.
 SPARSE_MIN_ENTRIES = 2 ** 14
 
-# From this order on one end of a spectrum (spectrum_end) or the largest
-# singular value (singular_max) is read by restarted Lanczos instead of a full
-# dense solve: the measured break-even. At order 128 a Jacobi report on a
-# 12 x 12 grid ran 40% slower with Lanczos.
+# From this order on one end of a spectrum (spectrum_end) is read by
+# restarted Lanczos instead of a full dense solve: the measured break-even.
+# At order 128 a Jacobi report on a 12 x 12 grid ran 40% slower with
+# Lanczos.
 END_MIN_ORDER = 256
 
 # A sparse input of larger order that fails the structural certificate is
@@ -561,24 +561,6 @@ def spectrum_end(x, highest: bool) -> float:
             pass
     w = np.linalg.eigvalsh(dense(x))
     return float(w[-1] if highest else w[0])
-
-
-def singular_max(x) -> float:
-    """The largest singular value of x, read as spectrum_end reads an end.
-
-    Below END_MIN_ORDER (of the shorter side) a dense svd; from that order
-    on ARPACK svds (k=1, tol=0) from _lanczos_start, and the dense svd where
-    ARPACK fails.
-    """
-    n = min(x.shape)
-    if n >= END_MIN_ORDER:
-        from scipy.sparse.linalg import ArpackError, svds
-        try:
-            return float(svds(x, k=1, tol=0, v0=_lanczos_start(n),
-                              return_singular_vectors=False)[0])
-        except ArpackError:
-            pass
-    return float(np.linalg.svd(dense(x), compute_uv=False)[0])
 
 
 def spectrum_psd(w: np.ndarray) -> bool:

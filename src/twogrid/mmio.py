@@ -2,11 +2,11 @@
 
 Supports the coordinate and array formats with general or symmetric storage
 (1-based indices). Symmetric storage is honored on read and expanded to the
-full matrix. An array file is read dense; a coordinate file is summed by
-linalg.assemble, the one place that chooses between a dense array and a
-csr.CsrArray with no dense form. The coordinate layout is written from
-linalg.entries of either form, a CSR matrix with no dense form; the array
-layout from the dense form.
+full matrix; its size line must declare a square shape. An array file is
+read dense; a coordinate file is summed by linalg.assemble, the one place
+that chooses between a dense array and a csr.CsrArray with no dense form.
+The coordinate layout is written from linalg.entries of either form, a CSR
+matrix with no dense form; the array layout from the dense form.
 Values are written with 17 significant digits so float64 content
 round-trips exactly.
 """
@@ -80,6 +80,9 @@ def read_matrix(path) -> np.ndarray:
         raise MatrixMarketError(f"{path}:{size_lineno}: bad size line") from exc
     if rows < 1 or cols < 1 or min(nnz, default=0) < 0:
         raise MatrixMarketError(f"{path}:{size_lineno}: nonpositive dimensions")
+    if symmetry == "symmetric" and rows != cols:
+        raise MatrixMarketError(
+            f"{path}:{size_lineno}: symmetric {layout} must be square")
 
     if layout == "coordinate":
         if len(entries) != nnz[0]:
@@ -106,9 +109,6 @@ def read_matrix(path) -> np.ndarray:
         out = assemble(np.array(keys, dtype=np.int64), np.array(terms),
                        (rows, cols))
     else:
-        if symmetry == "symmetric" and rows != cols:
-            raise MatrixMarketError(
-                f"{path}:{size_lineno}: symmetric array must be square")
         # counted before anything of the declared size is allocated
         expected = rows * cols if symmetry == "general" else rows * (rows + 1) // 2
         if len(entries) != expected:

@@ -7,14 +7,15 @@ sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
 coarse basis Q with its orthogonal complement and the forms of the
 symmetrized smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T
 (Mtilde), read off the one product F M F^T, and the ends of Mbar's own
-spectrum that the sufficient condition reads (for Gauss-Seidel and Jacobi
-from A's entries, with no dense A, from linalg.END_MIN_ORDER on). Also
-provides SPSD test problems: Neumann Laplacians in 1d/2d and weighted graph
-Laplacians, each summed from its edge list (_laplacian), seeded random
-rank-deficient matrices, and file input. Every summed matrix here, a
-Laplacian and an aggregation prolongation, is built by linalg.assemble, the
-one place that chooses between an ndarray and a CSR form with no n x n
-array.
+spectrum that the sufficient condition reads (for Gauss-Seidel off M's
+band, for Jacobi off A's entries, each read by linalg.spectrum_end at
+every order, with no dense A). Also provides SPSD test problems: Neumann
+Laplacians in 1d/2d and weighted graph Laplacians, each summed from its
+edge list (_laplacian), seeded random rank-deficient matrices, and file
+input. Every summed matrix here, a Laplacian, an aggregation prolongation
+and the Gauss-Seidel or Jacobi matrix that gives Mbar's ends, is built by
+linalg.assemble, the one place that chooses between an ndarray and a CSR
+form with no n x n array.
 """
 from __future__ import annotations
 
@@ -31,7 +32,6 @@ from . import mmio
 from .errors import (EdgeError, NotSpsdError, ShapeError, SmootherAssumptionError,
                      SmootherError)
 from .linalg import (
-    END_MIN_ORDER,
     PSD_SLACK,
     SpsdOperator,
     TolerancePolicy,
@@ -40,7 +40,6 @@ from .linalg import (
     dense,
     entries,
     is_sparse,
-    singular_max,
     spectrum_end,
     spectrum_psd,
     spsd_certify,
@@ -267,12 +266,9 @@ class TwoGridHierarchy:
         Q = U[:, :s], R = Sigma_s V_s^T and Q_perp = U[:, s:]; U itself is
         not kept. The squared singular values are Ac's eigenvalues, so s is
         Ac's one rank decision; none is made again on these singular values.
-        With P held in CSR, F P is the sparse product (P^T F^T)^T, with no
-        dense P.
+        A P held in CSR is never densified: F @ P is the sparse product.
         """
-        f, p = self.A.factor, self.P
-        fp = (p.T @ f.T).T if is_sparse(p) else f @ p
-        u, sv, vt = np.linalg.svd(fp, full_matrices=True)
+        u, sv, vt = np.linalg.svd(self.A.factor @ self.P, full_matrices=True)
         s = self.s
         return u[:, :s].copy(), sv[:s, None] * vt[:s], u[:, s:].copy()
 
@@ -370,47 +366,34 @@ class TwoGridHierarchy:
         lambda_min, followed by lambda_max only when lambda_min < 0.
 
         That is all spectrum_psd needs for the sufficient condition, and
-        mbar_min_eig is the first entry. Below END_MIN_ORDER, and for a
-        custom M at any order, Mbar is formed dense (for Jacobi,
-        M = diag(m), as (m[:, None] * A) * m[None, :] with M + M^T on the
-        diagonal alone) and its spectrum solved in full. From that order on:
+        mbar_min_eig is the first entry. Gauss-Seidel and Jacobi sum one
+        matrix by linalg.assemble and read its ends by linalg.spectrum_end,
+        with no dense A:
         - Gauss-Seidel, M = T^{-1} with T = tril(A), has Mbar^{-1} =
-          T D^{-1} T^T, PD by its structure: lambda_min is
-          1 / sigma_max(T D^{-1/2})^2 (linalg.singular_max), with T read
-          off A's entries, so no dense A;
-        - Jacobi has Mbar = 2 diag(m) - A * (m m^T), formed in CSR from A's
-          entries and read by linalg.spectrum_end.
+          T D^{-1} T^T = X X^T, PD by its structure; X = T D^{-1/2} is read
+          off M's band (entry (j + k, j) is band[k, j] / sqrt(band[0, j])),
+          and lambda_min is 1 / lambda_max(X X^T);
+        - Jacobi, M = diag(w), has Mbar = 2 diag(w) - A * (w w^T), summed
+          from A's entries, symmetric by construction.
+        A custom M forms Mbar dense and solves its spectrum in full at every
+        order, where Lanczos on the dense matrix costs more.
         """
-        m, a = self.M, self.A.matrix
-        if self.n >= END_MIN_ORDER and isinstance(m, (LowerBandSolve, DiagonalScaling)):
-            from .csr import CsrArray
-            i, j, x = entries(a)
-            if isinstance(m, LowerBandSolve):
-                lower = i >= j
-                i, j = i[lower], j[lower]
-                t = x[lower] / np.sqrt(a.diagonal()[j])
-                sigma = singular_max(CsrArray((t, (i, j)), shape=a.shape))
-                return np.array([1.0 / (sigma * sigma)])
+        m, n = self.M, self.n
+        if isinstance(m, LowerBandSolve):
+            k, j = np.nonzero(m.band)
+            x = assemble((j + k) * n + j, m.band[k, j] / np.sqrt(m.band[0, j]), (n, n))
+            return np.array([1.0 / spectrum_end(x @ x.T, highest=True)])
+        if isinstance(m, DiagonalScaling):
+            i, j, x = entries(self.A.matrix)
             w = m.diagonal
-            data = -x * (w[i] * w[j])
-            on = i == j  # every diagonal entry of A is positive, so stored
-            data[on] += 2.0 * w[i[on]]
-            mbar = CsrArray((data, (i, j)), shape=a.shape)
+            mbar = assemble(np.concatenate([i * n + j, np.arange(n) * (n + 1)]),
+                            np.concatenate([-x * (w[i] * w[j]), 2.0 * w]), (n, n))
             low = spectrum_end(mbar, highest=False)
             if low >= 0.0:
                 return np.array([low])
             return np.array([low, spectrum_end(mbar, highest=True)])
-        a = dense(a)
-        if isinstance(m, LowerBandSolve):
-            sigma = singular_max(np.tril(a) / np.sqrt(np.diag(a)))
-            return np.array([1.0 / (sigma * sigma)])
-        if isinstance(m, DiagonalScaling):
-            mbar = m.T @ a @ m
-            np.subtract(0.0, mbar, out=mbar)  # M + M^T is zero off the diagonal
-            mbar[np.diag_indices(self.n)] += m.diagonal + m.diagonal
-        else:
-            mbar = m + m.T - m.T @ a @ m
-        w = np.linalg.eigvalsh(sym_part(mbar))
+        a = dense(self.A.matrix)
+        w = np.linalg.eigvalsh(sym_part(m + m.T - m.T @ a @ m))
         return w[:1] if w[0] >= 0.0 else w[[0, -1]]
 
     @property

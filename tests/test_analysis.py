@@ -522,6 +522,16 @@ class TestGeneralEpsilonBound:
         with pytest.raises(ValueError):
             general_epsilon_bound(h, -0.1)
 
+    @pytest.mark.parametrize("eps", [1.5, -0.1, float("nan")])
+    def test_report_refuses_eps_before_any_solve(self, monkeypatch, eps):
+        # the report checks eps first, so no eigen-solve runs before it fails
+        h, bc = neumann2d_report_inputs()
+
+        def report():
+            with pytest.raises(ValueError, match="eps must lie in"):
+                convergence_report(h, coarse=bc, epsilon=eps)
+        assert eigensolves(monkeypatch, report) == []
+
 
 class TestSpectralEquivalenceDuality:
     @pytest.mark.parametrize("seed", range(10))

@@ -75,6 +75,21 @@ class TestSpecParsers:
             parse_coarse("approx", h)
 
 
+@pytest.mark.parametrize("option,spec,message", [
+    ("--smoother", "gs:0.5", "unknown smoother 'gs:0.5'"),
+    ("--smoother", "gauss-seidel:x", "unknown smoother 'gauss-seidel:x'"),
+    ("--coarse", "exact:2", "unknown coarse spec 'exact:2'"),
+])
+@pytest.mark.parametrize("command", ["analyze", "solve"])
+def test_a_spec_with_a_stray_argument_is_unknown(command, option, spec, message,
+                                                 capsys):
+    # a kind that takes no argument is matched on the whole text
+    assert run([command, "--problem", "neumann1d:8", option, spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    assert message in captured.err
+
+
 class TestAnalyze:
     def test_report_written_and_identities_agree(self, tmp_path, capsys):
         out = tmp_path / "report.json"

@@ -88,6 +88,23 @@ def test_parse_errors_have_context(tmp_path, content, fragment):
         read_matrix(path)
 
 
+@pytest.mark.parametrize("layout,body", [
+    # refused at the size line: each coordinate entry's mirror lies outside
+    # the declared shape
+    ("coordinate", "3 2 1\n3 1 5.0\n"),
+    ("coordinate", "2 3 1\n2 1 5.0\n"),
+    ("coordinate", "2 3 1\n1 3 5.0\n"),
+    ("array", "3 2\n1.0\n5.0\n5.0\n0.0\n0.0\n0.0\n"),
+    ("array", "2 3\n1.0\n5.0\n0.0\n"),
+])
+def test_symmetric_storage_must_be_square(tmp_path, layout, body):
+    path = tmp_path / "rect.mtx"
+    path.write_text(f"%%MatrixMarket matrix {layout} real symmetric\n% a comment\n{body}")
+    with pytest.raises(MatrixMarketError,
+                       match=rf"rect\.mtx:3: symmetric {layout} must be square"):
+        read_matrix(path)
+
+
 @pytest.mark.parametrize("comment", ["%", "#"])
 def test_content_lines(tmp_path, comment):
     path = tmp_path / "text.txt"

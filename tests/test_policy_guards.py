@@ -60,9 +60,12 @@ def test_inconsistent_ranks_rejected_by_analysis():
         sigma_tg(forged)
 
 
-def test_only_linalg_reads_the_size_rule():
-    # SPARSE_MIN_ENTRIES, the dense-or-CSR rule, is read in linalg alone, and
-    # there only by assemble and spsd_certify
+@pytest.mark.parametrize("rule,owners", [
+    ("SPARSE_MIN_ENTRIES", {"assemble", "spsd_certify"}),  # dense or CSR
+    ("END_MIN_ORDER", {"spectrum_end"}),  # a full solve or Lanczos
+], ids=["SPARSE_MIN_ENTRIES", "END_MIN_ORDER"])
+def test_only_linalg_reads_the_size_rule(rule, owners):
+    # each size rule is read in linalg alone, and there only by its owners
     readers = {}
     for path in sorted(Path(twogrid.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -71,8 +74,8 @@ def test_only_linalg_reads_the_size_rule():
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute)
                     else node.name if isinstance(node, ast.alias) else None)
-            if name == "SPARSE_MIN_ENTRIES" and not (
+            if name == rule and not (
                     isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)):
                 owner = next((f.name for f in functions if node in ast.walk(f)), None)
                 readers.setdefault(path.name, set()).add(owner)
-    assert readers == {"linalg.py": {"assemble", "spsd_certify"}}
+    assert readers == {"linalg.py": owners}

@@ -143,14 +143,14 @@ def test_pinned_factor_and_pinv_match_the_eigen_ones(routes):
 
 
 def test_coarse_basis_reads_csr_p_as_the_dense_product(routes):
-    # F P as (P^T F^T)^T: the bytes of F @ dense(P), so Q, R and Q_perp
+    # F @ P with P in CSR has the bytes of F @ dense(P), so Q, R and Q_perp
     # keep those of its full SVD
     op, _, p, _ = routes
     h = build_hierarchy(op, p, GaussSeidel())
     f = op.factor
     fp = f @ dense(p)
     if type(p) is CsrArray:
-        assert ((p.T @ f.T).T).tobytes() == fp.tobytes()
+        assert (f @ p).tobytes() == fp.tobytes()
     u, sv, vt = np.linalg.svd(fp, full_matrices=True)
     q, r, q_perp = h.coarse_factors
     assert q.tobytes() == u[:, :h.s].copy().tobytes()

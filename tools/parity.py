@@ -30,7 +30,9 @@ line: a `graph:` file with a non-finite weight (named by FILE:LINE),
 each of two inputs above the 2^14-entry gate that are held and swept dense:
 a custom block Jacobi M on neumann2d:16x16 (0.5 times the inverse of each
 2 x 2 diagonal block of A) and a `file:` coordinate matrix, that Laplacian
-plus 0.01 I, which is no Laplacian and so is certified by eigh. In every
+plus 0.01 I, which is no Laplacian and so is certified by eigh; and the
+`analyze` JSON of that custom M, whose Mbar of order 256 is the one Mbar
+formed dense and solved in full at that order. In every
 Gauss-Seidel command M and M^T are band solves on tril(A), at every size.
 Each digest also covers the exit code and the stdout and stderr text of its
 command. BLAS runs on one thread, so the bytes do not depend on the thread
@@ -198,9 +200,12 @@ def digests() -> dict[str, str]:
     for label, setup in ERRORS.items():
         result[f"error analyze {label}"] = run(["analyze", *setup], [])
     write_large_dense_inputs()
+    block_jacobi = ["--problem", "neumann2d:16x16", "--smoother",
+                    "custom:block-jacobi.mtx"]
+    result["analyze json neumann2d:16x16 custom 0.5*block-jacobi:2"] = run(
+        ["analyze", *block_jacobi, "--output", "r.json"], ["r.json"])
     result["solve neumann2d:16x16 custom 0.5*block-jacobi:2"] = run(
-        ["solve", "--problem", "neumann2d:16x16", "--smoother",
-         "custom:block-jacobi.mtx", "--output", "t"], ["t.csv", "t.json"])
+        ["solve", *block_jacobi, "--output", "t"], ["t.csv", "t.json"])
     result["solve file:shifted.mtx jacobi"] = run(
         ["solve", "--problem", "file:shifted.mtx", "--output", "t"],
         ["t.csv", "t.json"])
