@@ -16,10 +16,12 @@ spectrum that depends only on the hierarchy is solved once and cached on it
 (see TwoGridHierarchy); each function here is the one formula for its
 quantity over those spectra. The complement spectrum, which holds sigma_tg,
 is s exact zeros (range(Q)) and one eigen-solve of order r - s in the
-complement basis Q_perp. Every coarse correction reads K through Q^T K,
-formed once per hierarchy, and a report with a coarse matrix forms its core
-R Bc^+ R^T once for the inexact quadratic form and the itg oracle. The
-quadratic-form factors and the oracles read one end of their r x r forms
+complement basis Q_perp; delta_tg reads the compression onto Q. Those two
+compressions are all the analysis reads of Mtilde; each is X + X^T - Y Y^T
+off Y = V^T B, and no r x r Mtilde form is formed. Every coarse correction
+reads K through Q^T K, formed once per hierarchy, and a report with a
+coarse matrix forms its core R Bc^+ R^T once for the inexact quadratic form
+and the itg oracle. The quadratic-form factors and the oracles read one end of their r x r forms
 (lambda_min of ftg and fitg, lambda_max of G^T G) through
 linalg.spectrum_end: a dense solve below END_MIN_ORDER, restarted Lanczos
 from it on; every form is still assembled in full. The

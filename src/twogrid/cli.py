@@ -42,6 +42,8 @@ from .model import (
     WeightedJacobi,
     aggregation_prolongation,
     build_hierarchy,
+    build_smoother,
+    check_prolongation,
     problem_matrix,
 )
 
@@ -349,6 +351,11 @@ def cmd_verify(args) -> int:
 def cmd_generate(args) -> int:
     _finalize_args(args)
     a, p, f, u_ref = _build_problem(args)
+    # analyze's checks that precede the hierarchy, so that no config is written
+    # that analyze refuses; a Jacobi weight above its limit needs the
+    # hierarchy's spectrum and is left to analyze
+    build_smoother(parse_smoother(args.smoother), a)
+    check_prolongation(p, a.n)
 
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)

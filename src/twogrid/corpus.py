@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, solver
-from .linalg import PSD_SLACK, spectrum_rank, spsd_certify
+from .linalg import PSD_SLACK, spectrum_rank, spsd_certify, sym_part
 from .model import (
     CustomSmoother,
     GaussSeidel,
@@ -140,9 +140,9 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
     record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
 
     # the Mtilde form's own spectrum, independent of the smoother spectrum
-    # the analysis reads in its place
-    w = (h.smoother_spectrum if h.mtilde_form is h.smoother_form
-         else np.linalg.eigvalsh(h.mtilde_form))
+    # the analysis reads in its place and of the compressions it reads
+    b = h.smoother_product
+    w = np.linalg.eigvalsh(sym_part(b + b.T - b @ b.T))
     record("spectrum_box", max(-float(w[0]), float(w[-1]) - 1.0), PSD_SLACK)
 
     record("suff_implies_equiv",

@@ -11,9 +11,9 @@ solvers) stands on these primitives, so each rule is written once and
 the rank threshold is decided once per matrix. A large weighted graph
 Laplacian is certified by its structure instead, in O(nnz) on its CSR
 form; its thin factor and pseudoinverse come from one Cholesky per
-connected component with one node pinned, and its spectrum is solved only
-when something reads it. The analysis reads a matrix only through forms
-F X F^T of some thin factor F (F^T F = A) and through pseudoinverses, and
+connected component with one node pinned, and its spectrum is never
+solved. The analysis reads a matrix only through forms F X F^T of some
+thin factor F (F^T F = A) and through pseudoinverses, and
 any two r-row factors differ by an r x r orthogonal matrix, so no spectrum
 it computes depends on which factor a certificate gives.
 """
@@ -212,50 +212,35 @@ def _eigh(sym: np.ndarray) -> SymEigen:
 class SpsdOperator:
     """An SPSD matrix with the rank its certification decided.
 
-    components is None after the eigh certificate, whose spectrum is eig's
-    cached value, and matrix is an ndarray; the thin factor is then the
-    eigen factor and the pseudoinverse is read off the spectrum. After the
-    structural one it labels each index with its connected component of the
-    graph Laplacian (0, 1, ... in the order of their smallest index); matrix
-    is then a csr.CsrArray, null_basis the normalized component indicators,
-    the thin factor and the pseudoinverse come from one Cholesky per
-    component with its smallest node pinned (_pinned_cholesky), and eig is
-    solved only when read, on a dense copy dropped after. Both factors
-    satisfy F^T F = A with rank rows, so they differ by an orthogonal
-    rank x rank matrix and every form F X F^T has the same spectrum under
-    either. Every derived operator is a cached property, built on first
-    read under the one rank decision.
+    After the eigh certificate components is None, matrix is an ndarray and
+    eig holds the spectrum it solved (negative rounding clamped to zero,
+    ascending); the thin factor is then the eigen factor and the
+    pseudoinverse is read off the spectrum. After the structural one
+    components labels each index with its connected component of the graph
+    Laplacian (0, 1, ... in the order of their smallest index), matrix is a
+    csr.CsrArray and eig is None: no spectrum is solved. null_basis is then
+    the normalized component indicators, and the thin factor and the
+    pseudoinverse come from one Cholesky per component with its smallest
+    node pinned (_pinned_cholesky). Both factors satisfy F^T F = A with rank
+    rows, so they differ by an orthogonal rank x rank matrix and every form
+    F X F^T has the same spectrum under either. Every derived operator is a
+    cached property, built on first read under the one rank decision.
     """
 
     matrix: np.ndarray  # or a csr.CsrArray after the structural certificate
     rank: int
     policy: TolerancePolicy
     components: np.ndarray | None = None
+    eig: SymEigen | None = None
+
+    def __post_init__(self):
+        if (self.components is None) == (self.eig is None):
+            raise ValueError("an SpsdOperator holds exactly one certificate: "
+                             "components (structural) or eig (eigh)")
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def max_eigenvalue(self) -> float:
-        return float(self.eig.values[-1])
-
-    @cached_property
-    def eig(self) -> SymEigen:
-        """The spectrum, negative rounding clamped to zero, ascending.
-
-        Solved here only after a structural certificate, by the same eigh on
-        the same bytes as the eigh certificate; raises EigenSolveError if its
-        rank differs from the structural rank.
-        """
-        eig = _eigh(dense(self.matrix))
-        clamped = np.maximum(eig.values, 0.0)
-        rank = spectrum_rank(clamped, self.policy)
-        if rank != self.rank:
-            raise EigenSolveError(
-                f"spectrum has rank {rank}, but the graph Laplacian has "
-                f"{self.n - self.rank} components (rank {self.rank})")
-        return SymEigen(values=clamped, vectors=eig.vectors)
 
     @cached_property
     def factor(self) -> np.ndarray:
@@ -464,8 +449,8 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
     certificate (_laplacian_components) it is kept in CSR with rank
     n - #components, the component indicators as its null basis and no
     eigen-solve: its factor and pseudoinverse come from pinned Cholesky
-    factors, and its spectrum is solved only if read. Every other input is
-    certified on its spectrum, solved here on the dense matrix; a sparse one
+    factors, and eig is None. Every other input is certified on its
+    spectrum, solved here on the dense matrix and kept as eig; a sparse one
     of order above DENSIFY_MAX_ORDER is refused instead. Eigenvalues in
     [-PSD_SLACK * lambda_max, 0) are clamped to zero as rounding noise
     (assembled products like P^T A P accumulate it); anything below that
@@ -513,9 +498,8 @@ def spsd_certify(s, tol: TolerancePolicy) -> SpsdOperator:
         raise NotSpsdError(
             f"matrix is too small to invert: its smallest kept eigenvalue "
             f"{smallest:.6e} has no finite reciprocal")
-    op = SpsdOperator(matrix=sym, rank=rank, policy=tol)
-    vars(op)["eig"] = SymEigen(values=clamped, vectors=eig.vectors)  # eig's cached value
-    return op
+    return SpsdOperator(matrix=sym, rank=rank, policy=tol,
+                        eig=SymEigen(values=clamped, vectors=eig.vectors))
 
 
 def spectrum_rank(w: np.ndarray, tol: TolerancePolicy,

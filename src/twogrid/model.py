@@ -4,9 +4,10 @@ Builds smoothers (weighted Jacobi as its diagonal, Gauss-Seidel as a band
 solve on tril(A), neither with an n x n array; a custom M as given), the
 Galerkin coarse matrix P^T A P (for a large graph Laplacian in O(nnz) as a
 sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
-coarse basis Q with its orthogonal complement and the forms of the
-symmetrized smoothers M + M^T - M^T A M (Mbar) and M + M^T - M A M^T
-(Mtilde), read off the one product F M F^T, and the ends of Mbar's own
+coarse basis Q with its orthogonal complement, the form of the
+symmetrized smoother M + M^T - M^T A M (Mbar) and the two compressions of
+M + M^T - M A M^T (Mtilde) that the analysis reads, onto Q and onto its
+complement, all read off the one product F M F^T, and the ends of Mbar's own
 spectrum that the sufficient condition reads (for Gauss-Seidel off M's
 band, for Jacobi off A's entries, each read by linalg.spectrum_end at
 every order, with no dense A). Also provides SPSD test problems: Neumann
@@ -82,7 +83,7 @@ def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
     the same decision, made without reading A's spectrum.
     """
     d = a.matrix.diagonal().copy()
-    floor = 0.0 if a.components is not None else PSD_SLACK * a.max_eigenvalue
+    floor = 0.0 if a.eig is None else PSD_SLACK * float(a.eig.values[-1])
     bad = np.nonzero(d <= floor)[0]
     if bad.size:
         raise SmootherError(
@@ -219,12 +220,13 @@ class TwoGridHierarchy:
     (r x (r - s)), an orthonormal basis of the complement of range(Q).
     Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
     is Q C Q^T, s x s core C, and reads K = I - B through Q^T K (s x r). B,
-    Q, R, Q_perp, Q^T K, the smoother, Mtilde and pre-smoother forms, the
-    spectra the analysis reads and the ends of Mbar's spectrum (mbar_ends;
-    together they decide every convergence condition) are built on first
-    read and kept, so each is solved once per hierarchy.
-    The Mtilde form is a separate array only for a nonsymmetric M; its
-    spectrum is smoother_spectrum.
+    Q, R, Q_perp, Q^T K, the smoother and pre-smoother forms, the spectra
+    the analysis reads and the ends of Mbar's spectrum (mbar_ends; together
+    they decide every convergence condition) are built on first read and
+    kept, so each is solved once per hierarchy. The Mtilde form
+    B + B^T - B B^T is read only through its compressions onto Q_perp and Q
+    (complement_spectrum, coarse_spectrum), never formed; its own spectrum
+    is smoother_spectrum.
     build_hierarchy validates; this does not.
     """
 
@@ -326,18 +328,17 @@ class TwoGridHierarchy:
         """Q^T K (s x r), the one product of K with the coarse basis."""
         return self.Q.T @ self.pre_smoother
 
-    @cached_property
-    def mtilde_form(self) -> np.ndarray:
-        """F Mtilde F^T = B + B^T - B B^T; for a symmetric M, the smoother form."""
-        m = self.M  # a LowerBandSolve is symmetric only with a one-row band
-        if isinstance(m, LowerBandSolve):
-            symmetric = m.band.shape[0] == 1
-        else:
-            symmetric = isinstance(m, DiagonalScaling) or np.array_equal(m, m.T)
-        if symmetric:
-            return self.smoother_form
-        b = self.smoother_product
-        return sym_part(b + b.T - b @ b.T)
+    def _mtilde_spectrum(self, v: np.ndarray) -> np.ndarray:
+        """Spectrum of V^T F Mtilde F^T V = V^T (B + B^T - B B^T) V, ascending.
+
+        For every M it is X + X^T - Y Y^T with Y = V^T B and X = Y V, summed
+        as G + G^T with G = Y (V - Y^T / 2) = X - Y Y^T / 2: exactly
+        symmetric, one product fewer, and no r x r Mtilde form is formed.
+        A small M keeps its digits: B is never added to I.
+        """
+        y = v.T @ self.smoother_product
+        g = y @ (v - 0.5 * y.T)
+        return np.linalg.eigvalsh(g + g.T)
 
     @cached_property
     def complement_spectrum(self) -> np.ndarray:
@@ -347,8 +348,7 @@ class TwoGridHierarchy:
         its Q_perp block, so the spectrum is s exact zeros and that of
         Q_perp^T F Mtilde F^T Q_perp, one eigen-solve of order r - s.
         """
-        q = self.Q_perp
-        w = np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
+        w = self._mtilde_spectrum(self.Q_perp)
         return np.sort(np.concatenate([np.zeros(self.s), w]))
 
     @cached_property
@@ -357,8 +357,7 @@ class TwoGridHierarchy:
 
         With r - s zeros added it is the spectrum of Pi F Mtilde F^T Pi.
         """
-        q = self.Q
-        return np.linalg.eigvalsh(sym_part(q.T @ self.mtilde_form @ q))
+        return self._mtilde_spectrum(self.Q)
 
     @cached_property
     def mbar_ends(self) -> np.ndarray:
@@ -414,6 +413,22 @@ def _galerkin(a: SpsdOperator, p) -> np.ndarray:
     return p.T @ a.matrix @ p
 
 
+def check_prolongation(p, n: int):
+    """P validated against A's order n: in CSR when given sparse, else a
+    finite ndarray, with n rows and between 1 and n - 1 columns."""
+    if is_sparse(p):
+        from .csr import as_csr
+        p = as_csr(p, "P")
+    else:
+        p = as_matrix(p, "P")
+    rows, nc = p.shape
+    if rows != n:
+        raise ShapeError(f"P has {rows} rows, expected {n}")
+    if not (1 <= nc < n):
+        raise ShapeError(f"P must have between 1 and {n - 1} columns, got {nc}")
+    return p
+
+
 def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     """Validate, certify and assemble a two-grid hierarchy.
 
@@ -428,17 +443,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     """
     if not isinstance(a, SpsdOperator):
         a = spsd_certify(a, TolerancePolicy.for_dimension(np.shape(a)[0]))
-    if is_sparse(p):
-        from .csr import as_csr
-        p = as_csr(p, "P")
-    else:
-        p = as_matrix(p, "P")
-    n, nc = p.shape
-    if n != a.n:
-        raise ShapeError(f"P has {n} rows, expected {a.n}")
-    if not (1 <= nc < n):
-        raise ShapeError(f"P must have between 1 and {n - 1} columns, got {nc}")
-
+    p = check_prolongation(p, a.n)
     m = build_smoother(spec, a)
     try:
         ac = spsd_certify(_galerkin(a, p), a.policy)

@@ -99,6 +99,13 @@ def mtilde(h):
     return sym_part(m + m.T - m @ h.A.matrix @ m.T)
 
 
+def mtilde_form(h):
+    """F Mtilde F^T = B + B^T - B B^T (r x r), formed here off B = F M F^T:
+    the hierarchy reads only its compressions onto Q and Q_perp."""
+    b = h.smoother_product
+    return sym_part(b + b.T - b @ b.T)
+
+
 def thin_factor(a):
     """F = Lambda_r^{1/2} V_r^T (r x n) formed from a's certified eigenpairs."""
     first = a.n - a.rank
@@ -346,7 +353,7 @@ class TestSpectrumBox:
     @pytest.mark.parametrize("smoother", [WeightedJacobi(0.5), GaussSeidel()])
     def test_conjugated_mtilde_in_unit_interval(self, smoother):
         h = neumann_hierarchy(n=12, smoother=smoother)
-        w = np.linalg.eigvalsh(h.mtilde_form)
+        w = np.linalg.eigvalsh(mtilde_form(h))
         slack = PSD_SLACK
         assert w[0] >= -slack
         assert w[-1] <= 1.0 + slack
@@ -622,8 +629,8 @@ def assert_range_sized(h, calls):
 def projected_complement_spectrum(h):
     """Spectrum of the r x r form (I - Q Q^T) F Mtilde F^T (I - Q Q^T), projected
     on both sides."""
-    q = h.Q
-    y = h.mtilde_form - q @ (q.T @ h.mtilde_form)
+    q, form = h.Q, mtilde_form(h)
+    y = form - q @ (q.T @ form)
     return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
 
 
@@ -928,7 +935,7 @@ class TestSharedSpectra:
         h = state["h"]
         calls = eigensolves(monkeypatch, lambda: state.update(trace=iterate(
             h, state["f"], np.zeros(h.n), 120, u_ref=state["u_ref"])))
-        assert calls == [] and h.nc == 256 and "eig" not in vars(h.Ac)
+        assert calls == [] and h.nc == 256 and h.Ac.eig is None
         errors = state["trace"].errors_A
         assert min(errors) <= 1e-10 * errors[0]
 
@@ -938,10 +945,10 @@ class TestSharedSpectra:
         # check still solves the smoother spectrum (order r), whose form
         # reads A through its pinned Cholesky factor F, with no spectrum of A
         a, p, _, _ = generate_problem(NeumannLaplacian2D(16, 16), group=2, seed=0)
-        assert a.components is not None and "eig" not in vars(a)
+        assert a.components is not None and a.eig is None
         calls = eigensolves(
             monkeypatch, lambda: build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0)))
-        assert calls == [("eigvalsh", 255)] and "eig" not in vars(a)
+        assert calls == [("eigvalsh", 255)] and a.eig is None
 
     @pytest.mark.parametrize("smoother", [GaussSeidel(), WeightedJacobi(2.0 / 3.0)],
                              ids=["gs", "jacobi"])
@@ -965,17 +972,19 @@ class TestSharedSpectra:
 
     @pytest.mark.parametrize("smoother", [WeightedJacobi(2.0 / 3.0), GaussSeidel()],
                              ids=["jacobi", "gs"])
-    def test_mtilde_built_only_for_nonsymmetric_m(self, smoother):
-        # Mtilde itself is never kept, and its form has no spectrum of its
-        # own; the form is a separate array only for a nonsymmetric M. Set-up
+    def test_no_mtilde_form_is_built(self, smoother):
+        # neither Mtilde nor its r x r form is ever kept, and the form has no
+        # spectrum of its own: a report reads only its two compressions. Set-up
         # builds the smoother form only to certify Jacobi on its spectrum.
         h, bc = neumann2d_report_inputs(smoother)
-        symmetric = isinstance(smoother, WeightedJacobi)
-        assert "mtilde_form" not in vars(h)
-        assert ("smoother_form" in vars(h)) == symmetric
+        assert ("smoother_form" in vars(h)) == isinstance(smoother, WeightedJacobi)
         convergence_report(h, coarse=bc, epsilon=0.3)
-        assert not hasattr(h, "Mtilde") and not hasattr(h, "mtilde_spectrum")
-        assert (h.mtilde_form is h.smoother_form) == symmetric
+        assert {"complement_spectrum", "coarse_spectrum"} <= vars(h).keys()
+        for name in ("Mtilde", "mtilde_form", "mtilde_spectrum"):
+            assert not hasattr(h, name), name
+        square = {name for name, value in vars(h).items()
+                  if isinstance(value, np.ndarray) and value.shape == (h.r, h.r)}
+        assert square <= {"smoother_product", "smoother_form", "pre_smoother"}, square
 
 
 @pytest.mark.parametrize("build", [
@@ -989,6 +998,6 @@ def test_smoother_forms_match_the_paper_formulas(build):
     and Mtilde to rounding, relative to the largest entry, however small M."""
     h = build()
     f = h.A.factor
-    for form, formula in ((h.smoother_form, mbar), (h.mtilde_form, mtilde)):
+    for form, formula in ((h.smoother_form, mbar), (mtilde_form(h), mtilde)):
         ref = sym_part(f @ formula(h) @ f.T)
         assert np.max(np.abs(form - ref)) <= 1e-13 * np.max(np.abs(ref))

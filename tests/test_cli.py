@@ -572,6 +572,26 @@ def test_invalid_problem_file_is_an_error_line(matrix, message, tmp_path, capsys
     assert message in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--smoother", "bogus:1"], "unknown smoother 'bogus:1' "
+     "(expected jacobi[:omega], gs, or custom:PATH.mtx)"),
+    (["--prolongation", "p4.mtx"], "P has 4 rows, expected 8"),
+    (["--smoother", "custom:m4.mtx"], "custom smoother has shape (4, 4), expected (8, 8)"),
+], ids=["unknown-smoother", "short-p", "short-custom-m"])
+def test_generate_refuses_what_analyze_would(flags, message, tmp_path, monkeypatch,
+                                            capsys):
+    # analyze --config would refuse each of these configs: generate ends with
+    # the same error line and writes no file
+    monkeypatch.chdir(tmp_path)
+    write_matrix("p4.mtx", aggregation_prolongation(4, 2), "coordinate")
+    write_matrix("m4.mtx", 0.5 * np.eye(4))
+    inputs = sorted(tmp_path.iterdir())
+    assert run(["generate", "--problem", "neumann1d:8", *flags,
+                "--output-dir", "gen"]) == 1
+    assert _one_error_line(capsys) == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == inputs
+
+
 class TestEnvOverrides:
     def test_match_tol_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MATCH_TOL", "1e-6")

@@ -18,6 +18,8 @@ from twogrid.linalg import (
 )
 from twogrid.model import neumann_laplacian_2d, random_spsd
 
+from dense_eigh import dense_eig
+
 
 def policy(n):
     return TolerancePolicy.for_dimension(n)
@@ -125,7 +127,7 @@ class TestSpsdCertify:
         op = spsd_certify(a, policy(n))
         assert op.rank == r
         s, sp = op.matrix, op.pinv
-        lam = op.max_eigenvalue
+        lam = float(op.eig.values[-1])
         tol = op.policy.match_tol
         assert np.max(np.abs(s @ sp @ s - s)) <= tol * lam
         assert np.max(np.abs(sp @ s @ sp - sp)) <= tol * np.max(np.abs(sp))
@@ -138,7 +140,7 @@ class TestSpsdCertify:
         g = rng.standard_normal((r, n))
         a = g.T @ g
         op = spsd_certify(a, policy(n))
-        lam = op.max_eigenvalue
+        lam = float(op.eig.values[-1])
         tol = op.policy.match_tol
         f = op.factor
         # one row per kept eigenvalue, and F^T F = A
@@ -207,7 +209,7 @@ class TestRangeNullBases:
         rng_b, null_b = op.eig.vectors[:, op.n - op.rank:], op.null_basis
         assert rng_b.shape == (8, 3)
         assert null_b.shape == (8, 5)
-        assert np.max(np.abs(op.matrix @ null_b)) <= 1e-10 * op.max_eigenvalue
+        assert np.max(np.abs(op.matrix @ null_b)) <= 1e-10 * float(op.eig.values[-1])
         full = np.hstack([rng_b, null_b])
         assert np.max(np.abs(full.T @ full - np.eye(8))) <= op.policy.match_tol
 
@@ -278,7 +280,7 @@ def eigh_route(a, tol):
 def assert_eigh_certificate(op, a, tol):
     """op is the eigh certificate of a, byte for byte."""
     sym, rank, w, v = eigh_route(a, tol)
-    assert op.components is None and "eig" in vars(op)
+    assert op.components is None and op.eig is not None
     assert op.matrix.tobytes() == sym.tobytes() and op.rank == rank
     assert op.eig.values.tobytes() == w.tobytes()
     assert op.eig.vectors.tobytes() == v.tobytes()
@@ -340,7 +342,7 @@ class TestStructuralCertificate:
         assert np.array_equal(op.components, labels)
         assert op.rank == n - comps
         null = op.null_basis
-        assert "eig" not in vars(op)  # the null basis reads no spectrum
+        assert op.eig is None  # no spectrum is solved
         assert np.array_equal(null != 0.0, labels[:, None] == np.arange(comps))
         assert np.max(np.abs(null.T @ null - np.eye(comps))) <= n * EPS
         assert np.max(np.abs(a @ null)) <= n * EPS * np.max(np.diag(a))
@@ -351,9 +353,6 @@ class TestStructuralCertificate:
         eigh_null = v[:, :comps]
         angle = np.linalg.norm(eigh_null - null @ (null.T @ eigh_null), 2)
         assert angle <= max(1e-10, n * EPS * w[-1] / w[comps])
-        # the lazily solved spectrum is eigh's, clamped, byte for byte
-        assert op.eig.values.tobytes() == w.tobytes()
-        assert op.eig.vectors.tobytes() == v.tobytes()
         assert op.matrix.toarray().tobytes() == sym.tobytes()  # held in CSR
 
     def test_well_separated_null_space_to_1e10(self):
@@ -405,22 +404,6 @@ class TestStructuralCertificate:
         a[5, 5] -= 1e-3
         assert_eigh_certificate(spsd_certify(a, policy(128)), a, policy(128))
 
-    def test_forged_spectrum_is_rejected_on_first_read(self, monkeypatch):
-        op = spsd_certify(neumann_1d(128), policy(128))
-        assert op.components is not None and op.rank == 127
-        original = np.linalg.eigh
-
-        def forged(sym):
-            w, v = original(sym)
-            w[1] = 0.0  # one more null eigenvalue than the structure allows
-            return w, v
-
-        monkeypatch.setattr(np.linalg, "eigh", forged)
-        with pytest.raises(EigenSolveError, match="rank 126.*1 components"):
-            op.eig
-        # the factor reads no spectrum: it is the pinned Cholesky factor
-        assert op.factor.shape == (127, 128)
-
 
 def pinned_cases():
     """(name, A, labels): graph Laplacians just above the gate, certified by
@@ -448,12 +431,13 @@ def assert_pinned_operators(op, a, labels):
     n = a.shape[0]
     assert op.components is not None and np.array_equal(op.components, labels)
     f, x, null = op.factor, op.pinv, op.null_basis
-    assert "eig" not in vars(op)  # neither reads a spectrum
+    assert op.eig is None  # neither reads a spectrum
     assert f.shape == (op.rank, n)
     scale = np.max(np.abs(a))
     assert np.max(np.abs(f.T @ f - a)) <= 1e-13 * scale
     assert np.max(np.abs(f @ null)) <= n * EPS * np.max(np.abs(f))
-    w = op.eig.values  # solved only now, for kappa and the eig-based pinv
+    eig = dense_eig(a)  # for kappa and the eig-based pinv
+    w = eig.values
     bound = max(1e-12, EPS * w[-1] / w[n - op.rank])
     assert np.array_equal(x, x.T)
     ax, xa = a @ x, x @ a
@@ -461,8 +445,7 @@ def assert_pinned_operators(op, a, labels):
     assert np.max(np.abs(xa @ x - x)) <= bound * np.max(np.abs(x))
     assert np.max(np.abs(ax - ax.T)) <= bound
     assert np.max(np.abs(xa - xa.T)) <= bound
-    eigen = linalg.SpsdOperator(matrix=a, rank=op.rank, policy=op.policy)
-    vars(eigen)["eig"] = op.eig
+    eigen = linalg.SpsdOperator(matrix=a, rank=op.rank, policy=op.policy, eig=eig)
     assert np.max(np.abs(x - eigen.pinv)) <= bound * np.max(np.abs(eigen.pinv))
 
 
@@ -535,6 +518,14 @@ class TestPinnedOperators:
             op.factor
         with pytest.raises(EigenSolveError, match=message):
             op.pinv
+
+    def test_an_operator_holds_exactly_one_certificate(self):
+        op = spsd_certify(neumann_1d(130), policy(130))
+        eig = dense_eig(op.matrix)
+        for kwargs in ({}, {"components": op.components, "eig": eig}):
+            with pytest.raises(ValueError, match="exactly one certificate"):
+                linalg.SpsdOperator(matrix=op.matrix, rank=op.rank, policy=op.policy,
+                                    **kwargs)
 
     def test_eigh_certificate_keeps_the_eigen_factor(self):
         a = random_spsd(200, 150, 0)  # above the gate, not a Laplacian

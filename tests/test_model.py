@@ -150,6 +150,13 @@ def hierarchy_with(a, smoother):
     return build_hierarchy(a, aggregation_prolongation(a.n, 2), smoother)
 
 
+def mtilde_form(h):
+    """F Mtilde F^T = B + B^T - B B^T, formed here: the hierarchy reads only
+    its compressions onto Q and Q_perp."""
+    b = h.smoother_product
+    return sym_part(b + b.T - b @ b.T)
+
+
 class TestMbarMtilde:
     def test_identity_smoother(self):
         h = hierarchy_with(np.diag([0.5, 1.0, 1.5, 1.25]), CustomSmoother(np.eye(4)))
@@ -158,7 +165,7 @@ class TestMbarMtilde:
     def test_zero_smoother(self):
         h = hierarchy_with(np.eye(4), CustomSmoother(np.zeros((4, 4))))
         assert np.array_equal(h.mbar_ends, [0.0])
-        assert np.array_equal(h.mtilde_form, np.zeros((4, 4)))
+        assert not h.complement_spectrum.any() and not h.coarse_spectrum.any()
 
     def test_symmetric_smoother_makes_them_equal(self):
         rng = np.random.default_rng(3)
@@ -167,7 +174,9 @@ class TestMbarMtilde:
         m = sym_part(g @ g.T)
         m *= 0.5 / np.linalg.norm(m, 2)  # ||M|| ||A|| <= 1: Mbar >= M >= 0
         h = hierarchy_with(a, CustomSmoother(m))
-        assert h.mtilde_form is h.smoother_form
+        q = h.Q
+        assert np.allclose(h.coarse_spectrum, np.linalg.eigvalsh(q.T @ h.smoother_form @ q),
+                           rtol=0.0, atol=1e-15)
         assert h.mbar_min_eig >= 0.0
 
     def test_jacobi_eigenvalue_formula(self):
@@ -201,12 +210,32 @@ class TestMbarMtilde:
         assert h.mbar_min_eig == h.mbar_ends[0]
 
     def test_gauss_seidel_mtilde_spectrum_in_unit_box(self):
+        # the form's spectrum and its two compressions, which interlace it
         h = hierarchy_with(neumann_laplacian_1d(8), GaussSeidel())
-        assert h.mtilde_form is not h.smoother_form
-        w = np.linalg.eigvalsh(h.mtilde_form)
-        slack = PSD_SLACK
-        assert w[0] >= -slack
-        assert w[-1] <= 1.0 + slack
+        for w in (np.linalg.eigvalsh(mtilde_form(h)), h.complement_spectrum,
+                  h.coarse_spectrum):
+            assert w[0] >= -PSD_SLACK
+            assert w[-1] <= 1.0 + PSD_SLACK
+
+
+@pytest.mark.parametrize("t", [1e-7, 1e-10, 1e-13])
+@pytest.mark.parametrize("kind", ["jacobi", "gs"])
+def test_mtilde_compressions_match_extended_precision(kind, t):
+    # V^T (B + B^T - B B^T) V for V = Q_perp and V = Q, with B = F M F^T and
+    # M = t * Jacobi 2/3 or t * Gauss-Seidel (nonsymmetric), assembled in
+    # long double from the same F, Q and Q_perp: a small M loses no digits
+    a = certify(neumann_laplacian_1d(16))
+    m = (np.diag((2.0 / 3.0) / np.diag(a.matrix)) if kind == "jacobi"
+         else solve_triangular(np.tril(a.matrix), np.eye(16), lower=True))
+    h = build_hierarchy(a, aggregation_prolongation(16, 2), CustomSmoother(t * m))
+    f = h.A.factor.astype(np.longdouble)
+    b = f @ (np.longdouble(t) * m.astype(np.longdouble)) @ f.T
+    form = b + b.T - b @ b.T
+    for v, w in ((h.Q_perp, h.complement_spectrum[h.s:]), (h.Q, h.coarse_spectrum)):
+        vl = v.astype(np.longdouble)
+        ref = np.linalg.eigvalsh(np.float64(vl.T @ form @ vl))
+        smallest = float(np.min(ref[ref > h.policy.rank_rel_tol * ref[-1]]))
+        assert np.max(np.abs(w - ref)) <= 1e-12 * smallest, (v.shape, w, ref)
 
 
 class TestBuildHierarchy:
@@ -243,15 +272,15 @@ class TestBuildHierarchy:
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == [
-            "matrix", "rank", "policy", "components"]
+            "matrix", "rank", "policy", "components", "eig"]
         assert [f.name for f in fields(TwoGridHierarchy)] == ["A", "M", "P", "Ac"]
         a = certify(neumann_laplacian_1d(10))
         p = aggregation_prolongation(10, 2)
         ac = spsd_certify(sym_part(p.T @ a.matrix @ p), a.policy)
         h = TwoGridHierarchy(A=a, M=build_smoother(GaussSeidel(), a), P=p, Ac=ac)
         built = build_hierarchy(a, p, GaussSeidel())
-        for name in ("smoother_product", "smoother_form", "mtilde_form",
-                     "pre_smoother"):
+        for name in ("smoother_product", "smoother_form", "pre_smoother",
+                     "complement_spectrum", "coarse_spectrum"):
             assert np.array_equal(getattr(h, name), getattr(built, name)), name
         for mine, theirs in zip(h.coarse_factors, built.coarse_factors):
             assert np.array_equal(mine, theirs)
@@ -264,7 +293,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(a, p, GaussSeidel())
         for variant in ("tg", "stg"):
             iterate(h, f, np.zeros(h.n), 3, variant, u_ref=u_ref)
-        for name in ("smoother_product", "smoother_form", "mtilde_form",
+        for name in ("smoother_product", "smoother_form", "complement_spectrum",
                      "mbar_ends"):
             assert name not in vars(h), name
         assert all(array.shape != (h.n, h.n) for array in reachable_arrays(h.M))
@@ -346,8 +375,7 @@ class TestBuildHierarchy:
         assert len(cases) == 14
         for case in cases:
             h, _, _ = corpus.build_case(case)
-            assert h.mtilde_form is not h.smoother_form, case.name
-            gap = np.max(np.abs(np.linalg.eigvalsh(h.mtilde_form)
+            gap = np.max(np.abs(np.linalg.eigvalsh(mtilde_form(h))
                                 - h.smoother_spectrum))
             assert gap <= 1e-13, case.name
 
@@ -525,7 +553,7 @@ class TestSweepOperators:
 
     def test_parity_problems_keep_their_arrays(self, monkeypatch):
         problems = parity_problems(monkeypatch)
-        assert len(problems) == 7
+        assert len(problems) == 8
         for label, a, p, smoother in problems:
             self.assert_own_arrays(build_hierarchy(a, p, smoother), label)
 

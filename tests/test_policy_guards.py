@@ -79,3 +79,32 @@ def test_only_linalg_reads_the_size_rule(rule, owners):
                 owner = next((f.name for f in functions if node in ast.walk(f)), None)
                 readers.setdefault(path.name, set()).add(owner)
     assert readers == {"linalg.py": owners}
+
+
+def callers(name: str) -> set[tuple[str, str | None]]:
+    """(file, outermost enclosing function) of each call in the package of a
+    function bound as `name` or read as attribute `name` (np.linalg.eigh)."""
+    found = set()
+    for path in sorted(Path(twogrid.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = (func.id if isinstance(func, ast.Name)
+                      else func.attr if isinstance(func, ast.Attribute) else None)
+            if called == name:
+                owner = next((f.name for f in functions if node in ast.walk(f)), None)
+                found.add((path.name, owner))
+    return found
+
+
+def test_only_the_eigh_certificate_solves_an_operator_spectrum():
+    # eigh runs in linalg._eigh alone, and _eigh runs only in spsd_certify:
+    # no operator solves its spectrum on read, and a structurally certified
+    # one holds none
+    assert callers("eigh") == {("linalg.py", "_eigh")}
+    assert callers("_eigh") == {("linalg.py", "spsd_certify")}
+    op = spsd_certify(neumann_laplacian_1d(128), TolerancePolicy.for_dimension(128))
+    assert op.components is not None and op.eig is None

@@ -1,8 +1,8 @@
 """The sparse set-up: a large graph Laplacian stays in CSR from its edge list.
 
 Each check compares the CSR route with the dense route of the same problem:
-the same rank, components, null basis, spectrum, Gauss-Seidel band and
-Galerkin matrix, and the sweep reads the bytes csr_array(dense) would hold.
+the same rank (the dense spectrum's), components, null basis, Gauss-Seidel
+band and Galerkin matrix, and the sweep reads the bytes csr_array(dense) would hold.
 """
 import tracemalloc
 
@@ -35,6 +35,8 @@ from twogrid.model import (
     neumann_laplacian_2d,
     random_spsd,
 )
+
+from dense_eigh import dense_eig
 
 MB = 2 ** 20
 
@@ -78,7 +80,8 @@ def routes(request):
     op = spsd_certify(a, TolerancePolicy.for_dimension(n))
     assert op.components is not None and type(op.matrix) is CsrArray
     assert op.matrix.data.tobytes() == a.data.tobytes()
-    dense_op = SpsdOperator(matrix=a.toarray(), rank=op.rank, policy=op.policy)
+    d = a.toarray()
+    dense_op = SpsdOperator(matrix=d, rank=op.rank, policy=op.policy, eig=dense_eig(d))
     return op, dense_op, aggregation_prolongation(n, group), unit
 
 
@@ -86,18 +89,14 @@ def test_rank_components_null_basis_and_spectrum_are_the_dense_ones(routes):
     op, dense_op, _, _ = routes
     d = dense_op.matrix
     count, labels = connected_components(csr_array(d), directed=False)
-    w, v = np.linalg.eigh(d)
-    clamped = np.maximum(w, 0.0)
+    clamped = np.maximum(np.linalg.eigvalsh(d), 0.0)
     assert op.rank == spectrum_rank(clamped, op.policy) == op.n - count
     assert np.array_equal(op.components, labels)
     sizes = np.bincount(labels)
     null = np.zeros((op.n, count))
     null[np.arange(op.n), labels] = 1.0 / np.sqrt(sizes[labels])
     assert op.null_basis.tobytes() == null.tobytes()
-    # the first read of eig densifies a copy: eigh's bytes, held dense nowhere
-    assert op.eig.values.tobytes() == clamped.tobytes()
-    assert op.eig.vectors.tobytes() == v.tobytes()
-    assert type(op.matrix) is CsrArray
+    assert op.eig is None and type(op.matrix) is CsrArray
 
 
 def test_gauss_seidel_band_is_the_dense_one(routes):

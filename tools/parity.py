@@ -10,10 +10,13 @@ lines; `analyze` JSON and CSV and `solve` trace CSV and summary JSON for
 four problems (one with full coarse rank), each with the exact, `scale:2`
 and `eps:0.3` coarse solves, plus an `stg` solve; an `itg` solve with the
 exact coarse solve (`Bc = Ac`) on neumann1d:32; the `generate` files; the
-`analyze` JSON of three custom smoothers read from files the tool writes
-(the zero smoother, whose condition fails with exit 2, and the positive
+`analyze` JSON of four custom smoothers read from files the tool writes
+(the zero smoother, whose condition fails with exit 2; the positive
 definite 1e-7 and 1e-10 * Jacobi 2/3, where a smoother form written as
-1 - sigma^2 of the pre-smoother would lose its digits); the report JSON of
+1 - sigma^2 of the pre-smoother would lose its digits; and the nonsymmetric
+1e-10 * Gauss-Seidel, the dense inverse of tril(A), whose Mtilde differs
+from its Mbar, so that sigma_tg and delta_tg read compressions of a form
+the smoother form does not hold, at the same risk); the report JSON of
 each of the 21 corpus cases (Bc = 2 Ac, eps 0.3); the report of the
 analyze-2d benchmark workload at seed 0; and the `analyze` JSON, one
 exact `solve`, one `stg` solve and the `generate` files on neumann2d:16x16
@@ -66,11 +69,14 @@ PROBLEMS = (
     ("random:6:2:0", "gs"),  # full coarse rank: s == r
 )
 COARSE = ("exact", "scale:2", "eps:0.3")
-JACOBI_16 = np.diag((2.0 / 3.0) / np.diag(model.neumann_laplacian_1d(16)))
+LAPLACIAN_16 = model.neumann_laplacian_1d(16)
+JACOBI_16 = np.diag((2.0 / 3.0) / np.diag(LAPLACIAN_16))
+GAUSS_SEIDEL_16 = np.linalg.inv(np.tril(LAPLACIAN_16))
 CUSTOM = (
     ("neumann1d:8", "zero", np.zeros((8, 8))),
     ("neumann1d:16", "1e-7*jacobi:2/3", 1e-7 * JACOBI_16),
     ("neumann1d:16", "1e-10*jacobi:2/3", 1e-10 * JACOBI_16),
+    ("neumann1d:16", "1e-10*gs", 1e-10 * GAUSS_SEIDEL_16),
 )
 ANALYZE_2D = ["analyze", "--problem", "neumann2d:24x24",
               "--smoother", "jacobi:0.6666666666666666",
