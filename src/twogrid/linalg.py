@@ -244,12 +244,14 @@ class SpsdOperator:
 
     @cached_property
     def factor(self) -> np.ndarray:
-        """Thin factor F (rank x n) with F^T F = A.
+        """Thin factor F (rank x n) with F^T F = A, column-major.
 
-        After the eigh certificate F = Lambda_r^{1/2} V_r^T over the kept
-        eigenpairs: F^T F is the matrix less the eigenvalues the rank
-        discards, and F is zero on the null basis up to the rounding of its
-        orthogonality. After the structural certificate each component C
+        Both certificates give it in Fortran order, so F^T is C-contiguous:
+        F @ M and F @ P on a CSR operand (scipy's (M^T F^T)^T) read it as it
+        is, with no contiguous copy of F. After the eigh certificate
+        F = Lambda_r^{1/2} V_r^T over the kept eigenpairs: F^T F is the
+        matrix less the eigenvalues the rank discards, and F is zero on the
+        null basis up to the rounding of its orthogonality. After the structural certificate each component C
         with pinned node p and L L^T = A[rest, rest] (rest = C - p) has the
         rows [L^T | -L^T 1], L^T on rest and -L^T 1 in column p: F^T F = A
         because A's rows sum to zero, and each row sums to zero over C.
@@ -258,7 +260,7 @@ class SpsdOperator:
             first = self.n - self.rank
             return (np.sqrt(self.eig.values[first:])[:, None]
                     * self.eig.vectors[:, first:].T)
-        f = np.zeros((self.rank, self.n))
+        f = np.zeros((self.rank, self.n), order="F")
         row = 0
         for label, nodes in enumerate(self._component_nodes()):
             if nodes.size == 1:  # an isolated node: a zero row and column of A

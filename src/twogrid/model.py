@@ -1,7 +1,7 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
-Builds smoothers (weighted Jacobi as its diagonal, Gauss-Seidel as a band
-solve on tril(A), neither with an n x n array; a custom M as given), the
+Builds smoothers (weighted Jacobi as the matrix omega D^{-1}, Gauss-Seidel
+as a band solve on tril(A) with no n x n array; a custom M as given), the
 Galerkin coarse matrix P^T A P (for a large graph Laplacian in O(nnz) as a
 sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
 coarse basis Q with its orthogonal complement, the form of the
@@ -9,14 +9,14 @@ symmetrized smoother M + M^T - M^T A M (Mbar) and the two compressions of
 M + M^T - M A M^T (Mtilde) that the analysis reads, onto Q and onto its
 complement, all read off the one product F M F^T, and the ends of Mbar's own
 spectrum that the sufficient condition reads (for Gauss-Seidel off M's
-band, for Jacobi off A's entries, each read by linalg.spectrum_end at
-every order, with no dense A). Also provides SPSD test problems: Neumann
+band, for a matrix M off M + M^T - M^T A M in its operands' form, each
+read by linalg.spectrum_end). Also provides SPSD test problems: Neumann
 Laplacians in 1d/2d and weighted graph Laplacians, each summed from its
 edge list (_laplacian), seeded random rank-deficient matrices, and file
-input. Every summed matrix here, a Laplacian, an aggregation prolongation
-and the Gauss-Seidel or Jacobi matrix that gives Mbar's ends, is built by
-linalg.assemble, the one place that chooses between an ndarray and a CSR
-form with no n x n array.
+input. Every summed matrix here, a Laplacian, an aggregation prolongation,
+the Jacobi M and the Gauss-Seidel matrix that gives Mbar's ends, is built
+by linalg.assemble, the one place that chooses between an ndarray and a
+CSR form with no n x n array.
 """
 from __future__ import annotations
 
@@ -54,7 +54,7 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class WeightedJacobi:
-    """M = omega * D^{-1} with D = diag(A), a DiagonalScaling; requires omega > 0."""
+    """M = omega * D^{-1} with D = diag(A), assembled as a matrix; requires omega > 0."""
 
     omega: float = 2.0 / 3.0
 
@@ -75,7 +75,8 @@ SmootherSpec = Union[WeightedJacobi, GaussSeidel, CustomSmoother]
 
 
 def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
-    """diag(A), or SmootherError at its first entry d <= PSD_SLACK * lambda_max.
+    """diag(A), or SmootherError at its first entry d <= PSD_SLACK * lambda_max,
+    named as zero when it is, else by its value and that floor.
 
     On a graph Laplacian certified by structure the certificate puts every
     nonzero entry above PSD_SLACK * 2 max diag(A) >= PSD_SLACK * lambda_max
@@ -85,10 +86,14 @@ def _positive_diagonal(a: SpsdOperator) -> np.ndarray:
     d = a.matrix.diagonal().copy()
     floor = 0.0 if a.eig is None else PSD_SLACK * float(a.eig.values[-1])
     bad = np.nonzero(d <= floor)[0]
-    if bad.size:
+    if bad.size and d[bad[0]] == 0.0:
         raise SmootherError(
             f"diagonal entry {bad[0]} of A is zero; the matching row and column "
             "are zero as well, so solve the reduced system with that index removed")
+    if bad.size:
+        raise SmootherError(
+            f"diagonal entry {bad[0]} of A is {d[bad[0]]:.6e}, not above the floor "
+            f"psd_slack * lambda_max = {floor:.6e}")
     return d
 
 
@@ -129,50 +134,20 @@ class LowerBandSolve:
         return (self.T @ x.T).T
 
 
-@dataclass(frozen=True, eq=False)
-class DiagonalScaling:
-    """v -> diag(diagonal) v, weighted Jacobi's M = omega D^{-1}, held as its diagonal.
-
-    Symmetric, so op.T is op. op @ X scales the rows of X and X @ op its
-    columns: each entry is one product, the bytes of the product with
-    np.diag(diagonal), and no n x n array is formed; numpy defers every
-    operator to this class.
-    """
-
-    diagonal: np.ndarray
-
-    __array_ufunc__ = None
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return (self.diagonal.size,) * 2
-
-    @property
-    def nbytes(self) -> int:
-        return self.diagonal.nbytes
-
-    @property
-    def T(self) -> "DiagonalScaling":
-        return self
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return (self.diagonal[:, None] if np.ndim(v) == 2 else self.diagonal) * v
-
-    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
-        return x * self.diagonal
-
-
-Smoother = Union[np.ndarray, LowerBandSolve, DiagonalScaling]
+Smoother = Union[np.ndarray, LowerBandSolve]  # or a csr.CsrArray (a large Jacobi M)
 
 
 def build_smoother(spec: SmootherSpec, a: SpsdOperator) -> Smoother:
-    """M as a DiagonalScaling (Jacobi), a LowerBandSolve (Gauss-Seidel) or,
-    for a custom M, a dense n x n ndarray."""
+    """M as a matrix (Jacobi's diagonal omega D^{-1} by linalg.assemble: a
+    CsrArray from SPARSE_MIN_ENTRIES entries on, else a dense ndarray), a
+    LowerBandSolve (Gauss-Seidel) or, for a custom M, a dense n x n ndarray."""
     if isinstance(spec, WeightedJacobi):
         if not 0.0 < spec.omega < np.inf:
             raise SmootherError(
                 f"Jacobi weight must be positive and finite, got {spec.omega}")
-        return DiagonalScaling(spec.omega / _positive_diagonal(a))
+        n = a.n
+        return assemble(np.arange(n) * (n + 1), spec.omega / _positive_diagonal(a),
+                        (n, n))
     if isinstance(spec, GaussSeidel):
         _positive_diagonal(a)
         # tril(A) as a Fortran-ordered band (dtbtrs copies a C-ordered one)
@@ -201,16 +176,17 @@ class TwoGridHierarchy:
 
     The fields are the inputs A and Ac (certified SPSD, one tolerance
     policy; a graph Laplacian certified by structure is held in CSR), M (for
-    Jacobi a DiagonalScaling holding omega / diag(A), for Gauss-Seidel a
-    LowerBandSolve on tril(A), each its only form; a custom M an n x n
-    ndarray) and P (in CSR when given sparse, as linalg.assemble builds a
-    large aggregation_prolongation). Each operator has the one
-    form it was built in, and the solver's sweeps apply A, M, M^T and P in
-    it, with P^T from PT, the one operator kept for the sweeps alone. r and
-    s are the ranks of A and Ac (s <= r). When A or Ac is a graph Laplacian
-    certified by structure, its rank, null basis, thin factor and
-    pseudoinverse need no spectrum: F and Ac^+ (the first sweep's coarse
-    solve) come from pinned Cholesky factors (SpsdOperator). Every form is
+    Jacobi the matrix omega D^{-1}, in CSR when linalg.assemble builds it
+    so; for Gauss-Seidel a LowerBandSolve on tril(A), its only form; a
+    custom M an n x n ndarray) and P (in CSR when given sparse, as
+    linalg.assemble builds a large aggregation_prolongation). Each
+    operator has the one form it was built in, and the solver's sweeps
+    apply A, M, M^T and P in it, with P^T from PT, the one operator kept
+    for the sweeps alone. r and s are the ranks of A and Ac (s <= r). When
+    A or Ac is a graph Laplacian certified by structure, its rank, null
+    basis, thin factor and pseudoinverse need no spectrum: F and Ac^+ (the
+    first sweep's coarse solve) come from pinned Cholesky factors
+    (SpsdOperator). Every form is
     r x r on range(A), through A's thin factor F (F^T F = A; the eigen
     factor Lambda_r^{1/2} V_r^T after the eigh certificate), and is read off
     B = F M F^T. Any two r-row factors differ by an orthogonal r x r matrix,
@@ -293,8 +269,8 @@ class TwoGridHierarchy:
     def smoother_product(self) -> np.ndarray:
         """B = F M F^T (r x r), the product every smoother operator is read off.
 
-        For a DiagonalScaling M, F M scales F's columns, (F * m) F^T; for a
-        LowerBandSolve M, F M is one band solve on F's r rows."""
+        For a CSR M, F M reads the column-major F's transpose as it is; for
+        a LowerBandSolve M, F M is one band solve on F's r rows."""
         return self.A.factor @ self.M @ self.A.factor.T
 
     @cached_property
@@ -365,35 +341,26 @@ class TwoGridHierarchy:
         lambda_min, followed by lambda_max only when lambda_min < 0.
 
         That is all spectrum_psd needs for the sufficient condition, and
-        mbar_min_eig is the first entry. Gauss-Seidel and Jacobi sum one
-        matrix by linalg.assemble and read its ends by linalg.spectrum_end,
-        with no dense A:
+        mbar_min_eig is the first entry. Both ends are read by
+        linalg.spectrum_end:
         - Gauss-Seidel, M = T^{-1} with T = tril(A), has Mbar^{-1} =
           T D^{-1} T^T = X X^T, PD by its structure; X = T D^{-1/2} is read
           off M's band (entry (j + k, j) is band[k, j] / sqrt(band[0, j])),
-          and lambda_min is 1 / lambda_max(X X^T);
-        - Jacobi, M = diag(w), has Mbar = 2 diag(w) - A * (w w^T), summed
-          from A's entries, symmetric by construction.
-        A custom M forms Mbar dense and solves its spectrum in full at every
-        order, where Lanczos on the dense matrix costs more.
+          summed by linalg.assemble, and lambda_min is 1 / lambda_max(X X^T);
+        - a matrix M (Jacobi or custom) forms Mbar = M + M^T - M^T (A M) in
+          its operands' form: in CSR when both M and A are.
         """
-        m, n = self.M, self.n
+        m = self.M
         if isinstance(m, LowerBandSolve):
+            n = self.n
             k, j = np.nonzero(m.band)
             x = assemble((j + k) * n + j, m.band[k, j] / np.sqrt(m.band[0, j]), (n, n))
             return np.array([1.0 / spectrum_end(x @ x.T, highest=True)])
-        if isinstance(m, DiagonalScaling):
-            i, j, x = entries(self.A.matrix)
-            w = m.diagonal
-            mbar = assemble(np.concatenate([i * n + j, np.arange(n) * (n + 1)]),
-                            np.concatenate([-x * (w[i] * w[j]), 2.0 * w]), (n, n))
-            low = spectrum_end(mbar, highest=False)
-            if low >= 0.0:
-                return np.array([low])
-            return np.array([low, spectrum_end(mbar, highest=True)])
-        a = dense(self.A.matrix)
-        w = np.linalg.eigvalsh(sym_part(m + m.T - m.T @ a @ m))
-        return w[:1] if w[0] >= 0.0 else w[[0, -1]]
+        mbar = m + m.T - m.T @ (self.A.matrix @ m)
+        low = spectrum_end(mbar, highest=False)
+        if low >= 0.0:
+            return np.array([low])
+        return np.array([low, spectrum_end(mbar, highest=True)])
 
     @property
     def mbar_min_eig(self) -> float:
@@ -550,7 +517,8 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     Weights (default 1) must be finite and nonnegative; repeated edges add.
     The first invalid edge is named: an index beyond int64, then a self
     loop, then its weight, then a negative index; then the node count (n, or
-    the largest index + 1). Its EdgeError carries its index in `edges`; a
+    the largest index + 1); then the first edge of the first node whose
+    weighted degree overflows. Its EdgeError carries its index in `edges`; a
     graph of fewer than two nodes raises one with index None.
     """
     us, vs, ws = [], [], []
@@ -582,6 +550,13 @@ def graph_laplacian(edges, n: int | None = None) -> np.ndarray:
     if over.size:
         k = int(over[0])
         raise EdgeError(f"edge ({us[k]}, {vs[k]}) exceeds node count {size}", k)
+    # summed per node in edge order, as _laplacian sums the diagonal
+    degree = np.bincount(np.column_stack([u, v]).ravel(), np.repeat(w, 2), size)
+    if not np.isfinite(degree).all():
+        node = int(np.flatnonzero(~np.isfinite(degree))[0])
+        k = int(np.flatnonzero((u == node) | (v == node))[0])
+        raise EdgeError(f"edge ({us[k]}, {vs[k]}): the weighted degree of node "
+                        f"{node} overflows", k)
     return _laplacian(u, v, w, size)
 
 

@@ -35,7 +35,6 @@ from twogrid.linalg import (
 )
 from twogrid.model import (
     CustomSmoother,
-    DiagonalScaling,
     GaussSeidel,
     GraphLaplacian,
     LowerBandSolve,
@@ -80,10 +79,8 @@ def engineered_hierarchy():
 
 def dense_smoother(h):
     """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
-    if isinstance(h.M, np.ndarray):
-        return h.M
-    if isinstance(h.M, DiagonalScaling):
-        return np.diag(h.M.diagonal)
+    if not isinstance(h.M, LowerBandSolve):
+        return dense(h.M)
     return solve_triangular(np.tril(dense(h.A.matrix)), np.eye(h.n), lower=True)
 
 

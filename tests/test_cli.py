@@ -560,6 +560,26 @@ def test_edge_file_fault_names_the_file(text, where, message, tmp_path, capsys):
     assert _one_error_line(capsys) == f"error: {edges}{where}: {message}\n"
 
 
+def test_overflowing_degree_names_its_edge_line(tmp_path, capsys):
+    # the degree of node 1 sums to inf: its first edge, on line 2, is named
+    edges = tmp_path / "edges.txt"
+    edges.write_text("# u v [weight]\n0 1 1e308\n1 2 1e308\n", encoding="ascii")
+    assert run(["analyze", "--problem", f"graph:{edges}"]) == 1
+    assert _one_error_line(capsys) == (
+        f"error: {edges}:2: edge (0, 1): the weighted degree of node 1 overflows\n")
+
+
+@pytest.mark.parametrize("smoother", ["gs", "jacobi"])
+def test_tiny_diagonal_entry_is_not_called_zero(smoother, tmp_path, capsys):
+    # diag(A)[0] is 1e-320: named by its value and the floor, not as zero
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1 1e-320\n1 2\n2 3\n", encoding="ascii")
+    assert run(["analyze", "--problem", f"graph:{edges}", "--smoother", smoother]) == 1
+    assert _one_error_line(capsys) == (
+        "error: diagonal entry 0 of A is 9.999889e-321, not above the floor "
+        "psd_slack * lambda_max = 3.000000e-10\n")
+
+
 @pytest.mark.parametrize("matrix, message", [
     (np.eye(4) + np.triu(np.ones((4, 4)), 1), "matrix is not symmetric"),
     (np.ones((3, 4)), "matrix must be square, got shape (3, 4)"),

@@ -534,6 +534,17 @@ class TestPinnedOperators:
         w, v = op.eig.values, op.eig.vectors
         assert op.factor.tobytes() == (np.sqrt(w[50:])[:, None] * v[:, 50:].T).tobytes()
 
+    @pytest.mark.parametrize("name, a, labels", pinned_cases(),
+                             ids=[case[0] for case in pinned_cases()])
+    def test_both_factors_are_column_major(self, name, a, labels):
+        # the pinned Cholesky factor has the eigen factor's layout, so
+        # F @ M on a CSR M reads F^T without a contiguous copy
+        op = spsd_certify(a, policy(a.shape[0]))
+        eigen = linalg.SpsdOperator(matrix=op.matrix, rank=op.rank, policy=op.policy,
+                                    eig=dense_eig(op.matrix))
+        assert op.components is not None
+        assert op.factor.flags.f_contiguous and eigen.factor.flags.f_contiguous
+
 
 class TestEndReader:
     """spectrum_end: dense below END_MIN_ORDER, Lanczos from it on."""

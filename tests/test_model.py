@@ -20,10 +20,10 @@ from twogrid.errors import (
 )
 from twogrid.csr import CsrArray
 from twogrid.linalg import (PSD_SLACK, SPARSE_MIN_ENTRIES, SpsdOperator,
-                            TolerancePolicy, dense, spsd_certify, sym_part)
+                            TolerancePolicy, assemble, dense, spsd_certify,
+                            sym_part)
 from twogrid.model import (
     CustomSmoother,
-    DiagonalScaling,
     GaussSeidel,
     NeumannLaplacian1D,
     NeumannLaplacian2D,
@@ -52,10 +52,8 @@ def certify(a):
 
 def dense_smoother(h):
     """M as an n x n array; a Gauss-Seidel M is tril(A)^{-1}, built here."""
-    if isinstance(h.M, np.ndarray):
-        return h.M
-    if isinstance(h.M, DiagonalScaling):
-        return np.diag(h.M.diagonal)
+    if not isinstance(h.M, LowerBandSolve):
+        return dense(h.M)
     return solve_triangular(np.tril(dense(h.A.matrix)), np.eye(h.n), lower=True)
 
 
@@ -83,8 +81,7 @@ class TestBuildSmoother:
     def test_jacobi_unit_diagonal(self):
         a = certify(np.eye(3))
         m = build_smoother(WeightedJacobi(0.5), a)
-        assert type(m) is DiagonalScaling and m.shape == (3, 3) and m.T is m
-        assert np.array_equal(m @ np.eye(3), 0.5 * np.eye(3))
+        assert type(m) is np.ndarray and np.array_equal(m, 0.5 * np.eye(3))
 
     def test_gauss_seidel_two_by_two(self):
         a = certify(np.array([[2.0, -1.0], [-1.0, 2.0]]))
@@ -112,6 +109,18 @@ class TestBuildSmoother:
             build_smoother(WeightedJacobi(0.5), a)
         with pytest.raises(SmootherError, match="entry 1"):
             build_smoother(GaussSeidel(), a)
+
+    @pytest.mark.parametrize("spec", [WeightedJacobi(0.5), GaussSeidel()], ids=repr)
+    def test_tiny_nonzero_diagonal_named_by_its_value(self, spec):
+        # entry 0 is 1e-320, not zero: it is named with the floor it fails
+        a = certify(graph_laplacian([(0, 1, 1e-320), (1, 2), (2, 3)]))
+        assert a.matrix[0, 0] == 1e-320 and a.eig.values[-1] == pytest.approx(3.0)
+        with pytest.raises(SmootherError) as err:
+            build_smoother(spec, a)
+        floor = PSD_SLACK * float(a.eig.values[-1])
+        assert str(err.value) == (
+            f"diagonal entry 0 of A is 9.999889e-321, not above the floor "
+            f"psd_slack * lambda_max = {floor:.6e}")
 
     def test_nonpositive_weight_rejected(self):
         a = certify(np.eye(2))
@@ -198,10 +207,11 @@ class TestMbarMtilde:
         # the top end follows for spectrum_psd's scale; at 16 x 16 (n = 256)
         # Mbar is CSR and both ends are Lanczos reads
         a, p, _, _ = generate_problem(NeumannLaplacian2D(grid, grid), group=2)
-        m = DiagonalScaling(1.5 / dense(a.matrix).diagonal())
+        w = 1.5 / dense(a.matrix).diagonal()
+        m = assemble(np.arange(a.n) * (a.n + 1), w, (a.n, a.n))
+        assert type(m) is (CsrArray if grid == 16 else np.ndarray)
         ac = spsd_certify(p.T @ (a.matrix @ p), a.policy)
         h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
-        w = m.diagonal
         mbar = np.diag(2.0 * w) - w[:, None] * dense(a.matrix) * w
         ref = np.linalg.eigvalsh(mbar)
         assert ref[0] < 0.0 and h.mbar_ends.shape == (2,)
@@ -450,15 +460,13 @@ class TestSweepOperators:
     def assert_own_arrays(h, label):
         # a small P is held and swept as an ndarray, P^T as its view; a
         # Gauss-Seidel M and M^T as its band solves at every size, a Jacobi
-        # M and M^T as its diagonal, a custom M as its ndarray
+        # or custom M below the gate as its ndarray
         assert type(h.P) is np.ndarray, label
         assert h.PT.base is h.P and h.PT.shape == h.P.T.shape, label
         if isinstance(h.M, LowerBandSolve):
             assert type(h.M.T) is LowerBandSolve and h.M.T.band is h.M.band, label
-        elif isinstance(h.M, DiagonalScaling):
-            assert h.M.T is h.M, label
         else:
-            assert type(h.M) is np.ndarray, label
+            assert type(h.M) is np.ndarray and h.M.size < SPARSE_MIN_ENTRIES, label
 
     def test_solve_2d_hierarchy(self):
         # neumann2d:32x32, GS, agg 4: A, P and P^T are sparse; M and M^T are
@@ -494,14 +502,13 @@ class TestSweepOperators:
             other = TwoGridHierarchy(A=h.A, M=matrix, P=h.P, Ac=h.Ac)
             tg_sweep(other, v, h.A.matrix @ v)
             assert other.M is matrix and other.M.T.base is matrix
-        # a Jacobi M of the same size is its diagonal, M^T is M, with the
-        # bytes of the product with the n x n diagonal matrix
-        jacobi = TwoGridHierarchy(A=h.A, M=build_smoother(WeightedJacobi(), h.A),
-                                  P=h.P, Ac=h.Ac)
-        m = jacobi.M
-        assert type(m) is DiagonalScaling and m.T is m
-        assert m.nbytes == h.n * 8
-        assert (m @ v).tobytes() == (np.diag(m.diagonal) @ v).tobytes()
+        # a Jacobi M of the same size is its diagonal in CSR, no n x n
+        # array; M v and M^T v have the bytes of the diagonal scaling
+        m = build_smoother(WeightedJacobi(), h.A)
+        w = (2.0 / 3.0) / h.A.matrix.diagonal()
+        assert type(m) is CsrArray and m.nnz == h.n
+        assert m.nbytes == h.n * (8 + 4) + (h.n + 1) * 4
+        assert (m @ v).tobytes() == (m.T @ v).tobytes() == (w * v).tobytes()
 
     def test_sweeps_keep_one_operator_of_their_own(self):
         # after a report, three sweeps on the solve-2d hierarchy add one
@@ -587,20 +594,27 @@ def jacobi_cases():
 
 
 class TestDiagonalJacobi:
-    """Jacobi's M is its diagonal: the bytes of the n x n diag(omega / d)."""
+    """Jacobi's M is the matrix diag(omega / d), assembled: an ndarray below
+    the 2^14-entry gate, a CsrArray from it on, with the bytes of the
+    diagonal scaling in every product the hierarchy and the sweeps take."""
 
     def test_every_jacobi_case_gives_the_dense_diagonal_bytes(self):
         cases = jacobi_cases()
         assert len(cases) == 8
         for label, h, f, u_ref in cases:
-            assert type(h.M) is DiagonalScaling, label
-            twin = TwoGridHierarchy(A=h.A, M=np.diag(h.M.diagonal), P=h.P, Ac=h.Ac)
-            assert h.smoother_product.tobytes() == twin.smoother_product.tobytes(), label
-            # Mbar's ends, summed from A's entries and read by spectrum_end,
-            # against the twin's dense Mbar solved in full
-            ends, ref = h.mbar_ends, twin.mbar_ends
+            big = h.n * h.n >= SPARSE_MIN_ENTRIES
+            assert type(h.M) is (CsrArray if big else np.ndarray), label
+            w = h.M.diagonal()
+            fa = h.A.factor
+            # B = F M F^T has the bytes of (F * w) F^T, the column scaling
+            assert h.smoother_product.tobytes() == ((fa * w) @ fa.T).tobytes(), label
+            # Mbar's ends, read by spectrum_end, against the paper's dense
+            # Mbar solved in full
+            ends, ref = h.mbar_ends, np.linalg.eigvalsh(paper_mbar(h))
+            ref = ref[:1] if ref[0] >= 0.0 else ref[[0, -1]]
             assert ends.shape == ref.shape, label
             assert np.all(np.abs(ends - ref) <= 1e-13 * np.abs(ref)), label
+            twin = TwoGridHierarchy(A=h.A, M=np.diag(w), P=h.P, Ac=h.Ac)
             bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
             u0 = np.random.default_rng(5).standard_normal(h.n)
             for variant, coarse in (("tg", None), ("stg", None), ("itg", bc)):
@@ -609,27 +623,29 @@ class TestDiagonalJacobi:
                 assert mine.errors_A == theirs.errors_A, (label, variant)
                 assert mine.residuals == theirs.residuals, (label, variant)
 
+    @pytest.mark.parametrize("problem", [NeumannLaplacian2D(8, 8),
+                                         NeumannLaplacian2D(12, 12)],
+                             ids=["dense-eigen-factor", "csr-structural-factor"])
+    def test_factor_times_m_is_the_column_scaling(self, problem):
+        # F @ M, dense at n = 64, CSR at n = 144 on the column-major pinned
+        # Cholesky factor, has the bytes of F * (omega / d)
+        a = generate_problem(problem)[0]
+        m = build_smoother(WeightedJacobi(0.5), a)
+        assert type(m) is (CsrArray if a.n == 144 else np.ndarray)
+        f = a.factor
+        product = f @ m
+        assert product.tobytes() == (f * (0.5 / dense(a.matrix).diagonal())).tobytes()
+
     def test_jacobi_hierarchy_holds_no_n_by_n_smoother(self):
-        # not after set-up, the sweeps or a full report; the sweep applies
-        # M and M^T as the diagonal itself, with no CSR copy
+        # not after set-up, the sweeps or a full report: above the gate M is
+        # its diagonal in CSR
         _, h, f, u_ref = jacobi_cases()[-1]
         iterate(h, f, np.zeros(h.n), 2, "stg", u_ref=u_ref)
         convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
         assert "smoother_product" in vars(h) and "mbar_ends" in vars(h)
-        assert h.M.T is h.M
+        assert type(h.M) is CsrArray and h.M.nnz == h.n
         arrays = reachable_arrays(h.M)
-        assert [array.shape for array in arrays] == [(h.n,)]
-        assert h.M.nbytes == h.n * 8
-
-    def test_operator_products(self):
-        m = DiagonalScaling(np.array([2.0, 0.5, -1.0]))
-        x = np.arange(6.0).reshape(3, 2)
-        dense_m = np.diag(m.diagonal)
-        assert np.array_equal(m @ x, dense_m @ x)
-        assert np.array_equal(x.T @ m, x.T @ dense_m)
-        assert np.array_equal(m @ x[:, 0], dense_m @ x[:, 0])
-        assert np.array_equal(x[:, 0] @ m, x[:, 0] @ dense_m)
-        assert m.T is m and m.shape == (3, 3)
+        assert arrays and all(array.shape != (h.n, h.n) for array in arrays)
 
 
 class TestGenerators:
@@ -728,6 +744,10 @@ class TestGenerators:
         ([(0, 1), (1, 2, float("nan"))], None, "edge (1, 2) has non-finite weight nan"),
         ([(0, 1, float("inf"))], None, "edge (0, 1) has non-finite weight inf"),
         ([(0, 1, -float("inf"))], None, "edge (0, 1) has non-finite weight -inf"),
+        ([(0, 1, 1e308), (1, 2, 1e308)], None,
+         "edge (0, 1): the weighted degree of node 1 overflows"),
+        ([(0, 1), (2, 3, 1e308), (4, 3, 1e308)], None,
+         "edge (2, 3): the weighted degree of node 3 overflows"),
     ])
     def test_invalid_edges_are_named(self, edges, n, message):
         # the first invalid edge is named: self loop, then weight, then
@@ -742,6 +762,7 @@ class TestGenerators:
         ([(0, 1), (1, 2), (2, 5)], 4, 2),
         ([(0, 1), (-2 ** 63 - 1, 1), (1, 2 ** 63)], None, 1),
         ([], None, None),
+        ([(0, 1), (2, 3, 1e308), (4, 3, 1e308)], None, 1),
     ])
     def test_invalid_edge_error_carries_its_index(self, edges, n, index):
         with pytest.raises(EdgeError) as caught:

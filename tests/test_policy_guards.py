@@ -108,3 +108,29 @@ def test_only_the_eigh_certificate_solves_an_operator_spectrum():
     assert callers("_eigh") == {("linalg.py", "spsd_certify")}
     op = spsd_certify(neumann_laplacian_1d(128), TolerancePolicy.for_dimension(128))
     assert op.components is not None and op.eig is None
+
+
+def model_tree() -> ast.Module:
+    return ast.parse((Path(twogrid.__file__).parent / "model.py").read_text(encoding="utf-8"))
+
+
+def test_mbar_ends_solves_nothing_but_spectrum_end():
+    # both paths of mbar_ends, Gauss-Seidel's X X^T and a matrix M's Mbar,
+    # read their ends through linalg.spectrum_end, the one order rule
+    method = next(node for node in ast.walk(model_tree())
+                  if isinstance(node, ast.FunctionDef) and node.name == "mbar_ends")
+    called = {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+              for node in ast.walk(method) if isinstance(node, ast.Call)
+              and isinstance(node.func, (ast.Name, ast.Attribute))}
+    solvers = {name for name in called
+               if "eig" in name or "svd" in name or name.startswith("spectrum")}
+    assert solvers == {"spectrum_end"}
+
+
+def test_only_the_band_solve_is_an_operator_class():
+    # every other smoother is a matrix: an ndarray or a CsrArray
+    owners = {node.name for node in ast.walk(model_tree())
+              if isinstance(node, ast.ClassDef)
+              and any(isinstance(item, ast.FunctionDef) and item.name == "__matmul__"
+                      for item in node.body)}
+    assert owners == {"LowerBandSolve"}

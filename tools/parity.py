@@ -27,16 +27,18 @@ and the `analyze` JSON and one exact `solve` on `graph:edges.txt`, an edge
 file the tool writes: 2- and 3-column lines, one edge listed twice (the
 second time reversed) and two components; the `analyze --config` JSON and
 one `solve --config` of a `generate neumann2d:8x8 jacobi` round trip
-through a relative directory; and three commands that fail with one error
-line: a `graph:` file with a non-finite weight (named by FILE:LINE),
-`--coarse scale:nan` and `--smoother jacobi:inf`; and one exact `solve` on
-each of two inputs above the 2^14-entry gate that are held and swept dense:
-a custom block Jacobi M on neumann2d:16x16 (0.5 times the inverse of each
-2 x 2 diagonal block of A) and a `file:` coordinate matrix, that Laplacian
-plus 0.01 I, which is no Laplacian and so is certified by eigh; and the
-`analyze` JSON of that custom M, whose Mbar of order 256 is the one Mbar
-formed dense and solved in full at that order. In every
-Gauss-Seidel command M and M^T are band solves on tril(A), at every size.
+through a relative directory; the `analyze` JSON of neumann2d:12x12 with
+Jacobi, whose M is held in CSR and whose Mbar, of order 144, is solved in
+full; and four commands that fail with one error line: a `graph:` file
+with a non-finite weight and one whose weighted degree overflows (each
+named by FILE:LINE), `--coarse scale:nan` and `--smoother jacobi:inf`;
+and one exact `solve` on each of two inputs above the 2^14-entry gate that
+are held and swept dense: a custom block Jacobi M on neumann2d:16x16 (0.5
+times the inverse of each 2 x 2 diagonal block of A) and a `file:`
+coordinate matrix, that Laplacian plus 0.01 I, which is no Laplacian and so
+is certified by eigh; and the `analyze` JSON of that custom M, whose dense
+Mbar of order 256 is read by Lanczos. In every Gauss-Seidel command M and
+M^T are band solves on tril(A), at every size.
 Each digest also covers the exit code and the stdout and stderr text of its
 command. BLAS runs on one thread, so the bytes do not depend on the thread
 count of the host.
@@ -103,8 +105,11 @@ GRAPH_SETUP = ["--problem", "graph:edges.txt", "--smoother", "gs",
                "--coarse", "exact"]
 # The third edge has a non-finite weight; it is on line 4.
 BAD_EDGE_FILE = "# u v [weight]\n0 1\n1 2 2.0\n2 3 nan\n"
+# The degree of node 1 overflows; its first edge is on line 1.
+OVERFLOW_EDGE_FILE = "0 1 1e308\n1 2 1e308\n"
 ERRORS = {
     "graph:bad-edges.txt": ["--problem", "graph:bad-edges.txt"],
+    "graph:overflow-edges.txt": ["--problem", "graph:overflow-edges.txt"],
     "--coarse scale:nan": ["--problem", "neumann1d:8", "--coarse", "scale:nan"],
     "--smoother jacobi:inf": ["--problem", "neumann1d:8", "--smoother", "jacobi:inf"],
 }
@@ -202,7 +207,11 @@ def digests() -> dict[str, str]:
     result["solve --config roundtrip/problem.cfg"] = run(
         ["solve", "--config", "roundtrip/problem.cfg", "--output", "t"],
         ["t.csv", "t.json"])
+    result["analyze json neumann2d:12x12 jacobi"] = run(
+        ["analyze", "--problem", "neumann2d:12x12", "--smoother", "jacobi",
+         "--output", "r.json"], ["r.json"])
     Path("bad-edges.txt").write_text(BAD_EDGE_FILE, encoding="ascii")
+    Path("overflow-edges.txt").write_text(OVERFLOW_EDGE_FILE, encoding="ascii")
     for label, setup in ERRORS.items():
         result[f"error analyze {label}"] = run(["analyze", *setup], [])
     write_large_dense_inputs()
