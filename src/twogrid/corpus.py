@@ -5,7 +5,10 @@ weighted graph Laplacians including a disconnected one, seeded random
 rank-deficient SPSD matrices) crossed with the stock smoothers and both
 aggregation ratios. The verification suite re-derives every identity and
 bound on each case and compares against the brute-force seminorm oracle,
-reporting one pass/fail record per check with the measured slack.
+reporting one pass/fail record per check with the measured slack. Its
+solver spot checks sweep u_ref alone (the fixed point) and 20 seeded
+random starts as one block (the worst single-sweep ratio), so each case
+checks the solver's inputs twice, not 21 times.
 """
 from __future__ import annotations
 
@@ -172,17 +175,19 @@ def _case_checks(case: CorpusCase, perturb: float) -> list[CheckResult]:
            analysis.sigma_tg(h) - (1.0 - delta + analysis.smoothing_floor(h)),
            1e-10)
 
-    # solver-side spot checks
+    # solver-side spot checks. u_ref is swept alone: its residual f - A u_ref
+    # is exactly 0 only from the matrix-vector product that made f, while a
+    # block's matrix product rounds differently.
     u1 = solver.tg_sweep(h, u_ref, f)
     record("fixed_point", solver.a_seminorm(h.A.matrix, u1 - u_ref), 1e-10)
-    worst = 0.0
-    for trial in range(20):
-        u0 = np.random.default_rng(9000 + trial).standard_normal(h.n)
-        u1 = solver.tg_sweep(h, u0, f)
-        e0 = solver.a_seminorm(h.A.matrix, u_ref - u0)
-        e1 = solver.a_seminorm(h.A.matrix, u_ref - u1)
-        if e0 > 0.0:
-            worst = max(worst, e1 / e0)
+    # one sweep of a block of 20 random starts, each from its own seeded stream
+    u0 = np.column_stack([np.random.default_rng(9000 + trial).standard_normal(h.n)
+                          for trial in range(20)])
+    u1 = solver.tg_sweep(h, u0, f)
+    e0 = solver.a_seminorm(h.A.matrix, u_ref[:, None] - u0)
+    e1 = solver.a_seminorm(h.A.matrix, u_ref[:, None] - u1)
+    moved = e0 > 0.0
+    worst = float(np.max(e1[moved] / e0[moved], initial=0.0))
     record("worst_sweep_ratio", worst - exact.factor_identity, 1e-8)
     return results
 

@@ -71,10 +71,24 @@ def as_matrix(a, name: str = "matrix", copy: bool = True) -> np.ndarray:
     return arr
 
 
-def as_vector(v, n: int | None = None, name: str = "vector") -> np.ndarray:
-    """Validate and convert input to a finite float64 1-d array."""
-    arr = np.array(v, dtype=np.float64, copy=True).reshape(-1)
-    if n is not None and arr.size != n:
+def as_vector(v, n: int | None = None, name: str = "vector",
+              block: bool = False) -> np.ndarray:
+    """Validate and copy input as a finite float64 vector, or with block a block.
+
+    An input with at most one axis longer than 1 is a vector, returned 1-d.
+    Any other shape is refused by a ShapeError that names it, except that with
+    block a 2-d input of n rows and k > 1 columns is kept as that n x k block.
+    """
+    arr = np.array(v, dtype=np.float64, copy=True)
+    if arr.ndim != 1:
+        if sum(d > 1 for d in arr.shape) <= 1:
+            arr = arr.reshape(-1)
+        elif not (block and arr.ndim == 2 and arr.shape[0] == n):
+            length = "" if n is None else f" of length {n}"
+            kind = f" or an {n} x k block" if block else ""
+            raise ShapeError(
+                f"{name} has shape {arr.shape}, expected a vector{length}{kind}")
+    if arr.ndim == 1 and n is not None and arr.size != n:
         raise ShapeError(f"{name} has length {arr.size}, expected {n}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or Inf entries")

@@ -14,6 +14,14 @@ aggregation), a Jacobi M as its diagonal, a Gauss-Seidel M as a banded
 triangular solve on tril(A), anything else dense; P^T is the hierarchy's
 cached PT.
 
+The public sweeps take one start vector u0 or an n x k block of start
+vectors that share one right-hand side f, and return u0's shape. The
+inputs, f's consistency and the coarse solve are checked once per call, and
+each operator is applied once to the whole block, so k spot checks of the
+sweep cost one pass. A GeneralCoarse, a black box of one vector, takes no
+block; a_seminorm gives one seminorm per column of a block. iterate sweeps
+one vector.
+
 Traces record energy-seminorm errors against a reference solution (when one
 is available), Euclidean residuals, consecutive ratios, and the tail
 geometric-mean contraction factor. The error is sqrt(d^T A d), with A as
@@ -63,9 +71,12 @@ class GeneralCoarse:
                 f"declared_eps must lie in [0, 1), got {self.declared_eps}")
 
 
-def a_seminorm(matrix: np.ndarray, v: np.ndarray) -> float:
-    """sqrt(v^T S v) clamped against tiny negative rounding."""
-    return float(np.sqrt(max(float(v @ (matrix @ v)), 0.0)))
+def a_seminorm(matrix: np.ndarray, v: np.ndarray) -> float | np.ndarray:
+    """sqrt(v^T S v) clamped against tiny negative rounding: a float for a
+    vector v, an array of one seminorm per column for an n x k block."""
+    if v.ndim == 1:
+        return float(np.sqrt(max(float(v @ (matrix @ v)), 0.0)))
+    return np.sqrt(np.maximum(np.einsum("ij,ij->j", v, matrix @ v), 0.0))
 
 
 def check_consistent(h: TwoGridHierarchy, f: np.ndarray) -> None:
@@ -111,10 +122,7 @@ def _coarse_correction(h: TwoGridHierarchy, rc: np.ndarray,
                        coarse: SpsdOperator | GeneralCoarse) -> np.ndarray:
     if not isinstance(coarse, GeneralCoarse):
         return coarse.pinv @ rc
-    ec_hat = as_vector(coarse.solve(rc), name="coarse solve output")
-    if ec_hat.size != h.nc:
-        raise ShapeError(
-            f"coarse solver returned length {ec_hat.size}, expected {h.nc}")
+    ec_hat = as_vector(coarse.solve(rc), h.nc, "coarse solve output")
     ec = h.Ac.pinv @ rc
     denom = a_seminorm(h.Ac.matrix, ec)
     err = a_seminorm(h.Ac.matrix, ec_hat - ec)
@@ -139,8 +147,10 @@ def _check_variant(variant: str, coarse) -> None:
 
 
 def _start(h: TwoGridHierarchy, u0, f, coarse):
-    """_sweep's (u0, f, r0 = f - A u0), with them and the coarse solve checked."""
-    u0 = as_vector(u0, h.n, "u0")
+    """_sweep's (u0, f, r0 = f - A u0), with them and the coarse solve checked
+    once. u0 is one vector or an n x k block of start vectors that share f;
+    for a block, f comes back as one column, so r0 and u0 have one shape."""
+    u0 = as_vector(u0, h.n, "u0", block=True)
     f = as_vector(f, h.n, "f")
     check_consistent(h, f)
     if isinstance(coarse, SpsdOperator):
@@ -150,13 +160,19 @@ def _start(h: TwoGridHierarchy, u0, f, coarse):
     elif not isinstance(coarse, GeneralCoarse):
         raise TypeError("the coarse solve must be an SpsdOperator or a "
                         f"GeneralCoarse, got {type(coarse).__name__}")
+    elif u0.ndim == 2:
+        raise ShapeError("a GeneralCoarse solves one vector per call; sweep a "
+                         f"block of {u0.shape[1]} start vectors with an SpsdOperator")
+    if u0.ndim == 2:
+        f = f[:, None]
     return u0, f, f - h.A.matrix @ u0
 
 
 def _sweep(h: TwoGridHierarchy, u0: np.ndarray, f: np.ndarray, r0: np.ndarray,
            coarse: SpsdOperator | GeneralCoarse,
            post_smooth: bool = False) -> np.ndarray:
-    """One sweep on _start's checked inputs; post_smooth appends the M^T step."""
+    """One sweep on _start's checked inputs, a vector or a block alike (every
+    operator applies to an n x k operand); post_smooth appends the M^T step."""
     a = h.A.matrix
     u1 = u0 + h.M @ r0
     rc = h.PT @ (f - a @ u1)
@@ -168,17 +184,23 @@ def _sweep(h: TwoGridHierarchy, u0: np.ndarray, f: np.ndarray, r0: np.ndarray,
 
 def itg_sweep(h: TwoGridHierarchy, u0, f,
               coarse: SpsdOperator | GeneralCoarse) -> np.ndarray:
-    """One sweep with the coarse solve Bc^+ (Bc = h.Ac is exact) or a GeneralCoarse."""
+    """One sweep with the coarse solve Bc^+ (Bc = h.Ac is exact) or a GeneralCoarse.
+
+    u0 is one vector (n,) or, with an SpsdOperator Bc, an n x k block of start
+    vectors that share the right-hand side f; the result has u0's shape. The
+    inputs and the coarse solve are checked once per call, not per column.
+    """
     return _sweep(h, *_start(h, u0, f, coarse), coarse)
 
 
 def tg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
-    """One exact sweep (coarse correction by the Galerkin pseudoinverse)."""
+    """One exact sweep (coarse correction by the Galerkin pseudoinverse) of
+    one vector u0 or an n x k block of start vectors sharing f, as itg_sweep."""
     return itg_sweep(h, u0, f, h.Ac)
 
 
 def stg_sweep(h: TwoGridHierarchy, u0, f) -> np.ndarray:
-    """Exact sweep followed by one M^T post-smoothing step."""
+    """Exact sweep followed by one M^T post-smoothing step; u0 as in tg_sweep."""
     return _sweep(h, *_start(h, u0, f, h.Ac), h.Ac, post_smooth=True)
 
 
@@ -241,7 +263,8 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     GeneralCoarse. observed_factor estimates the asymptotic rate for "tg"
     and "itg" (at most the sweep's worst-case factor) and the worst-case
     factor of the symmetrized sweep for "stg"; see IterationTrace. The
-    coarse solve, f and u0 are checked once per run. Raises DivergenceError
+    coarse solve, f and u0 (one vector; a block is refused) are checked
+    once per run. Raises DivergenceError
     when the tracked error grows tenfold across five sweeps while above the
     stagnation floor, or when the residual is not finite; near-1 contraction
     factors are legitimate and only blow-up aborts. The error carries the
@@ -253,7 +276,7 @@ def iterate(h: TwoGridHierarchy, f, u0, sweeps: int, variant: str = "tg",
     if variant != "itg":
         coarse = h.Ac
 
-    u, f, r = _start(h, u0, f, coarse)
+    u, f, r = _start(h, as_vector(u0, h.n, "u0"), f, coarse)
     if u_ref is not None:
         u_ref = as_vector(u_ref, h.n, "u_ref")
 

@@ -10,6 +10,7 @@ from twogrid.errors import DivergenceError, InconsistentSystemError, ShapeError
 from twogrid.analysis import (exact_factor, general_epsilon_bound, inexact_linear_analysis,
                               report_json, seminorm_oracle)
 from twogrid.cli import main
+from twogrid.corpus import build_case, builtin_corpus
 from twogrid.linalg import EPS, SPARSE_MIN_ENTRIES, dense, spsd_certify, sym_part
 from twogrid.model import (
     CustomSmoother,
@@ -45,6 +46,19 @@ def setup8():
     a, p, f, u_ref = generate_problem(NeumannLaplacian1D(8), group=2, seed=0)
     h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
     return h, f, u_ref
+
+
+@pytest.fixture
+def sweep_calls(monkeypatch):
+    calls = []
+    sweep = solver._sweep
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_sweep", counted)
+    return calls
 
 
 class TestSweeps:
@@ -267,18 +281,6 @@ class TestIterate:
         assert trace.ratios is None
         assert trace.observed_factor is None
         assert len(trace.residuals) == 6
-
-    @pytest.fixture
-    def sweep_calls(self, monkeypatch):
-        calls = []
-        sweep = solver._sweep
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(solver, "_sweep", counted)
-        return calls
 
     @staticmethod
     def run_itg(call, h, f, coarse):
@@ -571,6 +573,146 @@ class TestIterate:
         trace = iterate(h, f, u0, 80, "tg", u_ref=u_ref)
         assert trace.errors_A[-1] <= trace.floor
         assert trace.final_residual_rel <= h.policy.match_tol
+
+
+class TestVectorShapes:
+    """A vector input may carry singleton axes, never a second long one: the
+    sweeps' u0 is the one input that takes an n x k block."""
+
+    U0 = np.random.default_rng(30).standard_normal(8)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda h, f, u_ref: tg_sweep(h, TestVectorShapes.U0.reshape(4, 2), f),
+         "u0 has shape (4, 2), expected a vector of length 8 or an 8 x k block"),
+        (lambda h, f, u_ref: tg_sweep(h, np.zeros((16, 2)), f),
+         "u0 has shape (16, 2), expected a vector of length 8 or an 8 x k block"),
+        (lambda h, f, u_ref: stg_sweep(h, TestVectorShapes.U0, f.reshape(4, 2)),
+         "f has shape (4, 2), expected a vector of length 8"),
+        (lambda h, f, u_ref: iterate(h, f.reshape(4, 2), TestVectorShapes.U0, 3,
+                                     u_ref=u_ref),
+         "f has shape (4, 2), expected a vector of length 8"),
+        (lambda h, f, u_ref: iterate(h, f, TestVectorShapes.U0.reshape(2, 4), 3,
+                                     u_ref=u_ref),
+         "u0 has shape (2, 4), expected a vector of length 8"),
+        (lambda h, f, u_ref: iterate(h, f, np.zeros((8, 2)), 3, u_ref=u_ref),
+         "u0 has shape (8, 2), expected a vector of length 8"),
+        (lambda h, f, u_ref: iterate(h, f, TestVectorShapes.U0, 3,
+                                     u_ref=u_ref.reshape(4, 2)),
+         "u_ref has shape (4, 2), expected a vector of length 8"),
+        (lambda h, f, u_ref: itg_sweep(h, TestVectorShapes.U0, f, GeneralCoarse(
+            lambda rc: (h.Ac.pinv @ rc).reshape(2, 2))),
+         "coarse solve output has shape (2, 2), expected a vector of length 4"),
+    ], ids=["tg_sweep-u0", "tg_sweep-u0-rows", "stg_sweep-f", "iterate-f",
+            "iterate-u0", "iterate-block", "iterate-u_ref", "general-coarse-output"])
+    def test_second_long_axis_refused_by_shape(self, setup8, sweep_calls, call,
+                                               message):
+        h, f, u_ref = setup8
+        with pytest.raises(ShapeError) as info:
+            call(h, f, u_ref)
+        assert str(info.value) == message
+        # the coarse solve's output is read inside the one sweep
+        assert len(sweep_calls) == message.startswith("coarse solve output")
+
+    def test_singleton_axes_are_a_vector(self, setup8):
+        h, f, _ = setup8
+        u1 = tg_sweep(h, self.U0, f)
+        for u0 in (self.U0[:, None], self.U0[None, :], self.U0.reshape(1, 8, 1)):
+            assert np.array_equal(tg_sweep(h, u0, f[:, None]), u1)
+
+    def test_general_coarse_refuses_a_block_before_any_sweep(self, setup8,
+                                                            sweep_calls):
+        # its solve is a black box of one vector that records one accuracy
+        h, f, _ = setup8
+        rng = np.random.default_rng(1)
+        coarse = GeneralCoarse(eps_perturbed_coarse(h, 0.3, rng), 0.3)
+        with pytest.raises(ShapeError) as info:
+            itg_sweep(h, np.zeros((8, 3)), f, coarse)
+        assert str(info.value) == (
+            "a GeneralCoarse solves one vector per call; "
+            "sweep a block of 3 start vectors with an SpsdOperator")
+        assert sweep_calls == []
+        assert coarse.achieved_eps == []
+
+
+@pytest.fixture(scope="module", params=[
+    "neumann2d:8x8/jacobi:2/3/agg2", "neumann1d:32/gs/agg2", "neumann2d:16x16/gs/agg4"])
+def block_setup(request):
+    """(h, f, u_ref): a dense Jacobi and a dense Gauss-Seidel corpus case, and
+    neumann2d:16x16 with Gauss-Seidel and aggregation by 4 (A and P in CSR)."""
+    if request.param == "neumann2d:16x16/gs/agg4":
+        a, p, f, u_ref = generate_problem(NeumannLaplacian2D(16, 16), group=4, seed=0)
+        h = build_hierarchy(a, p, GaussSeidel())
+        assert not isinstance(h.A.matrix, np.ndarray) and not isinstance(h.P, np.ndarray)
+    else:
+        case = next(c for c in builtin_corpus() if c.name == request.param)
+        h, f, u_ref = build_case(case)
+        assert isinstance(h.A.matrix, np.ndarray)
+    return h, f, u_ref
+
+
+def block_sweep(h, variant):
+    """The public sweep of a variant, itg with Bc = 2 Ac, as (u0, f) -> u1."""
+    if variant == "itg":
+        bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
+        return lambda u0, f: itg_sweep(h, u0, f, bc)
+    sweep = tg_sweep if variant == "tg" else stg_sweep
+    return lambda u0, f: sweep(h, u0, f)
+
+
+@pytest.mark.parametrize("variant", ["tg", "stg", "itg"])
+class TestBlockSweeps:
+    def test_columns_match_vector_sweeps(self, block_setup, variant):
+        # CSR products and band solves treat each column of a block as the
+        # vector alone, bit for bit (the test below); a dense A, P or Bc^+
+        # is one matrix-matrix product, which rounds otherwise, so no sweep
+        # here is bitwise equal to its columns' sweeps
+        h, f, _ = block_setup
+        sweep = block_sweep(h, variant)
+        u0 = np.random.default_rng(40).standard_normal((h.n, 5))
+        u1 = sweep(u0, f)
+        assert u1.shape == (h.n, 5)
+        columns = np.column_stack([sweep(u, f) for u in u0.T])
+        gaps = a_seminorm(h.A.matrix, u1 - columns) / a_seminorm(h.A.matrix, columns)
+        assert np.max(gaps) <= 1e-14, gaps
+
+    def test_inputs_checked_once_per_block_call(self, block_setup, variant,
+                                                monkeypatch, sweep_calls):
+        h, f, _ = block_setup
+        calls = []
+        check = solver.check_consistent
+        monkeypatch.setattr(solver, "check_consistent",
+                            lambda *args: calls.append(args) or check(*args))
+        block_sweep(h, variant)(np.zeros((h.n, 7)), f)
+        assert len(calls) == 1
+        assert len(sweep_calls) == 1
+
+    def test_non_finite_column_refused(self, block_setup, variant, sweep_calls):
+        h, f, _ = block_setup
+        u0 = np.random.default_rng(41).standard_normal((h.n, 4))
+        u0[h.n // 2, 2] = np.inf
+        with pytest.raises(ValueError, match="^u0 contains NaN or Inf entries$"):
+            block_sweep(h, variant)(u0, f)
+        assert sweep_calls == []
+
+
+def test_sparse_and_band_operators_apply_column_by_column(block_setup):
+    h, _, _ = block_setup
+    rng = np.random.default_rng(43)
+    for op in (h.A.matrix, h.M, h.M.T, h.P, h.PT):
+        if not isinstance(op, np.ndarray):
+            x = rng.standard_normal((op.shape[1], 4))
+            assert np.array_equal(op @ x, np.column_stack([op @ v for v in x.T]))
+
+
+def test_block_seminorm_is_per_column(block_setup):
+    h, _, u_ref = block_setup
+    d = u_ref[:, None] - np.random.default_rng(42).standard_normal((h.n, 6))
+    d[:, 3] = 0.0
+    norms = a_seminorm(h.A.matrix, d)
+    columns = [a_seminorm(h.A.matrix, v) for v in d.T]
+    assert all(type(norm) is float for norm in columns)
+    assert norms.shape == (6,) and norms[3] == columns[3] == 0.0
+    np.testing.assert_allclose(norms, columns, rtol=1e-14, atol=0.0)
 
 
 class TestTraceOutput:

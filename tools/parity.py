@@ -38,7 +38,10 @@ times the inverse of each 2 x 2 diagonal block of A) and a `file:`
 coordinate matrix, that Laplacian plus 0.01 I, which is no Laplacian and so
 is certified by eigh; and the `analyze` JSON of that custom M, whose dense
 Mbar of order 256 is read by Lanczos. In every Gauss-Seidel command M and
-M^T are band solves on tril(A), at every size.
+M^T are band solves on tril(A), at every size. One digest is not of a
+command: the bytes of one `tg` and one `stg` sweep of a block of three
+seeded start vectors on neumann2d:16x16 with Gauss-Seidel and aggregation
+by 4, the solver's block kernel on CSR A and P and band-solve M.
 Each digest also covers the exit code and the stdout and stderr text of its
 command. BLAS runs on one thread, so the bytes do not depend on the thread
 count of the host.
@@ -62,7 +65,7 @@ for _var in ("RANK_REL_TOL", "MATCH_TOL"):
 
 import numpy as np  # noqa: E402
 
-from twogrid import analysis, cli, corpus, linalg, mmio, model  # noqa: E402
+from twogrid import analysis, cli, corpus, linalg, mmio, model, solver  # noqa: E402
 
 PROBLEMS = (
     ("neumann2d:8x8", "jacobi"),
@@ -143,6 +146,15 @@ def run(argv: list[str], outputs: list[str]) -> str:
     return sha256(b"".join(parts))
 
 
+def block_sweeps() -> str:
+    """Digest of a tg and an stg sweep of one 3-column block of start vectors."""
+    a, p, f, _ = model.generate_problem(model.NeumannLaplacian2D(16, 16), group=4)
+    h = model.build_hierarchy(a, p, model.GaussSeidel())
+    u0 = np.random.default_rng(0).standard_normal((h.n, 3))
+    return sha256(solver.tg_sweep(h, u0, f).tobytes()
+                  + solver.stg_sweep(h, u0, f).tobytes())
+
+
 def corpus_reports():
     """(case name, report) of each of the 21 corpus cases, Bc = 2 Ac and eps 0.3:
     the one builder of the corpus reports this tool and fieldmoves.py read."""
@@ -194,6 +206,7 @@ def digests() -> dict[str, str]:
         ["t.csv", "t.json"])
     result["generate neumann2d:16x16 gs aggregate:4"] = run(
         ["generate", *SPARSE_SETUP[:-2], "--output-dir", "gen"], GENERATED)
+    result["block sweeps tg stg neumann2d:16x16 gs aggregate:4"] = block_sweeps()
     Path("edges.txt").write_text(EDGE_FILE, encoding="ascii")
     result["analyze json graph:edges.txt gs exact"] = run(
         ["analyze", *GRAPH_SETUP, "--output", "r.json"], ["r.json"])
