@@ -11,24 +11,24 @@ orthogonal r x r U, and U Y U^T has Y's spectrum, so every quantity here is
 the same under either factor up to rounding. The paper's n x n spectra
 start with the n - r zeros of null(A), so the paper's ascending position
 n - r + k is array index k - 1 here (n - r + 1 is index 0, n - r + s + 1 is
-index s); reports keep the paper's positions and dimensions. Each form and
-spectrum that depends only on the hierarchy is solved once and cached on it
-(see TwoGridHierarchy); each function here is the one formula for its
-quantity over those spectra. The complement spectrum, which holds sigma_tg,
-is s exact zeros (range(Q)) and one eigen-solve of order r - s in the
-complement basis Q_perp; delta_tg reads the compression onto Q. Those two
-compressions are all the analysis reads of Mtilde; each is X + X^T - Y Y^T
-off Y = V^T B, and no r x r Mtilde form is formed. Every coarse correction
-reads K through Q^T K, formed once per hierarchy, and a report with a
-coarse matrix forms its core R Bc^+ R^T once for the inexact quadratic form
-and the itg oracle. The quadratic-form factors and the oracles read one end of their r x r forms
-(lambda_min of ftg and fitg, lambda_max of G^T G) through
-linalg.spectrum_end: a dense solve below END_MIN_ORDER, restarted Lanczos
-from it on; every form is still assembled in full. The
-smoother enters through B = F M F^T alone: K = I - B,
-F Mbar F^T = B + B^T - B^T B = I - K^T K and
+index s); reports keep the paper's positions and dimensions.
+
+The hierarchy (model.TwoGridHierarchy) holds the operators; the forms read
+off them are built here, in RangeForms, kept as h.forms so that each is
+solved once per hierarchy, and each function below is the one formula for
+its quantity over them. The smoother enters through B = F M F^T alone:
+K = I - B, F Mbar F^T = B + B^T - B^T B = I - K^T K and
 F Mtilde F^T = B + B^T - B B^T = I - K K^T, so the spectrum of Mtilde A is
-the smoother's.
+the smoother's. Of Mtilde the analysis reads two compressions, each
+X + X^T - Y Y^T off Y = V^T B, and forms no r x r Mtilde form: onto Q_perp
+the complement spectrum, which holds sigma_tg (s exact zeros and one
+eigen-solve of order r - s), and onto Q the one delta_tg reads. A report
+with a coarse matrix forms its core R Bc^+ R^T once for the inexact
+quadratic form and the itg oracle. The quadratic-form factors and the
+oracles read one end of their r x r forms (lambda_min of ftg and fitg,
+lambda_max of G^T G) through linalg.spectrum_end: a dense solve below
+END_MIN_ORDER, restarted Lanczos from it on; every form is still
+assembled in full.
 
 Main entry points:
 
@@ -51,6 +51,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,13 +65,113 @@ from .linalg import (
     spsd_certify,
     sym_part,
 )
-from .model import TwoGridHierarchy
+from .model import Smoother, TwoGridHierarchy
 from .solver import _check_variant
 
 
 def _factor_from(value: float) -> float:
     """sqrt(1 - value) clamped against rounding outside [0, 1]."""
     return float(np.sqrt(min(max(float(1.0 - value), 0.0), 1.0)))
+
+
+# ---------------------------------------------------------------------------
+# forms on range(A)
+
+
+@dataclass(frozen=True, eq=False)
+class RangeForms:
+    """The r x r forms on range(A) of a hierarchy, each built on first read.
+
+    Pi = Q Q^T is never stored: every coarse correction is Q C Q^T, s x s
+    core C, and reads K = I - B through Q^T K (s x r). It holds A, M, P and
+    s = rank(Ac), not the hierarchy, so the two form no reference cycle.
+    """
+
+    A: SpsdOperator
+    M: Smoother
+    P: np.ndarray  # or a csr.CsrArray
+    s: int
+
+    @cached_property
+    def coarse_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(Q, R, Q_perp) from the full SVD F P = U Sigma V^T, cut at s = rank(Ac).
+
+        Q = U[:, :s] (r x s) and Q_perp = U[:, s:] (r x (r - s)) are
+        orthonormal bases of range(F P) and its complement, R = Sigma_s V_s^T
+        (s x nc); U is not kept. The squared singular values are Ac's
+        eigenvalues, so s is Ac's one rank decision; none is made on them.
+        A P held in CSR is never densified: F @ P is the sparse product.
+        """
+        u, sv, vt = np.linalg.svd(self.A.factor @ self.P, full_matrices=True)
+        s = self.s
+        return u[:, :s].copy(), sv[:s, None] * vt[:s], u[:, s:].copy()
+
+    @cached_property
+    def smoother_product(self) -> np.ndarray:
+        """B = F M F^T (r x r), the product every smoother operator is read off.
+
+        For a CSR M, F M reads the column-major F's transpose as it is; for
+        a LowerBandSolve M, F M is one band solve on F's r rows."""
+        return self.A.factor @ self.M @ self.A.factor.T
+
+    @cached_property
+    def smoother_form(self) -> np.ndarray:
+        """F Mbar F^T = B + B^T - B^T B (r x r), PSD by the smoother assumption.
+
+        Not I - K^T K, whose cancellation would erase a small M's digits."""
+        b = self.smoother_product
+        return sym_part(b + b.T - b.T @ b)
+
+    @cached_property
+    def smoother_spectrum(self) -> np.ndarray:
+        """Eigenvalues of the smoother form, ascending, solved once.
+
+        Nonnegativity of this spectrum is equivalent to the smoothing
+        iteration being a (not necessarily strict) contraction in the energy
+        seminorm; build_hierarchy certifies a Jacobi or custom M on it. It is
+        also the spectrum of the Mtilde form I - K K^T: K^T K and K K^T have
+        the same eigenvalues.
+        """
+        return np.linalg.eigvalsh(self.smoother_form)
+
+    @cached_property
+    def pre_smoother(self) -> np.ndarray:
+        """K = I - B (r x r); its transpose is the post-smoothing twin."""
+        return np.eye(self.A.rank) - self.smoother_product
+
+    @cached_property
+    def restricted_pre_smoother(self) -> np.ndarray:
+        """Q^T K (s x r), the one product of K with the coarse basis."""
+        return self.coarse_factors[0].T @ self.pre_smoother
+
+    def _mtilde_spectrum(self, v: np.ndarray) -> np.ndarray:
+        """Spectrum of V^T F Mtilde F^T V = V^T (B + B^T - B B^T) V, ascending.
+
+        For every M it is X + X^T - Y Y^T with Y = V^T B and X = Y V, summed
+        as G + G^T with G = Y (V - Y^T / 2) = X - Y Y^T / 2: exactly
+        symmetric, one product fewer, and no r x r Mtilde form is formed.
+        A small M keeps its digits: B is never added to I.
+        """
+        y = v.T @ self.smoother_product
+        g = y @ (v - 0.5 * y.T)
+        return np.linalg.eigvalsh(g + g.T)
+
+    @cached_property
+    def complement_spectrum(self) -> np.ndarray:
+        """Spectrum of (I - Pi) F Mtilde F^T (I - Pi), Pi = Q Q^T (r x r), ascending.
+
+        [Q Q_perp] is orthogonal, and in that basis the form is zero but for
+        its Q_perp block, so the spectrum is s exact zeros and that of
+        Q_perp^T F Mtilde F^T Q_perp, one eigen-solve of order r - s.
+        """
+        w = self._mtilde_spectrum(self.coarse_factors[2])
+        return np.sort(np.concatenate([np.zeros(self.s), w]))
+
+    @cached_property
+    def coarse_spectrum(self) -> np.ndarray:
+        """Spectrum of Q^T F Mtilde F^T Q (s x s); with r - s zeros added,
+        that of Pi F Mtilde F^T Pi."""
+        return self._mtilde_spectrum(self.coarse_factors[0])
 
 
 def smoothing_floor(h: TwoGridHierarchy) -> float:
@@ -81,7 +182,7 @@ def smoothing_floor(h: TwoGridHierarchy) -> float:
     index 0 of the smoother spectrum. It caps how much the smoother alone
     can leave behind on the range of A.
     """
-    return float(h.smoother_spectrum[0])
+    return float(h.forms.smoother_spectrum[0])
 
 
 def sigma_tg(h: TwoGridHierarchy) -> float:
@@ -99,7 +200,7 @@ def sigma_tg(h: TwoGridHierarchy) -> float:
         raise ShapeError(
             f"eigenvalue index {h.s} outside the spectrum of size {h.r} on "
             "range(A); rank thresholds for A and the coarse matrix are inconsistent")
-    return float(h.complement_spectrum[h.s])
+    return float(h.forms.complement_spectrum[h.s])
 
 
 def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
@@ -111,7 +212,7 @@ def delta_tg(h: TwoGridHierarchy) -> tuple[float, bool]:
     which keeps every bound valid. Returns (delta, guard_ok). One
     eigen-solve serves the guard and the value.
     """
-    w = h.coarse_spectrum
+    w = h.forms.coarse_spectrum
     if spectrum_rank(w, h.policy) != h.s:
         return 0.0, False
     return float(w[0]), True
@@ -128,7 +229,8 @@ def _coarse_core(h: TwoGridHierarchy, bc: SpsdOperator) -> np.ndarray:
     The exact solve's core is I, whose correction is the projector Pi; it is
     never formed (None stands for it below).
     """
-    return h.R @ bc.pinv @ h.R.T
+    r = h.forms.coarse_factors[1]
+    return r @ bc.pinv @ r.T
 
 
 def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray | None) -> np.ndarray:
@@ -137,9 +239,9 @@ def _quadratic_form(h: TwoGridHierarchy, core: np.ndarray | None) -> np.ndarray:
     c^T c is formed as a general product of the copy c^T with c, the bytes
     of c^T I c, not as the symmetric rank-s update numpy picks for c^T c.
     """
-    c = h.restricted_pre_smoother
+    c = h.forms.restricted_pre_smoother
     coarse = (np.ascontiguousarray(c.T) if core is None else c.T @ core) @ c
-    return sym_part(h.smoother_form + coarse)
+    return sym_part(h.forms.smoother_form + coarse)
 
 
 def _inexact_form(h: TwoGridHierarchy, core: np.ndarray) -> np.ndarray:
@@ -175,7 +277,7 @@ def fitg_matrix(h: TwoGridHierarchy, bc) -> np.ndarray:
 class ConditionReport:
     """Flags for the convergence conditions plus their decision margins.
 
-    Every field is read off a spectrum the hierarchy caches:
+    Every field is read off a spectrum h.forms or the hierarchy caches:
     smoother_ok, smoother_min_eig and mbar_null_in_range_dim off the
     smoother spectrum, intersection_dim and intersection_margin off the
     complement spectrum, and mbar_min_eig, the smallest eigenvalue of Mbar,
@@ -225,8 +327,8 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
 
     Reports and never raises: diagnosing failing setups is a primary use.
     """
-    w_smooth = h.smoother_spectrum
-    w_comp = h.complement_spectrum
+    w_smooth = h.forms.smoother_spectrum
+    w_comp = h.forms.complement_spectrum
     kept = spectrum_rank(w_comp, h.policy, scale=float(np.max(np.abs(w_smooth))))
     inter_dim = h.n - h.s - kept
     nullity_a = h.n - h.r
@@ -258,7 +360,10 @@ class ExactFactorReport:
     of A. The spectra are r x r forms on range(A), so position n - r + k is
     array index k - 1: index s for the identity, index 0 for the quadratic
     form. warn_equiv_cond is set when the intersection condition failed, in
-    which case the factor may legitimately reach one.
+    which case the factor may legitimately reach one. eigengap_at_index is
+    w[s] - w[s - 1] of the complement spectrum w; w[s - 1] is one of its s
+    exact zeros unless its order r - s part has s negative eigenvalues, so
+    it is sigma_tg bit for bit (on every corpus case); None when s = r.
     """
 
     sigma_tg: float
@@ -296,8 +401,8 @@ def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
 def _propagator_norm(h: TwoGridHierarchy, core: np.ndarray | None,
                      post_smooth: bool) -> float:
     """seminorm_oracle's value for the coarse core C (None: C = I)."""
-    pre, qk = h.pre_smoother, h.restricted_pre_smoother
-    g = pre - h.Q @ (qk if core is None else core @ qk)
+    pre, qk = h.forms.pre_smoother, h.forms.restricted_pre_smoother
+    g = pre - h.forms.coarse_factors[0] @ (qk if core is None else core @ qk)
     if post_smooth:
         g = pre.T @ g
     top = spectrum_end(sym_part(g.T @ g), highest=True)
@@ -313,7 +418,7 @@ def exact_two_sided(h: TwoGridHierarchy) -> tuple[float, float]:
     position would fall past the spectrum; the factor is exactly zero there,
     so the lower bound degenerates to 0.
     """
-    w = h.smoother_spectrum
+    w = h.forms.smoother_spectrum
     upper = _factor_from(float(w[0]))
     if h.s == h.r:
         return 0.0, upper
@@ -335,7 +440,7 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     factor_ftg, eigengap = 0.0, None
     if h.s < h.r:
         factor_ftg = _factor_from(spectrum_end(ftg_matrix(h), highest=False))
-        w = h.complement_spectrum
+        w = h.forms.complement_spectrum
         eigengap = float(w[h.s] - w[h.s - 1])
 
     lower, upper = exact_two_sided(h)

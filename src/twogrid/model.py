@@ -1,22 +1,18 @@
 """Two-grid hierarchy assembly and test-problem generators.
 
-Builds smoothers (weighted Jacobi as the matrix omega D^{-1}, Gauss-Seidel
-as a band solve on tril(A) with no n x n array; a custom M as given), the
-Galerkin coarse matrix P^T A P (for a large graph Laplacian in O(nnz) as a
-sparse product), and, on range(A) through A's thin factor F (A = F^T F), the
-coarse basis Q with its orthogonal complement, the form of the
-symmetrized smoother M + M^T - M^T A M (Mbar) and the two compressions of
-M + M^T - M A M^T (Mtilde) that the analysis reads, onto Q and onto its
-complement, all read off the one product F M F^T, and the ends of Mbar's own
-spectrum that the sufficient condition reads (for Gauss-Seidel off M's
-band, for a matrix M off M + M^T - M^T A M in its operands' form, each
-read by linalg.spectrum_end). Also provides SPSD test problems: Neumann
-Laplacians in 1d/2d and weighted graph Laplacians, each summed from its
-edge list (_laplacian), seeded random rank-deficient matrices, and file
-input. Every summed matrix here, a Laplacian, an aggregation prolongation,
-the Jacobi M and the Gauss-Seidel matrix that gives Mbar's ends, is built
-by linalg.assemble, the one place that chooses between an ndarray and a
-CSR form with no n x n array.
+Builds the operators: smoothers (weighted Jacobi as the matrix omega D^{-1},
+Gauss-Seidel as a band solve on tril(A) with no n x n array; a custom M as
+given), the Galerkin coarse matrix P^T A P (for a large graph Laplacian in
+O(nnz) as a sparse product), and the ends of Mbar's spectrum that the
+sufficient condition reads (for Gauss-Seidel off M's band, for a matrix M
+off M + M^T - M^T A M in its operands' form, each by linalg.spectrum_end);
+the r x r forms on range(A) are built in analysis. Also provides SPSD test
+problems: Neumann Laplacians in 1d/2d and weighted graph Laplacians, each
+summed from its edge list (_laplacian), seeded random rank-deficient
+matrices, and file input. Every summed matrix here, a Laplacian, an
+aggregation prolongation, the Jacobi M and the Gauss-Seidel matrix that
+gives Mbar's ends, is built by linalg.assemble, the one place that chooses
+between an ndarray and a CSR form with no n x n array.
 """
 from __future__ import annotations
 
@@ -186,23 +182,9 @@ class TwoGridHierarchy:
     A or Ac is a graph Laplacian certified by structure, its rank, null
     basis, thin factor and pseudoinverse need no spectrum: F and Ac^+ (the
     first sweep's coarse solve) come from pinned Cholesky factors
-    (SpsdOperator). Every form is
-    r x r on range(A), through A's thin factor F (F^T F = A; the eigen
-    factor Lambda_r^{1/2} V_r^T after the eigh certificate), and is read off
-    B = F M F^T. Any two r-row factors differ by an orthogonal r x r matrix,
-    so no spectrum read here depends on which one A has. The coarse space
-    is the SVD F P = Q R, truncated to s: Q (r x s) has orthonormal columns
-    and R (s x nc) is Sigma_s V_s^T; the same full SVD gives Q_perp
-    (r x (r - s)), an orthonormal basis of the complement of range(Q).
-    Pi = F P Ac^+ P^T F^T = Q Q^T is never stored; every coarse correction
-    is Q C Q^T, s x s core C, and reads K = I - B through Q^T K (s x r). B,
-    Q, R, Q_perp, Q^T K, the smoother and pre-smoother forms, the spectra
-    the analysis reads and the ends of Mbar's spectrum (mbar_ends; together
-    they decide every convergence condition) are built on first read and
-    kept, so each is solved once per hierarchy. The Mtilde form
-    B + B^T - B B^T is read only through its compressions onto Q_perp and Q
-    (complement_spectrum, coarse_spectrum), never formed; its own spectrum
-    is smoother_spectrum.
+    (SpsdOperator). mbar_ends, the ends of Mbar's spectrum, and forms,
+    the r x r forms on range(A) that the analysis reads, are built on first
+    read and kept, so each is solved once per hierarchy.
     build_hierarchy validates; this does not.
     """
 
@@ -238,102 +220,10 @@ class TwoGridHierarchy:
         return self.P.T.tocsr() if is_sparse(self.P) else self.P.T
 
     @cached_property
-    def coarse_factors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(Q, R, Q_perp) from the full SVD F P = U Sigma V^T, cut at s = rank(Ac).
-
-        Q = U[:, :s], R = Sigma_s V_s^T and Q_perp = U[:, s:]; U itself is
-        not kept. The squared singular values are Ac's eigenvalues, so s is
-        Ac's one rank decision; none is made again on these singular values.
-        A P held in CSR is never densified: F @ P is the sparse product.
-        """
-        u, sv, vt = np.linalg.svd(self.A.factor @ self.P, full_matrices=True)
-        s = self.s
-        return u[:, :s].copy(), sv[:s, None] * vt[:s], u[:, s:].copy()
-
-    @property
-    def Q(self) -> np.ndarray:
-        """Orthonormal basis (r x s) of the range of F P."""
-        return self.coarse_factors[0]
-
-    @property
-    def R(self) -> np.ndarray:
-        """The s x nc factor with Q R = F P."""
-        return self.coarse_factors[1]
-
-    @property
-    def Q_perp(self) -> np.ndarray:
-        """Orthonormal basis (r x (r - s)) of the complement of range(Q)."""
-        return self.coarse_factors[2]
-
-    @cached_property
-    def smoother_product(self) -> np.ndarray:
-        """B = F M F^T (r x r), the product every smoother operator is read off.
-
-        For a CSR M, F M reads the column-major F's transpose as it is; for
-        a LowerBandSolve M, F M is one band solve on F's r rows."""
-        return self.A.factor @ self.M @ self.A.factor.T
-
-    @cached_property
-    def smoother_form(self) -> np.ndarray:
-        """F Mbar F^T = B + B^T - B^T B (r x r), PSD by the smoother assumption.
-
-        Not I - K^T K, whose cancellation would erase a small M's digits."""
-        b = self.smoother_product
-        return sym_part(b + b.T - b.T @ b)
-
-    @cached_property
-    def smoother_spectrum(self) -> np.ndarray:
-        """Eigenvalues of the smoother form, ascending, solved once.
-
-        Nonnegativity of this spectrum is equivalent to the smoothing
-        iteration being a (not necessarily strict) contraction in the energy
-        seminorm; build_hierarchy certifies a Jacobi or custom M on it. It is also
-        the spectrum of the Mtilde form: with K = I - B the smoother form is
-        I - K^T K and the Mtilde form is I - K K^T, and K^T K and K K^T have
-        the same eigenvalues.
-        """
-        return np.linalg.eigvalsh(self.smoother_form)
-
-    @cached_property
-    def pre_smoother(self) -> np.ndarray:
-        """K = I - B (r x r); its transpose is the post-smoothing twin."""
-        return np.eye(self.r) - self.smoother_product
-
-    @cached_property
-    def restricted_pre_smoother(self) -> np.ndarray:
-        """Q^T K (s x r), the one product of K with the coarse basis."""
-        return self.Q.T @ self.pre_smoother
-
-    def _mtilde_spectrum(self, v: np.ndarray) -> np.ndarray:
-        """Spectrum of V^T F Mtilde F^T V = V^T (B + B^T - B B^T) V, ascending.
-
-        For every M it is X + X^T - Y Y^T with Y = V^T B and X = Y V, summed
-        as G + G^T with G = Y (V - Y^T / 2) = X - Y Y^T / 2: exactly
-        symmetric, one product fewer, and no r x r Mtilde form is formed.
-        A small M keeps its digits: B is never added to I.
-        """
-        y = v.T @ self.smoother_product
-        g = y @ (v - 0.5 * y.T)
-        return np.linalg.eigvalsh(g + g.T)
-
-    @cached_property
-    def complement_spectrum(self) -> np.ndarray:
-        """Spectrum of (I - Pi) F Mtilde F^T (I - Pi), Pi = Q Q^T (r x r), ascending.
-
-        [Q Q_perp] is orthogonal, and in that basis the form is zero but for
-        its Q_perp block, so the spectrum is s exact zeros and that of
-        Q_perp^T F Mtilde F^T Q_perp, one eigen-solve of order r - s.
-        """
-        w = self._mtilde_spectrum(self.Q_perp)
-        return np.sort(np.concatenate([np.zeros(self.s), w]))
-
-    @cached_property
-    def coarse_spectrum(self) -> np.ndarray:
-        """Spectrum of Q^T F Mtilde F^T Q (s x s).
-
-        With r - s zeros added it is the spectrum of Pi F Mtilde F^T Pi.
-        """
-        return self._mtilde_spectrum(self.Q)
+    def forms(self):
+        """analysis.RangeForms: the r x r forms the analysis reads, kept."""
+        from .analysis import RangeForms
+        return RangeForms(self.A, self.M, self.P, self.s)
 
     @cached_property
     def mbar_ends(self) -> np.ndarray:
@@ -424,7 +314,7 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
     h = TwoGridHierarchy(A=a, M=m, P=p, Ac=ac)
     if isinstance(spec, GaussSeidel):
         return h
-    spectrum = h.smoother_spectrum
+    spectrum = h.forms.smoother_spectrum
     if not spectrum_psd(spectrum):
         limit = ""
         if isinstance(spec, WeightedJacobi):

@@ -98,8 +98,8 @@ def mtilde(h):
 
 def mtilde_form(h):
     """F Mtilde F^T = B + B^T - B B^T (r x r), formed here off B = F M F^T:
-    the hierarchy reads only its compressions onto Q and Q_perp."""
-    b = h.smoother_product
+    the analysis reads only its compressions onto Q and Q_perp."""
+    b = h.forms.smoother_product
     return sym_part(b + b.T - b @ b.T)
 
 
@@ -216,6 +216,21 @@ class TestExactFactor:
         assert rep.factor_oracle <= 1e-10
         assert rep.lower_bound == 0.0
         assert rep.eigengap_at_index is None
+
+    @pytest.mark.parametrize("build", [
+        *CORPUS_BUILDS,
+        pytest.param(full_coarse_rank_hierarchy, id="full-coarse-rank"),
+    ])
+    def test_eigengap_at_index_is_sigma_tg(self, build):
+        # w[s - 1] is one of the s exact zeros of the complement spectrum,
+        # so w[s] - w[s - 1] has the bytes of w[s]; None at s = r
+        h = build()
+        rep = exact_factor(h)
+        if h.s == h.r:
+            assert rep.eigengap_at_index is None
+        else:
+            assert np.float64(rep.eigengap_at_index).tobytes() == np.float64(
+                sigma_tg(h)).tobytes() == np.float64(rep.sigma_tg).tobytes()
 
     def test_zero_smoother_gives_factor_one(self):
         h = neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8))))
@@ -626,7 +641,7 @@ def assert_range_sized(h, calls):
 def projected_complement_spectrum(h):
     """Spectrum of the r x r form (I - Q Q^T) F Mtilde F^T (I - Q Q^T), projected
     on both sides."""
-    q, form = h.Q, mtilde_form(h)
+    q, form = h.forms.coarse_factors[0], mtilde_form(h)
     y = form - q @ (q.T @ form)
     return np.linalg.eigvalsh(sym_part(y - (y @ q) @ q.T))
 
@@ -651,15 +666,15 @@ class TestComplementBasis:
         # agrees to 1e-13, and the rank cut, the intersection dimension and
         # its flag read the same off either spectrum
         h = build()
-        q, q_perp = h.Q, h.Q_perp
+        q, _, q_perp = h.forms.coarse_factors
         assert q_perp.shape == (h.r, h.r - h.s)
         assert np.max(np.abs(q_perp.T @ q), initial=0.0) <= 1e-14
         assert np.max(np.abs(q_perp.T @ q_perp - np.eye(h.r - h.s)),
                       initial=0.0) <= 1e-14
-        w, ref = h.complement_spectrum, projected_complement_spectrum(h)
+        w, ref = h.forms.complement_spectrum, projected_complement_spectrum(h)
         assert w.shape == (h.r,) and np.count_nonzero(w == 0.0) >= h.s
         assert np.max(np.abs(w - ref)) <= 1e-13 * max(1.0, np.max(np.abs(ref)))
-        scale = float(np.max(np.abs(h.smoother_spectrum)))
+        scale = float(np.max(np.abs(h.forms.smoother_spectrum)))
         kept = spectrum_rank(ref, h.policy, scale=scale)
         rep = check_conditions(h)
         assert rep.intersection_dim == h.n - h.s - kept
@@ -667,7 +682,7 @@ class TestComplementBasis:
 
     def test_failed_intersection_is_still_reported(self):
         h = neumann_hierarchy(smoother=CustomSmoother(np.zeros((8, 8))))
-        assert np.array_equal(h.complement_spectrum, np.zeros(h.r))
+        assert np.array_equal(h.forms.complement_spectrum, np.zeros(h.r))
         rep = check_conditions(h)
         assert not rep.equiv_cond_ok and rep.intersection_dim == h.n - h.s
         assert exact_factor(h).warn_equiv_cond
@@ -679,7 +694,7 @@ class TestComplementBasis:
         h = ladder_build(24)
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
         assert (h.r, h.s) == (575, 287)
-        calls = eigensolves(monkeypatch, lambda: h.complement_spectrum)
+        calls = eigensolves(monkeypatch, lambda: h.forms.complement_spectrum)
         assert calls == [("eigvalsh", h.r - h.s)]
         h = ladder_build(24)
         calls = eigensolves(monkeypatch, lambda: convergence_report(
@@ -718,11 +733,12 @@ class TestEndReads:
         h = build_hierarchy(a, p, smoother)
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
         assert h.n >= 256
-        pre, qk = h.pre_smoother, h.restricted_pre_smoother
-        core = h.R @ bc.pinv @ h.R.T
+        pre, qk = h.forms.pre_smoother, h.forms.restricted_pre_smoother
+        q, r, _ = h.forms.coarse_factors
+        core = r @ bc.pinv @ r.T
 
         def oracle_top(c):
-            g = pre - h.Q @ (qk if c is None else c @ qk)
+            g = pre - q @ (qk if c is None else c @ qk)
             return np.linalg.eigvalsh(sym_part(g.T @ g))[-1]
 
         m = dense_smoother(h)
@@ -852,21 +868,27 @@ class TestSharedSpectra:
     def test_report_caches_one_square_array_on_hierarchy(self):
         # with a symmetric M the Mtilde form is the smoother form, so the
         # pre-smoother (r x r) is the only square array a Jacobi report
-        # adds; the coarse basis adds Q (r x s), R (s x nc) and Q_perp
-        # (r x (r - s)), and the coarse rows of K add Q^T K (s x r)
+        # adds to the hierarchy or its forms; the coarse basis adds Q
+        # (r x s), R (s x nc) and Q_perp (r x (r - s)), and the coarse rows
+        # of K add Q^T K (s x r)
         h, bc = neumann2d_report_inputs()
-        before = dict(vars(h))
+        forms = h.forms
+
+        def cached():
+            return {**vars(h), **vars(forms)}
+
+        before = cached()
         held = {id(value) for value in before.values()}
         convergence_report(h, coarse=bc, epsilon=0.3)
-        added = {key: value for key, value in vars(h).items() if key not in before}
+        added = {key: value for key, value in cached().items() if key not in before}
         q, r, q_perp = added.pop("coarse_factors")
         assert q.shape == (h.r, h.s) and r.shape == (h.s, h.nc)
         assert q_perp.shape == (h.r, h.r - h.s) and h.r - h.s != h.s
         assert added.pop("restricted_pre_smoother").shape == (h.s, h.r)
         square = {id(value) for value in added.values()
                   if np.ndim(value) == 2 and id(value) not in held}
-        assert square == {id(h.pre_smoother)}
-        assert h.pre_smoother.shape == (h.r, h.r)
+        assert square == {id(forms.pre_smoother)}
+        assert forms.pre_smoother.shape == (h.r, h.r)
         for key, value in added.items():
             if key != "pre_smoother" and id(value) not in held:
                 assert np.ndim(value) <= 1, key
@@ -974,12 +996,12 @@ class TestSharedSpectra:
         # spectrum of its own: a report reads only its two compressions. Set-up
         # builds the smoother form only to certify Jacobi on its spectrum.
         h, bc = neumann2d_report_inputs(smoother)
-        assert ("smoother_form" in vars(h)) == isinstance(smoother, WeightedJacobi)
+        assert ("forms" in vars(h)) == isinstance(smoother, WeightedJacobi)
         convergence_report(h, coarse=bc, epsilon=0.3)
-        assert {"complement_spectrum", "coarse_spectrum"} <= vars(h).keys()
+        assert {"complement_spectrum", "coarse_spectrum"} <= vars(h.forms).keys()
         for name in ("Mtilde", "mtilde_form", "mtilde_spectrum"):
-            assert not hasattr(h, name), name
-        square = {name for name, value in vars(h).items()
+            assert not hasattr(h, name) and not hasattr(h.forms, name), name
+        square = {name for name, value in {**vars(h), **vars(h.forms)}.items()
                   if isinstance(value, np.ndarray) and value.shape == (h.r, h.r)}
         assert square <= {"smoother_product", "smoother_form", "pre_smoother"}, square
 
@@ -995,6 +1017,6 @@ def test_smoother_forms_match_the_paper_formulas(build):
     and Mtilde to rounding, relative to the largest entry, however small M."""
     h = build()
     f = h.A.factor
-    for form, formula in ((h.smoother_form, mbar), (mtilde_form(h), mtilde)):
+    for form, formula in ((h.forms.smoother_form, mbar), (mtilde_form(h), mtilde)):
         ref = sym_part(f @ formula(h) @ f.T)
         assert np.max(np.abs(form - ref)) <= 1e-13 * np.max(np.abs(ref))

@@ -160,9 +160,9 @@ def hierarchy_with(a, smoother):
 
 
 def mtilde_form(h):
-    """F Mtilde F^T = B + B^T - B B^T, formed here: the hierarchy reads only
+    """F Mtilde F^T = B + B^T - B B^T, formed here: the analysis reads only
     its compressions onto Q and Q_perp."""
-    b = h.smoother_product
+    b = h.forms.smoother_product
     return sym_part(b + b.T - b @ b.T)
 
 
@@ -174,7 +174,7 @@ class TestMbarMtilde:
     def test_zero_smoother(self):
         h = hierarchy_with(np.eye(4), CustomSmoother(np.zeros((4, 4))))
         assert np.array_equal(h.mbar_ends, [0.0])
-        assert not h.complement_spectrum.any() and not h.coarse_spectrum.any()
+        assert not h.forms.complement_spectrum.any() and not h.forms.coarse_spectrum.any()
 
     def test_symmetric_smoother_makes_them_equal(self):
         rng = np.random.default_rng(3)
@@ -183,8 +183,10 @@ class TestMbarMtilde:
         m = sym_part(g @ g.T)
         m *= 0.5 / np.linalg.norm(m, 2)  # ||M|| ||A|| <= 1: Mbar >= M >= 0
         h = hierarchy_with(a, CustomSmoother(m))
-        q = h.Q
-        assert np.allclose(h.coarse_spectrum, np.linalg.eigvalsh(q.T @ h.smoother_form @ q),
+        forms = h.forms
+        q = forms.coarse_factors[0]
+        assert np.allclose(forms.coarse_spectrum,
+                           np.linalg.eigvalsh(q.T @ forms.smoother_form @ q),
                            rtol=0.0, atol=1e-15)
         assert h.mbar_min_eig >= 0.0
 
@@ -222,8 +224,8 @@ class TestMbarMtilde:
     def test_gauss_seidel_mtilde_spectrum_in_unit_box(self):
         # the form's spectrum and its two compressions, which interlace it
         h = hierarchy_with(neumann_laplacian_1d(8), GaussSeidel())
-        for w in (np.linalg.eigvalsh(mtilde_form(h)), h.complement_spectrum,
-                  h.coarse_spectrum):
+        for w in (np.linalg.eigvalsh(mtilde_form(h)), h.forms.complement_spectrum,
+                  h.forms.coarse_spectrum):
             assert w[0] >= -PSD_SLACK
             assert w[-1] <= 1.0 + PSD_SLACK
 
@@ -241,7 +243,9 @@ def test_mtilde_compressions_match_extended_precision(kind, t):
     f = h.A.factor.astype(np.longdouble)
     b = f @ (np.longdouble(t) * m.astype(np.longdouble)) @ f.T
     form = b + b.T - b @ b.T
-    for v, w in ((h.Q_perp, h.complement_spectrum[h.s:]), (h.Q, h.coarse_spectrum)):
+    q, _, q_perp = h.forms.coarse_factors
+    for v, w in ((q_perp, h.forms.complement_spectrum[h.s:]),
+                 (q, h.forms.coarse_spectrum)):
         vl = v.astype(np.longdouble)
         ref = np.linalg.eigvalsh(np.float64(vl.T @ form @ vl))
         smallest = float(np.min(ref[ref > h.policy.rank_rel_tol * ref[-1]]))
@@ -275,10 +279,29 @@ class TestBuildHierarchy:
         h = build_hierarchy(neumann_laplacian_1d(8), aggregation_prolongation(8, 2),
                             WeightedJacobi(2.0 / 3.0))
         assert not hasattr(h, "Pi") and not hasattr(h.A, "sqrt")
-        assert "coarse_factors" not in vars(h)
+        assert "coarse_factors" not in vars(h.forms)
         assert "pinv" not in vars(h.A) and "factor" not in vars(h.Ac)
         assert "factor" in vars(h.A) and "pinv" not in vars(h.Ac)
         assert "PT" not in vars(h)
+
+    def test_forms_are_built_in_analysis_on_first_read(self):
+        # the hierarchy holds operators only; its r x r forms are kept on
+        # h.forms, which a Gauss-Seidel set-up never builds and a Jacobi
+        # set-up builds only as far as the smoother check reads
+        for name in ("coarse_factors", "Q", "R", "Q_perp", "smoother_product",
+                     "smoother_form", "smoother_spectrum", "pre_smoother",
+                     "restricted_pre_smoother", "_mtilde_spectrum",
+                     "complement_spectrum", "coarse_spectrum"):
+            assert not hasattr(TwoGridHierarchy, name), name
+        a = certify(neumann_laplacian_1d(8))
+        p = aggregation_prolongation(8, 2)
+        assert "forms" not in vars(build_hierarchy(a, p, GaussSeidel()))
+        h = build_hierarchy(a, p, WeightedJacobi(2.0 / 3.0))
+        assert "forms" in vars(h) and h.forms is h.forms
+        assert vars(h.forms).keys() == {"A", "M", "P", "s", "smoother_product",
+                                        "smoother_form", "smoother_spectrum"}
+        forms = h.forms
+        assert forms.A is h.A and forms.M is h.M and forms.P is h.P and forms.s == h.s
 
     def test_four_inputs_derive_the_rest(self):
         assert [f.name for f in fields(SpsdOperator)] == [
@@ -291,8 +314,8 @@ class TestBuildHierarchy:
         built = build_hierarchy(a, p, GaussSeidel())
         for name in ("smoother_product", "smoother_form", "pre_smoother",
                      "complement_spectrum", "coarse_spectrum"):
-            assert np.array_equal(getattr(h, name), getattr(built, name)), name
-        for mine, theirs in zip(h.coarse_factors, built.coarse_factors):
+            assert np.array_equal(getattr(h.forms, name), getattr(built.forms, name)), name
+        for mine, theirs in zip(h.forms.coarse_factors, built.forms.coarse_factors):
             assert np.array_equal(mine, theirs)
         assert (h.r, h.s) == (a.rank, ac.rank) == (9, 4)
 
@@ -303,8 +326,7 @@ class TestBuildHierarchy:
         h = build_hierarchy(a, p, GaussSeidel())
         for variant in ("tg", "stg"):
             iterate(h, f, np.zeros(h.n), 3, variant, u_ref=u_ref)
-        for name in ("smoother_product", "smoother_form", "complement_spectrum",
-                     "mbar_ends"):
+        for name in ("forms", "mbar_ends"):
             assert name not in vars(h), name
         assert all(array.shape != (h.n, h.n) for array in reachable_arrays(h.M))
 
@@ -314,7 +336,7 @@ class TestBuildHierarchy:
         a, p, _, _ = generate_problem(NeumannLaplacian2D(32, 32), group=4, seed=0)
         h = build_hierarchy(a, p, GaussSeidel())
         convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
-        assert "smoother_product" in vars(h) and "mbar_ends" in vars(h)
+        assert "smoother_product" in vars(h.forms) and "mbar_ends" in vars(h)
         arrays = reachable_arrays(h.M)
         assert arrays and all(array.shape != (h.n, h.n) for array in arrays)
 
@@ -369,7 +391,7 @@ class TestBuildHierarchy:
         # thin factor F = Lambda_r^{1/2} V_r^T formed here from A's eigenpairs
         for case in corpus.builtin_corpus():
             h, _, _ = corpus.build_case(case)
-            q, r, _ = h.coarse_factors
+            q, r, _ = h.forms.coarse_factors
             lam, v = h.A.eig.values[h.n - h.r:], h.A.eig.vectors[:, h.n - h.r:]
             fp = np.sqrt(lam)[:, None] * (v.T @ h.P)
             assert q.shape == (h.r, h.s), case.name
@@ -386,7 +408,7 @@ class TestBuildHierarchy:
         for case in cases:
             h, _, _ = corpus.build_case(case)
             gap = np.max(np.abs(np.linalg.eigvalsh(mtilde_form(h))
-                                - h.smoother_spectrum))
+                                - h.forms.smoother_spectrum))
             assert gap <= 1e-13, case.name
 
     def test_gauss_seidel_zero_diagonal_rejected(self):
@@ -410,7 +432,7 @@ class TestBuildHierarchy:
         for h in hierarchies:
             m, f = dense_smoother(h), h.A.factor
             ref = f @ m.T @ (np.diag(dense(h.A.matrix))[:, None] * m) @ f.T
-            gap = np.max(np.abs(ref - h.smoother_form))
+            gap = np.max(np.abs(ref - h.forms.smoother_form))
             assert gap <= 1e-13 * np.max(np.abs(ref)), h.n
 
     def test_gauss_seidel_mbar_min_eig_matches_the_paper_formula(self):
@@ -607,7 +629,7 @@ class TestDiagonalJacobi:
             w = h.M.diagonal()
             fa = h.A.factor
             # B = F M F^T has the bytes of (F * w) F^T, the column scaling
-            assert h.smoother_product.tobytes() == ((fa * w) @ fa.T).tobytes(), label
+            assert h.forms.smoother_product.tobytes() == ((fa * w) @ fa.T).tobytes(), label
             # Mbar's ends, read by spectrum_end, against the paper's dense
             # Mbar solved in full
             ends, ref = h.mbar_ends, np.linalg.eigvalsh(paper_mbar(h))
@@ -642,7 +664,7 @@ class TestDiagonalJacobi:
         _, h, f, u_ref = jacobi_cases()[-1]
         iterate(h, f, np.zeros(h.n), 2, "stg", u_ref=u_ref)
         convergence_report(h, coarse=2.0 * h.Ac.matrix, epsilon=0.3)
-        assert "smoother_product" in vars(h) and "mbar_ends" in vars(h)
+        assert "smoother_product" in vars(h.forms) and "mbar_ends" in vars(h)
         assert type(h.M) is CsrArray and h.M.nnz == h.n
         arrays = reachable_arrays(h.M)
         assert arrays and all(array.shape != (h.n, h.n) for array in arrays)

@@ -110,6 +110,16 @@ def test_only_the_eigh_certificate_solves_an_operator_spectrum():
     assert op.components is not None and op.eig is None
 
 
+def test_model_solves_no_form_spectrum():
+    # the r x r forms on range(A) and their spectra are built in analysis:
+    # model runs no SVD and no eigvalsh, and reads a spectrum only through
+    # mbar_ends' spectrum_end calls
+    assert not {path for path, _ in callers("svd") | callers("eigvalsh")
+                if path == "model.py"}
+    assert {owner for path, owner in callers("spectrum_end")
+            if path == "model.py"} == {"mbar_ends"}
+
+
 def model_tree() -> ast.Module:
     return ast.parse((Path(twogrid.__file__).parent / "model.py").read_text(encoding="utf-8"))
 

@@ -151,7 +151,7 @@ def test_coarse_basis_reads_csr_p_as_the_dense_product(routes):
     if type(p) is CsrArray:
         assert (f @ p).tobytes() == fp.tobytes()
     u, sv, vt = np.linalg.svd(fp, full_matrices=True)
-    q, r, q_perp = h.coarse_factors
+    q, r, q_perp = h.forms.coarse_factors
     assert q.tobytes() == u[:, :h.s].copy().tobytes()
     assert r.tobytes() == (sv[:h.s, None] * vt[:h.s]).tobytes()
     assert q_perp.tobytes() == u[:, h.s:].copy().tobytes()
