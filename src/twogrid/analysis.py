@@ -44,6 +44,8 @@ Main entry points:
   two-sided bounds, and the exact factor for a pseudoinverse coarse solver.
 * general_epsilon_bound: worst-case bound for any coarse solver with
   relative energy-seminorm accuracy eps.
+* convergence_report: the merge of the results above, whose fields are
+  named by their report keys; no quantity has a second name.
 """
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ from .linalg import (
     sym_part,
 )
 from .model import Smoother, TwoGridHierarchy
-from .solver import _check_variant
+from .solver import _check_eps, _check_variant
 
 
 def _factor_from(value: float) -> float:
@@ -279,21 +281,22 @@ class ConditionReport:
 
     Every field is read off a spectrum h.forms or the hierarchy caches:
     smoother_ok, smoother_min_eig and mbar_null_in_range_dim off the
-    smoother spectrum, intersection_dim and intersection_margin off the
+    smoother spectrum, intersection_dim and intersection_sv off the
     complement spectrum, and mbar_min_eig, the smallest eigenvalue of Mbar,
     off the hierarchy's mbar_ends.
-    intersection_margin is sqrt of the smallest eigenvalue the complement
+    intersection_sv is sqrt of the smallest eigenvalue the complement
     rank keeps (0.0 when none is kept); when the intersection condition
-    holds and s < r it is sqrt(sigma_tg).
+    holds and s < r it is sqrt(sigma_tg). mbar_null_in_range_dim is the
+    one field the report does not carry.
     """
 
     smoother_ok: bool
     equiv_cond_ok: bool
     suff_cond_ok: bool
     intersection_dim: int
-    nullity_A: int
+    nullity_a: int
     smoother_min_eig: float
-    intersection_margin: float
+    intersection_sv: float
     mbar_min_eig: float
     mbar_null_in_range_dim: int
 
@@ -338,9 +341,9 @@ def check_conditions(h: TwoGridHierarchy) -> ConditionReport:
         equiv_cond_ok=bool(inter_dim == nullity_a),
         suff_cond_ok=bool(spectrum_psd(h.mbar_ends) and null_in_range == 0),
         intersection_dim=int(inter_dim),
-        nullity_A=int(nullity_a),
+        nullity_a=int(nullity_a),
         smoother_min_eig=float(w_smooth[0]),
-        intersection_margin=float(np.sqrt(w_comp[h.r - kept])) if kept else 0.0,
+        intersection_sv=float(np.sqrt(w_comp[h.r - kept])) if kept else 0.0,
         mbar_min_eig=h.mbar_min_eig,
         mbar_null_in_range_dim=int(null_in_range),
     )
@@ -359,21 +362,21 @@ class ExactFactorReport:
     factor_oracle from the brute-force seminorm maximization on the range
     of A. The spectra are r x r forms on range(A), so position n - r + k is
     array index k - 1: index s for the identity, index 0 for the quadratic
-    form. warn_equiv_cond is set when the intersection condition failed, in
-    which case the factor may legitimately reach one. eigengap_at_index is
-    w[s] - w[s - 1] of the complement spectrum w; w[s - 1] is one of its s
-    exact zeros unless its order r - s part has s negative eigenvalues, so
-    it is sigma_tg bit for bit (on every corpus case); None when s = r.
+    form; lower and upper are exact_two_sided's. Where the intersection
+    condition fails (equiv_cond_ok of check_conditions) the factor may
+    legitimately reach one. eigengap_at_index is w[s] - w[s - 1] of the
+    complement spectrum w; w[s - 1] is one of its s exact zeros unless its
+    order r - s part has s negative eigenvalues, so it is sigma_tg bit for
+    bit (on every corpus case); None when s = r.
     """
 
     sigma_tg: float
     factor_identity: float
     factor_ftg: float
     factor_oracle: float
-    lower_bound: float
-    upper_bound: float
+    lower: float
+    upper: float
     eigengap_at_index: float | None
-    warn_equiv_cond: bool
 
 
 def seminorm_oracle(h: TwoGridHierarchy, iteration: str = "tg",
@@ -433,10 +436,7 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     holds; all three are reported so drift is visible. The degenerate case
     s = r yields factor zero without solving or indexing past a spectrum.
     """
-    conditions = check_conditions(h)
     sigma = sigma_tg(h)
-    factor_identity = _factor_from(sigma)
-
     factor_ftg, eigengap = 0.0, None
     if h.s < h.r:
         factor_ftg = _factor_from(spectrum_end(ftg_matrix(h), highest=False))
@@ -446,13 +446,12 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
     lower, upper = exact_two_sided(h)
     return ExactFactorReport(
         sigma_tg=sigma,
-        factor_identity=factor_identity,
+        factor_identity=_factor_from(sigma),
         factor_ftg=factor_ftg,
         factor_oracle=seminorm_oracle(h, "tg", None),
-        lower_bound=lower,
-        upper_bound=upper,
+        lower=lower,
+        upper=upper,
         eigengap_at_index=eigengap,
-        warn_equiv_cond=not conditions.equiv_cond_ok,
     )
 
 
@@ -462,7 +461,9 @@ def exact_factor(h: TwoGridHierarchy) -> ExactFactorReport:
 
 @dataclass(frozen=True)
 class InexactFactorReport:
-    """Spectral-equivalence constants and bounds for a pseudoinverse coarse solve."""
+    """Spectral-equivalence constants and bounds for a pseudoinverse coarse solve:
+    lower_itg <= factor_itg <= upper_itg are L(beta2), the exact factor by the
+    quadratic form and U(beta1); factor_itg_oracle is the seminorm oracle's."""
 
     alpha1: float
     alpha2: float
@@ -470,10 +471,10 @@ class InexactFactorReport:
     beta2: float
     delta_tg: float
     delta_guard_ok: bool
-    lower_L: float
-    upper_U: float
-    factor_exact_itg: float
-    factor_oracle: float
+    lower_itg: float
+    upper_itg: float
+    factor_itg: float
+    factor_itg_oracle: float
 
 
 def beta_constants(alpha1: float, alpha2: float) -> tuple[float, float]:
@@ -567,8 +568,6 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
 
     # one core C = R Bc^+ R^T for the quadratic form and the oracle
     core = _coarse_core(h, bc)
-    factor_itg = _factor_from(spectrum_end(_inexact_form(h, core), highest=False))
-
     return InexactFactorReport(
         alpha1=alpha1,
         alpha2=alpha2,
@@ -576,10 +575,10 @@ def inexact_linear_analysis(h: TwoGridHierarchy, bc) -> InexactFactorReport:
         beta2=beta2,
         delta_tg=delta,
         delta_guard_ok=guard_ok,
-        lower_L=lower_bound_inexact(beta2, sigma, delta, floor),
-        upper_U=upper_bound_inexact(beta1, sigma, delta, floor),
-        factor_exact_itg=factor_itg,
-        factor_oracle=_propagator_norm(h, core, False),
+        lower_itg=lower_bound_inexact(beta2, sigma, delta, floor),
+        upper_itg=upper_bound_inexact(beta1, sigma, delta, floor),
+        factor_itg=_factor_from(spectrum_end(_inexact_form(h, core), highest=False)),
+        factor_itg_oracle=_propagator_norm(h, core, False),
     )
 
 
@@ -590,8 +589,7 @@ def general_epsilon_bound(h: TwoGridHierarchy, eps: float) -> float:
     at most eps times its coarse energy seminorm yields a per-sweep factor
     of at most U(1 - eps^2). eps = 0 recovers the exact identity.
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    _check_eps(eps)
     delta, _ = delta_tg(h)
     return upper_bound_inexact(1.0 - eps * eps, sigma_tg(h), delta,
                                smoothing_floor(h))
@@ -614,8 +612,9 @@ CSV_COLUMNS = [
 ]
 
 # The CSV columns that the report holds under "flags"; every other column
-# is a flat report field.
+# is a flat report field. The report holds the MARGINS under "margins".
 FLAG_COLUMNS = ("smoother_ok", "equiv_cond_ok", "suff_cond_ok")
+MARGINS = ("smoother_min_eig", "intersection_sv", "mbar_min_eig")
 
 
 def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
@@ -623,66 +622,36 @@ def convergence_report(h: TwoGridHierarchy, coarse: SpsdOperator | None = None,
                        meta: dict | None = None) -> dict:
     """Assemble the full report dictionary with the frozen field names.
 
-    The flat fields are CSV_COLUMNS less FLAG_COLUMNS, each null until set.
-    Inexact fields are null unless a coarse matrix is given; epsilon fields
-    are null unless an accuracy level is given. `meta` supplies the
-    provenance strings (problem, smoother, prolongation, coarse, seed). The
-    epsilon bound comes first: it refuses an epsilon outside [0, 1) before
-    any spectrum is read.
+    The flat fields are CSV_COLUMNS less FLAG_COLUMNS, each null until set
+    by the field of that name of check_conditions, exact_factor or
+    inexact_linear_analysis (flags and margins likewise; the one field left
+    out is mbar_null_in_range_dim). Inexact fields are null unless a coarse
+    matrix is given, epsilon fields unless an accuracy level is. `meta`
+    supplies the provenance strings (problem, smoother, prolongation,
+    coarse, seed). The epsilon bound comes first: it refuses an epsilon
+    outside [0, 1) before any spectrum is read.
     """
-    epsilon_bound = None if epsilon is None else general_epsilon_bound(h, epsilon)
-    conditions = check_conditions(h)
-    exact = exact_factor(h)
     report = dict.fromkeys(c for c in CSV_COLUMNS if c not in FLAG_COLUMNS)
-    report.update({
-        "n": h.n,
-        "nc": h.nc,
-        "rank_a": h.r,
-        "rank_ac": h.s,
-        "sigma_tg": exact.sigma_tg,
-        "factor_identity": exact.factor_identity,
-        "factor_ftg": exact.factor_ftg,
-        "factor_oracle": exact.factor_oracle,
-        "lower": exact.lower_bound,
-        "upper": exact.upper_bound,
-        "eigengap_at_index": exact.eigengap_at_index,
-        "intersection_dim": conditions.intersection_dim,
-        "nullity_a": conditions.nullity_A,
-        "flags": {
-            "smoother_ok": conditions.smoother_ok,
-            "equiv_cond_ok": conditions.equiv_cond_ok,
-            "suff_cond_ok": conditions.suff_cond_ok,
-            "degenerate_full_rank_coarse": h.s == h.r,
-            "delta_guard_ok": None,
-        },
-        "margins": {
-            "smoother_min_eig": conditions.smoother_min_eig,
-            "intersection_sv": conditions.intersection_margin,
-            "mbar_min_eig": conditions.mbar_min_eig,
-        },
-        "tolerances": {
-            "rank_rel_tol": h.policy.rank_rel_tol,
-            "psd_slack": PSD_SLACK,
-            "match_tol": h.policy.match_tol,
-        },
-    })
-    if coarse is not None:
-        inexact = inexact_linear_analysis(h, coarse)
-        report.update({
-            "alpha1": inexact.alpha1,
-            "alpha2": inexact.alpha2,
-            "beta1": inexact.beta1,
-            "beta2": inexact.beta2,
-            "delta_tg": inexact.delta_tg,
-            "lower_itg": inexact.lower_L,
-            "upper_itg": inexact.upper_U,
-            "factor_itg": inexact.factor_exact_itg,
-            "factor_itg_oracle": inexact.factor_oracle,
-        })
-        report["flags"]["delta_guard_ok"] = inexact.delta_guard_ok
     if epsilon is not None:
-        report["epsilon"] = float(epsilon)
-        report["epsilon_bound"] = epsilon_bound
+        report.update(epsilon_bound=general_epsilon_bound(h, epsilon),
+                      epsilon=float(epsilon))
+    results = [check_conditions(h), exact_factor(h)]
+    if coarse is not None:
+        results.append(inexact_linear_analysis(h, coarse))
+    flags = dict.fromkeys((*FLAG_COLUMNS, "delta_guard_ok"))
+    margins = dict.fromkeys(MARGINS)
+    for result in results:
+        for key, value in vars(result).items():
+            for part in (report, flags, margins):
+                if key in part:
+                    part[key] = value
+    flags["degenerate_full_rank_coarse"] = h.s == h.r
+    report.update(n=h.n, nc=h.nc, rank_a=h.r, rank_ac=h.s, flags=flags,
+                  margins=margins, tolerances={
+                      "rank_rel_tol": h.policy.rank_rel_tol,
+                      "psd_slack": PSD_SLACK,
+                      "match_tol": h.policy.match_tol,
+                  })
     if meta:
         report.update(meta)
     return report

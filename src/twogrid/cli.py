@@ -254,13 +254,18 @@ def _finalize_args(args) -> None:
 
 def _build_problem(args):
     """(A, P, f, u_ref) with A certified under the environment's policy."""
+    spec = parse_problem(args.problem)
     try:
-        matrix = problem_matrix(parse_problem(args.problem))
+        matrix = problem_matrix(spec)
     except EdgeError as exc:  # a graph: file, named by FILE:LINE at an invalid edge
         where = args.problem.partition(":")[2]
         if exc.index is not None:
             where += f":{content_lines(where, '#')[exc.index][0]}"
         raise UsageError(f"{where}: {exc}") from exc
+    except ValueError as exc:  # a generator's range; a file: error names its file
+        if isinstance(spec, FromFile):
+            raise
+        raise UsageError(f"bad problem spec '{args.problem}': {exc}") from exc
     n = matrix.shape[0]
     a = spsd_certify(matrix, policy_from_env(n))
     p = build_prolongation(args.prolongation, n)

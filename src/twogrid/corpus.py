@@ -137,7 +137,7 @@ def _case_checks(case: CorpusCase, h, f: np.ndarray, u_ref: np.ndarray,
     record("identity_vs_oracle", abs(factor - exact.factor_oracle), 1e-10)
     record("identity_vs_quadratic_form", abs(factor - exact.factor_ftg), 1e-10)
     record("exact_sandwich",
-           max(exact.lower_bound - factor, factor - exact.upper_bound), 1e-10)
+           max(exact.lower - factor, factor - exact.upper), 1e-10)
 
     oracle_stg = analysis.seminorm_oracle(h, "stg")
     record("squaring_law", abs(oracle_stg - exact.factor_oracle ** 2), 1e-9)
@@ -159,13 +159,13 @@ def _case_checks(case: CorpusCase, h, f: np.ndarray, u_ref: np.ndarray,
     # inexact route with the Galerkin matrix itself and a doubled copy
     rep_same = analysis.inexact_linear_analysis(h, h.Ac)
     record("inexact_collapse",
-           max(abs(rep_same.lower_L - rep_same.upper_U),
-               abs(rep_same.lower_L - exact.factor_identity)), 1e-12)
+           max(abs(rep_same.lower_itg - rep_same.upper_itg),
+               abs(rep_same.lower_itg - exact.factor_identity)), 1e-12)
     bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
     rep2 = analysis.inexact_linear_analysis(h, bc)
     record("inexact_sandwich",
-           max(rep2.lower_L - rep2.factor_exact_itg,
-               rep2.factor_exact_itg - rep2.upper_U), 1e-10)
+           max(rep2.lower_itg - rep2.factor_itg,
+               rep2.factor_itg - rep2.upper_itg), 1e-10)
     w_itg = np.linalg.eigvalsh(analysis.fitg_matrix(h, bc))
     if conditions.equiv_cond_ok:
         record("inexact_nullity", abs(h.r - spectrum_rank(w_itg, h.policy)), 0.0)

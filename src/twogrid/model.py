@@ -325,8 +325,8 @@ def build_hierarchy(a, p, spec: SmootherSpec) -> TwoGridHierarchy:
             limit = (f"; Jacobi weight {spec.omega:.6g} exceeds the stability "
                      f"limit {bound:.6g}")
         raise SmootherAssumptionError(
-            "smoothing iteration is expansive in the energy seminorm: "
-            f"most negative eigenvalue of A^(1/2) Mbar A^(1/2) is {float(spectrum[0]):.6e}"
+            "smoothing iteration is expansive in the energy seminorm: smallest "
+            f"eigenvalue of the smoother form F Mbar F^T is {float(spectrum[0]):.6e}"
             + limit)
     return h
 

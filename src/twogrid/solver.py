@@ -66,9 +66,13 @@ class GeneralCoarse:
     achieved_eps: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not (0.0 <= self.declared_eps < 1.0):
-            raise ValueError(
-                f"declared_eps must lie in [0, 1), got {self.declared_eps}")
+        _check_eps(self.declared_eps, "declared_eps")
+
+
+def _check_eps(eps: float, name: str = "eps") -> None:
+    """The one accuracy rule 0 <= eps < 1 of a coarse solve; `name` names eps."""
+    if not (0.0 <= eps < 1.0):
+        raise ValueError(f"{name} must lie in [0, 1), got {eps}")
 
 
 def a_seminorm(matrix: np.ndarray, v: np.ndarray) -> float | np.ndarray:
@@ -104,8 +108,7 @@ def eps_perturbed_coarse(h: TwoGridHierarchy, eps: float,
     seminorm along the direction Ac g, where g is a fresh standard-normal
     draw from `rng` (the caller owns the stream and its position).
     """
-    if not (0.0 <= eps < 1.0):
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
+    _check_eps(eps)
 
     def solve(rc: np.ndarray) -> np.ndarray:
         ec = h.Ac.pinv @ rc

@@ -100,8 +100,8 @@ def test_criterion_2_exact_sandwich(corpus_hierarchies):
     worst = -np.inf
     for case, h, f, u_ref in corpus_hierarchies:
         rep = analysis.exact_factor(h)
-        worst = max(worst, rep.lower_bound - rep.factor_identity,
-                    rep.factor_identity - rep.upper_bound)
+        worst = max(worst, rep.lower - rep.factor_identity,
+                    rep.factor_identity - rep.upper)
     assert worst <= 1e-10, f"sandwich violated by {worst:.3e}"
     _print_result(2, f"worst sandwich violation {worst:.2e} (<= 1e-10)")
 
@@ -134,10 +134,10 @@ def test_criterion_4_inexact_sandwich():
     }
     for name, bc in candidates.items():
         rep = analysis.inexact_linear_analysis(h, bc)
-        assert rep.lower_L - 1e-10 <= rep.factor_exact_itg <= rep.upper_U + 1e-10, name
+        assert rep.lower_itg - 1e-10 <= rep.factor_itg <= rep.upper_itg + 1e-10, name
     same = analysis.inexact_linear_analysis(h, h.Ac)
-    assert abs(same.lower_L - exact.factor_identity) <= 1e-12
-    assert abs(same.upper_U - exact.factor_identity) <= 1e-12
+    assert abs(same.lower_itg - exact.factor_identity) <= 1e-12
+    assert abs(same.upper_itg - exact.factor_identity) <= 1e-12
     _print_result(4, f"{len(candidates)} coarse matrices sandwiched; "
                   "exact coarse collapses both bounds")
 

@@ -480,6 +480,21 @@ def test_negative_seed_is_named(argv, config, message, tmp_path, capsys):
     assert message in _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("command", ["analyze", "solve", "generate"])
+@pytest.mark.parametrize("spec, message", [
+    ("random:8:9", "rank must lie in [1, 8], got 9"),
+    ("neumann1d:1", "need n >= 2, got 1"),
+    ("neumann2d:1x8", "need nx, ny >= 2, got 1 x 8"),
+])
+def test_generator_range_error_names_the_spec(command, spec, message, tmp_path,
+                                              capsys):
+    argv = [command, "--problem", spec]
+    if command == "generate":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert run(argv) == 1
+    assert _one_error_line(capsys) == f"error: bad problem spec '{spec}': {message}\n"
+
+
 def test_exact_variant_with_a_coarse_solve_is_rejected(capsys):
     assert run(["solve", "--problem", "neumann1d:8", "--variant", "tg",
                 "--coarse", "scale:2"]) == 1

@@ -349,7 +349,8 @@ class TestBuildHierarchy:
     def test_expansive_smoother_rejected(self):
         a = certify(neumann_laplacian_1d(6))
         p = aggregation_prolongation(6, 2)
-        with pytest.raises(SmootherAssumptionError, match="negative eigenvalue"):
+        with pytest.raises(SmootherAssumptionError, match="smallest eigenvalue of "
+                           r"the smoother form F Mbar F\^T is -\d"):
             build_hierarchy(a, p, WeightedJacobi(1.9))
 
     @staticmethod

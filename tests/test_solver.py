@@ -190,7 +190,7 @@ class TestSweeps:
     def test_linear_itg_single_sweep_bound(self, setup8):
         h, f, u_ref = setup8
         bc = spsd_certify(2.0 * h.Ac.matrix, h.policy)
-        factor_itg = inexact_linear_analysis(h, bc).factor_exact_itg
+        factor_itg = inexact_linear_analysis(h, bc).factor_itg
         worst = 0.0
         for seed in range(100):
             u0 = np.random.default_rng(seed + 700).standard_normal(8)
